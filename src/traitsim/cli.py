@@ -34,6 +34,7 @@ from .analytics import (
 from .engine import (
     SCHEMA_VERSION,
     SimulationConfig,
+    check_integrity,
     content_from_dict,
     record_from_dict,
     run_simulation,
@@ -168,6 +169,11 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     backend = _make_backend(backend_cfg)
     world = run_simulation(sim_config, personas, backend, checkpoint_path=out)
+    try:
+        check_integrity(world)
+    except AssertionError as err:
+        raise CliError(f"content store failed its integrity check, no "
+                       f"artifacts written: {err}")
     write_artifacts(world, out)
 
     manifest = {

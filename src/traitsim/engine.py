@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,6 +30,7 @@ from .core import (
     ActionRecord,
     AgentProfile,
     ContentItem,
+    Counters,
     OCEAN_VARIANTS,
     Order,
     Trait,
@@ -92,15 +95,56 @@ class AgentState:
 
 
 @dataclass
+class ContentIndex:
+    """Append-only index over a content store, for feed recommendation.
+
+    ``sync`` extends it with the ids from the previous sync's
+    ``next_content_id`` up to the current one; it is never rebuilt.
+    ``recommend_feed`` syncs it when a feed needs it: for an agent with
+    followees, and for the random strategy. Content ids must be
+    chronological: an item created in an earlier iteration than the last
+    indexed one is rejected.
+    """
+
+    ids: list = field(default_factory=list)  # content ids, ascending
+    iterations: list = field(default_factory=list)  # iteration_created per id
+    by_author: dict = field(default_factory=dict)  # author -> ascending ids
+    reshares_by_author: dict = field(default_factory=dict)  # author -> re-share ids
+    synced_to: int = 1  # the store's next_content_id at the previous sync
+
+    def sync(self, content: dict, next_content_id: int) -> None:
+        for cid in range(self.synced_to, next_content_id):
+            item = content[cid]
+            if self.iterations and item.iteration_created < self.iterations[-1]:
+                raise ValueError(
+                    f"content {cid} created in iteration {item.iteration_created}"
+                    f" after iteration {self.iterations[-1]}: content ids must"
+                    f" be chronological")
+            self.ids.append(cid)
+            self.iterations.append(item.iteration_created)
+            self.by_author.setdefault(item.author, []).append(cid)
+            if item.is_reshare:
+                self.reshares_by_author.setdefault(item.author, []).append(cid)
+        self.synced_to = next_content_id
+
+
+@dataclass
 class WorldState:
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState
     content: dict = field(default_factory=dict)  # content_id -> ContentItem
     log: list = field(default_factory=list)  # ActionRecord, append-only
     iteration: int = 0
     next_content_id: int = 1
+    index: ContentIndex = field(default_factory=ContentIndex, repr=False,
+                                compare=False)
 
     def agent_order(self) -> list:
         return sorted(self.agents)
+
+    def content_index(self) -> ContentIndex:
+        """The content index, extended with any items added since last use."""
+        self.index.sync(self.content, self.next_content_id)
+        return self.index
 
 
 def init_population(personas: Sequence[dict], config: SimulationConfig,
@@ -161,21 +205,28 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     not already re-shared by it. Re-shares authored by followees are
     force-included ahead of the ranked remainder; preference ranking puts
     topic matches first, then recency; random sampling is seeded.
+
+    Cost per call with the random strategy: O(followee re-shares + excluded
+    items + k), up to a log factor, where the excluded items are the agent's
+    own content, its re-shared ids and the forced re-shares; both the forced
+    re-shares and the sample come from ``world.content_index()``. The
+    preference ranking adds a newest-first scan of the store that stops once
+    both rank groups hold k items: O(k) items while the agent's topic and the
+    other topics each have k recent eligible items, the whole store when
+    either is scarce.
     """
     if max_iteration is None:
         max_iteration = world.iteration
+    me = agent.profile.agent_id
 
-    def eligible(item):
-        return (item.author != agent.profile.agent_id
-                and item.content_id not in agent.reshared_ids
-                and item.iteration_created <= max_iteration)
-
-    following = agent.profile.following
     forced = []
-    if following:
-        forced = [item for item in world.content.values()
-                  if eligible(item) and item.is_reshare
-                  and item.author in following]
+    if agent.profile.following:
+        by_author = world.content_index().reshares_by_author
+        forced = [item for author in agent.profile.following if author != me
+                  for item in map(world.content.__getitem__,
+                                  by_author.get(author, ()))
+                  if item.iteration_created <= max_iteration
+                  and item.content_id not in agent.reshared_ids]
         forced.sort(key=lambda it: (-it.iteration_created, -it.content_id))
     forced_ids = {item.content_id for item in forced}
 
@@ -188,7 +239,9 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         for item in reversed(world.content.values()):
             if len(matches) >= k and len(others) >= k:
                 break
-            if not eligible(item) or item.content_id in forced_ids:
+            if (item.author == me or item.content_id in agent.reshared_ids
+                    or item.iteration_created > max_iteration
+                    or item.content_id in forced_ids):
                 continue
             if item.topic == agent.profile.topic:
                 if len(matches) < k:
@@ -197,14 +250,28 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
                 others.append(item)
         chosen = (forced + matches + others)[:k]
     elif strategy == "random":
-        rest = [item for item in world.content.values()
-                if eligible(item) and item.content_id not in forced_ids]
-        take = min(k - len(forced[:k]), len(rest))
+        # The draw depends only on (pool size, take), so sample ranks in the
+        # id-ordered snapshot index.ids[:cut] minus the excluded positions,
+        # without building the pool.
+        index = world.content_index()
+        cut = bisect_right(index.iterations, max_iteration)
+        positions = set()
+        for cid in (*index.by_author.get(me, ()), *agent.reshared_ids,
+                    *forced_ids):
+            pos = bisect_left(index.ids, cid, 0, cut)
+            if pos < cut and index.ids[pos] == cid:
+                positions.add(pos)
+        excluded = sorted(positions)
+        pool_size = cut - len(excluded)
+        take = min(k - len(forced[:k]), pool_size)
         sampled = []
         if take > 0:
-            order = sorted(rest, key=lambda it: it.content_id)
-            picks = rng.choice(len(order), size=take, replace=False)
-            sampled = [order[i] for i in sorted(picks)]
+            picks = rng.choice(pool_size, size=take, replace=False)
+            passed = 0
+            for rank in sorted(picks):
+                while passed < len(excluded) and excluded[passed] <= rank + passed:
+                    passed += 1
+                sampled.append(world.content[index.ids[rank + passed]])
         chosen = (forced[:k] + sampled)[:k]
     else:
         raise ValueError(f"unknown recommender strategy {strategy!r}")
@@ -242,7 +309,9 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
         agent.own_content_ids.add(item.content_id)
     elif kind is ActionKind.RESHARE:
         parent = world.content[decision.target]
-        assert decision.target not in agent.reshared_ids, "duplicate re-share"
+        if decision.target in agent.reshared_ids:
+            raise ValueError(f"{profile.agent_id} already re-shared "
+                             f"{decision.target}")
         item = ContentItem(
             content_id=world.next_content_id, author=profile.agent_id,
             iteration_created=iteration, text=parent.text, topic=parent.topic,
@@ -406,8 +475,6 @@ def content_to_dict(item: ContentItem) -> dict:
 
 
 def content_from_dict(d: dict) -> ContentItem:
-    from .core import Counters
-
     return ContentItem(
         content_id=d["content_id"], author=d["author"],
         iteration_created=d["iteration_created"], text=d["text"],
@@ -420,8 +487,6 @@ def content_from_dict(d: dict) -> ContentItem:
 
 def write_artifacts(world: WorldState, out_dir) -> None:
     """Write actions.jsonl, content.jsonl, and agents.jsonl into ``out_dir``."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "actions.jsonl", "w") as fh:

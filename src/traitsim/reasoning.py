@@ -32,7 +32,6 @@ import numpy as np
 import requests
 
 from .core import (
-    Action,
     ActionKind,
     AgentProfile,
     PsychometricVariant,
@@ -119,11 +118,6 @@ class Decision:
     reason: str
     target: Optional[object] = None
     payload: Optional[str] = None
-
-    def to_action(self) -> Action:
-        action = Action(kind=self.choice, target=self.target, payload=self.payload)
-        action.validate_shape()
-        return action
 
 
 def permitted_actions(feed: Sequence[FeedEntry], iteration: int,
@@ -421,6 +415,8 @@ class LLMBackend:
     def __init__(self, endpoint: EndpointConfig, session=None):
         self.endpoint = endpoint
         self.session = session or requests.Session()
+        token = os.environ.get(TOKEN_ENV_VAR)
+        self.headers = {"Authorization": f"Bearer {token}"} if token else {}
 
     def chat(self, system_text: str, user_text: str) -> str:
         body = {
@@ -432,13 +428,9 @@ class LLMBackend:
             "temperature": self.endpoint.temperature,
             "stream": False,
         }
-        headers = {}
-        token = os.environ.get(TOKEN_ENV_VAR)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         try:
             response = self.session.post(
-                self.endpoint.url, json=body, headers=headers,
+                self.endpoint.url, json=body, headers=self.headers,
                 timeout=self.endpoint.timeout,
             )
         except requests.RequestException as err:

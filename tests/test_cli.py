@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from traitsim import cli
 from traitsim.cli import main
 
 from conftest import make_personas
@@ -84,6 +85,22 @@ class TestSimulate:
         assert main(["simulate", "--personas", str(path),
                      "--out", str(tmp_path / "x")]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_corrupt_content_store_fails_before_writing(
+            self, tmp_path, personas_file, monkeypatch, capsys):
+        real_run = cli.run_simulation
+
+        def corrupting_run(*args, **kwargs):
+            world = real_run(*args, **kwargs)
+            next(iter(world.content.values())).counters.reshares += 1
+            return world
+
+        monkeypatch.setattr(cli, "run_simulation", corrupting_run)
+        out = tmp_path / "run"
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--iterations", "3", "--out", str(out)]) != 0
+        assert "integrity" in capsys.readouterr().err
+        assert not (out / "content.jsonl").exists()
 
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traitsim.core import (
     Action,
@@ -29,7 +31,7 @@ from traitsim.engine import (
 )
 from traitsim.reasoning import Decision, StubBackend, TransportError
 
-from conftest import make_personas
+from conftest import TOPICS, make_personas
 
 
 def config(**kwargs):
@@ -50,6 +52,54 @@ def add_reshare(world, author, iteration, parent):
     world.next_content_id += 1
     world.content[item.content_id] = item
     return item
+
+
+def _reference_recommend_feed(agent, world, strategy, k, rng,
+                              max_iteration=None):
+    """The full-scan recommender that the indexed one replaced: every call
+    filters the whole content store. Kept as the oracle for
+    ``recommend_feed``."""
+    if max_iteration is None:
+        max_iteration = world.iteration
+
+    def eligible(item):
+        return (item.author != agent.profile.agent_id
+                and item.content_id not in agent.reshared_ids
+                and item.iteration_created <= max_iteration)
+
+    following = agent.profile.following
+    forced = []
+    if following:
+        forced = [item for item in world.content.values()
+                  if eligible(item) and item.is_reshare
+                  and item.author in following]
+        forced.sort(key=lambda it: (-it.iteration_created, -it.content_id))
+    forced_ids = {item.content_id for item in forced}
+
+    if strategy == "preference":
+        matches, others = [], []
+        for item in reversed(world.content.values()):
+            if len(matches) >= k and len(others) >= k:
+                break
+            if not eligible(item) or item.content_id in forced_ids:
+                continue
+            if item.topic == agent.profile.topic:
+                if len(matches) < k:
+                    matches.append(item)
+            elif len(others) < k:
+                others.append(item)
+        chosen = (forced + matches + others)[:k]
+    else:
+        rest = [item for item in world.content.values()
+                if eligible(item) and item.content_id not in forced_ids]
+        take = min(k - len(forced[:k]), len(rest))
+        sampled = []
+        if take > 0:
+            order = sorted(rest, key=lambda it: it.content_id)
+            picks = rng.choice(len(order), size=take, replace=False)
+            sampled = [order[i] for i in sorted(picks)]
+        chosen = (forced[:k] + sampled)[:k]
+    return [item.content_id for item in chosen]
 
 
 class TestConfig:
@@ -191,6 +241,76 @@ class TestRecommendFeed:
             recommend_feed(self.agent, self.world, "astrology", 5, self.rng)
 
 
+@st.composite
+def chronological_worlds(draw):
+    """A world of 4 agents whose content ids follow creation order: posts
+    and re-shares (of earlier items) by any agent, the agent under test
+    included, plus its re-shared ids, follows (possibly itself) and the
+    recommender arguments."""
+    world = init_population(make_personas(4),
+                            config(configuration="IdentityOnly"))
+    authors = world.agent_order()
+    items = draw(st.lists(st.tuples(
+        st.sampled_from(authors), st.integers(0, 1),
+        st.sampled_from(TOPICS + (None,)), st.one_of(st.none(), st.integers(0))),
+        max_size=40))
+    agent = world.agents[authors[0]]
+    agent.profile.following = set(draw(st.lists(st.sampled_from(authors))))
+    primed = draw(st.integers(0, len(items)))  # items indexed before the call
+    return (world, agent, items, primed,
+            draw(st.lists(st.integers(1, len(items) + 2), max_size=6)),
+            draw(st.integers(0, 2)),  # snapshot lag behind the last iteration
+            draw(st.integers(1, 8)), draw(st.sampled_from(["preference", "random"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRecommendFeedMatchesReference:
+    @given(chronological_worlds())
+    @settings(max_examples=200, deadline=None)
+    def test_same_feed_and_same_draws(self, case):
+        world, agent, items, primed, reshared, lag, k, strategy, seed = case
+        iteration = 1
+        for n, (author, step, topic, parent) in enumerate(items):
+            if n == primed:  # index a prefix, as in a run between iterations
+                recommend_feed(agent, world, "random", 1,
+                               np.random.default_rng(0))
+            iteration += step
+            if parent is None or not world.content:
+                add_post(world, author, iteration, topic=topic)
+            else:
+                add_reshare(world, author, iteration,
+                            world.content[1 + parent % len(world.content)])
+        agent.reshared_ids = set(reshared)
+        world.iteration = iteration
+        max_iteration = max(iteration - lag, 0)
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        feed = recommend_feed(agent, world, strategy, k, rng,
+                              max_iteration=max_iteration)
+        expected = _reference_recommend_feed(agent, world, strategy, k, ref_rng,
+                                             max_iteration=max_iteration)
+        assert [e.content_id for e in feed] == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_index_rejects_out_of_order_content(self):
+        world = WorldState()
+        add_post(world, "a", 2)
+        add_post(world, "b", 1)
+        with pytest.raises(ValueError, match="chronological"):
+            world.content_index()
+
+    def test_index_extends_instead_of_rebuilding(self):
+        world = WorldState()
+        first = add_post(world, "a", 1)
+        index = world.content_index()
+        second = add_reshare(world, "b", 2, first)
+        assert world.content_index() is index
+        assert index.ids == [first.content_id, second.content_id]
+        assert index.iterations == [1, 2]
+        assert index.by_author == {"a": [first.content_id],
+                                   "b": [second.content_id]}
+        assert index.reshares_by_author == {"b": [second.content_id]}
+
+
 class TestApplyAction:
     def setup_method(self):
         self.world = init_population(make_personas(3),
@@ -247,6 +367,15 @@ class TestApplyAction:
                          Decision(ActionKind.FOLLOW, "r", target="p001"), 2)
         assert self.agent.profile.following == {"p001"}
         assert len(self.world.log) == 2
+
+    def test_duplicate_reshare_rejected(self):
+        original = add_post(self.world, "p001", 1)
+        reshare = Decision(ActionKind.RESHARE, "r", target=original.content_id)
+        apply_action(self.world, self.agent, reshare, 2)
+        with pytest.raises(ValueError, match="already re-shared"):
+            apply_action(self.world, self.agent, reshare, 3)
+        assert original.counters.reshares == 1
+        assert len(self.world.content) == 2
 
     def test_inactive_logs_only(self):
         apply_action(self.world, self.agent, Decision(ActionKind.INACTIVE, "r"), 1)
@@ -382,3 +511,36 @@ class TestSerialization:
         add_reshare(world, "b", 2, original)
         with pytest.raises(AssertionError, match="reshare counter"):
             check_integrity(world)  # counter was never incremented
+
+
+class TestGoldenDigests:
+    """Artifact digests of two seeded runs with a follow graph, recorded from
+    the full-scan recommender. Any change to what the engine writes for a
+    given seed, the feed order or the random draws included, fails here."""
+
+    GOLDEN = {
+        "FullModel": {
+            "actions.jsonl": "28b01489d2dd9ac8ba42864f8d319146f167c8caee1030ee2a9b7269059e767c",
+            "content.jsonl": "15b7a2844ee4c1cdaa463570927a4d2e92697a187fb476f4d19508b412b9574c",
+            "agents.jsonl": "456de018b83316cfef6dede5699cc02b812a2b12b73cdd755a4d7c71917d37ab",
+        },
+        "RandomRecommendation": {
+            "actions.jsonl": "c50238ecd88079913fd0fde49a6d05f2bbdacf41079e59fb4085d37a245b4cd5",
+            "content.jsonl": "8bb1e811f9c961a9aa7131e354cab5b67683cae7ae5547ddd6b46112793ad4a5",
+            "agents.jsonl": "456de018b83316cfef6dede5699cc02b812a2b12b73cdd755a4d7c71917d37ab",
+        },
+    }
+
+    @pytest.mark.parametrize("configuration", sorted(GOLDEN))
+    def test_artifacts_match_recorded_digests(self, configuration, tmp_path):
+        personas = make_personas(6)  # 42 agents
+        cfg = config(configuration=configuration, iterations=6, master_seed=17)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + step) % len(order)])
+                 for i, a in enumerate(order) for step in (1, 5, 11)]
+        world = run_simulation(cfg, personas, initial_world=init_population(
+            personas, cfg, follow_edges=edges))
+        write_artifacts(world, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN[configuration]}
+        assert digests == self.GOLDEN[configuration]

@@ -327,6 +327,16 @@ class TestLLMBackend:
         LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
         assert _Handler.requests_seen[-1]["auth"] == "Bearer sekrit"
 
+    def test_token_read_once_at_construction(self, http_endpoint, monkeypatch):
+        monkeypatch.setenv("TRAITSIM_API_TOKEN", "first")
+        backend = LLMBackend(EndpointConfig(http_endpoint, "m"))
+        monkeypatch.setenv("TRAITSIM_API_TOKEN", "second")
+        backend.chat("s", "u")
+        monkeypatch.delenv("TRAITSIM_API_TOKEN")
+        backend.chat("s", "u")
+        backend.session.close()
+        assert [r["auth"] for r in _Handler.requests_seen] == ["Bearer first"] * 2
+
     def test_http_error_raises_transport_error_with_status(self, http_endpoint):
         _Handler.script = {"status": 500, "content": ""}
         backend = LLMBackend(EndpointConfig(http_endpoint, "m"))
