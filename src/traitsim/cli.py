@@ -31,11 +31,13 @@ from .analytics import (
     per_topic_chain_stats,
     trace_chains,
 )
+from .core import Trait
 from .engine import (
     SCHEMA_VERSION,
     SimulationConfig,
     check_integrity,
     content_from_dict,
+    init_population,
     record_from_dict,
     run_simulation,
     write_artifacts,
@@ -67,7 +69,7 @@ class CliError(Exception):
 
 _CONFIG_KEYS = {
     "configuration", "iterations", "feed_size", "master_seed", "backend",
-    "personas", "memory",
+    "personas", "follows", "memory",
 }
 _BACKEND_KEYS = {"type", "endpoint", "model", "temperature", "timeout"}
 
@@ -102,12 +104,33 @@ def read_personas(path: Path) -> list:
             continue
         try:
             obj = json.loads(line)
-            personas.append({"id": obj["id"],
-                             "identity_text": obj["identity_text"],
-                             "topic": obj.get("topic")})
-        except (json.JSONDecodeError, KeyError) as err:
+            persona = {"id": obj["id"], "identity_text": obj["identity_text"],
+                       "topic": obj.get("topic"), "trait": obj.get("trait")}
+        except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise CliError(f"personas line {number}: {err}")
+        trait = persona["trait"]
+        if trait is not None and (not isinstance(trait, str)
+                                  or trait not in Trait.__members__):
+            raise CliError(f"personas line {number}: unknown trait {trait!r}")
+        personas.append(persona)
     return personas
+
+
+def read_follows(path: Path) -> list:
+    """(follower, followee) pairs from a CSV file; header rows are skipped."""
+    if not path.exists():
+        raise CliError(f"follows file not found: {path}")
+    edges = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0] == "follower":
+                continue
+            if len(row) < 2:
+                raise CliError(f"follows line {reader.line_num}: expected "
+                               f"follower,followee, got {row!r}")
+            edges.append((row[0], row[1]))
+    return edges
 
 
 def _sha256(path: Path) -> str:
@@ -132,7 +155,7 @@ def cmd_simulate(args) -> int:
     for key, value in (
         ("configuration", args.configuration), ("iterations", args.iterations),
         ("feed_size", args.feed_size), ("master_seed", args.seed),
-        ("personas", args.personas),
+        ("personas", args.personas), ("follows", args.follows),
     ):
         if value is not None:
             cfg[key] = value
@@ -154,6 +177,8 @@ def cmd_simulate(args) -> int:
     if not personas_path.exists():
         raise CliError(f"personas file not found: {personas_path}")
     personas = read_personas(personas_path)
+    follows_path = Path(cfg["follows"]) if "follows" in cfg else None
+    follow_edges = read_follows(follows_path) if follows_path else None
 
     try:
         sim_config = SimulationConfig(
@@ -165,10 +190,15 @@ def cmd_simulate(args) -> int:
         )
     except (ValueError, TypeError) as err:
         raise CliError(str(err))
+    try:
+        world = init_population(personas, sim_config, follow_edges)
+    except ValueError as err:
+        raise CliError(f"cannot build the population: {err}")
 
     out = Path(args.out)
     backend = _make_backend(backend_cfg)
-    world = run_simulation(sim_config, personas, backend, checkpoint_path=out)
+    world = run_simulation(sim_config, personas, backend, initial_world=world,
+                           checkpoint_path=out)
     try:
         check_integrity(world)
     except AssertionError as err:
@@ -187,7 +217,8 @@ def cmd_simulate(args) -> int:
             "backend": {k: v for k, v in backend_cfg.items()},
             "memory": asdict(sim_config.memory),
         },
-        "inputs": {str(personas_path): _sha256(personas_path)},
+        "inputs": {str(path): _sha256(path)
+                   for path in (personas_path, follows_path) if path},
         "outputs": ["actions.jsonl", "content.jsonl", "agents.jsonl"],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
@@ -253,6 +284,9 @@ def cmd_analyze(args) -> int:
                 v = vectors[agent_id]
                 rows.append([agent_id, traits.get(agent_id), *v.as_tuple(),
                              clustering.assignments[agent_id]])
+        else:
+            summary.append(f"clustering skipped: {len(vectors)} agents, "
+                           f"fewer than k_max={args.k_max}")
         _write_csv(out / "clusters.csv",
                    ["agent", "trait", "p_post", "p_reshare", "p_interact",
                     "p_inactive", "cluster"], rows)
@@ -349,6 +383,11 @@ def cmd_ground(args) -> int:
         backend = LLMBackend(EndpointConfig(url=args.endpoint, model=args.model,
                                             temperature=args.temperature))
 
+    follow_edges = []
+    if args.follows:
+        follow_edges = [(a, b) for a, b in read_follows(Path(args.follows))
+                        if a in community and b in community]
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     assignments = {}
@@ -362,15 +401,6 @@ def cmd_ground(args) -> int:
             identities[user] = PLACEHOLDER_IDENTITY
         else:
             identities[user] = infer_identity(posts, backend)
-
-    follow_edges = []
-    if args.follows:
-        with open(args.follows, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0] == "follower":
-                    continue
-                if row[0] in community and row[1] in community:
-                    follow_edges.append((row[0], row[1]))
 
     _write_csv(out / "assignments.csv",
                ["user", "p_post", "p_reshare", "p_interact", "p_inactive",
@@ -398,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a simulation")
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--personas", help="personas jsonl file")
+    sim.add_argument("--follows", help="follower,followee csv file")
     sim.add_argument("--configuration", choices=("FullModel", "IdentityOnly",
                                                  "RandomRecommendation",
                                                  "PsychometricTraits"))

@@ -30,6 +30,14 @@ class Trait(Enum):
     PC = "Proactive Contributor"
     IE = "Interactive Enthusiast"
 
+    @property
+    def code(self) -> str:
+        return self.name
+
+    @property
+    def prompt_text(self) -> str:
+        return TRAIT_PROMPTS[self]
+
 
 TRAIT_PROMPTS = {
     Trait.BP: (

@@ -1,12 +1,13 @@
 """Three-phase simulation engine.
 
 Initialization builds the population (identity x trait cross product for
-trait configurations); each iteration then snapshots the world, lets every
-agent decide against that snapshot, and applies all decisions in a fixed
-agent order. Decisions never see same-iteration actions, so the decision
-phase is order-independent and the whole run is bit-reproducible from the
-master seed under the stub backend: every agent draws from its own RNG
-stream keyed by (master seed, iteration, agent index).
+trait configurations, one agent for a persona that pins its trait); each
+iteration then snapshots the world, lets every agent decide against that
+snapshot, and applies all decisions in a fixed agent order. Decisions never
+see same-iteration actions, so the decision phase is order-independent and
+the whole run is bit-reproducible from the master seed under the stub
+backend: every agent draws from its own RNG stream keyed by (master seed,
+iteration, agent index).
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -147,44 +148,44 @@ class WorldState:
         return self.index
 
 
+def _trait_variants(persona: dict, configuration: str) -> list:
+    """The (agent id, trait) pairs one persona yields under a configuration."""
+    pid = persona["id"]
+    if configuration == "IdentityOnly":
+        return [(pid, None)]
+    if configuration == "PsychometricTraits":
+        variants = OCEAN_VARIANTS
+    elif persona.get("trait") is not None:
+        return [(pid, Trait[persona["trait"]])]
+    else:
+        variants = tuple(Trait)
+    return [(f"{pid}-{variant.code}", variant) for variant in variants]
+
+
 def init_population(personas: Sequence[dict], config: SimulationConfig,
                     follow_edges: Optional[Sequence[tuple]] = None) -> WorldState:
-    """Build the initial world from persona records {id, identity_text, topic}.
+    """Build the initial world from persona records
+    {id, identity_text, topic, trait?}.
 
-    Trait configurations take the full cross product of identities and the 7
-    behavioral traits (or 10 psychometric variants); IdentityOnly keeps one
-    trait-less agent per identity. Memories start empty; the follow graph is
-    empty unless edges are supplied (empirical grounding).
+    Under FullModel and RandomRecommendation a persona that names a ``trait``
+    (a ``Trait`` name such as "PC", as a ``ground`` bundle does) yields one
+    agent with the persona id and that trait; any other persona is crossed
+    with the 7 behavioral traits (``<id>-SO`` ... ``<id>-IE``).
+    PsychometricTraits crosses every persona with the 10 psychometric
+    variants and IdentityOnly keeps one trait-less agent per persona; both
+    ignore ``trait``. Memories start empty; the follow graph holds exactly
+    ``follow_edges``. Raises ``ValueError`` for an empty persona set, a
+    repeated agent id, or an edge naming an unknown agent.
     """
     if not personas:
         raise ValueError("empty persona set")
-    seen = set()
-    for p in personas:
-        if p["id"] in seen:
-            raise ValueError(f"duplicate persona id {p['id']!r}")
-        seen.add(p["id"])
-
-    profiles = []
-    if config.configuration == "IdentityOnly":
-        for p in personas:
-            profiles.append(AgentProfile(p["id"], p["identity_text"], None,
-                                         p.get("topic")))
-    elif config.configuration == "PsychometricTraits":
-        for p in personas:
-            for variant in OCEAN_VARIANTS:
-                profiles.append(AgentProfile(
-                    f"{p['id']}-{variant.code}", p["identity_text"], variant,
-                    p.get("topic")))
-    else:
-        for p in personas:
-            for trait in Trait:
-                profiles.append(AgentProfile(
-                    f"{p['id']}-{trait.name}", p["identity_text"], trait,
-                    p.get("topic")))
-
     world = WorldState()
-    for profile in profiles:
-        world.agents[profile.agent_id] = AgentState(profile=profile)
+    for p in personas:
+        for agent_id, trait in _trait_variants(p, config.configuration):
+            if agent_id in world.agents:
+                raise ValueError(f"duplicate agent id {agent_id!r}")
+            world.agents[agent_id] = AgentState(profile=AgentProfile(
+                agent_id, p["identity_text"], trait, p.get("topic")))
     for i, agent_id in enumerate(world.agent_order()):
         world.agents[agent_id].index = i
     if follow_edges:
@@ -211,9 +212,10 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     own content, its re-shared ids and the forced re-shares; both the forced
     re-shares and the sample come from ``world.content_index()``. The
     preference ranking adds a newest-first scan of the store that stops once
-    both rank groups hold k items: O(k) items while the agent's topic and the
-    other topics each have k recent eligible items, the whole store when
-    either is scarce.
+    the topic matches fill the slots left after the forced re-shares: O(k)
+    items while the agent's topic has k recent eligible items (in a
+    ``ground`` bundle every item matches: all topics are ``None``), the whole
+    store when it is scarce.
     """
     if max_iteration is None:
         max_iteration = world.iteration
@@ -232,21 +234,21 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
 
     if strategy == "preference":
         # Content ids are chronological, so a reversed scan yields the
-        # recency order directly; stop once both rank groups can fill the
-        # feed. Equivalent to sorting the whole pool, but O(k)-ish on the
-        # hot path.
+        # recency order directly; once the topic matches fill the slots the
+        # forced re-shares leave, no older item can enter the feed.
+        # Equivalent to sorting the whole pool, but O(k)-ish on the hot path.
+        need = k - len(forced)
         matches, others = [], []
         for item in reversed(world.content.values()):
-            if len(matches) >= k and len(others) >= k:
+            if len(matches) >= need:
                 break
             if (item.author == me or item.content_id in agent.reshared_ids
                     or item.iteration_created > max_iteration
                     or item.content_id in forced_ids):
                 continue
             if item.topic == agent.profile.topic:
-                if len(matches) < k:
-                    matches.append(item)
-            elif len(others) < k:
+                matches.append(item)
+            elif len(others) < need:
                 others.append(item)
         chosen = (forced + matches + others)[:k]
     elif strategy == "random":
@@ -499,16 +501,10 @@ def write_artifacts(world: WorldState, out_dir) -> None:
     with open(out / "agents.jsonl", "w") as fh:
         for agent_id in world.agent_order():
             profile = world.agents[agent_id].profile
-            trait = profile.trait
-            if isinstance(trait, Trait):
-                trait_label = trait.name
-            elif trait is None:
-                trait_label = None
-            else:
-                trait_label = trait.code
             fh.write(json.dumps({
                 "agent_id": agent_id,
-                "trait": trait_label,
+                "trait": (None if profile.trait is None
+                          else profile.trait.code),
                 "topic": profile.topic,
                 "following": sorted(profile.following),
             }, sort_keys=True) + "\n")

@@ -4,9 +4,8 @@ Ingests platform-export engagement records, builds the engagement graph,
 extracts a capped two-hop ego network around the highest-degree user,
 measures each user's empirical action distribution over discrete time slots
 (day granularity by default; empty slots count as inactivity), assigns the
-nearest behavioral archetype by Euclidean distance, optionally infers an
-identity description from the user's original posts, and initializes an
-engine world from the empirical follow graph.
+nearest behavioral archetype by Euclidean distance, and optionally infers an
+identity description from the user's original posts.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
-from .core import ActionDistribution, AgentProfile, Trait, archetype_table
-from .engine import SimulationConfig, WorldState, AgentState
+from .core import ActionDistribution, Trait, archetype_table
 from .networks import WeightedDigraph
 
 SECONDS_PER_DAY = 86400
@@ -206,27 +204,3 @@ def infer_identity(user_posts: Sequence[str], backend,
               "background cues, and topical interests.")
     user = f"Original posts:\n{joined}\n\nDescribe this user in 2-4 sentences."
     return backend.chat(system, user)
-
-
-def init_from_empirical(assignments: dict, identities: dict,
-                        follow_edges: Sequence[tuple],
-                        config: SimulationConfig) -> WorldState:
-    """Build a world with one agent per empirical user: inferred identity,
-    assigned trait, preloaded follow edges, empty memories and content."""
-    if set(assignments) != set(identities):
-        raise ValueError("assignments and identities must cover the same users")
-    world = WorldState()
-    for user in sorted(assignments):
-        profile = AgentProfile(
-            agent_id=user,
-            identity_text=identities[user],
-            trait=assignments[user].assigned,
-            topic=None,
-        )
-        world.agents[user] = AgentState(profile=profile)
-    for i, agent_id in enumerate(world.agent_order()):
-        world.agents[agent_id].index = i
-    for follower, followee in follow_edges:
-        if follower in world.agents and followee in world.agents:
-            world.agents[follower].profile.following.add(followee)
-    return world

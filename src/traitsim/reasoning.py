@@ -35,7 +35,6 @@ from .core import (
     ActionKind,
     AgentProfile,
     PsychometricVariant,
-    Trait,
     archetype_table,
 )
 from .memory import MemoryUnit, am_summary
@@ -147,9 +146,7 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
     text; identity-only agents get the identity text alone.
     """
     system_parts = [agent.identity_text]
-    if isinstance(agent.trait, Trait):
-        system_parts.append(_trait_prompt(agent.trait))
-    elif isinstance(agent.trait, PsychometricVariant):
+    if agent.trait is not None:
         system_parts.append(agent.trait.prompt_text)
     system_text = "\n\n".join(system_parts)
 
@@ -177,12 +174,6 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
         feed_section=tuple(feed),
         actions_section=permitted_actions(feed, iteration, others_exist),
     )
-
-
-def _trait_prompt(trait: Trait) -> str:
-    from .core import TRAIT_PROMPTS
-
-    return TRAIT_PROMPTS[trait]
 
 
 _CHOICE_ALIASES = {

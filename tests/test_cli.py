@@ -81,10 +81,49 @@ class TestSimulate:
 
     def test_malformed_personas_line_is_cited(self, tmp_path, capsys):
         path = tmp_path / "personas.jsonl"
-        path.write_text('{"id": "a", "identity_text": "x"}\n{broken\n')
-        assert main(["simulate", "--personas", str(path),
+        for bad in ("{broken", "[1]"):
+            path.write_text('{"id": "a", "identity_text": "x"}\n' + bad + "\n")
+            assert main(["simulate", "--personas", str(path),
+                         "--out", str(tmp_path / "x")]) == 1
+            assert "line 2" in capsys.readouterr().err
+
+    def test_unknown_trait_is_cited(self, tmp_path, capsys):
+        path = tmp_path / "personas.jsonl"
+        for trait in ('"XX"', '["PC"]'):
+            path.write_text('{"id": "a", "identity_text": "x", "trait": "PC"}\n'
+                            '{"id": "b", "identity_text": "x", "trait": %s}\n'
+                            % trait)
+            assert main(["simulate", "--personas", str(path),
+                         "--out", str(tmp_path / "x")]) == 1
+            err = capsys.readouterr().err
+            assert "line 2" in err and "unknown trait" in err
+
+    @pytest.mark.parametrize("personas, follows, message", [
+        ('{"id": "a", "identity_text": "x"}\n' * 2, None, "duplicate"),
+        ("\n", None, "empty persona set"),
+        ('{"id": "a", "identity_text": "x", "trait": "PC"}\n',
+         "follower,followee\na,ghost\n", "unknown agent"),
+    ], ids=["duplicate-id", "empty", "unknown-followee"])
+    def test_population_errors_fail_before_writing(
+            self, tmp_path, capsys, personas, follows, message):
+        path = tmp_path / "personas.jsonl"
+        path.write_text(personas)
+        args = ["simulate", "--personas", str(path)]
+        if follows is not None:
+            (tmp_path / "follows.csv").write_text(follows)
+            args += ["--follows", str(tmp_path / "follows.csv")]
+        out = tmp_path / "run"
+        assert main(args + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_follows_row_is_cited(self, tmp_path, personas_file, capsys):
+        follows = tmp_path / "follows.csv"
+        follows.write_text("follower,followee\np000-SO,p001-SO\np002-SO\n")
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--follows", str(follows),
                      "--out", str(tmp_path / "x")]) == 1
-        assert "line 2" in capsys.readouterr().err
+        assert "follows line 3" in capsys.readouterr().err
 
     def test_corrupt_content_store_fails_before_writing(
             self, tmp_path, personas_file, monkeypatch, capsys):
@@ -129,6 +168,14 @@ class TestAnalyze:
         assert len(clusters) == 1 + 4 * 7  # header + every agent
         dynamics = read_csv(run / "order_dynamics.csv")
         assert len(dynamics) == 1 + 8  # header + one row per iteration
+
+    def test_small_run_skips_clustering(self, tmp_path, personas_file):
+        run = simulate(tmp_path, personas_file,
+                       extra=["--configuration", "IdentityOnly"])
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert len(read_csv(run / "clusters.csv")) == 1
+        assert ("clustering skipped: 4 agents, fewer than k_max=8"
+                in (run / "summary.txt").read_text().splitlines())
 
     def test_separate_out_directory(self, tmp_path, personas_file):
         run = simulate(tmp_path, personas_file)
@@ -229,6 +276,16 @@ class TestGround:
         rows = read_csv(out / "follows.csv")
         assert rows == [["follower", "followee"], ["sharer", "hub"]]
 
+    def test_short_follows_row_is_cited(self, tmp_path, capsys):
+        records = ground_records(tmp_path)
+        follows = tmp_path / "follows.csv"
+        follows.write_text("follower,followee\nsharer\n")
+        assert main(["ground", "--records", str(records),
+                     "--follows", str(follows), "--no-identity-inference",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "follows line 2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_record_line_is_cited(self, tmp_path, capsys):
         records = tmp_path / "records.jsonl"
         good = json.dumps({"user": "u", "kind": "post", "timestamp": 0,
@@ -252,6 +309,46 @@ class TestGround:
         assert main(["ground", "--records", str(records),
                      "--out", str(tmp_path / "x")]) == 1
         assert "identity inference" in capsys.readouterr().err
+
+
+class TestGroundToSimulate:
+    def test_bundle_simulates_as_its_population(self, tmp_path):
+        records = ground_records(tmp_path)
+        follows = tmp_path / "follows.csv"
+        follows.write_text("follower,followee\nsharer,hub\nreactor,hub\n"
+                           "reactor,sharer\n")
+        bundle = tmp_path / "bundle"
+        assert main(["ground", "--records", str(records),
+                     "--follows", str(follows), "--no-identity-inference",
+                     "--out", str(bundle)]) == 0
+        run = tmp_path / "run"
+        assert main(["simulate", "--personas", str(bundle / "personas.jsonl"),
+                     "--follows", str(bundle / "follows.csv"),
+                     "--iterations", "4", "--seed", "3",
+                     "--out", str(run)]) == 0
+
+        agents = {a["agent_id"]: a for a in map(
+            json.loads, (run / "agents.jsonl").read_text().splitlines())}
+        assigned = {r[0]: r[5] for r in read_csv(bundle / "assignments.csv")[1:]}
+        assert len(agents) == len(assigned) == 4
+        assert {a: agents[a]["trait"] for a in agents} == assigned
+        edges = read_csv(bundle / "follows.csv")[1:]
+        assert len(edges) == 3
+        following = {a: set() for a in assigned}
+        for follower, followee in edges:
+            following[follower].add(followee)
+        for record in map(json.loads,
+                          (run / "actions.jsonl").read_text().splitlines()):
+            if record["kind"] == "follow":  # follows made during the run
+                following[record["agent"]].add(record["target"])
+        assert {a: set(agents[a]["following"]) for a in agents} == following
+        inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+        assert set(inputs) == {str(bundle / "personas.jsonl"),
+                               str(bundle / "follows.csv")}
+        assert all(len(digest) == 64 for digest in inputs.values())
+
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert "clustering skipped: 4 agents" in (run / "summary.txt").read_text()
 
 
 class TestDemoData:

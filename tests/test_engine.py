@@ -39,6 +39,14 @@ def config(**kwargs):
     return SimulationConfig(**kwargs)
 
 
+def grounded_personas():
+    """Two users as a ``ground`` bundle lists them: each pins its trait."""
+    return [
+        {"id": "u2", "identity_text": "desc two", "topic": None, "trait": "PC"},
+        {"id": "u1", "identity_text": "desc one", "topic": None, "trait": "SO"},
+    ]
+
+
 def add_post(world, author, iteration, topic="Music", text="t"):
     item = ContentItem(world.next_content_id, author, iteration, text, topic)
     world.next_content_id += 1
@@ -126,26 +134,48 @@ class TestInitPopulation:
         suffixes = {a.rsplit("-", 1)[1] for a in world.agents}
         assert suffixes == {t.name for t in Trait}
 
+    def test_pinned_trait_yields_one_agent(self):
+        for configuration in ("FullModel", "RandomRecommendation"):
+            world = init_population(grounded_personas() + make_personas(1),
+                                    config(configuration=configuration),
+                                    follow_edges=[("u1", "u2")])
+            assert world.agent_order() == sorted(
+                [f"p000-{t.name}" for t in Trait] + ["u1", "u2"])
+            u1 = world.agents["u1"]
+            assert u1.profile.trait is Trait.SO
+            assert u1.profile.identity_text == "desc one"
+            assert world.agents["u2"].profile.trait is Trait.PC
+            assert u1.profile.following == {"u2"}
+            assert u1.index == 7
+
     def test_identity_only_is_one_per_persona(self, personas_small):
-        world = init_population(personas_small,
-                                config(configuration="IdentityOnly"))
-        assert len(world.agents) == 6
-        assert all(s.profile.trait is None for s in world.agents.values())
+        for personas in (personas_small, grounded_personas()):
+            world = init_population(personas,
+                                    config(configuration="IdentityOnly"))
+            assert sorted(world.agents) == sorted(p["id"] for p in personas)
+            assert all(s.profile.trait is None for s in world.agents.values())
 
     def test_psychometric_variants(self, personas_small):
         world = init_population(personas_small,
                                 config(configuration="PsychometricTraits"))
         assert len(world.agents) == 60
+        world = init_population(grounded_personas(),
+                                config(configuration="PsychometricTraits"))
+        assert len(world.agents) == 20  # the pinned trait is ignored
 
     def test_indices_follow_sorted_order(self, personas_small):
-        world = init_population(personas_small, config())
-        for i, agent_id in enumerate(world.agent_order()):
-            assert world.agents[agent_id].index == i
+        for personas in (personas_small, grounded_personas()):
+            world = init_population(personas, config())
+            for i, agent_id in enumerate(world.agent_order()):
+                assert world.agents[agent_id].index == i
 
     def test_duplicate_persona_rejected(self):
         personas = make_personas(2) + make_personas(1)
         with pytest.raises(ValueError, match="duplicate"):
             init_population(personas, config())
+        pinned = {"id": "p000-SO", "identity_text": "x", "trait": "PC"}
+        with pytest.raises(ValueError, match="duplicate agent id 'p000-SO'"):
+            init_population(make_personas(1) + [pinned], config())
 
     def test_empty_persona_set_rejected(self):
         with pytest.raises(ValueError):

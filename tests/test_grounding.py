@@ -3,7 +3,6 @@ import json
 import pytest
 
 from traitsim.core import ActionDistribution, Trait, archetype_table
-from traitsim.engine import SimulationConfig
 from traitsim.grounding import (
     IngestError,
     PLACEHOLDER_IDENTITY,
@@ -14,7 +13,6 @@ from traitsim.grounding import (
     empirical_action_vector,
     extract_ego_network,
     infer_identity,
-    init_from_empirical,
     parse_records,
 )
 from traitsim.networks import WeightedDigraph
@@ -216,23 +214,3 @@ class TestInferIdentity:
         backend = _EchoBackend()
         infer_identity(["x" * 10_000], backend, budget_chars=100)
         assert len(backend.calls[0][1]) < 400
-
-
-class TestInitFromEmpirical:
-    def test_world_built_from_assignments(self):
-        vec = ActionDistribution(0, 0, 0, 1)
-        assignments = {u: assign_trait(vec, user=u) for u in ("u1", "u2")}
-        identities = {"u1": "desc one", "u2": "desc two"}
-        world = init_from_empirical(assignments, identities,
-                                    [("u1", "u2"), ("u1", "ghost")],
-                                    SimulationConfig())
-        assert world.agent_order() == ["u1", "u2"]
-        assert world.agents["u1"].profile.trait is Trait.SO
-        assert world.agents["u1"].profile.following == {"u2"}
-        assert world.agents["u1"].index == 0
-
-    def test_user_set_mismatch_rejected(self):
-        vec = ActionDistribution(0, 0, 0, 1)
-        with pytest.raises(ValueError, match="same users"):
-            init_from_empirical({"u1": assign_trait(vec)}, {"u2": "d"}, [],
-                                SimulationConfig())
