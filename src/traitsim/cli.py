@@ -60,7 +60,7 @@ from .networks import (
     centrality_by_trait,
     degree_centrality,
 )
-from .reasoning import EndpointConfig, LLMBackend, StubBackend
+from .reasoning import EndpointConfig, LLMBackend, StubBackend, TransportError
 
 
 class CliError(Exception):
@@ -80,6 +80,11 @@ def load_config(path: Path) -> dict:
     except json.JSONDecodeError as err:
         raise CliError(f"config parse error in {path} at line {err.lineno}: "
                        f"{err.msg}")
+    if not isinstance(raw, dict):
+        raise CliError(f"config file {path} must hold a JSON object")
+    for key in ("backend", "memory"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise CliError(f"config key '{key}' in {path} must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise CliError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -197,8 +202,12 @@ def cmd_simulate(args) -> int:
 
     out = Path(args.out)
     backend = _make_backend(backend_cfg)
-    world = run_simulation(sim_config, personas, backend, initial_world=world,
-                           checkpoint_path=out)
+    failure = None
+    try:
+        world = run_simulation(sim_config, personas, backend,
+                               initial_world=world)
+    except TransportError as err:
+        failure = err  # ``world`` holds the completed iterations; write them
     try:
         check_integrity(world)
     except AssertionError as err:
@@ -210,6 +219,7 @@ def cmd_simulate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
         "master_seed": sim_config.master_seed,
+        "completed_iterations": world.iteration,
         "config": {
             "configuration": sim_config.configuration,
             "iterations": sim_config.iterations,
@@ -223,6 +233,10 @@ def cmd_simulate(args) -> int:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
                                                   sort_keys=True) + "\n")
+    if failure is not None:
+        raise CliError(f"backend transport error in iteration "
+                       f"{world.iteration + 1}: {failure}; {out} holds the run "
+                       f"up to the last completed iteration ({world.iteration})")
     print(f"wrote artifacts to {out}")
     return 0
 
@@ -276,8 +290,11 @@ def cmd_analyze(args) -> int:
         vectors = {a: action_probability_vector(a, log) for a in agents}
         rows = []
         if vectors and len(vectors) >= args.k_max:
-            clustering = cluster_agents(vectors, args.k_min, args.k_max,
-                                        seed=args.cluster_seed)
+            try:
+                clustering = cluster_agents(vectors, args.k_min, args.k_max,
+                                            seed=args.cluster_seed)
+            except ValueError as err:
+                raise CliError(f"cannot cluster: {err}")
             summary.append(f"clustering: k={clustering.k} "
                            f"silhouette={clustering.silhouette:.3f}")
             for agent_id in agents:
@@ -364,7 +381,10 @@ def cmd_ground(args) -> int:
         raise CliError(f"records file is empty: {records_path}")
 
     graph = build_engagement_graph(records)
-    ego = extract_ego_network(graph, cap=args.cap)
+    try:
+        ego = extract_ego_network(graph, cap=args.cap)
+    except ValueError as err:
+        raise CliError(f"cannot extract the ego network: {err}")
     community = ego.nodes
 
     origin = min(r.timestamp for r in records)

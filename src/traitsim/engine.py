@@ -17,7 +17,6 @@ recommender pool) can engage with it, forming propagation chains.
 from __future__ import annotations
 
 import json
-import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,13 +49,10 @@ from .reasoning import (
     Decision,
     FeedEntry,
     StubBackend,
-    TransportError,
     build_prompt,
     decide,
 )
 from .sentiment import NeutralSentiment
-
-log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -71,7 +67,6 @@ class SimulationConfig:
     feed_size: int = 5
     memory: MemoryParams = field(default_factory=MemoryParams)
     master_seed: int = 0
-    max_retries: int = 3
 
     def __post_init__(self):
         if self.configuration not in CONFIGURATIONS:
@@ -391,7 +386,7 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
             agent=agent.profile, iteration=iteration,
             rng=agent_rng(config.master_seed, iteration, agent.index, 1),
         )
-        decisions[agent_id] = decide(prompt, backend, context, config.max_retries)
+        decisions[agent_id] = decide(prompt, backend, context)
 
     for agent_id in world.agent_order():
         agent = world.agents[agent_id]
@@ -411,24 +406,21 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
 
 def run_simulation(config: SimulationConfig, personas: Sequence[dict],
                    backend=None, analyzer=None,
-                   initial_world: Optional[WorldState] = None,
-                   checkpoint_path=None) -> WorldState:
+                   initial_world: Optional[WorldState] = None) -> WorldState:
     """Run the configured number of iterations and return the final world.
 
-    Backend transport errors abort the run; if ``checkpoint_path`` is given a
-    checkpoint of the partial world is written before re-raising.
+    Does no file I/O. A backend ``TransportError`` propagates from the
+    decision phase, before that iteration applies anything to the log, the
+    content store or the follow graph, so the world a caller passed as
+    ``initial_world`` then holds exactly the ``world.iteration`` completed
+    iterations (agent memories may hold the failed iteration's decay and
+    observations) and can be written with ``write_artifacts``.
     """
     backend = backend or StubBackend()
     world = initial_world if initial_world is not None else init_population(
         personas, config)
-    try:
-        for _ in range(config.iterations):
-            run_iteration(world, config, backend, analyzer)
-    except TransportError:
-        if checkpoint_path is not None:
-            write_artifacts(world, checkpoint_path)
-            log.error("transport error; checkpoint written to %s", checkpoint_path)
-        raise
+    for _ in range(config.iterations):
+        run_iteration(world, config, backend, analyzer)
     return world
 
 

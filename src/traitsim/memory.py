@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import Action, ActionKind, ContentItem
@@ -191,33 +191,3 @@ def am_summary(am: ActivityMemory, now: int) -> str:
             gap = now - last
             lines.append(f"- {verb} {gap} iterations ago")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint serialization (line-delimited records; one record per agent).
-
-def memory_to_record(agent_id: str, memory: MemoryUnit) -> dict:
-    return {
-        "agent": agent_id,
-        "stm": [asdict(e) for e in memory.stm.values()],
-        "ltm": [asdict(e) for e in memory.ltm.values()],
-        "am": {
-            "recent": [[it, kind.value, target] for it, kind, target in memory.am.recent],
-            "last_performed": {k.value: v for k, v in memory.am.last_performed.items()},
-        },
-    }
-
-
-def memory_from_record(record: dict) -> MemoryUnit:
-    memory = MemoryUnit()
-    for e in record["stm"]:
-        entry = StmEntry(**{**e, "comment_texts": [tuple(c) for c in e["comment_texts"]]})
-        memory.stm[entry.content_id] = entry
-    for e in record["ltm"]:
-        memory.ltm[e["content_id"]] = LtmEntry(**e)
-    for it, kind, target in record["am"]["recent"]:
-        memory.am.recent.append((it, ActionKind(kind), target))
-    memory.am.last_performed = {
-        ActionKind(k): v for k, v in record["am"]["last_performed"].items()
-    }
-    return memory

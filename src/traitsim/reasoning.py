@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_RETRIES = 3
 FALLBACK_REASON = "fallback: invalid responses"
 
-# Stub knobs (configurable via StubBackend): how interact splits into
+# Stub constants: how the stub's interact category splits into
 # like/dislike/comment, and surrogate rows for agents without a behavioral
 # trait (identity-only agents post almost exclusively; psychometric variants
 # mostly post, with higher inactivity for low-extraversion/high-neuroticism).
@@ -318,8 +318,7 @@ def surrogate_distribution(trait) -> tuple:
 
 
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
-                rng: np.random.Generator, iteration: int = 0,
-                interact_split: tuple = INTERACT_SPLIT) -> Decision:
+                rng: np.random.Generator, iteration: int = 0) -> Decision:
     """Sample a decision from the agent's archetype row.
 
     The row is masked and renormalized over feasible categories (no
@@ -348,7 +347,7 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
     if category == 1:
         return Decision(ActionKind.RESHARE, "stub: archetype re-share",
                         target=target.content_id)
-    sub = rng.choice(3, p=np.asarray(interact_split, dtype=float))
+    sub = rng.choice(3, p=np.asarray(INTERACT_SPLIT, dtype=float))
     if sub == 0:
         return Decision(ActionKind.LIKE, "stub: archetype reaction",
                         target=target.content_id)
@@ -364,12 +363,9 @@ class StubBackend:
     """Renders stub decisions through the same triplet wire format, so the
     validation path is exercised identically to a real backend."""
 
-    def __init__(self, interact_split: tuple = INTERACT_SPLIT):
-        self.interact_split = interact_split
-
     def complete(self, prompt: DecisionPrompt, context: DecisionContext) -> str:
         decision = stub_decide(context.agent, prompt.feed_section, context.rng,
-                               context.iteration, self.interact_split)
+                               context.iteration)
         if decision.choice is ActionKind.POST:
             content = decision.payload
         elif decision.choice is ActionKind.COMMENT:

@@ -101,6 +101,10 @@ class TestClustering:
         with pytest.raises(ValueError):
             cluster_agents(corner_vectors(per_corner=1), 2, 8, seed=0)
 
+    def test_empty_k_range_rejected(self):
+        with pytest.raises(ValueError, match="k_min"):
+            cluster_agents(corner_vectors(), 5, 3, seed=0)
+
     def test_seeded_and_repeatable(self):
         vectors = corner_vectors(jitter=0.3, seed=5)
         a = cluster_agents(vectors, 2, 5, seed=3)

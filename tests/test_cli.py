@@ -6,6 +6,8 @@ import pytest
 
 from traitsim import cli
 from traitsim.cli import main
+from traitsim.engine import SimulationConfig
+from traitsim.reasoning import StubBackend, TransportError
 
 from conftest import make_personas
 
@@ -36,6 +38,7 @@ class TestSimulate:
         assert manifest["schema_version"] == 1
         assert manifest["master_seed"] == 5
         assert manifest["config"]["iterations"] == 8
+        assert manifest["completed_iterations"] == 8
         digest = next(iter(manifest["inputs"].values()))
         assert len(digest) == 64  # sha256 of the personas file
 
@@ -73,6 +76,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 1
         assert "stm_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '{"backend": "llm"}',
+                                      '{"memory": 5}'],
+                             ids=["list", "backend", "memory"])
+    def test_non_object_config_is_named(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "JSON object" in err
+
+    def test_every_simulation_option_is_a_config_key(self):
+        assert set(SimulationConfig.__dataclass_fields__) <= cli._CONFIG_KEYS
 
     def test_missing_personas_file(self, tmp_path, capsys):
         assert main(["simulate", "--personas", str(tmp_path / "nope.jsonl"),
@@ -141,6 +158,38 @@ class TestSimulate:
         assert "integrity" in capsys.readouterr().err
         assert not (out / "content.jsonl").exists()
 
+    def test_transport_error_writes_completed_iterations(
+            self, tmp_path, personas_file, monkeypatch, capsys):
+        agents = 4 * 7
+
+        class FlakyBackend(StubBackend):
+            calls = 0
+
+            def complete(self, prompt, context):
+                self.calls += 1
+                if self.calls > 3 * agents + 5:
+                    raise TransportError("backend unreachable: refused")
+                return super().complete(prompt, context)
+
+        monkeypatch.setattr(cli, "_make_backend", lambda cfg: FlakyBackend())
+        out = tmp_path / "run"
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--iterations", "8", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "iteration 4" in err and "last completed iteration (3)" in err
+        assert str(out) in err
+        for name in ("actions.jsonl", "content.jsonl", "agents.jsonl",
+                     "manifest.json"):
+            assert (out / name).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["completed_iterations"] == 3
+        iterations = [json.loads(line)["iteration"] for line in
+                      (out / "actions.jsonl").read_text().splitlines()]
+        assert sorted(set(iterations)) == [1, 2, 3]
+        assert len(iterations) == 3 * agents
+        assert main(["analyze", "--run", str(out)]) == 0
+
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):
         assert main(["simulate", "--personas", str(personas_file),
@@ -208,6 +257,12 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(a), "--compare", str(b)]) == 0
         text = (Path(a) / "summary.txt").read_text()
         assert "U=" in text and "p=" in text
+
+    def test_empty_k_range_is_an_error(self, tmp_path, personas_file, capsys):
+        run = simulate(tmp_path, personas_file)
+        assert main(["analyze", "--run", str(run), "--k-min", "5",
+                     "--k-max", "3"]) == 1
+        assert "k_min=5 > k_max=3" in capsys.readouterr().err
 
     def test_missing_run_directory(self, tmp_path, capsys):
         assert main(["analyze", "--run", str(tmp_path / "ghost")]) == 1
@@ -303,6 +358,13 @@ class TestGround:
                      "--no-identity-inference",
                      "--out", str(tmp_path / "x")]) == 1
         assert "empty" in capsys.readouterr().err
+
+    def test_cap_below_one_is_an_error(self, tmp_path, capsys):
+        records = ground_records(tmp_path)
+        assert main(["ground", "--records", str(records), "--cap", "0",
+                     "--no-identity-inference",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "cap must be >= 1" in capsys.readouterr().err
 
     def test_identity_inference_needs_endpoint(self, tmp_path, capsys):
         records = ground_records(tmp_path)

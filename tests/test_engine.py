@@ -457,20 +457,25 @@ class TestRunIteration:
         world = run_simulation(config(iterations=6), personas_small)
         check_integrity(world)
 
-    def test_transport_error_writes_checkpoint(self, personas_small, tmp_path):
+    def test_transport_error_leaves_completed_iterations_in_world(
+            self, personas_small):
         class FlakyBackend:
             calls = 0
 
             def complete(self, prompt, context):
-                type(self).calls += 1
-                if type(self).calls > 50:
+                self.calls += 1
+                if self.calls > 100:
                     raise TransportError("gone")
                 return "CHOICE: inactive\nREASON: x\nCONTENT:"
 
+        cfg = config(iterations=10)
+        world = init_population(personas_small, cfg)
         with pytest.raises(TransportError):
-            run_simulation(config(iterations=10), personas_small,
-                           backend=FlakyBackend(), checkpoint_path=tmp_path)
-        assert (tmp_path / "actions.jsonl").exists()
+            run_simulation(cfg, personas_small, backend=FlakyBackend(),
+                           initial_world=world)
+        assert world.iteration == 100 // len(world.agents) == 2
+        assert len(world.log) == 2 * len(world.agents)
+        assert {r.iteration for r in world.log} == {1, 2}
 
 
 class TestDeterminism:

@@ -11,8 +11,6 @@ from traitsim.memory import (
     am_summary,
     engagement_score,
     ltm_evaluate,
-    memory_from_record,
-    memory_to_record,
     stm_decay,
     stm_observe,
 )
@@ -191,17 +189,3 @@ class TestActivityMemory:
         am_record(am, Action(ActionKind.LIKE, target=4), now=1)
         am_record(am, Action(ActionKind.INACTIVE), now=2)
         assert am_summary(am, now=3) == am_summary(am, now=3)
-
-
-class TestCheckpointRoundtrip:
-    def test_roundtrip_preserves_everything(self):
-        memory = MemoryUnit()
-        stm_observe(memory, make_item(1, likes=2, comments=("nice",)), now=3)
-        ltm_evaluate(memory, now=5)
-        am_record(memory.am, Action(ActionKind.COMMENT, target=1, payload="hi"),
-                  now=5)
-        restored = memory_from_record(memory_to_record("a1", memory))
-        assert restored.stm == memory.stm
-        assert restored.ltm == memory.ltm
-        assert list(restored.am.recent) == list(memory.am.recent)
-        assert restored.am.last_performed == memory.am.last_performed
