@@ -67,38 +67,52 @@ class CliError(Exception):
     """User-facing error with a categorized message; exits non-zero."""
 
 
+# The JSON types a config value may take: (accepted Python types, name).
+# A JSON true/false is never accepted, although ``bool`` subclasses ``int``.
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING = ((str,), "a string")
+_OBJECT = ((dict,), "a JSON object")
+
 _CONFIG_KEYS = {
-    "configuration", "iterations", "feed_size", "master_seed", "backend",
-    "personas", "follows", "memory",
+    "configuration": _STRING, "iterations": _INT, "feed_size": _INT,
+    "master_seed": _INT, "backend": _OBJECT, "personas": _STRING,
+    "follows": _STRING, "memory": _OBJECT,
 }
-_BACKEND_KEYS = {"type", "endpoint", "model", "temperature", "timeout"}
+_BACKEND_KEYS = {"type": _STRING, "endpoint": _STRING, "model": _STRING,
+                 "temperature": _NUMBER, "timeout": _NUMBER}
+_MEMORY_KEYS = {name: _NUMBER if isinstance(f.default, float) else _INT
+                for name, f in MemoryParams.__dataclass_fields__.items()}
+
+
+def _check_section(section: dict, keys: dict, prefix: str, path: Path) -> None:
+    """Reject unknown keys and values of the wrong JSON type in one section."""
+    unknown = sorted(prefix + key for key in set(section) - set(keys))
+    if unknown:
+        raise CliError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    for key, value in section.items():
+        types, name = keys[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise CliError(f"config key '{prefix}{key}' in {path} must be "
+                           f"{name}, got {json.dumps(value)}")
 
 
 def load_config(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}")
     except json.JSONDecodeError as err:
         raise CliError(f"config parse error in {path} at line {err.lineno}: "
                        f"{err.msg}")
     if not isinstance(raw, dict):
         raise CliError(f"config file {path} must hold a JSON object")
-    for key in ("backend", "memory"):
-        if not isinstance(raw.get(key, {}), dict):
-            raise CliError(f"config key '{key}' in {path} must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise CliError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    backend = raw.get("backend", {})
-    unknown = set(backend) - _BACKEND_KEYS
-    if unknown:
-        raise CliError(f"unknown backend config key(s): "
-                       f"{', '.join(sorted(unknown))}")
-    memory = raw.get("memory", {})
-    valid_memory = {f for f in MemoryParams.__dataclass_fields__}
-    unknown = set(memory) - valid_memory
-    if unknown:
-        raise CliError(f"unknown memory config key(s): "
-                       f"{', '.join(sorted(unknown))}")
+    _check_section(raw, _CONFIG_KEYS, "", path)
+    _check_section(raw.get("backend", {}), _BACKEND_KEYS, "backend.", path)
+    _check_section(raw.get("memory", {}), _MEMORY_KEYS, "memory.", path)
+    if raw.get("backend", {}).get("type", "stub") not in ("stub", "llm"):
+        raise CliError(f"config key 'backend.type' in {path} must be "
+                       f"\"stub\" or \"llm\"")
     return raw
 
 
@@ -193,7 +207,7 @@ def cmd_simulate(args) -> int:
             master_seed=cfg.get("master_seed", 0),
             memory=MemoryParams(**cfg.get("memory", {})),
         )
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         raise CliError(str(err))
     try:
         world = init_population(personas, sim_config, follow_edges)

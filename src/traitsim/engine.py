@@ -2,12 +2,13 @@
 
 Initialization builds the population (identity x trait cross product for
 trait configurations, one agent for a persona that pins its trait); each
-iteration then snapshots the world, lets every agent decide against that
-snapshot, and applies all decisions in a fixed agent order. Decisions never
-see same-iteration actions, so the decision phase is order-independent and
-the whole run is bit-reproducible from the master seed under the stub
-backend: every agent draws from its own RNG stream keyed by (master seed,
-iteration, agent index).
+iteration then lets every agent decide and applies all decisions in a fixed
+agent order only after the last agent has decided. The store the decision
+phase reads is therefore the snapshot left by the previous iteration, with no
+filter: decisions never see same-iteration actions, so the decision phase is
+order-independent and the whole run is bit-reproducible from the master seed
+under the stub backend: every agent draws from its own RNG stream keyed by
+(master seed, iteration, agent index).
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -17,7 +18,6 @@ recommender pool) can engage with it, forming propagation chains.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -97,13 +97,11 @@ class ContentIndex:
     ``sync`` extends it with the ids from the previous sync's
     ``next_content_id`` up to the current one; it is never rebuilt.
     ``recommend_feed`` syncs it when a feed needs it: for an agent with
-    followees, and for the random strategy. Content ids must be
-    chronological: an item created in an earlier iteration than the last
-    indexed one is rejected.
+    followees, and for the random strategy. The store's ids are dense
+    (``1 ... next_content_id - 1``), so the id order needs no index of its
+    own.
     """
 
-    ids: list = field(default_factory=list)  # content ids, ascending
-    iterations: list = field(default_factory=list)  # iteration_created per id
     by_author: dict = field(default_factory=dict)  # author -> ascending ids
     reshares_by_author: dict = field(default_factory=dict)  # author -> re-share ids
     synced_to: int = 1  # the store's next_content_id at the previous sync
@@ -111,13 +109,6 @@ class ContentIndex:
     def sync(self, content: dict, next_content_id: int) -> None:
         for cid in range(self.synced_to, next_content_id):
             item = content[cid]
-            if self.iterations and item.iteration_created < self.iterations[-1]:
-                raise ValueError(
-                    f"content {cid} created in iteration {item.iteration_created}"
-                    f" after iteration {self.iterations[-1]}: content ids must"
-                    f" be chronological")
-            self.ids.append(cid)
-            self.iterations.append(item.iteration_created)
             self.by_author.setdefault(item.author, []).append(cid)
             if item.is_reshare:
                 self.reshares_by_author.setdefault(item.author, []).append(cid)
@@ -193,8 +184,7 @@ def init_population(personas: Sequence[dict], config: SimulationConfig,
 
 
 def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
-                   rng: np.random.Generator,
-                   max_iteration: Optional[int] = None) -> list:
+                   rng: np.random.Generator) -> list:
     """Build one agent's feed from the content pool.
 
     Pool: everything (originals and re-shares) not authored by the agent and
@@ -202,18 +192,19 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     force-included ahead of the ranked remainder; preference ranking puts
     topic matches first, then recency; random sampling is seeded.
 
+    No item needs hiding as too new: ``run_iteration`` applies actions only
+    after every agent has decided, so the store is the previous iteration's.
+
     Cost per call with the random strategy: O(followee re-shares + excluded
     items + k), up to a log factor, where the excluded items are the agent's
-    own content, its re-shared ids and the forced re-shares; both the forced
-    re-shares and the sample come from ``world.content_index()``. The
-    preference ranking adds a newest-first scan of the store that stops once
-    the topic matches fill the slots left after the forced re-shares: O(k)
-    items while the agent's topic has k recent eligible items (in a
+    own content and the forced re-shares (both from ``world.content_index()``)
+    and its re-shared ids; sampled ranks map straight to the dense ids.
+    The preference ranking adds a newest-first scan of the store that stops
+    once the topic matches fill the slots left after the forced re-shares:
+    O(k) items while the agent's topic has k recent eligible items (in a
     ``ground`` bundle every item matches: all topics are ``None``), the whole
     store when it is scarce.
     """
-    if max_iteration is None:
-        max_iteration = world.iteration
     me = agent.profile.agent_id
 
     forced = []
@@ -222,8 +213,7 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         forced = [item for author in agent.profile.following if author != me
                   for item in map(world.content.__getitem__,
                                   by_author.get(author, ()))
-                  if item.iteration_created <= max_iteration
-                  and item.content_id not in agent.reshared_ids]
+                  if item.content_id not in agent.reshared_ids]
         forced.sort(key=lambda it: (-it.iteration_created, -it.content_id))
     forced_ids = {item.content_id for item in forced}
 
@@ -238,7 +228,6 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
             if len(matches) >= need:
                 break
             if (item.author == me or item.content_id in agent.reshared_ids
-                    or item.iteration_created > max_iteration
                     or item.content_id in forced_ids):
                 continue
             if item.topic == agent.profile.topic:
@@ -248,27 +237,23 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         chosen = (forced + matches + others)[:k]
     elif strategy == "random":
         # The draw depends only on (pool size, take), so sample ranks in the
-        # id-ordered snapshot index.ids[:cut] minus the excluded positions,
+        # dense id order 1 ... next_content_id - 1 minus the excluded ids,
         # without building the pool.
-        index = world.content_index()
-        cut = bisect_right(index.iterations, max_iteration)
-        positions = set()
-        for cid in (*index.by_author.get(me, ()), *agent.reshared_ids,
-                    *forced_ids):
-            pos = bisect_left(index.ids, cid, 0, cut)
-            if pos < cut and index.ids[pos] == cid:
-                positions.add(pos)
-        excluded = sorted(positions)
-        pool_size = cut - len(excluded)
+        own = world.content_index().by_author.get(me, ())
+        excluded = sorted({cid for cid in (*own, *agent.reshared_ids,
+                                           *forced_ids)
+                           if cid in world.content})
+        pool_size = len(world.content) - len(excluded)
         take = min(k - len(forced[:k]), pool_size)
         sampled = []
         if take > 0:
             picks = rng.choice(pool_size, size=take, replace=False)
             passed = 0
             for rank in sorted(picks):
-                while passed < len(excluded) and excluded[passed] <= rank + passed:
+                cid = rank + 1
+                while passed < len(excluded) and excluded[passed] <= cid + passed:
                     passed += 1
-                sampled.append(world.content[index.ids[rank + passed]])
+                sampled.append(world.content[cid + passed])
         chosen = (forced[:k] + sampled)[:k]
     else:
         raise ValueError(f"unknown recommender strategy {strategy!r}")
@@ -359,7 +344,6 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     """
     analyzer = analyzer or NeutralSentiment()
     iteration = world.iteration + 1
-    snapshot_iteration = world.iteration
     order = list(decision_order) if decision_order is not None else world.agent_order()
     if sorted(order) != world.agent_order():
         raise ValueError("decision_order must be a permutation of agent ids")
@@ -370,8 +354,7 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
         stm_decay(agent.memory, iteration, config.memory)
         feed_rng = agent_rng(config.master_seed, iteration, agent.index, 0)
         feed = recommend_feed(agent, world, config.recommender_strategy,
-                              config.feed_size, feed_rng,
-                              max_iteration=snapshot_iteration)
+                              config.feed_size, feed_rng)
         for entry in feed:
             stm_observe(agent.memory, world.content[entry.content_id],
                         iteration, config.memory, analyzer)
@@ -399,7 +382,7 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     if iteration % config.memory.eval_period == 0:
         for agent_id in world.agent_order():
             ltm_evaluate(world.agents[agent_id].memory, iteration,
-                         config.memory, analyzer)
+                         config.memory)
     world.iteration = iteration
     return world
 

@@ -41,7 +41,7 @@ class StmEntry:
     likes: int = 0
     dislikes: int = 0
     comments: int = 0
-    comment_texts: list = field(default_factory=list)
+    score: float = 0.0  # engagement score, fixed when the entry is observed
     last_touched: int = 0
 
 
@@ -78,33 +78,29 @@ def engagement_score(entry: StmEntry, comments, analyzer=None,
     )
 
 
-def _score(entry: StmEntry, analyzer, params: Optional[MemoryParams] = None) -> float:
-    return engagement_score(entry, [t for _, t in entry.comment_texts], analyzer, params)
-
-
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
                 params: MemoryParams = MemoryParams(), analyzer=None) -> MemoryUnit:
     """Insert or refresh the STM entry for ``content`` with current counters.
 
-    When the buffer would exceed capacity, the lowest-engagement-score entry
-    is evicted.
+    The entry's engagement score is computed here, once, from the counters
+    and comments the item has now. When the buffer would exceed capacity,
+    the lowest-score entry is evicted (the least recently touched on a tie).
     """
-    analyzer = analyzer or NeutralSentiment()
     c = content.counters
-    memory.stm[content.content_id] = StmEntry(
+    entry = StmEntry(
         content_id=content.content_id,
         reshares=c.reshares,
         likes=c.likes,
         dislikes=c.dislikes,
         comments=c.comments,
-        comment_texts=list(content.comment_texts),
         last_touched=now,
     )
+    entry.score = engagement_score(
+        entry, [t for _, t in content.comment_texts], analyzer, params)
+    memory.stm[content.content_id] = entry
     while len(memory.stm) > params.stm_capacity:
-        victim = min(
-            memory.stm.values(),
-            key=lambda e: (_score(e, analyzer, params), e.last_touched),
-        )
+        victim = min(memory.stm.values(),
+                     key=lambda e: (e.score, e.last_touched))
         del memory.stm[victim.content_id]
     return memory
 
@@ -120,31 +116,28 @@ def stm_decay(memory: MemoryUnit, now: int,
 
 
 def ltm_evaluate(memory: MemoryUnit, now: int,
-                 params: MemoryParams = MemoryParams(), analyzer=None) -> MemoryUnit:
-    """Copy the top-q quantile of STM entries (by engagement score) into LTM.
+                 params: MemoryParams = MemoryParams()) -> MemoryUnit:
+    """Copy the top-q quantile of STM entries (by the engagement score stored
+    when each was observed) into LTM.
 
     At least one entry is promoted when the STM is non-empty; entries tied
     with the quantile cutoff are all promoted. Originals stay in STM until
     they decay.
     """
-    analyzer = analyzer or NeutralSentiment()
     if not memory.stm:
         return memory
-    scored = sorted(
-        ((_score(e, analyzer, params), e) for e in memory.stm.values()),
-        key=lambda pair: pair[0],
-        reverse=True,
-    )
-    take = max(1, math.ceil(params.promotion_quantile * len(scored)))
-    cutoff = scored[take - 1][0]
-    for score, entry in scored:
-        if score < cutoff:
+    ranked = sorted(memory.stm.values(), key=lambda e: e.score, reverse=True)
+    take = max(1, math.ceil(params.promotion_quantile * len(ranked)))
+    cutoff = ranked[take - 1].score
+    for entry in ranked:
+        if entry.score < cutoff:
             break
         existing = memory.ltm.get(entry.content_id)
         if existing is None:
-            memory.ltm[entry.content_id] = LtmEntry(entry.content_id, score, now)
+            memory.ltm[entry.content_id] = LtmEntry(entry.content_id,
+                                                    entry.score, now)
         else:
-            existing.engagement_score = score
+            existing.engagement_score = entry.score
     return memory
 
 

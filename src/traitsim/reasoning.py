@@ -11,8 +11,9 @@ actions) and must answer with a labeled three-field triplet::
 A tolerant parser also accepts a JSON object with ``choice``/``reason``/
 ``content`` keys. CONTENT carries the post text for "post", a content id for
 "reshare"/"like"/"dislike", ``<content id>: <text>`` for "comment", an agent
-id for "follow", and is empty for "inactive". Invalid answers are re-prompted
-up to ``max_retries`` times, then the agent falls back to inactivity.
+id for "follow", and is empty for "inactive". An agent is prompted up to
+``MAX_RETRIES`` times until it gives a valid answer, then falls back to
+inactivity.
 
 Two backends are provided: an HTTP chat-completion client for local model
 servers, and a deterministic stub that samples from the archetype table so
@@ -41,7 +42,7 @@ from .memory import MemoryUnit, am_summary
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MAX_RETRIES = 3
+MAX_RETRIES = 3
 FALLBACK_REASON = "fallback: invalid responses"
 
 # Stub constants: how the stub's interact category splits into
@@ -282,21 +283,21 @@ class DecisionContext:
     rng: Optional[np.random.Generator] = None
 
 
-def decide(prompt: DecisionPrompt, backend, context: DecisionContext,
-           max_retries: int = DEFAULT_MAX_RETRIES) -> Decision:
+def decide(prompt: DecisionPrompt, backend,
+           context: DecisionContext) -> Decision:
     """Return the first valid decision, re-prompting on protocol violations.
 
-    Transport errors propagate; after ``max_retries`` invalid responses the
+    Transport errors propagate; after ``MAX_RETRIES`` invalid responses the
     agent falls back to inactivity.
     """
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         raw = backend.complete(prompt, context)
         try:
             return validate_decision(raw, prompt)
         except ValidationError as err:
             log.warning(
                 "invalid decision from %s (attempt %d/%d): %s",
-                context.agent.agent_id, attempt + 1, max_retries, err,
+                context.agent.agent_id, attempt + 1, MAX_RETRIES, err,
             )
     log.warning("decision fallback to inactive for %s", context.agent.agent_id)
     return Decision(ActionKind.INACTIVE, FALLBACK_REASON)

@@ -53,7 +53,7 @@ class TestSimulate:
         cfg.write_text(json.dumps({
             "iterations": 3, "master_seed": 9,
             "personas": str(personas_file),
-            "memory": {"stm_capacity": 10},
+            "memory": {"stm_capacity": 10, "w_reshare": 3},  # int for a float
         }))
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg), "--iterations", "2",
@@ -62,6 +62,7 @@ class TestSimulate:
         assert manifest["config"]["iterations"] == 2  # CLI wins
         assert manifest["master_seed"] == 9
         assert manifest["config"]["memory"]["stm_capacity"] == 10
+        assert manifest["config"]["memory"]["w_reshare"] == 3
 
     def test_unknown_config_key_is_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -88,8 +89,45 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert str(cfg) in err and "JSON object" in err
 
+    def test_missing_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "not found" in err and str(cfg) in err
+
+    @pytest.mark.parametrize("key, section", [
+        pytest.param("personas", {"personas": 5}, id="personas-int"),
+        pytest.param("follows", {"follows": ["f.csv"]}, id="follows-list"),
+        pytest.param("configuration", {"configuration": 1},
+                     id="configuration-int"),
+        pytest.param("iterations", {"iterations": "3"}, id="iterations-str"),
+        pytest.param("iterations", {"iterations": True}, id="iterations-bool"),
+        pytest.param("master_seed", {"master_seed": "x"}, id="master_seed-str"),
+        pytest.param("feed_size", {"feed_size": 2.5}, id="feed_size-float"),
+        pytest.param("memory.stm_capacity", {"memory": {"stm_capacity": "5"}},
+                     id="stm_capacity-str"),
+        pytest.param("memory.w_like", {"memory": {"w_like": "1"}},
+                     id="w_like-str"),
+        pytest.param("backend.temperature",
+                     {"backend": {"temperature": "hot"}}, id="temperature-str"),
+        pytest.param("backend.model", {"backend": {"model": 7}},
+                     id="model-int"),
+        pytest.param("backend.type", {"backend": {"type": "gpt"}},
+                     id="type-unknown"),
+    ])
+    def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys,
+                                                 personas_file, key, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file), **section}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and str(cfg) in err
+
     def test_every_simulation_option_is_a_config_key(self):
-        assert set(SimulationConfig.__dataclass_fields__) <= cli._CONFIG_KEYS
+        assert (set(SimulationConfig.__dataclass_fields__)
+                <= set(cli._CONFIG_KEYS))
 
     def test_missing_personas_file(self, tmp_path, capsys):
         assert main(["simulate", "--personas", str(tmp_path / "nope.jsonl"),

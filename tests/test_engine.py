@@ -12,6 +12,7 @@ from traitsim.core import (
     Order,
     Trait,
 )
+from traitsim import engine
 from traitsim.engine import (
     SimulationConfig,
     WorldState,
@@ -222,13 +223,6 @@ class TestRecommendFeed:
         assert [e.content_id for e in feed] == [fresh.content_id]
         assert own.content_id not in {e.content_id for e in feed}
 
-    def test_snapshot_hides_current_iteration_content(self):
-        add_post(self.world, "p001", 2)
-        self.world.iteration = 1
-        feed = recommend_feed(self.agent, self.world, "preference", 5, self.rng,
-                              max_iteration=1)
-        assert feed == []
-
     def test_followee_reshares_force_included(self):
         self.agent.profile.following.add("p001")
         original = add_post(self.world, "p002", 1, topic="Healthcare")
@@ -289,7 +283,6 @@ def chronological_worlds(draw):
     primed = draw(st.integers(0, len(items)))  # items indexed before the call
     return (world, agent, items, primed,
             draw(st.lists(st.integers(1, len(items) + 2), max_size=6)),
-            draw(st.integers(0, 2)),  # snapshot lag behind the last iteration
             draw(st.integers(1, 8)), draw(st.sampled_from(["preference", "random"])),
             draw(st.integers(0, 2**32 - 1)))
 
@@ -298,7 +291,7 @@ class TestRecommendFeedMatchesReference:
     @given(chronological_worlds())
     @settings(max_examples=200, deadline=None)
     def test_same_feed_and_same_draws(self, case):
-        world, agent, items, primed, reshared, lag, k, strategy, seed = case
+        world, agent, items, primed, reshared, k, strategy, seed = case
         iteration = 1
         for n, (author, step, topic, parent) in enumerate(items):
             if n == primed:  # index a prefix, as in a run between iterations
@@ -312,21 +305,11 @@ class TestRecommendFeedMatchesReference:
                             world.content[1 + parent % len(world.content)])
         agent.reshared_ids = set(reshared)
         world.iteration = iteration
-        max_iteration = max(iteration - lag, 0)
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
-        feed = recommend_feed(agent, world, strategy, k, rng,
-                              max_iteration=max_iteration)
-        expected = _reference_recommend_feed(agent, world, strategy, k, ref_rng,
-                                             max_iteration=max_iteration)
+        feed = recommend_feed(agent, world, strategy, k, rng)
+        expected = _reference_recommend_feed(agent, world, strategy, k, ref_rng)
         assert [e.content_id for e in feed] == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_index_rejects_out_of_order_content(self):
-        world = WorldState()
-        add_post(world, "a", 2)
-        add_post(world, "b", 1)
-        with pytest.raises(ValueError, match="chronological"):
-            world.content_index()
 
     def test_index_extends_instead_of_rebuilding(self):
         world = WorldState()
@@ -334,8 +317,7 @@ class TestRecommendFeedMatchesReference:
         index = world.content_index()
         second = add_reshare(world, "b", 2, first)
         assert world.content_index() is index
-        assert index.ids == [first.content_id, second.content_id]
-        assert index.iterations == [1, 2]
+        assert index.synced_to == world.next_content_id
         assert index.by_author == {"a": [first.content_id],
                                    "b": [second.content_id]}
         assert index.reshares_by_author == {"b": [second.content_id]}
@@ -476,6 +458,34 @@ class TestRunIteration:
         assert world.iteration == 100 // len(world.agents) == 2
         assert len(world.log) == 2 * len(world.agents)
         assert {r.iteration for r in world.log} == {1, 2}
+
+    @pytest.mark.parametrize("configuration",
+                             ["FullModel", "RandomRecommendation"])
+    def test_feeds_read_a_dense_store_of_completed_iterations(
+            self, configuration, monkeypatch):
+        """``recommend_feed`` has no snapshot filter and the random strategy
+        maps ranks straight to ids; both rely on what this checks on every
+        call of a run with a follow graph."""
+        personas = make_personas(3)
+        cfg = config(configuration=configuration, iterations=6)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + step) % len(order)])
+                 for i, a in enumerate(order) for step in (1, 5)]
+        world = init_population(personas, cfg, follow_edges=edges)
+        calls = []
+
+        def checked(agent, seen, *args):
+            assert list(seen.content) == list(range(1, seen.next_content_id))
+            assert all(item.iteration_created <= seen.iteration
+                       for item in seen.content.values())
+            calls.append(seen.iteration)
+            return recommend_feed(agent, seen, *args)
+
+        monkeypatch.setattr(engine, "recommend_feed", checked)
+        run_simulation(cfg, personas, initial_world=world)
+        assert len(calls) == cfg.iterations * len(world.agents)
+        assert world.content and any(item.is_reshare
+                                     for item in world.content.values())
 
 
 class TestDeterminism:

@@ -49,10 +49,19 @@ class TestEngagementScore:
 class TestShortTermMemory:
     def test_observe_inserts_snapshot(self):
         memory = MemoryUnit()
-        stm_observe(memory, make_item(1, likes=2), now=3)
+        stm_observe(memory, make_item(1, reshares=1, likes=2), now=3)
         entry = memory.stm[1]
         assert entry.likes == 2
+        assert entry.score == pytest.approx(2 * 1 + 2)
         assert entry.last_touched == 3
+
+    def test_score_is_fixed_when_observed(self):
+        memory = MemoryUnit()
+        item = make_item(1, likes=2)
+        stm_observe(memory, item, now=1)
+        item.counters.likes = 7
+        item.comment_texts.append(("y", "great"))
+        assert memory.stm[1].score == 2.0
 
     def test_reobserve_refreshes_counters_and_recency(self):
         memory = MemoryUnit()
@@ -83,13 +92,13 @@ class TestShortTermMemory:
     def test_decay_drops_entries_past_horizon(self):
         memory = MemoryUnit()
         for cid, touched in ((1, 1), (2, 4), (3, 5)):
-            memory.stm[cid] = StmEntry(cid, last_touched=touched)
+            memory.stm[cid] = StmEntry(cid, score=0.0, last_touched=touched)
         stm_decay(memory, now=8)
         assert set(memory.stm) == {3}
 
     def test_decay_keeps_everything_within_horizon(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1, last_touched=5)
+        memory.stm[1] = StmEntry(1, score=0.0, last_touched=5)
         stm_decay(memory, now=8)
         assert set(memory.stm) == {1}
 
@@ -107,12 +116,28 @@ class TestShortTermMemory:
         # a max-likes entry always survives eviction
         assert max(e.likes for e in memory.stm.values()) == max(likes_list)
 
+    def test_analyzer_reaches_eviction_and_ltm(self):
+        params = MemoryParams(stm_capacity=2)
+        memory = MemoryUnit()
+        analyzer = WordListSentiment()
+        for cid, comments in ((1, ["great and wonderful"]),
+                              (2, ["awful and terrible"]),
+                              (3, ["okay then"])):
+            stm_observe(memory, make_item(cid, likes=1, comments=comments),
+                        now=cid, params=params, analyzer=analyzer)
+        # with neutral sentiment all three tie and the oldest, 1, would go
+        assert set(memory.stm) == {1, 3}
+        assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
+        ltm_evaluate(memory, now=5, params=params)
+        assert set(memory.ltm) == {1}
+        assert memory.ltm[1].engagement_score == 2.0
+
 
 class TestLongTermMemory:
     def test_promotes_top_quantile(self):
         memory = MemoryUnit()
         for cid in range(10):
-            memory.stm[cid] = StmEntry(cid, likes=cid)
+            memory.stm[cid] = StmEntry(cid, score=float(cid))
         ltm_evaluate(memory, now=5)
         assert set(memory.ltm) == {9}
         assert memory.ltm[9].engagement_score == pytest.approx(9.0)
@@ -120,14 +145,14 @@ class TestLongTermMemory:
 
     def test_at_least_one_promoted(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1)
+        memory.stm[1] = StmEntry(1, score=0.0)
         ltm_evaluate(memory, now=5)
         assert set(memory.ltm) == {1}
 
     def test_cutoff_ties_all_promoted(self):
         memory = MemoryUnit()
         for cid in range(10):
-            memory.stm[cid] = StmEntry(cid, likes=7)
+            memory.stm[cid] = StmEntry(cid, score=7.0)
         ltm_evaluate(memory, now=5)
         assert set(memory.ltm) == set(range(10))
 
@@ -138,11 +163,11 @@ class TestLongTermMemory:
 
     def test_never_evicts_and_updates_scores(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1, likes=3)
+        memory.stm[1] = StmEntry(1, score=3.0)
         ltm_evaluate(memory, now=5)
         del memory.stm[1]
-        memory.stm[2] = StmEntry(2, likes=8)
-        memory.stm[1] = StmEntry(1, likes=9)
+        memory.stm[2] = StmEntry(2, score=8.0)
+        memory.stm[1] = StmEntry(1, score=9.0)
         ltm_evaluate(memory, now=10)
         assert 1 in memory.ltm and memory.ltm[1].engagement_score == 9.0
         assert memory.ltm[1].promoted_at == 5  # original promotion stamp kept
@@ -152,7 +177,7 @@ class TestLongTermMemory:
     def test_promoted_scores_dominate_the_rest(self, likes_list):
         memory = MemoryUnit()
         for cid, likes in enumerate(likes_list):
-            memory.stm[cid] = StmEntry(cid, likes=likes)
+            memory.stm[cid] = StmEntry(cid, score=float(likes))
         ltm_evaluate(memory, now=5)
         promoted = {likes_list[cid] for cid in memory.ltm}
         rest = [likes_list[cid] for cid in memory.stm if cid not in memory.ltm]

@@ -21,6 +21,7 @@ from traitsim.reasoning import (
     FALLBACK_REASON,
     FeedEntry,
     LLMBackend,
+    MAX_RETRIES,
     StubBackend,
     TransportError,
     ValidationError,
@@ -177,10 +178,10 @@ class TestDecide:
 
     def test_falls_back_to_inactive_after_retries(self):
         backend = _ScriptedBackend(["bad"] * 3)
-        d = decide(prompt_for(), backend, ctx(), max_retries=3)
+        d = decide(prompt_for(), backend, ctx())
         assert d.choice is ActionKind.INACTIVE
         assert d.reason == FALLBACK_REASON
-        assert backend.calls == 3
+        assert backend.calls == MAX_RETRIES == 3
 
     def test_transport_errors_propagate(self):
         class Boom:
