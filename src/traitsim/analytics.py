@@ -1,7 +1,9 @@
 """Post-hoc analysis over action logs and content stores.
 
-Covers behavioral action-probability vectors and their k-means clustering,
-propagation chain tracing (one chain per root-to-leaf re-share path),
+Covers behavioral action-probability vectors (counted for all agents in one
+pass over the log) and their k-means clustering (bit-reproducible for a
+seed, with a silhouette computed in bounded memory), propagation chain
+tracing (one chain per root-to-leaf re-share path),
 first/second-order temporal dynamics, chain length and per-topic statistics,
 and a Mann-Whitney U test (exact enumeration for small samples, tie-corrected
 normal approximation otherwise).
@@ -28,19 +30,28 @@ from .core import (
 CATEGORIES = ("post", "reshare", "interact", "inactive")
 
 
-def action_probability_vector(agent_id: str, log) -> ActionDistribution:
-    """Per-category frequencies over the agent's non-follow choices."""
-    counts = dict.fromkeys(CATEGORIES, 0)
+def action_probability_vector(log) -> dict:
+    """Per-agent category frequencies over each agent's non-follow choices,
+    counted in one pass over the log: ``{agent_id: ActionDistribution}``.
+
+    An agent whose every record is a FOLLOW has no behavioral vector and is
+    left out.
+    """
+    index = {c: i for i, c in enumerate(CATEGORIES)}
+    column = {kind: index.get(action_category(kind)) for kind in ActionKind}
+    counts = {}
     for record in log:
-        if record.agent != agent_id:
-            continue
-        category = action_category(record.action.kind)
-        if category != "excluded":
-            counts[category] += 1
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError(f"agent {agent_id!r} absent from log")
-    return ActionDistribution(*(counts[c] / total for c in CATEGORIES))
+        i = column[record.action.kind]
+        if i is not None:
+            row = counts.get(record.agent)
+            if row is None:
+                row = counts[record.agent] = [0, 0, 0, 0]
+            row[i] += 1
+    vectors = {}
+    for agent_id, row in counts.items():
+        total = sum(row)
+        vectors[agent_id] = ActionDistribution(*(n / total for n in row))
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -57,49 +68,94 @@ class Clustering:
     inertia_curve: dict = field(default_factory=dict)  # k -> inertia
 
 
+def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A and of B, shape
+    (len(A), len(B)).
+
+    The squares are summed coordinate by coordinate, in order, which is the
+    order ``((A[:, None] - B[None]) ** 2).sum(-1)`` sums them in, so the
+    results are bit-identical to that expression (and, as a square does not
+    see the sign of the difference, to its transpose with A and B swapped)
+    without its (len(A), len(B), dims) temporary.
+    """
+    out = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        d = np.subtract.outer(a, b)
+        d *= d
+        out += d
+    return out
+
+
 def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator,
                  tol: float = 1e-6, max_iter: int = 300):
-    # k-means++ seeding
-    centers = [X[rng.integers(len(X))]]
+    n, dims = X.shape
+    # k-means++ seeding; d2 is each point's squared distance to its nearest
+    # center so far.
+    centers = [X[rng.integers(n)]]
+    d2 = np.full(n, np.inf)
     while len(centers) < k:
-        d2 = np.min(((X[:, None, :] - np.array(centers)[None]) ** 2).sum(-1), axis=1)
+        d2 = np.minimum(d2, _sq_distances(centers[-1][None], X)[0])
         total = d2.sum()
         if total == 0:
-            centers.append(X[rng.integers(len(X))])
+            centers.append(X[rng.integers(n)])
         else:
-            centers.append(X[rng.choice(len(X), p=d2 / total)])
+            # numpy's own algorithm for rng.choice(n, p=d2 / total): the same
+            # single draw and the same index, without choice's checks of p.
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            centers.append(X[cdf.searchsorted(rng.random(), side="right")])
     C = np.array(centers)
     for _ in range(max_iter):
-        labels = np.argmin(((X[:, None, :] - C[None]) ** 2).sum(-1), axis=1)
-        new_C = np.array([
-            X[labels == j].mean(axis=0) if np.any(labels == j) else C[j]
-            for j in range(k)
-        ])
+        labels = np.argmin(_sq_distances(C, X), axis=0)
+        # bincount adds each cluster's rows in index order, as mean() does.
+        counts = np.bincount(labels, minlength=k)[:, None]
+        sums = np.column_stack([np.bincount(labels, weights=X[:, c], minlength=k)
+                                for c in range(dims)])
+        new_C = np.where(counts > 0, sums / np.maximum(counts, 1), C)
         shift = np.abs(new_C - C).max()
         C = new_C
         if shift < tol:
             break
-    labels = np.argmin(((X[:, None, :] - C[None]) ** 2).sum(-1), axis=1)
+    labels = np.argmin(_sq_distances(C, X), axis=0)
     inertia = float(((X - C[labels]) ** 2).sum())
     return C, labels, inertia
 
 
+SILHOUETTE_CHUNK = 1 << 20  # distance entries held in memory at once
+
+
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette over all points (0 for singleton-cluster points)."""
-    D = np.sqrt(((X[:, None, :] - X[None]) ** 2).sum(-1))
+    """Mean silhouette over all points (0 for singleton-cluster points).
+
+    Distances are computed one chunk of rows at a time, about
+    ``SILHOUETTE_CHUNK`` entries, so memory is O(n x chunk) and not O(n^2).
+    The columns are ordered by cluster, so each point's distances to one
+    cluster are one contiguous slice of its row, summed as a 1-D array in
+    index order: the score is bit-identical to summing ``D[i, labels == j]``.
+    """
     present = sorted(set(labels.tolist()))
     if len(present) < 2:
         return 0.0
-    scores = np.zeros(len(X))
-    for i in range(len(X)):
-        same = labels == labels[i]
-        n_same = same.sum() - 1
-        if n_same == 0:
-            scores[i] = 0.0
-            continue
-        a = D[i, same].sum() / n_same
-        b = min(D[i, labels == j].mean() for j in present if j != labels[i])
-        scores[i] = (b - a) / max(a, b)
+    order = np.argsort(labels, kind="stable")
+    by_cluster = X[order]
+    ends = np.searchsorted(labels[order], present, side="right").tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    sizes = [end - start for start, end in bounds]
+    position = np.searchsorted(present, labels).tolist()
+    n = len(X)
+    scores = np.zeros(n)
+    step = max(1, SILHOUETTE_CHUNK // n)
+    for first in range(0, n, step):
+        D = np.sqrt(_sq_distances(X[first:first + step], by_cluster))
+        for i, row in enumerate(D, start=first):
+            p = position[i]
+            n_same = sizes[p] - 1
+            if n_same == 0:
+                continue  # a singleton's score is 0
+            sums = [row[start:end].sum() for start, end in bounds]
+            a = sums[p] / n_same
+            b = min(sums[q] / sizes[q] for q in range(len(present)) if q != p)
+            scores[i] = (b - a) / max(a, b)
     return float(scores.mean())
 
 

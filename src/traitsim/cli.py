@@ -127,6 +127,10 @@ def read_personas(path: Path) -> list:
                        "topic": obj.get("topic"), "trait": obj.get("trait")}
         except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise CliError(f"personas line {number}: {err}")
+        for key in ("id", "identity_text"):
+            if not isinstance(persona[key], str):
+                raise CliError(f"personas line {number}: {key!r} must be a "
+                               f"string, got {json.dumps(persona[key])}")
         trait = persona["trait"]
         if trait is not None and (not isinstance(trait, str)
                                   or trait not in Trait.__members__):
@@ -255,28 +259,50 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def load_run(run_dir: Path):
+def _read_jsonl(path: Path, parse) -> list:
+    """``parse`` of each non-blank line of a run file; a missing file or a
+    malformed line is a CliError naming the file (and the line)."""
+    try:
+        lines = path.read_text().splitlines()
+    except FileNotFoundError:
+        raise CliError(f"run file not found: {path}")
+    items = []
+    for number, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                items.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as err:
+                raise CliError(f"malformed record in {path} line {number}: "
+                               f"{type(err).__name__}: {err}")
+    return items
+
+
+def load_content(run_dir: Path) -> dict:
+    """A run's content store (content_id -> ContentItem), read from its
+    content.jsonl alone after the manifest's schema check."""
     manifest_path = run_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("schema_version") != SCHEMA_VERSION:
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as err:
+            raise CliError(f"malformed manifest {manifest_path}: {err}")
+        if (not isinstance(manifest, dict)
+                or manifest.get("schema_version") != SCHEMA_VERSION):
             raise CliError(f"incompatible artifact schema_version in {run_dir} "
                            f"(expected {SCHEMA_VERSION})")
-    log = [record_from_dict(json.loads(line))
-           for line in (run_dir / "actions.jsonl").read_text().splitlines()
-           if line.strip()]
-    content = {}
-    for line in (run_dir / "content.jsonl").read_text().splitlines():
-        if line.strip():
-            item = content_from_dict(json.loads(line))
-            content[item.content_id] = item
+    return {item.content_id: item for item in
+            _read_jsonl(run_dir / "content.jsonl", content_from_dict)}
+
+
+def load_run(run_dir: Path):
+    """A run's action log, content store and agent traits."""
+    content = load_content(run_dir)
+    log = _read_jsonl(run_dir / "actions.jsonl", record_from_dict)
     traits = {}
     agents_path = run_dir / "agents.jsonl"
     if agents_path.exists():
-        for line in agents_path.read_text().splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                traits[obj["agent_id"]] = obj.get("trait")
+        traits = dict(_read_jsonl(
+            agents_path, lambda obj: (obj["agent_id"], obj.get("trait"))))
     return log, content, traits
 
 
@@ -300,8 +326,12 @@ def cmd_analyze(args) -> int:
 
     chains = trace_chains(content, traits)
     if which in ("all", "rq1"):
-        agents = sorted({r.agent for r in log})
-        vectors = {a: action_probability_vector(a, log) for a in agents}
+        vectors = action_probability_vector(log)
+        agents = sorted(vectors)
+        follow_only = len({r.agent for r in log}) - len(vectors)
+        if follow_only:
+            summary.append(f"follow-only agents left out of clustering: "
+                           f"{follow_only}")
         rows = []
         if vectors and len(vectors) >= args.k_max:
             try:
@@ -368,9 +398,12 @@ def cmd_analyze(args) -> int:
                                    f"median={median:.4f} n={count}")
 
     if args.compare:
-        other_log, other_content, _ = load_run(Path(args.compare))
+        other = Path(args.compare)
         lengths_a = [c.length for c in chains]
-        lengths_b = [c.length for c in trace_chains(other_content)]
+        if other.resolve() == run_dir.resolve():
+            lengths_b = lengths_a
+        else:
+            lengths_b = [c.length for c in trace_chains(load_content(other))]
         if lengths_a and lengths_b:
             u, p = mann_whitney_u(lengths_a, lengths_b)
             summary.append(f"chain-length comparison vs {args.compare}: "

@@ -91,8 +91,8 @@ def trait_of(agent_id):
 
 
 def vectors_by_agent(world):
-    return {a: action_probability_vector(a, world.log)
-            for a in world.agent_order()}
+    vectors = action_probability_vector(world.log)
+    return {a: vectors[a] for a in world.agent_order()}
 
 
 def test_ac1_stub_calibration(run98):

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traitsim import analytics
 from traitsim.analytics import (
     Chain,
     action_probability_vector,
@@ -25,6 +27,7 @@ from traitsim.core import (
     ActionRecord,
     ContentItem,
     Order,
+    action_category,
 )
 
 
@@ -32,31 +35,74 @@ def rec(agent, kind, iteration=1, target=None, payload=None, order=Order.NA):
     return ActionRecord(iteration, agent, Action(kind, target, payload), order)
 
 
+def _reference_action_probability_vector(agent_id, log):
+    """The per-agent scan the one-pass count replaced: one full pass over the
+    log for one agent."""
+    counts = dict.fromkeys(analytics.CATEGORIES, 0)
+    for record in log:
+        if record.agent != agent_id:
+            continue
+        category = action_category(record.action.kind)
+        if category != "excluded":
+            counts[category] += 1
+    total = sum(counts.values())
+    if total == 0:
+        raise ValueError(f"agent {agent_id!r} absent from log")
+    return ActionDistribution(*(counts[c] / total
+                                for c in analytics.CATEGORIES))
+
+
 class TestActionProbabilityVector:
     def test_all_inactive(self):
         log = [rec("a", ActionKind.INACTIVE, it) for it in range(1, 26)]
-        assert action_probability_vector("a", log).as_tuple() == (0, 0, 0, 1)
+        assert action_probability_vector(log)["a"].as_tuple() == (0, 0, 0, 1)
 
     def test_mixed_counts(self):
         log = ([rec("a", ActionKind.POST, payload="x")] * 13
                + [rec("a", ActionKind.RESHARE, target=1, order=Order.FIRST)] * 12)
-        v = action_probability_vector("a", log)
+        v = action_probability_vector(log)["a"]
         assert v.as_tuple() == pytest.approx((0.52, 0.48, 0.0, 0.0))
 
     def test_follow_is_excluded(self):
         log = [rec("a", ActionKind.POST, payload="x"),
                rec("a", ActionKind.FOLLOW, target="b")]
-        assert action_probability_vector("a", log).p_post == 1.0
+        assert action_probability_vector(log)["a"].p_post == 1.0
 
     def test_reactions_pool_into_interact(self):
         log = [rec("a", k, target=1, order=Order.FIRST)
                for k in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT)]
         log[-1].action.payload = "c"
-        assert action_probability_vector("a", log).p_interact == 1.0
+        assert action_probability_vector(log)["a"].p_interact == 1.0
 
     def test_absent_agent_rejected(self):
-        with pytest.raises(ValueError, match="absent"):
-            action_probability_vector("ghost", [])
+        with pytest.raises(KeyError):
+            action_probability_vector([])["ghost"]
+
+    def test_follow_only_agent_has_no_vector(self):
+        log = [rec("a", ActionKind.POST, payload="x"),
+               rec("f", ActionKind.FOLLOW, target="a"),
+               rec("f", ActionKind.FOLLOW, target="a", iteration=2)]
+        assert sorted(action_probability_vector(log)) == ["a"]
+
+    @given(st.lists(st.tuples(st.sampled_from("abcde"),
+                              st.sampled_from(list(ActionKind))),
+                    max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_equals_per_agent_scan(self, choices):
+        shape = {ActionKind.POST: dict(payload="x"),
+                 ActionKind.FOLLOW: dict(target="b"),
+                 ActionKind.INACTIVE: {}}
+        log = [rec(agent, kind, **shape.get(kind, dict(
+                   target=1, payload="c", order=Order.FIRST)))
+               for agent, kind in choices]
+        expected = {}
+        for agent in sorted({agent for agent, _ in choices}):
+            try:
+                expected[agent] = _reference_action_probability_vector(agent,
+                                                                       log)
+            except ValueError:
+                pass  # follow-only: no vector
+        assert action_probability_vector(log) == expected
 
 
 def corner_vectors(per_corner=5, jitter=0.02, seed=0):
@@ -128,6 +174,115 @@ class TestSilhouette:
     def test_single_cluster_scores_zero(self):
         X = np.random.default_rng(0).random((6, 4))
         assert silhouette_score(X, np.zeros(6, dtype=int)) == 0.0
+
+
+def _reference_kmeans_once(X, k, rng, tol=1e-6, max_iter=300):
+    """The k-means restart as first written: the k-means++ d2 recomputed
+    over all centers, ``rng.choice`` for the seeds and one mask per cluster
+    for the centroid means."""
+    centers = [X[rng.integers(len(X))]]
+    while len(centers) < k:
+        d2 = np.min(((X[:, None, :] - np.array(centers)[None]) ** 2).sum(-1),
+                    axis=1)
+        total = d2.sum()
+        if total == 0:
+            centers.append(X[rng.integers(len(X))])
+        else:
+            centers.append(X[rng.choice(len(X), p=d2 / total)])
+    C = np.array(centers)
+    for _ in range(max_iter):
+        labels = np.argmin(((X[:, None, :] - C[None]) ** 2).sum(-1), axis=1)
+        new_C = np.array([
+            X[labels == j].mean(axis=0) if np.any(labels == j) else C[j]
+            for j in range(k)
+        ])
+        shift = np.abs(new_C - C).max()
+        C = new_C
+        if shift < tol:
+            break
+    labels = np.argmin(((X[:, None, :] - C[None]) ** 2).sum(-1), axis=1)
+    inertia = float(((X - C[labels]) ** 2).sum())
+    return C, labels, inertia
+
+
+def _reference_silhouette_score(X, labels):
+    """The silhouette as first written: a dense n x n distance matrix and
+    fresh cluster masks for every point."""
+    D = np.sqrt(((X[:, None, :] - X[None]) ** 2).sum(-1))
+    present = sorted(set(labels.tolist()))
+    if len(present) < 2:
+        return 0.0
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        same = labels == labels[i]
+        n_same = same.sum() - 1
+        if n_same == 0:
+            scores[i] = 0.0
+            continue
+        a = D[i, same].sum() / n_same
+        b = min(D[i, labels == j].mean() for j in present if j != labels[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_coordinate = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+                        st.floats(0.0, 1.0))
+_row = st.tuples(_coordinate, _coordinate, _coordinate, _coordinate)
+# Coordinates from a small grid give duplicate rows and exact distance ties;
+# all-identical rows give an all-zero k-means++ d2.
+matrices = st.one_of(
+    st.lists(_row, min_size=1, max_size=40).map(np.array),
+    st.builds(lambda row, n: np.array([row] * n), _row, st.integers(1, 20)),
+)
+
+
+class TestKMeansMatchesReference:
+    @given(matrices, st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_same_centroids_labels_inertia_and_draws(self, X, k, seed):
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        C_ref, labels_ref, inertia_ref = _reference_kmeans_once(X, k, rng_ref)
+        C, labels, inertia = analytics._kmeans_once(X, k, rng)
+        assert C.shape == C_ref.shape and _bits(C) == _bits(C_ref)
+        assert labels.tolist() == labels_ref.tolist()
+        assert _bits(inertia) == _bits(inertia_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+class TestSilhouetteMatchesReference:
+    @given(matrices, st.data(), st.sampled_from([1, 7, 1 << 20]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_in_any_chunking(self, X, data, chunk):
+        # up to 40 points in clusters of one to all of them: singletons,
+        # gaps in the label values, one-cluster labelings and clusters long
+        # enough for numpy's pairwise summation all occur
+        top = data.draw(st.integers(0, 5))
+        labels = np.array(data.draw(st.lists(st.integers(0, top),
+                                             min_size=len(X),
+                                             max_size=len(X))))
+        with np.errstate(invalid="ignore"):  # 0/0 where a == b == 0
+            expected = _reference_silhouette_score(X, labels)
+            with mock.patch.object(analytics, "SILHOUETTE_CHUNK", chunk):
+                got = silhouette_score(X, labels)
+        assert _bits(got) == _bits(expected)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        n = 2000  # a dense n x n x 4 float tensor would be 128 MB
+        X = np.random.default_rng(1).random((n, 4))
+        labels = np.arange(n) % 3
+        tracemalloc.start()
+        try:
+            silhouette_score(X, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * analytics.SILHOUETTE_CHUNK
 
 
 class TestProjection:

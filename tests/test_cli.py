@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -153,6 +154,22 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert "line 2" in err and "unknown trait" in err
 
+    @pytest.mark.parametrize("line, key", [
+        ('{"id": 5, "identity_text": "x"}', "'id'"),
+        ('{"id": "b", "identity_text": 7}', "'identity_text'"),
+        ('{"id": null, "identity_text": "x"}', "'id'"),
+    ], ids=["int-id", "int-text", "null-id"])
+    def test_persona_id_and_text_must_be_strings(self, tmp_path, capsys,
+                                                 line, key):
+        path = tmp_path / "personas.jsonl"
+        path.write_text('{"id": "a", "identity_text": "x"}\n' + line + "\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--personas", str(path), "--configuration",
+                     "IdentityOnly", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and key in err and "must be a string" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("personas, follows, message", [
         ('{"id": "a", "identity_text": "x"}\n' * 2, None, "duplicate"),
         ("\n", None, "empty persona set"),
@@ -296,6 +313,105 @@ class TestAnalyze:
         text = (Path(a) / "summary.txt").read_text()
         assert "U=" in text and "p=" in text
 
+    def test_follow_only_agents_are_left_out(self, tmp_path, personas_file,
+                                             capsys):
+        run = simulate(tmp_path, personas_file)
+        records = [json.loads(line) for line in
+                   (run / "actions.jsonl").read_text().splitlines()]
+        agents = sorted({r["agent"] for r in records})
+        follower, followee = agents[0], agents[1]
+        for r in records:
+            if r["agent"] == follower:
+                r.update(kind="follow", target=followee, payload=None,
+                         order="not_applicable")
+        (run / "actions.jsonl").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        assert main(["analyze", "--run", str(run)]) == 0
+        summary = (run / "summary.txt").read_text().splitlines()
+        assert "follow-only agents left out of clustering: 1" in summary
+        assert any(line.startswith("clustering: k=") for line in summary)
+        clustered = [row[0] for row in read_csv(run / "clusters.csv")[1:]]
+        assert clustered == agents[1:]
+
+    @pytest.mark.parametrize("name, corrupt, line", [
+        ("actions.jsonl", lambda text: text[:-20], "last"),
+        ("actions.jsonl",
+         lambda text: text.replace('"not_applicable"', '"sideways"', 1),
+         "first-na"),
+        ("content.jsonl", lambda text: text.replace('"counters"', '"count"', 1),
+         1),
+        ("content.jsonl", lambda text: "[1, 2]\n" + text, 1),
+        ("agents.jsonl", lambda text: text + "{oops\n", "last"),
+        ("agents.jsonl", lambda text: text.replace('"agent_id"', '"id"', 1),
+         1),
+    ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
+            "content-not-object", "agents-broken-json", "agents-missing-key"])
+    def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
+                                         name, corrupt, line):
+        run = simulate(tmp_path, personas_file)
+        text = (run / name).read_text()
+        lines = corrupt(text).splitlines()
+        if line == "last":
+            line = len(lines)
+        elif line == "first-na":
+            line = next(n for n, l in enumerate(lines, 1) if "sideways" in l)
+        (run / name).write_text(corrupt(text))
+        assert main(["analyze", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{run / name} line {line}:" in err
+
+    def test_malformed_manifest_is_named(self, tmp_path, personas_file,
+                                         capsys):
+        run = simulate(tmp_path, personas_file)
+        (run / "manifest.json").write_text('{"schema_version": ')
+        assert main(["analyze", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert f"malformed manifest {run / 'manifest.json'}" in err
+
+    def test_missing_content_file_is_named(self, tmp_path, personas_file,
+                                           capsys):
+        run = simulate(tmp_path, personas_file)
+        (run / "content.jsonl").unlink()
+        assert main(["analyze", "--run", str(run)]) == 1
+        assert f"not found: {run / 'content.jsonl'}" in capsys.readouterr().err
+
+    def test_same_directory_compare_parses_the_run_once(
+            self, tmp_path, personas_file, monkeypatch):
+        run = simulate(tmp_path, personas_file)
+        calls = {"load_run": 0, "trace_chains": 0}
+        for name in calls:
+            real = getattr(cli, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        assert main(["analyze", "--run", str(run), "--compare",
+                     str(tmp_path / "." / "run")]) == 0
+        assert calls == {"load_run": 1, "trace_chains": 1}
+        assert "U=" in (run / "summary.txt").read_text()
+
+    def test_other_directory_compare_reads_only_its_content(
+            self, tmp_path, personas_file, monkeypatch):
+        a = simulate(tmp_path, personas_file, "a")
+        b = simulate(tmp_path, personas_file, "b",
+                     extra=["--configuration", "RandomRecommendation"])
+        read = []
+        real_read_text = Path.read_text
+
+        def spy(path, *args, **kwargs):
+            read.append(Path(path))
+            return real_read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy)
+        assert main(["analyze", "--run", str(a), "--compare", str(b)]) == 0
+        # the manifest is read for its schema check, as for the analyzed run
+        assert sorted(p.name for p in read if p.parent == b) == [
+            "content.jsonl", "manifest.json"]
+        assert "U=" in (a / "summary.txt").read_text()
+
     def test_empty_k_range_is_an_error(self, tmp_path, personas_file, capsys):
         run = simulate(tmp_path, personas_file)
         assert main(["analyze", "--run", str(run), "--k-min", "5",
@@ -314,6 +430,35 @@ class TestAnalyze:
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert main(["analyze", "--run", str(run)]) == 1
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestAnalyzeGoldenDigests:
+    """Digests of every analyze output for one fixed run, recorded from the
+    per-agent log scans, the dense silhouette and the double parse of
+    ``--compare``. Any change to what analyze writes for this run fails
+    here."""
+
+    GOLDEN = {
+        "clusters.csv": "acbbd598bd49c051962d2e477b624e4224ac1ec37230de3a1ea81174e33b97b6",
+        "chains.csv": "e47280023de1cb104d6de9bfb75d1fcb836ee7b4de88de61ef34b470ce5e648a",
+        "chain_table.csv": "5cbee4e11f64db189b652fb4ca9ee8a10559e4430ead8ede1b6659724e2c4be5",
+        "order_dynamics.csv": "7693df9f8ba3fcc13e3425b6991fb4b715c4d9d7b1cbac743174065441cee256",
+        "content_mix.csv": "6d4e364c2a486190aa055552cd71e44e8c1e739a6491b6a976747d9792a80ffa",
+        "centrality_resharing.csv": "8b8053631ac64970e731074704ef67f813aa0c0dd817a33813ba519523e6e487",
+        "centrality_interaction.csv": "6e619513168bcd1e49fa463be9f0b73eaddba84fb766151f47bba90f1d3ef343",
+        "summary.txt": "9659b4874a4b8876cd74160b78f2c28ac16e71596a13928a4831e94d4a95bfad",
+    }
+
+    def test_outputs_match_recorded_digests(self, tmp_path, personas_file,
+                                            monkeypatch):
+        simulate(tmp_path, personas_file)  # 28 agents, 8 iterations, seed 5
+        monkeypatch.chdir(tmp_path)  # summary.txt names the run as given
+        assert main(["analyze", "--run", "run", "--compare", "run",
+                     "--out", "analysis"]) == 0
+        digests = {name: hashlib.sha256(
+                       (tmp_path / "analysis" / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert digests == self.GOLDEN
 
 
 DAY = 86400
