@@ -33,6 +33,7 @@ from .analytics import (
 )
 from .core import Trait
 from .engine import (
+    CONFIGURATIONS,
     SCHEMA_VERSION,
     SimulationConfig,
     check_integrity,
@@ -160,17 +161,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _present(section: dict, keys) -> dict:
+    """``section`` cut to ``keys``; a dataclass supplies the rest."""
+    return {key: section[key] for key in keys if key in section}
+
+
 def _make_backend(backend_cfg: dict):
     if backend_cfg.get("type", "stub") == "stub":
         return StubBackend()
     if "endpoint" not in backend_cfg or "model" not in backend_cfg:
         raise CliError("llm backend requires 'endpoint' and 'model'")
     return LLMBackend(EndpointConfig(
-        url=backend_cfg["endpoint"],
-        model=backend_cfg["model"],
-        temperature=backend_cfg.get("temperature", 0.7),
-        timeout=backend_cfg.get("timeout", 60.0),
-    ))
+        url=backend_cfg["endpoint"], model=backend_cfg["model"],
+        **_present(backend_cfg, ("temperature", "timeout"))))
 
 
 def cmd_simulate(args) -> int:
@@ -205,10 +208,8 @@ def cmd_simulate(args) -> int:
 
     try:
         sim_config = SimulationConfig(
-            configuration=cfg.get("configuration", "FullModel"),
-            iterations=cfg.get("iterations", 25),
-            feed_size=cfg.get("feed_size", 5),
-            master_seed=cfg.get("master_seed", 0),
+            **_present(cfg, ("configuration", "iterations", "feed_size",
+                             "master_seed")),
             memory=MemoryParams(**cfg.get("memory", {})),
         )
     except ValueError as err:
@@ -447,8 +448,11 @@ def cmd_ground(args) -> int:
         if not args.endpoint or not args.model:
             raise CliError("identity inference requires --endpoint and --model "
                            "(or pass --no-identity-inference)")
-        backend = LLMBackend(EndpointConfig(url=args.endpoint, model=args.model,
-                                            temperature=args.temperature))
+        backend_cfg = {"type": "llm", "endpoint": args.endpoint,
+                       "model": args.model}
+        if args.temperature is not None:
+            backend_cfg["temperature"] = args.temperature
+        backend = _make_backend(backend_cfg)
 
     follow_edges = []
     if args.follows:
@@ -496,9 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON config file")
     sim.add_argument("--personas", help="personas jsonl file")
     sim.add_argument("--follows", help="follower,followee csv file")
-    sim.add_argument("--configuration", choices=("FullModel", "IdentityOnly",
-                                                 "RandomRecommendation",
-                                                 "PsychometricTraits"))
+    sim.add_argument("--configuration", choices=CONFIGURATIONS)
     sim.add_argument("--backend", choices=("stub", "llm"))
     sim.add_argument("--endpoint")
     sim.add_argument("--model")
@@ -526,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--cap", type=int, default=1000)
     grd.add_argument("--endpoint")
     grd.add_argument("--model")
-    grd.add_argument("--temperature", type=float, default=0.7)
+    grd.add_argument("--temperature", type=float)
     grd.add_argument("--no-identity-inference", action="store_true")
     grd.add_argument("--out", required=True)
     grd.set_defaults(func=cmd_ground)

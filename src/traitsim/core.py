@@ -154,15 +154,18 @@ class Action:
 
     def validate_shape(self) -> None:
         k = self.kind
-        if k is ActionKind.POST and not self.payload:
-            raise ValueError("post requires payload text")
-        if k in ENGAGEMENT_KINDS and not isinstance(self.target, int):
-            raise ValueError(f"{k.value} requires a content-id target")
-        if k is ActionKind.COMMENT and not self.payload:
-            raise ValueError("comment requires payload text")
-        if k is ActionKind.FOLLOW and not isinstance(self.target, str):
-            raise ValueError("follow requires an agent-id target")
-        if k is ActionKind.INACTIVE and (self.target is not None or self.payload):
+        if k in ENGAGEMENT_KINDS:
+            if type(self.target) is not int:  # a bool is no content id
+                raise ValueError(f"{k.value} requires a content-id target")
+            if k is ActionKind.COMMENT and not self.payload:
+                raise ValueError("comment requires payload text")
+        elif k is ActionKind.POST:
+            if not self.payload:
+                raise ValueError("post requires payload text")
+        elif k is ActionKind.FOLLOW:
+            if not isinstance(self.target, str):
+                raise ValueError("follow requires an agent-id target")
+        elif self.target is not None or self.payload:  # INACTIVE
             raise ValueError("inactive carries neither target nor payload")
 
 

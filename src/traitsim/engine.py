@@ -8,7 +8,8 @@ phase reads is therefore the snapshot left by the previous iteration, with no
 filter: decisions never see same-iteration actions, so the decision phase is
 order-independent and the whole run is bit-reproducible from the master seed
 under the stub backend: every agent draws from its own RNG stream keyed by
-(master seed, iteration, agent index).
+(master seed, iteration, agent index). A decision writes only its own agent's
+memory; the world changes only in the apply phase.
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -87,51 +88,43 @@ class AgentState:
     memory: MemoryUnit = field(default_factory=MemoryUnit)
     index: int = 0  # stable position in the sorted agent-id order
     reshared_ids: set = field(default_factory=set)
-    own_content_ids: set = field(default_factory=set)
-
-
-@dataclass
-class ContentIndex:
-    """Append-only index over a content store, for feed recommendation.
-
-    ``sync`` extends it with the ids from the previous sync's
-    ``next_content_id`` up to the current one; it is never rebuilt.
-    ``recommend_feed`` syncs it when a feed needs it: for an agent with
-    followees, and for the random strategy. The store's ids are dense
-    (``1 ... next_content_id - 1``), so the id order needs no index of its
-    own.
-    """
-
-    by_author: dict = field(default_factory=dict)  # author -> ascending ids
-    reshares_by_author: dict = field(default_factory=dict)  # author -> re-share ids
-    synced_to: int = 1  # the store's next_content_id at the previous sync
-
-    def sync(self, content: dict, next_content_id: int) -> None:
-        for cid in range(self.synced_to, next_content_id):
-            item = content[cid]
-            self.by_author.setdefault(item.author, []).append(cid)
-            if item.is_reshare:
-                self.reshares_by_author.setdefault(item.author, []).append(cid)
-        self.synced_to = next_content_id
 
 
 @dataclass
 class WorldState:
+    """Agents, content store and action log of one run. Content enters only
+    through ``add_content``, which records its author; the store's ids are
+    dense (``1 ... next_content_id - 1``) and chronological."""
+
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState
     content: dict = field(default_factory=dict)  # content_id -> ContentItem
     log: list = field(default_factory=list)  # ActionRecord, append-only
     iteration: int = 0
     next_content_id: int = 1
-    index: ContentIndex = field(default_factory=ContentIndex, repr=False,
-                                compare=False)
+    authored: dict = field(default_factory=dict)  # author -> set of ids
+    reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
 
     def agent_order(self) -> list:
         return sorted(self.agents)
 
-    def content_index(self) -> ContentIndex:
-        """The content index, extended with any items added since last use."""
-        self.index.sync(self.content, self.next_content_id)
-        return self.index
+    def add_content(self, author: str, iteration: int, text: str,
+                    topic: Optional[str],
+                    parent: Optional[ContentItem] = None) -> ContentItem:
+        """Store a new original, or a re-share of ``parent``, under the next
+        content id and record its author."""
+        item = ContentItem(
+            content_id=self.next_content_id, author=author,
+            iteration_created=iteration, text=text, topic=topic,
+            parent=None if parent is None else parent.content_id,
+            root=None if parent is None else parent.root,
+        )
+        self.next_content_id += 1
+        self.content[item.content_id] = item
+        self.authored.setdefault(author, set()).add(item.content_id)
+        if parent is not None:
+            self.reshares_by_author.setdefault(author, []).append(
+                item.content_id)
+        return item
 
 
 def _trait_variants(persona: dict, configuration: str) -> list:
@@ -195,9 +188,10 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     No item needs hiding as too new: ``run_iteration`` applies actions only
     after every agent has decided, so the store is the previous iteration's.
 
-    Cost per call with the random strategy: O(followee re-shares + excluded
-    items + k), up to a log factor, where the excluded items are the agent's
-    own content and the forced re-shares (both from ``world.content_index()``)
+    Reads the world and writes nothing to it. Cost per call with the random
+    strategy: O(followee re-shares + excluded items + k), up to a log factor,
+    where the excluded items are the agent's own content
+    (``world.authored``), the forced re-shares (``world.reshares_by_author``)
     and its re-shared ids; sampled ranks map straight to the dense ids.
     The preference ranking adds a newest-first scan of the store that stops
     once the topic matches fill the slots left after the forced re-shares:
@@ -209,10 +203,9 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
 
     forced = []
     if agent.profile.following:
-        by_author = world.content_index().reshares_by_author
         forced = [item for author in agent.profile.following if author != me
                   for item in map(world.content.__getitem__,
-                                  by_author.get(author, ()))
+                                  world.reshares_by_author.get(author, ()))
                   if item.content_id not in agent.reshared_ids]
         forced.sort(key=lambda it: (-it.iteration_created, -it.content_id))
     forced_ids = {item.content_id for item in forced}
@@ -239,7 +232,7 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         # The draw depends only on (pool size, take), so sample ranks in the
         # dense id order 1 ... next_content_id - 1 minus the excluded ids,
         # without building the pool.
-        own = world.content_index().by_author.get(me, ())
+        own = world.authored.get(me, ())
         excluded = sorted({cid for cid in (*own, *agent.reshared_ids,
                                            *forced_ids)
                            if cid in world.content})
@@ -281,27 +274,15 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
     action = Action(kind=kind, target=decision.target, payload=decision.payload)
 
     if kind is ActionKind.POST:
-        item = ContentItem(
-            content_id=world.next_content_id, author=profile.agent_id,
-            iteration_created=iteration, text=decision.payload,
-            topic=profile.topic,
-        )
-        world.next_content_id += 1
-        world.content[item.content_id] = item
-        agent.own_content_ids.add(item.content_id)
+        world.add_content(profile.agent_id, iteration, decision.payload,
+                          profile.topic)
     elif kind is ActionKind.RESHARE:
         parent = world.content[decision.target]
         if decision.target in agent.reshared_ids:
             raise ValueError(f"{profile.agent_id} already re-shared "
                              f"{decision.target}")
-        item = ContentItem(
-            content_id=world.next_content_id, author=profile.agent_id,
-            iteration_created=iteration, text=parent.text, topic=parent.topic,
-            parent=parent.content_id, root=parent.root,
-        )
-        world.next_content_id += 1
-        world.content[item.content_id] = item
-        agent.own_content_ids.add(item.content_id)
+        world.add_content(profile.agent_id, iteration, parent.text,
+                          parent.topic, parent)
         agent.reshared_ids.add(parent.content_id)
         parent.counters.reshares += 1
         world.content[parent.root].cascade_reshares += 1
@@ -358,13 +339,13 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
         for entry in feed:
             stm_observe(agent.memory, world.content[entry.content_id],
                         iteration, config.memory, analyzer)
-        for cid in agent.own_content_ids:
+        own = world.authored.get(agent_id, frozenset())
+        for cid in own:
             item = world.content[cid]
             if iteration - item.iteration_created <= config.memory.decay_horizon:
                 stm_observe(agent.memory, item, iteration, config.memory, analyzer)
         prompt = build_prompt(agent.profile, agent.memory, feed, iteration,
-                              frozenset(agent.own_content_ids),
-                              others_exist=len(world.agents) > 1)
+                              own, others_exist=len(world.agents) > 1)
         context = DecisionContext(
             agent=agent.profile, iteration=iteration,
             rng=agent_rng(config.master_seed, iteration, agent.index, 1),
@@ -373,10 +354,8 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
 
     for agent_id in world.agent_order():
         agent = world.agents[agent_id]
-        decision = decisions[agent_id]
-        apply_action(world, agent, decision, iteration)
-        am_record(agent.memory.am, Action(decision.choice, decision.target,
-                                          decision.payload), iteration,
+        apply_action(world, agent, decisions[agent_id], iteration)
+        am_record(agent.memory.am, world.log[-1].action, iteration,
                   config.memory)
 
     if iteration % config.memory.eval_period == 0:
@@ -424,9 +403,18 @@ def record_to_dict(record: ActionRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> ActionRecord:
+    """The inverse of ``record_to_dict``; a wrongly typed agent or iteration
+    is a ``TypeError``, a misshaped action a ``ValueError``."""
+    agent, iteration = d["agent"], d["iteration"]
+    if type(agent) is not str:
+        raise TypeError(f"agent must be a string, got {json.dumps(agent)}")
+    if type(iteration) is not int:  # a JSON true/false is not
+        raise TypeError(f"iteration must be an integer, got "
+                        f"{json.dumps(iteration)}")
+    action = Action(ActionKind(d["kind"]), d.get("target"), d.get("payload"))
+    action.validate_shape()
     return ActionRecord(
-        iteration=d["iteration"], agent=d["agent"],
-        action=Action(ActionKind(d["kind"]), d.get("target"), d.get("payload")),
+        iteration=iteration, agent=agent, action=action,
         order=Order(d["order"]), reason_text=d.get("reason", ""),
     )
 

@@ -27,7 +27,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
 import requests
@@ -139,12 +139,13 @@ def permitted_actions(feed: Sequence[FeedEntry], iteration: int,
 
 def build_prompt(agent: AgentProfile, memory: MemoryUnit,
                  feed: Sequence[FeedEntry], iteration: int,
-                 own_content_ids: frozenset = frozenset(),
+                 authored: AbstractSet[int] = frozenset(),
                  others_exist: bool = True) -> DecisionPrompt:
     """Deterministically render the decision prompt for one agent-iteration.
 
     The behavioral (or psychometric) trait prompt is embedded in the system
-    text; identity-only agents get the identity text alone.
+    text; identity-only agents get the identity text alone. ``authored``
+    holds the ids of the agent's own content, for the feedback section.
     """
     system_parts = [agent.identity_text]
     if agent.trait is not None:
@@ -152,7 +153,7 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
     system_text = "\n\n".join(system_parts)
 
     feedback_lines = []
-    for cid in sorted(own_content_ids):
+    for cid in sorted(authored):
         entry = memory.stm.get(cid)
         if entry is not None:
             feedback_lines.append(
@@ -161,7 +162,7 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
                 f"{entry.comments} comments."
             )
     for cid, ltm_entry in sorted(memory.ltm.items()):
-        if cid in own_content_ids and not memory.stm.get(cid):
+        if cid in authored and not memory.stm.get(cid):
             feedback_lines.append(
                 f"Your content [{cid}] had lasting impact "
                 f"(engagement score {ltm_entry.engagement_score:g})."

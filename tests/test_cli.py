@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from traitsim import cli
 from traitsim.cli import main
 from traitsim.engine import SimulationConfig
-from traitsim.reasoning import StubBackend, TransportError
+from traitsim.reasoning import EndpointConfig, StubBackend, TransportError
 
 from conftest import make_personas
 
@@ -29,6 +30,18 @@ def simulate(tmp_path, personas_file, out_name="run", extra=()):
     return out
 
 
+def edit_first_record(kind, **fields):
+    """A corruption of actions.jsonl: set ``fields`` on its first record of
+    ``kind`` (of any kind for None)."""
+    def corrupt(text):
+        records = [json.loads(line) for line in text.splitlines()]
+        n = next(n for n, r in enumerate(records)
+                 if kind is None or r["kind"] == kind)
+        records[n].update(fields)
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return corrupt
+
+
 class TestSimulate:
     def test_writes_artifact_bundle(self, tmp_path, personas_file):
         out = simulate(tmp_path, personas_file)
@@ -42,6 +55,18 @@ class TestSimulate:
         assert manifest["completed_iterations"] == 8
         digest = next(iter(manifest["inputs"].values()))
         assert len(digest) == 64  # sha256 of the personas file
+        bare = tmp_path / "bare"
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--out", str(bare)]) == 0
+        manifest = json.loads((bare / "manifest.json").read_text())
+        defaults = SimulationConfig()
+        assert manifest["master_seed"] == defaults.master_seed
+        assert manifest["completed_iterations"] == defaults.iterations
+        assert manifest["config"] == {
+            "configuration": defaults.configuration,
+            "iterations": defaults.iterations,
+            "feed_size": defaults.feed_size,
+            "backend": {}, "memory": asdict(defaults.memory)}
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, personas_file):
         a = simulate(tmp_path, personas_file, "run_a")
@@ -344,8 +369,17 @@ class TestAnalyze:
         ("agents.jsonl", lambda text: text + "{oops\n", "last"),
         ("agents.jsonl", lambda text: text.replace('"agent_id"', '"id"', 1),
          1),
+        ("actions.jsonl", edit_first_record(None, agent=5), "edited"),
+        ("actions.jsonl", edit_first_record(None, iteration="3"), "edited"),
+        ("actions.jsonl", edit_first_record(None, iteration=True), "edited"),
+        ("actions.jsonl", edit_first_record("like", target="x"), "edited"),
+        ("actions.jsonl", edit_first_record("like", target=True), "edited"),
+        ("actions.jsonl", edit_first_record("post", payload=None), "edited"),
     ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
-            "content-not-object", "agents-broken-json", "agents-missing-key"])
+            "content-not-object", "agents-broken-json", "agents-missing-key",
+            "actions-int-agent", "actions-str-iteration",
+            "actions-bool-iteration", "actions-like-str-target",
+            "actions-like-bool-target", "actions-post-null-payload"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)
@@ -355,6 +389,9 @@ class TestAnalyze:
             line = len(lines)
         elif line == "first-na":
             line = next(n for n, l in enumerate(lines, 1) if "sideways" in l)
+        elif line == "edited":
+            line = next(n for n, (old, new) in enumerate(
+                zip(text.splitlines(), lines), 1) if old != new)
         (run / name).write_text(corrupt(text))
         assert main(["analyze", "--run", str(run)]) == 1
         err = capsys.readouterr().err
@@ -554,6 +591,26 @@ class TestGround:
         assert main(["ground", "--records", str(records),
                      "--out", str(tmp_path / "x")]) == 1
         assert "identity inference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, temperature", [
+        ((), EndpointConfig.temperature), (("--temperature", "0.2"), 0.2)])
+    def test_identity_backend_takes_endpoint_defaults(
+            self, tmp_path, monkeypatch, flags, temperature):
+        endpoints = []
+
+        def infer(posts, backend):
+            endpoints.append(backend.endpoint)
+            return "inferred"
+
+        monkeypatch.setattr(cli, "infer_identity", infer)
+        records = ground_records(tmp_path)
+        assert main(["ground", "--records", str(records), "--endpoint",
+                     "http://localhost:1/v1", "--model", "m", *flags,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert endpoints and all(
+            e == EndpointConfig("http://localhost:1/v1", "m",
+                                temperature=temperature)
+            for e in endpoints)
 
 
 class TestGroundToSimulate:

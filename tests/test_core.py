@@ -93,9 +93,9 @@ class TestActionShape:
 
     def test_engagements_require_content_id(self):
         for kind in ENGAGEMENT_KINDS:
-            with pytest.raises(ValueError):
-                Action(kind, target="not-an-id",
-                       payload="x").validate_shape()
+            for target in ("not-an-id", True):
+                with pytest.raises(ValueError):
+                    Action(kind, target=target, payload="x").validate_shape()
         Action(ActionKind.LIKE, target=7).validate_shape()
 
     def test_comment_requires_text(self):

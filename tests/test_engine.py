@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from traitsim.core import (
     Action,
     ActionKind,
-    ContentItem,
     Order,
     Trait,
 )
@@ -49,18 +50,12 @@ def grounded_personas():
 
 
 def add_post(world, author, iteration, topic="Music", text="t"):
-    item = ContentItem(world.next_content_id, author, iteration, text, topic)
-    world.next_content_id += 1
-    world.content[item.content_id] = item
-    return item
+    return world.add_content(author, iteration, text, topic)
 
 
 def add_reshare(world, author, iteration, parent):
-    item = ContentItem(world.next_content_id, author, iteration, parent.text,
-                       parent.topic, parent=parent.content_id, root=parent.root)
-    world.next_content_id += 1
-    world.content[item.content_id] = item
-    return item
+    return world.add_content(author, iteration, parent.text, parent.topic,
+                             parent)
 
 
 def _reference_recommend_feed(agent, world, strategy, k, rng,
@@ -280,47 +275,88 @@ def chronological_worlds(draw):
         max_size=40))
     agent = world.agents[authors[0]]
     agent.profile.following = set(draw(st.lists(st.sampled_from(authors))))
-    primed = draw(st.integers(0, len(items)))  # items indexed before the call
-    return (world, agent, items, primed,
+    return (world, agent, items,
             draw(st.lists(st.integers(1, len(items) + 2), max_size=6)),
             draw(st.integers(1, 8)), draw(st.sampled_from(["preference", "random"])),
             draw(st.integers(0, 2**32 - 1)))
+
+
+def fill(world, items):
+    """Add ``chronological_worlds`` items to the store in creation order."""
+    iteration = 1
+    for author, step, topic, parent in items:
+        iteration += step
+        if parent is None or not world.content:
+            add_post(world, author, iteration, topic=topic)
+        else:
+            add_reshare(world, author, iteration,
+                        world.content[1 + parent % len(world.content)])
+    world.iteration = iteration
 
 
 class TestRecommendFeedMatchesReference:
     @given(chronological_worlds())
     @settings(max_examples=200, deadline=None)
     def test_same_feed_and_same_draws(self, case):
-        world, agent, items, primed, reshared, k, strategy, seed = case
-        iteration = 1
-        for n, (author, step, topic, parent) in enumerate(items):
-            if n == primed:  # index a prefix, as in a run between iterations
-                recommend_feed(agent, world, "random", 1,
-                               np.random.default_rng(0))
-            iteration += step
-            if parent is None or not world.content:
-                add_post(world, author, iteration, topic=topic)
-            else:
-                add_reshare(world, author, iteration,
-                            world.content[1 + parent % len(world.content)])
+        world, agent, items, reshared, k, strategy, seed = case
+        fill(world, items)
         agent.reshared_ids = set(reshared)
-        world.iteration = iteration
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
         feed = recommend_feed(agent, world, strategy, k, rng)
         expected = _reference_recommend_feed(agent, world, strategy, k, ref_rng)
         assert [e.content_id for e in feed] == expected
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_index_extends_instead_of_rebuilding(self):
+    @given(chronological_worlds())
+    @settings(max_examples=100, deadline=None)
+    def test_feed_writes_nothing_shared(self, case):
+        """A decision runs ``recommend_feed`` while other agents decide, so
+        it must leave the store, the id counter and the authorship record as
+        it found them."""
+        world, agent, items, reshared, k, _, seed = case
+        fill(world, items)
+        agent.reshared_ids = set(reshared)
+        before = copy.deepcopy(world)
+        for strategy in ("preference", "random"):
+            recommend_feed(agent, world, strategy, k,
+                           np.random.default_rng(seed))
+        assert world.content == before.content
+        assert world.next_content_id == before.next_content_id
+        assert world.authored == before.authored
+        assert world.reshares_by_author == before.reshares_by_author
+        assert agent.reshared_ids == set(reshared)
+
+
+class TestAddContent:
+    def test_allocates_stores_and_records_the_author(self):
         world = WorldState()
         first = add_post(world, "a", 1)
-        index = world.content_index()
         second = add_reshare(world, "b", 2, first)
-        assert world.content_index() is index
-        assert index.synced_to == world.next_content_id
-        assert index.by_author == {"a": [first.content_id],
-                                   "b": [second.content_id]}
-        assert index.reshares_by_author == {"b": [second.content_id]}
+        third = add_post(world, "a", 2, topic=None)
+        assert [first.content_id, second.content_id, third.content_id] == [1, 2, 3]
+        assert world.next_content_id == 4
+        assert world.content == {1: first, 2: second, 3: third}
+        assert (second.parent, second.root, second.text) == (1, 1, first.text)
+        assert world.authored == {"a": {1, 3}, "b": {2}}
+        assert world.reshares_by_author == {"b": [2]}
+
+    @pytest.mark.parametrize("configuration",
+                             ["FullModel", "RandomRecommendation"])
+    def test_authorship_matches_the_store_after_a_run(self, configuration):
+        personas = make_personas(3)
+        cfg = config(configuration=configuration, iterations=6)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + 1) % len(order)]) for i, a in enumerate(order)]
+        world = run_simulation(cfg, personas, initial_world=init_population(
+            personas, cfg, follow_edges=edges))
+        authored, reshares = {}, {}
+        for cid, item in world.content.items():
+            authored.setdefault(item.author, set()).add(cid)
+            if item.is_reshare:
+                reshares.setdefault(item.author, []).append(cid)
+        assert any(reshares.values())
+        assert world.authored == authored
+        assert world.reshares_by_author == reshares
 
 
 class TestApplyAction:
@@ -589,3 +625,74 @@ class TestGoldenDigests:
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN[configuration]}
         assert digests == self.GOLDEN[configuration]
+
+
+class PromptHashBackend:
+    """Answers each prompt as a pure function of its text, as the perfbench
+    fake endpoint does, and keeps a running sha256 over every prompt's
+    ``system_text + user_text()`` in call order."""
+
+    WEIGHTS = {ActionKind.POST: 3, ActionKind.RESHARE: 2, ActionKind.LIKE: 3,
+               ActionKind.DISLIKE: 1, ActionKind.COMMENT: 1,
+               ActionKind.FOLLOW: 1, ActionKind.INACTIVE: 2}
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.prompts = hashlib.sha256()
+        self.calls = 0
+
+    def complete(self, prompt, context):
+        text = prompt.system_text + prompt.user_text()
+        self.prompts.update(hashlib.sha256(text.encode()).digest())
+        self.calls += 1
+        rng = random.Random(hashlib.sha256(
+            f"{self.seed}\0{prompt.system_text}\0{prompt.user_text()}".encode()
+        ).hexdigest())
+        feed = prompt.feed_section
+        kinds = [k for k in prompt.actions_section
+                 if feed or k is not ActionKind.FOLLOW]
+        kind = rng.choices(kinds, weights=[self.WEIGHTS[k] for k in kinds])[0]
+        content = ""
+        if kind is ActionKind.POST:
+            content = f"take {rng.randint(1, 999)}"
+        elif kind is ActionKind.COMMENT:
+            content = f"{rng.choice(feed).content_id}: agreed"
+        elif kind is ActionKind.FOLLOW:
+            content = rng.choice(feed).author
+        elif kind is not ActionKind.INACTIVE:
+            content = str(rng.choice(feed).content_id)
+        return f"CHOICE: {kind.value}\nREASON: hashed\nCONTENT: {content}"
+
+
+class TestLLMPathGoldenDigests:
+    """Prompt and artifact digests of a FullModel run with a follow graph
+    whose backend reads every rendered prompt, recorded before authorship
+    moved into ``WorldState.add_content``. The stub never reads the
+    feedback or activity sections, so only a run like this one pins what
+    the agents' memories hold: observing an agent's own content in
+    ascending id order instead of its authored set's order changes these
+    digests."""
+
+    PROMPTS = "ab38ab06f4fa96f075437bba6a4728c7985e39946090a323397d82538493bcfe"
+    GOLDEN = {
+        "actions.jsonl": "04e21b9139e253f1e8ff7c72adcf0f1b94cfad9a64f49d35cb62a4d90e719a34",
+        "content.jsonl": "ca550bc06ca4de5733959f93c4e1c0f266dc69b1470678e74da63b5de8e302c4",
+        "agents.jsonl": "ced45621fe62b858867da3f23729fe6e25038b1379e163fce6ea56fe26184142",
+    }
+
+    def test_prompts_and_artifacts_match_recorded_digests(self, tmp_path):
+        personas = make_personas(6)  # 42 agents
+        cfg = config(configuration="FullModel", iterations=8)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + step) % len(order)])
+                 for i, a in enumerate(order) for step in (1, 5, 11)]
+        backend = PromptHashBackend(seed=10)
+        world = run_simulation(cfg, personas, backend,
+                               initial_world=init_population(
+                                   personas, cfg, follow_edges=edges))
+        write_artifacts(world, tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN}
+        assert backend.calls == cfg.iterations * len(world.agents)
+        assert backend.prompts.hexdigest() == self.PROMPTS
+        assert digests == self.GOLDEN
