@@ -1,7 +1,7 @@
 """Operator CLI: simulate, analyze, ground.
 
 ``simulate`` runs a configured simulation and writes an artifact directory
-(actions.jsonl, content.jsonl, agents.jsonl, manifest.json). ``analyze``
+(``engine.OUTPUTS`` and ``engine.MANIFEST``). ``analyze``
 turns one artifact directory into plot-ready CSVs and a text summary, with an
 optional second run for the Mann-Whitney chain-length comparison. ``ground``
 runs the empirical pipeline from platform records to an engine-ready
@@ -34,12 +34,14 @@ from .analytics import (
 from .core import Trait
 from .engine import (
     CONFIGURATIONS,
+    MANIFEST,
+    OUTPUTS,
     SCHEMA_VERSION,
     SimulationConfig,
     check_integrity,
-    content_from_dict,
     init_population,
-    record_from_dict,
+    load_content,
+    load_run,
     run_simulation,
     write_artifacts,
 )
@@ -54,6 +56,7 @@ from .grounding import (
     PLACEHOLDER_IDENTITY,
     SECONDS_PER_DAY,
 )
+from .jsonl import LineError, read_jsonl, write_jsonl
 from .memory import MemoryParams
 from .networks import (
     build_interaction_network,
@@ -117,27 +120,25 @@ def load_config(path: Path) -> dict:
     return raw
 
 
+def _persona(obj) -> dict:
+    persona = {"id": obj["id"], "identity_text": obj["identity_text"],
+               "topic": obj.get("topic"), "trait": obj.get("trait")}
+    for key in ("id", "identity_text"):
+        if not isinstance(persona[key], str):
+            raise ValueError(f"{key!r} must be a string, got "
+                             f"{json.dumps(persona[key])}")
+    trait = persona["trait"]
+    if trait is not None and (not isinstance(trait, str)
+                              or trait not in Trait.__members__):
+        raise ValueError(f"unknown trait {trait!r}")
+    return persona
+
+
 def read_personas(path: Path) -> list:
-    personas = []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            persona = {"id": obj["id"], "identity_text": obj["identity_text"],
-                       "topic": obj.get("topic"), "trait": obj.get("trait")}
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise CliError(f"personas line {number}: {err}")
-        for key in ("id", "identity_text"):
-            if not isinstance(persona[key], str):
-                raise CliError(f"personas line {number}: {key!r} must be a "
-                               f"string, got {json.dumps(persona[key])}")
-        trait = persona["trait"]
-        if trait is not None and (not isinstance(trait, str)
-                                  or trait not in Trait.__members__):
-            raise CliError(f"personas line {number}: unknown trait {trait!r}")
-        personas.append(persona)
-    return personas
+    try:
+        return read_jsonl(path.read_text().splitlines(), _persona)
+    except LineError as err:
+        raise CliError(f"personas line {err.line_number}: {err.cause}")
 
 
 def read_follows(path: Path) -> list:
@@ -248,63 +249,16 @@ def cmd_simulate(args) -> int:
         },
         "inputs": {str(path): _sha256(path)
                    for path in (personas_path, follows_path) if path},
-        "outputs": ["actions.jsonl", "content.jsonl", "agents.jsonl"],
+        "outputs": list(OUTPUTS),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                  sort_keys=True) + "\n")
+    (out / MANIFEST).write_text(json.dumps(manifest, indent=2,
+                                           sort_keys=True) + "\n")
     if failure is not None:
         raise CliError(f"backend transport error in iteration "
                        f"{world.iteration + 1}: {failure}; {out} holds the run "
                        f"up to the last completed iteration ({world.iteration})")
     print(f"wrote artifacts to {out}")
     return 0
-
-
-def _read_jsonl(path: Path, parse) -> list:
-    """``parse`` of each non-blank line of a run file; a missing file or a
-    malformed line is a CliError naming the file (and the line)."""
-    try:
-        lines = path.read_text().splitlines()
-    except FileNotFoundError:
-        raise CliError(f"run file not found: {path}")
-    items = []
-    for number, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                items.append(parse(json.loads(line)))
-            except (KeyError, TypeError, ValueError) as err:
-                raise CliError(f"malformed record in {path} line {number}: "
-                               f"{type(err).__name__}: {err}")
-    return items
-
-
-def load_content(run_dir: Path) -> dict:
-    """A run's content store (content_id -> ContentItem), read from its
-    content.jsonl alone after the manifest's schema check."""
-    manifest_path = run_dir / "manifest.json"
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as err:
-            raise CliError(f"malformed manifest {manifest_path}: {err}")
-        if (not isinstance(manifest, dict)
-                or manifest.get("schema_version") != SCHEMA_VERSION):
-            raise CliError(f"incompatible artifact schema_version in {run_dir} "
-                           f"(expected {SCHEMA_VERSION})")
-    return {item.content_id: item for item in
-            _read_jsonl(run_dir / "content.jsonl", content_from_dict)}
-
-
-def load_run(run_dir: Path):
-    """A run's action log, content store and agent traits."""
-    content = load_content(run_dir)
-    log = _read_jsonl(run_dir / "actions.jsonl", record_from_dict)
-    traits = {}
-    agents_path = run_dir / "agents.jsonl"
-    if agents_path.exists():
-        traits = dict(_read_jsonl(
-            agents_path, lambda obj: (obj["agent_id"], obj.get("trait"))))
-    return log, content, traits
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -316,9 +270,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
-    if not (run_dir / "actions.jsonl").exists():
-        raise CliError(f"not an artifact directory: {run_dir}")
-    log, content, traits = load_run(run_dir)
+    try:
+        log, content, traits = load_run(run_dir)
+    except ValueError as err:
+        raise CliError(str(err))
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     which = args.which
@@ -404,7 +359,11 @@ def cmd_analyze(args) -> int:
         if other.resolve() == run_dir.resolve():
             lengths_b = lengths_a
         else:
-            lengths_b = [c.length for c in trace_chains(load_content(other))]
+            try:
+                other_content = load_content(other)
+            except ValueError as err:
+                raise CliError(str(err))
+            lengths_b = [c.length for c in trace_chains(other_content)]
         if lengths_a and lengths_b:
             u, p = mann_whitney_u(lengths_a, lengths_b)
             summary.append(f"chain-length comparison vs {args.compare}: "
@@ -478,12 +437,10 @@ def cmd_ground(args) -> int:
                 "trait", "distance"],
                [[u, *a.empirical_vector.as_tuple(), a.assigned.name,
                  f"{a.distance:.6f}"] for u, a in sorted(assignments.items())])
-    with open(out / "personas.jsonl", "w") as fh:
-        for user in sorted(community):
-            fh.write(json.dumps({"id": user, "identity_text": identities[user],
-                                 "topic": None,
-                                 "trait": assignments[user].assigned.name},
-                                sort_keys=True) + "\n")
+    write_jsonl(out / "personas.jsonl",
+                ({"id": user, "identity_text": identities[user], "topic": None,
+                  "trait": assignments[user].assigned.name}
+                 for user in sorted(community)))
     _write_csv(out / "follows.csv", ["follower", "followee"], follow_edges)
     _write_csv(out / "ego_edges.csv", ["src", "dst", "weight"],
                [[s, d, w] for (s, d), w in sorted(ego.edges.items())])

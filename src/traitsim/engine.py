@@ -37,6 +37,7 @@ from .core import (
     Trait,
     ENGAGEMENT_KINDS,
 )
+from .jsonl import LineError, read_jsonl, write_jsonl
 from .memory import (
     MemoryParams,
     MemoryUnit,
@@ -56,6 +57,8 @@ from .reasoning import (
 from .sentiment import NeutralSentiment
 
 SCHEMA_VERSION = 1
+OUTPUTS = ("actions.jsonl", "content.jsonl", "agents.jsonl")  # write_artifacts
+MANIFEST = "manifest.json"  # written beside them by ``simulate``
 
 CONFIGURATIONS = ("FullModel", "IdentityOnly", "RandomRecommendation",
                   "PsychometricTraits")
@@ -387,7 +390,7 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited artifact serialization (schema_version = 1)
+# The run directory (schema_version = 1): write_artifacts and load_run
 
 
 def record_to_dict(record: ActionRecord) -> dict:
@@ -403,19 +406,20 @@ def record_to_dict(record: ActionRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> ActionRecord:
-    """The inverse of ``record_to_dict``; a wrongly typed agent or iteration
-    is a ``TypeError``, a misshaped action a ``ValueError``."""
+    """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
+    wrongly typed agent or iteration a ``TypeError``, a misshaped action a
+    ``ValueError``."""
     agent, iteration = d["agent"], d["iteration"]
     if type(agent) is not str:
         raise TypeError(f"agent must be a string, got {json.dumps(agent)}")
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
-    action = Action(ActionKind(d["kind"]), d.get("target"), d.get("payload"))
+    action = Action(ActionKind(d["kind"]), d["target"], d["payload"])
     action.validate_shape()
     return ActionRecord(
         iteration=iteration, agent=agent, action=action,
-        order=Order(d["order"]), reason_text=d.get("reason", ""),
+        order=Order(d["order"]), reason_text=d["reason"],
     )
 
 
@@ -443,34 +447,79 @@ def content_from_dict(d: dict) -> ContentItem:
     return ContentItem(
         content_id=d["content_id"], author=d["author"],
         iteration_created=d["iteration_created"], text=d["text"],
-        topic=d.get("topic"), parent=d.get("parent"), root=d.get("root"),
+        topic=d["topic"], parent=d["parent"], root=d["root"],
         counters=Counters(**d["counters"]),
-        comment_texts=[tuple(pair) for pair in d.get("comment_texts", [])],
-        cascade_reshares=d.get("cascade_reshares", 0),
+        comment_texts=[tuple(pair) for pair in d["comment_texts"]],
+        cascade_reshares=d["cascade_reshares"],
     )
 
 
+def profile_to_dict(profile: AgentProfile) -> dict:
+    return {
+        "agent_id": profile.agent_id,
+        "trait": None if profile.trait is None else profile.trait.code,
+        "topic": profile.topic,
+        "following": sorted(profile.following),
+    }
+
+
 def write_artifacts(world: WorldState, out_dir) -> None:
-    """Write actions.jsonl, content.jsonl, and agents.jsonl into ``out_dir``."""
+    """Write the run's ``OUTPUTS`` into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "actions.jsonl", "w") as fh:
-        for record in world.log:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
-    with open(out / "content.jsonl", "w") as fh:
-        for cid in sorted(world.content):
-            fh.write(json.dumps(content_to_dict(world.content[cid]),
-                                sort_keys=True) + "\n")
-    with open(out / "agents.jsonl", "w") as fh:
-        for agent_id in world.agent_order():
-            profile = world.agents[agent_id].profile
-            fh.write(json.dumps({
-                "agent_id": agent_id,
-                "trait": (None if profile.trait is None
-                          else profile.trait.code),
-                "topic": profile.topic,
-                "following": sorted(profile.following),
-            }, sort_keys=True) + "\n")
+    rows = (
+        map(record_to_dict, world.log),
+        (content_to_dict(world.content[cid]) for cid in sorted(world.content)),
+        (profile_to_dict(world.agents[agent_id].profile)
+         for agent_id in world.agent_order()),
+    )
+    for name, file_rows in zip(OUTPUTS, rows):
+        write_jsonl(out / name, file_rows)
+
+
+def _read_run_file(path: Path, parse) -> list:
+    """``parse`` of each non-blank line of a run file; a missing file or a
+    malformed line is a ValueError naming the file (and the line)."""
+    try:
+        return read_jsonl(path.read_text().splitlines(), parse)
+    except FileNotFoundError:
+        raise ValueError(f"run file not found: {path}")
+    except LineError as err:
+        raise ValueError(f"malformed record in {path} {err}") from err.cause
+
+
+def load_content(run_dir) -> dict:
+    """A run's content store (content_id -> ContentItem), read from its
+    content.jsonl alone after the manifest's schema check."""
+    run_dir = Path(run_dir)
+    manifest_path = run_dir / MANIFEST
+    if manifest_path.exists():
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except json.JSONDecodeError as err:
+            raise ValueError(f"malformed manifest {manifest_path}: {err}")
+        if (not isinstance(manifest, dict)
+                or manifest.get("schema_version") != SCHEMA_VERSION):
+            raise ValueError(f"incompatible artifact schema_version in "
+                             f"{run_dir} (expected {SCHEMA_VERSION})")
+    return {item.content_id: item for item in
+            _read_run_file(run_dir / OUTPUTS[1], content_from_dict)}
+
+
+def load_run(run_dir):
+    """A run's action log, content store and agent traits; the inverse of
+    ``write_artifacts``."""
+    run_dir = Path(run_dir)
+    actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
+    if not actions_path.exists():
+        raise ValueError(f"not an artifact directory: {run_dir}")
+    content = load_content(run_dir)
+    log = _read_run_file(actions_path, record_from_dict)
+    traits = {}
+    if agents_path.exists():
+        traits = dict(_read_run_file(
+            agents_path, lambda obj: (obj["agent_id"], obj["trait"])))
+    return log, content, traits
 
 
 def check_integrity(world: WorldState) -> None:

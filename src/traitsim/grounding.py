@@ -10,13 +10,13 @@ identity description from the user's original posts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from .core import ActionDistribution, Trait, archetype_table
+from .jsonl import LineError, read_jsonl
 from .networks import WeightedDigraph
 
 SECONDS_PER_DAY = 86400
@@ -63,26 +63,23 @@ def _parse_timestamp(value) -> float:
     return dt.timestamp()
 
 
+def _platform_record(obj) -> PlatformRecord:
+    return PlatformRecord(
+        user=obj["user"],
+        kind=obj["kind"],
+        timestamp=_parse_timestamp(obj["timestamp"]),
+        target_user=obj.get("target_user"),
+        text=obj.get("text"),
+    )
+
+
 def parse_records(lines) -> list:
     """Parse line-delimited JSON platform records, citing line numbers on
     failure."""
-    records = []
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            records.append(PlatformRecord(
-                user=obj["user"],
-                kind=obj["kind"],
-                timestamp=_parse_timestamp(obj["timestamp"]),
-                target_user=obj.get("target_user"),
-                text=obj.get("text"),
-            ))
-        except (ValueError, KeyError, TypeError) as err:
-            raise IngestError(number, str(err)) from err
-    return records
+    try:
+        return read_jsonl(lines, _platform_record)
+    except LineError as err:
+        raise IngestError(err.line_number, str(err.cause)) from err.cause
 
 
 def build_engagement_graph(records: Sequence[PlatformRecord]) -> WeightedDigraph:

@@ -32,25 +32,26 @@ class WeightedDigraph:
         return sum(self.edges.values())
 
 
-def build_resharing_network(log, content_store: dict) -> WeightedDigraph:
-    """Edge (actor -> author of the re-shared item), weight = frequency."""
+def build_network(log, content_store: dict, kinds) -> WeightedDigraph:
+    """Edge (actor -> author of the target item) for each record whose kind
+    is in ``kinds``, weight = frequency."""
     graph = WeightedDigraph()
     for record in log:
-        if record.action.kind is ActionKind.RESHARE:
+        if record.action.kind in kinds:
             target = content_store[record.action.target]
             graph.add_edge(record.agent, target.author)
     return graph
+
+
+def build_resharing_network(log, content_store: dict) -> WeightedDigraph:
+    """Edge (actor -> author of the re-shared item), weight = frequency."""
+    return build_network(log, content_store, {ActionKind.RESHARE})
 
 
 def build_interaction_network(log, content_store: dict) -> WeightedDigraph:
     """Edge (actor -> author of the liked/disliked/commented item)."""
-    graph = WeightedDigraph()
-    for record in log:
-        if record.action.kind in (ActionKind.LIKE, ActionKind.DISLIKE,
-                                  ActionKind.COMMENT):
-            target = content_store[record.action.target]
-            graph.add_edge(record.agent, target.author)
-    return graph
+    return build_network(log, content_store, {
+        ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT})
 
 
 def degree_centrality(graph: WeightedDigraph, direction: str,

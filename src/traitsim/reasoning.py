@@ -153,14 +153,13 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
     system_text = "\n\n".join(system_parts)
 
     feedback_lines = []
-    for cid in sorted(authored):
-        entry = memory.stm.get(cid)
-        if entry is not None:
-            feedback_lines.append(
-                f"Your content [{cid}]: {entry.reshares} re-shares, "
-                f"{entry.likes} likes, {entry.dislikes} dislikes, "
-                f"{entry.comments} comments."
-            )
+    for cid in sorted(memory.stm.keys() & authored):
+        entry = memory.stm[cid]
+        feedback_lines.append(
+            f"Your content [{cid}]: {entry.reshares} re-shares, "
+            f"{entry.likes} likes, {entry.dislikes} dislikes, "
+            f"{entry.comments} comments."
+        )
     for cid, ltm_entry in sorted(memory.ltm.items()):
         if cid in authored and not memory.stm.get(cid):
             feedback_lines.append(

@@ -42,6 +42,16 @@ def edit_first_record(kind, **fields):
     return corrupt
 
 
+def drop_first_key(key):
+    """A corruption of a run file: remove ``key`` from its first line."""
+    def corrupt(text):
+        first, rest = text.split("\n", 1)
+        record = json.loads(first)
+        del record[key]
+        return json.dumps(record, sort_keys=True) + "\n" + rest
+    return corrupt
+
+
 class TestSimulate:
     def test_writes_artifact_bundle(self, tmp_path, personas_file):
         out = simulate(tmp_path, personas_file)
@@ -375,11 +385,14 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record("like", target="x"), "edited"),
         ("actions.jsonl", edit_first_record("like", target=True), "edited"),
         ("actions.jsonl", edit_first_record("post", payload=None), "edited"),
+        ("actions.jsonl", drop_first_key("reason"), 1),
+        ("content.jsonl", drop_first_key("comment_texts"), 1),
     ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
             "content-not-object", "agents-broken-json", "agents-missing-key",
             "actions-int-agent", "actions-str-iteration",
             "actions-bool-iteration", "actions-like-str-target",
-            "actions-like-bool-target", "actions-post-null-payload"])
+            "actions-like-bool-target", "actions-post-null-payload",
+            "actions-missing-reason", "content-missing-comment-texts"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)

@@ -15,6 +15,7 @@ from traitsim.core import (
 )
 from traitsim import engine
 from traitsim.engine import (
+    CONFIGURATIONS,
     SimulationConfig,
     WorldState,
     agent_rng,
@@ -24,6 +25,7 @@ from traitsim.engine import (
     content_from_dict,
     content_to_dict,
     init_population,
+    load_run,
     recommend_feed,
     record_from_dict,
     record_to_dict,
@@ -585,6 +587,23 @@ class TestSerialization:
                   (tmp_path / "agents.jsonl").read_text().splitlines()]
         assert [a["agent_id"] for a in agents] == world.agent_order()
         assert {a["trait"] for a in agents} == {t.name for t in Trait}
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_load_run_inverts_write_artifacts(self, configuration, tmp_path):
+        personas = make_personas(4)
+        cfg = config(configuration=configuration, iterations=6, master_seed=5)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + 3) % len(order)]) for i, a in enumerate(order)]
+        world = run_simulation(cfg, personas, initial_world=init_population(
+            personas, cfg, follow_edges=edges))
+        write_artifacts(world, tmp_path)
+        log, content, traits = load_run(tmp_path)
+        assert log == world.log
+        assert content == world.content
+        assert traits == {
+            agent_id: None if agent.profile.trait is None
+            else agent.profile.trait.code
+            for agent_id, agent in world.agents.items()}
 
     def test_check_integrity_catches_corruption(self):
         world = WorldState()

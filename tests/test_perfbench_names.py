@@ -1,0 +1,56 @@
+"""perfbench traces names where their callers look them up. A renamed or
+moved name fails here, in tier-1, not only in a ``--trace 1`` benchmark
+run."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from traitsim import cli, reasoning
+from traitsim.cli import main
+
+from conftest import make_personas
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("backend_cls", [reasoning.StubBackend,
+                                         reasoning.LLMBackend])
+def test_simulate_patches_install_and_restore(tracing, backend_cls):
+    tracer = tracing.Tracer()
+    patches = tracing.simulate_patches(tracer, backend_cls)
+    originals = [owner.__dict__[attr] for owner, attr, _ in patches]
+    with tracing.installed(patches):
+        assert all(owner.__dict__[attr] is wrapper
+                   for owner, attr, wrapper in patches)
+    assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
+
+
+def test_analyze_patches_install_restore_and_record(tracing, tmp_path):
+    personas = tmp_path / "personas.jsonl"
+    personas.write_text("".join(json.dumps(p) + "\n"
+                                for p in make_personas(2)))
+    run = tmp_path / "run"
+    assert main(["simulate", "--personas", str(personas), "--iterations",
+                 "4", "--out", str(run)]) == 0
+    tracer = tracing.Tracer()
+    patches = tracing.analyze_patches(tracer)
+    originals = [owner.__dict__[attr] for owner, attr, _ in patches]
+    with tracing.installed(patches):
+        assert cli.load_run is not originals[0]
+        assert main(["analyze", "--run", str(run), "--k-max", "2",
+                     "--compare", str(run)]) == 0
+    assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
+    # every traced name was reached through the name perfbench replaced
+    assert all(tracer.durations(name) for name in tracer.names)
