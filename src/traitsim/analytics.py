@@ -19,15 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ActionDistribution,
-    ActionKind,
-    ENGAGEMENT_KINDS,
-    Order,
-    action_category,
-)
-
-CATEGORIES = ("post", "reshare", "interact", "inactive")
+from .core import ActionDistribution, ActionKind, CATEGORIES, CATEGORY, Order
 
 
 def action_probability_vector(log) -> dict:
@@ -37,21 +29,18 @@ def action_probability_vector(log) -> dict:
     An agent whose every record is a FOLLOW has no behavioral vector and is
     left out.
     """
-    index = {c: i for i, c in enumerate(CATEGORIES)}
-    column = {kind: index.get(action_category(kind)) for kind in ActionKind}
     counts = {}
     for record in log:
-        i = column[record.action.kind]
-        if i is not None:
-            row = counts.get(record.agent)
-            if row is None:
-                row = counts[record.agent] = [0, 0, 0, 0]
-            row[i] += 1
-    vectors = {}
-    for agent_id, row in counts.items():
-        total = sum(row)
-        vectors[agent_id] = ActionDistribution(*(n / total for n in row))
-    return vectors
+        try:
+            i = CATEGORY[record.action.kind]
+        except KeyError:
+            continue  # a follow has no column
+        row = counts.get(record.agent)
+        if row is None:
+            row = counts[record.agent] = [0] * len(CATEGORIES)
+        row[i] += 1
+    return {agent_id: ActionDistribution.from_counts(row)
+            for agent_id, row in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -265,50 +254,45 @@ def trace_chains(content_store: dict, traits: Optional[dict] = None) -> list:
     return chains
 
 
-def order_dynamics(log) -> dict:
-    """Per-iteration (pct first-order, pct second-order) over engagements;
-    iterations with no engagements map to None."""
-    first = {}
-    second = {}
+def _split_by_iteration(log, side, cumulative: bool) -> dict:
+    """Per-iteration (pct side 0, pct side 1) over the records that
+    ``side(record)`` puts on side 0 or 1 (``None`` leaves a record out),
+    counted in each iteration alone or, if ``cumulative``, in it and every
+    earlier one. Iterations with nothing counted map to None."""
+    counts = {}
     max_iter = 0
     for record in log:
         max_iter = max(max_iter, record.iteration)
-        if record.action.kind not in ENGAGEMENT_KINDS:
-            continue
-        if record.order is Order.FIRST:
-            first[record.iteration] = first.get(record.iteration, 0) + 1
-        else:
-            second[record.iteration] = second.get(record.iteration, 0) + 1
+        i = side(record)
+        if i is not None:
+            counts.setdefault(record.iteration, [0, 0])[i] += 1
     out = {}
+    a = b = 0
     for it in range(1, max_iter + 1):
-        f, s = first.get(it, 0), second.get(it, 0)
-        if f + s == 0:
-            out[it] = None
-        else:
-            out[it] = (100.0 * f / (f + s), 100.0 * s / (f + s))
+        n_a, n_b = counts.get(it, (0, 0))
+        a, b = (a + n_a, b + n_b) if cumulative else (n_a, n_b)
+        total = a + b
+        out[it] = None if total == 0 else (100.0 * a / total,
+                                           100.0 * b / total)
     return out
+
+
+# Only engagements have an order (``ActionRecord`` enforces it).
+_ORDER_SIDE = {Order.FIRST: 0, Order.SECOND: 1}
+_CREATION_SIDE = {ActionKind.POST: 0, ActionKind.RESHARE: 1}
+
+
+def order_dynamics(log) -> dict:
+    """Per-iteration (pct first-order, pct second-order) over engagements;
+    iterations with no engagements map to None."""
+    return _split_by_iteration(log, lambda r: _ORDER_SIDE.get(r.order),
+                               cumulative=False)
 
 
 def content_mix(log) -> dict:
     """Per-iteration cumulative (pct original, pct re-shared) creations."""
-    posts = {}
-    reshares = {}
-    max_iter = 0
-    for record in log:
-        max_iter = max(max_iter, record.iteration)
-        if record.action.kind is ActionKind.POST:
-            posts[record.iteration] = posts.get(record.iteration, 0) + 1
-        elif record.action.kind is ActionKind.RESHARE:
-            reshares[record.iteration] = reshares.get(record.iteration, 0) + 1
-    out = {}
-    cum_p = cum_r = 0
-    for it in range(1, max_iter + 1):
-        cum_p += posts.get(it, 0)
-        cum_r += reshares.get(it, 0)
-        total = cum_p + cum_r
-        out[it] = None if total == 0 else (100.0 * cum_p / total,
-                                           100.0 * cum_r / total)
-    return out
+    return _split_by_iteration(
+        log, lambda r: _CREATION_SIDE.get(r.action.kind), cumulative=True)
 
 
 @dataclass
@@ -366,8 +350,8 @@ def _rank(values: Sequence[float]) -> list:
     return ranks
 
 
-def _u_statistic(combined: Sequence[float], idx_a: Sequence[int]) -> float:
-    ranks = _rank(combined)
+def _u_statistic(ranks: Sequence[float], idx_a: Sequence[int]) -> float:
+    """U of the sample at positions ``idx_a`` of the ranked combined sample."""
     n_a = len(idx_a)
     r_a = sum(ranks[i] for i in idx_a)
     return r_a - n_a * (n_a + 1) / 2
@@ -383,13 +367,14 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]):
         raise ValueError("both samples must be non-empty")
     n_a, n_b = len(sample_a), len(sample_b)
     combined = list(sample_a) + list(sample_b)
-    u_a = _u_statistic(combined, range(n_a))
+    ranks = _rank(combined)
+    u_a = _u_statistic(ranks, range(n_a))
 
     if n_a + n_b <= EXACT_LIMIT:
         n = n_a + n_b
         le = ge = total = 0
         for idx in combinations(range(n), n_a):
-            u = _u_statistic(combined, idx)
+            u = _u_statistic(ranks, idx)
             total += 1
             if u <= u_a + 1e-12:
                 le += 1
@@ -399,7 +384,6 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]):
         return u_a, p
 
     # Normal approximation with tie correction.
-    ranks = _rank(combined)
     n = n_a + n_b
     tie_counts = {}
     for v in combined:

@@ -31,7 +31,7 @@ from .analytics import (
     per_topic_chain_stats,
     trace_chains,
 )
-from .core import Trait
+from .core import CATEGORIES, Trait
 from .engine import (
     CONFIGURATIONS,
     MANIFEST,
@@ -261,6 +261,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+VECTOR_COLUMNS = [f"p_{category}" for category in CATEGORIES]
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -270,8 +273,12 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
+    other = Path(args.compare) if args.compare else None
+    same_run = other is not None and other.resolve() == run_dir.resolve()
     try:
         log, content, traits = load_run(run_dir)
+        if other is not None and not same_run:
+            other_content = load_content(other)
     except ValueError as err:
         raise CliError(str(err))
     out = Path(args.out) if args.out else run_dir
@@ -305,8 +312,7 @@ def cmd_analyze(args) -> int:
             summary.append(f"clustering skipped: {len(vectors)} agents, "
                            f"fewer than k_max={args.k_max}")
         _write_csv(out / "clusters.csv",
-                   ["agent", "trait", "p_post", "p_reshare", "p_interact",
-                    "p_inactive", "cluster"], rows)
+                   ["agent", "trait", *VECTOR_COLUMNS, "cluster"], rows)
 
     if which in ("all", "rq2"):
         _write_csv(out / "chains.csv",
@@ -353,16 +359,11 @@ def cmd_analyze(args) -> int:
                     summary.append(f"{name} out-degree {trait}: "
                                    f"median={median:.4f} n={count}")
 
-    if args.compare:
-        other = Path(args.compare)
+    if other is not None:
         lengths_a = [c.length for c in chains]
-        if other.resolve() == run_dir.resolve():
+        if same_run:
             lengths_b = lengths_a
         else:
-            try:
-                other_content = load_content(other)
-            except ValueError as err:
-                raise CliError(str(err))
             lengths_b = [c.length for c in trace_chains(other_content)]
         if lengths_a and lengths_b:
             u, p = mann_whitney_u(lengths_a, lengths_b)
@@ -433,8 +434,7 @@ def cmd_ground(args) -> int:
             identities[user] = infer_identity(posts, backend)
 
     _write_csv(out / "assignments.csv",
-               ["user", "p_post", "p_reshare", "p_interact", "p_inactive",
-                "trait", "distance"],
+               ["user", *VECTOR_COLUMNS, "trait", "distance"],
                [[u, *a.empirical_vector.as_tuple(), a.assigned.name,
                  f"{a.distance:.6f}"] for u, a in sorted(assignments.items())])
     write_jsonl(out / "personas.jsonl",

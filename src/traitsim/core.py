@@ -131,6 +131,13 @@ ENGAGEMENT_KINDS = frozenset(
     {ActionKind.RESHARE, ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT}
 )
 
+# The behavioral space: the columns of every action-probability vector, and
+# each action kind's column. Follow is logged but has no column.
+CATEGORIES = ("post", "reshare", "interact", "inactive")
+CATEGORY = {ActionKind.POST: 0, ActionKind.RESHARE: 1, ActionKind.LIKE: 2,
+            ActionKind.DISLIKE: 2, ActionKind.COMMENT: 2,
+            ActionKind.INACTIVE: 3}
+
 
 class Order(Enum):
     FIRST = "first_order"
@@ -171,7 +178,7 @@ class Action:
 
 @dataclass(frozen=True)
 class ActionDistribution:
-    """4-D probability vector over (post, reshare, interact, inactive)."""
+    """4-D probability vector over ``CATEGORIES``."""
 
     p_post: float
     p_reshare: float
@@ -184,6 +191,12 @@ class ActionDistribution:
             raise ValueError(f"probabilities out of [0,1]: {comps}")
         if abs(sum(comps) - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"components must sum to 1, got {sum(comps)!r}")
+
+    @classmethod
+    def from_counts(cls, counts) -> "ActionDistribution":
+        """Frequencies of per-category counts, each divided by their total."""
+        total = sum(counts)
+        return cls(*(n / total for n in counts))
 
     def as_tuple(self) -> tuple:
         return (self.p_post, self.p_reshare, self.p_interact, self.p_inactive)
@@ -271,19 +284,3 @@ def archetype_table() -> dict:
         missing = set(Trait) - set(table)
         raise ValueError(f"archetype asset missing rows for {missing}")
     return table
-
-
-def action_category(kind: ActionKind) -> str:
-    """Map an action kind onto the 4-category behavioral space.
-
-    Follow is logged but excluded from behavioral vectors ("excluded").
-    """
-    if kind is ActionKind.POST:
-        return "post"
-    if kind is ActionKind.RESHARE:
-        return "reshare"
-    if kind in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT):
-        return "interact"
-    if kind is ActionKind.INACTIVE:
-        return "inactive"
-    return "excluded"

@@ -260,14 +260,6 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     ]
 
 
-def classify_order(action: Action, content_store: dict) -> Order:
-    """First-order iff the engagement targets an original item."""
-    if action.kind not in ENGAGEMENT_KINDS:
-        raise ValueError("order is defined for engagement actions only")
-    target = content_store[action.target]
-    return Order.FIRST if target.parent is None else Order.SECOND
-
-
 def apply_action(world: WorldState, agent: AgentState, decision: Decision,
                  iteration: int) -> None:
     """Apply one validated decision to the world (serialized phase)."""
@@ -279,27 +271,26 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
     if kind is ActionKind.POST:
         world.add_content(profile.agent_id, iteration, decision.payload,
                           profile.topic)
-    elif kind is ActionKind.RESHARE:
-        parent = world.content[decision.target]
-        if decision.target in agent.reshared_ids:
-            raise ValueError(f"{profile.agent_id} already re-shared "
-                             f"{decision.target}")
-        world.add_content(profile.agent_id, iteration, parent.text,
-                          parent.topic, parent)
-        agent.reshared_ids.add(parent.content_id)
-        parent.counters.reshares += 1
-        world.content[parent.root].cascade_reshares += 1
-        order = classify_order(action, world.content)
-    elif kind in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT):
+    elif kind in ENGAGEMENT_KINDS:
         target = world.content[decision.target]
-        if kind is ActionKind.LIKE:
+        # First-order iff the engagement targets an original item.
+        order = Order.FIRST if target.parent is None else Order.SECOND
+        if kind is ActionKind.RESHARE:
+            if target.content_id in agent.reshared_ids:
+                raise ValueError(f"{profile.agent_id} already re-shared "
+                                 f"{target.content_id}")
+            world.add_content(profile.agent_id, iteration, target.text,
+                              target.topic, target)
+            agent.reshared_ids.add(target.content_id)
+            target.counters.reshares += 1
+            world.content[target.root].cascade_reshares += 1
+        elif kind is ActionKind.LIKE:
             target.counters.likes += 1
         elif kind is ActionKind.DISLIKE:
             target.counters.dislikes += 1
         else:
             target.counters.comments += 1
             target.comment_texts.append((profile.agent_id, decision.payload))
-        order = classify_order(action, world.content)
     elif kind is ActionKind.FOLLOW:
         profile.following.add(decision.target)  # idempotent
     # INACTIVE: log only

@@ -15,13 +15,23 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
-from .core import ActionDistribution, Trait, archetype_table
+from .core import (
+    ActionDistribution,
+    ActionKind,
+    CATEGORIES,
+    CATEGORY,
+    ENGAGEMENT_KINDS,
+    Trait,
+    archetype_table,
+)
 from .jsonl import LineError, read_jsonl
 from .networks import WeightedDigraph
 
 SECONDS_PER_DAY = 86400
 
-ENGAGEMENT_RECORD_KINDS = ("reshare", "like", "dislike", "comment")
+# A record's kind is the value of the action kind it stands for. Tuples, so
+# that a kind of any JSON type is tested by equality and reported as unknown.
+ENGAGEMENT_RECORD_KINDS = tuple(sorted(k.value for k in ENGAGEMENT_KINDS))
 RECORD_KINDS = ("post",) + ENGAGEMENT_RECORD_KINDS
 
 PLACEHOLDER_IDENTITY = (
@@ -149,20 +159,13 @@ def empirical_action_vector(user_records: Sequence[PlatformRecord],
         if index < 0 or index >= observation_slots:
             raise ValueError(f"record at {record.timestamp} outside the "
                              f"{observation_slots}-slot observation window")
-        counts = slots.setdefault(index, {"post": 0, "reshare": 0, "interact": 0})
-        if record.kind == "post":
-            counts["post"] += 1
-        elif record.kind == "reshare":
-            counts["reshare"] += 1
-        else:
-            counts["interact"] += 1
-    totals = {"post": 0, "reshare": 0, "interact": 0, "inactive": 0}
+        counts = slots.setdefault(index, [0] * len(CATEGORIES))
+        counts[CATEGORY[ActionKind(record.kind)]] += 1
+    totals = [0] * len(CATEGORIES)
     for counts in slots.values():
-        dominant = max(("post", "reshare", "interact"), key=lambda c: counts[c])
-        totals[dominant] += 1
-    totals["inactive"] = observation_slots - len(slots)
-    return ActionDistribution(*(totals[c] / observation_slots
-                                for c in ("post", "reshare", "interact", "inactive")))
+        totals[counts.index(max(counts))] += 1  # the first maximum
+    totals[CATEGORY[ActionKind.INACTIVE]] = observation_slots - len(slots)
+    return ActionDistribution.from_counts(totals)
 
 
 @dataclass

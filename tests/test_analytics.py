@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 from unittest import mock
@@ -26,8 +27,8 @@ from traitsim.core import (
     ActionKind,
     ActionRecord,
     ContentItem,
+    ENGAGEMENT_KINDS,
     Order,
-    action_category,
 )
 
 
@@ -35,21 +36,34 @@ def rec(agent, kind, iteration=1, target=None, payload=None, order=Order.NA):
     return ActionRecord(iteration, agent, Action(kind, target, payload), order)
 
 
+# The category of each action kind, written out here and not taken from
+# ``core.CATEGORY``, so that the reference below stays independent of it.
+_REFERENCE_CATEGORIES = ("post", "reshare", "interact", "inactive")
+_REFERENCE_CATEGORY = {
+    ActionKind.POST: "post",
+    ActionKind.RESHARE: "reshare",
+    ActionKind.LIKE: "interact",
+    ActionKind.DISLIKE: "interact",
+    ActionKind.COMMENT: "interact",
+    ActionKind.INACTIVE: "inactive",
+}
+
+
 def _reference_action_probability_vector(agent_id, log):
     """The per-agent scan the one-pass count replaced: one full pass over the
     log for one agent."""
-    counts = dict.fromkeys(analytics.CATEGORIES, 0)
+    counts = dict.fromkeys(_REFERENCE_CATEGORIES, 0)
     for record in log:
         if record.agent != agent_id:
             continue
-        category = action_category(record.action.kind)
-        if category != "excluded":
+        category = _REFERENCE_CATEGORY.get(record.action.kind)
+        if category is not None:
             counts[category] += 1
     total = sum(counts.values())
     if total == 0:
         raise ValueError(f"agent {agent_id!r} absent from log")
     return ActionDistribution(*(counts[c] / total
-                                for c in analytics.CATEGORIES))
+                                for c in _REFERENCE_CATEGORIES))
 
 
 class TestActionProbabilityVector:
@@ -404,6 +418,53 @@ class TestTraceChains:
             assert got == brute_force_chains(content)
 
 
+def _reference_order_dynamics(log):
+    """``order_dynamics`` before it shared a per-iteration split with
+    ``content_mix``."""
+    first = {}
+    second = {}
+    max_iter = 0
+    for record in log:
+        max_iter = max(max_iter, record.iteration)
+        if record.action.kind not in ENGAGEMENT_KINDS:
+            continue
+        if record.order is Order.FIRST:
+            first[record.iteration] = first.get(record.iteration, 0) + 1
+        else:
+            second[record.iteration] = second.get(record.iteration, 0) + 1
+    out = {}
+    for it in range(1, max_iter + 1):
+        f, s = first.get(it, 0), second.get(it, 0)
+        if f + s == 0:
+            out[it] = None
+        else:
+            out[it] = (100.0 * f / (f + s), 100.0 * s / (f + s))
+    return out
+
+
+def _reference_content_mix(log):
+    """``content_mix`` before it shared a per-iteration split with
+    ``order_dynamics``."""
+    posts = {}
+    reshares = {}
+    max_iter = 0
+    for record in log:
+        max_iter = max(max_iter, record.iteration)
+        if record.action.kind is ActionKind.POST:
+            posts[record.iteration] = posts.get(record.iteration, 0) + 1
+        elif record.action.kind is ActionKind.RESHARE:
+            reshares[record.iteration] = reshares.get(record.iteration, 0) + 1
+    out = {}
+    cum_p = cum_r = 0
+    for it in range(1, max_iter + 1):
+        cum_p += posts.get(it, 0)
+        cum_r += reshares.get(it, 0)
+        total = cum_p + cum_r
+        out[it] = None if total == 0 else (100.0 * cum_p / total,
+                                           100.0 * cum_r / total)
+    return out
+
+
 class TestTemporalDynamics:
     def test_order_dynamics_percentages(self):
         log = [
@@ -434,6 +495,21 @@ class TestTemporalDynamics:
     def test_empty_log(self):
         assert order_dynamics([]) == {}
         assert content_mix([]) == {}
+
+    @given(st.lists(st.tuples(st.integers(1, 12),
+                              st.sampled_from(list(ActionKind)),
+                              st.sampled_from([Order.FIRST, Order.SECOND])),
+                    max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_same_as_reference(self, choices):
+        shape = {ActionKind.POST: dict(payload="x"),
+                 ActionKind.FOLLOW: dict(target="b"),
+                 ActionKind.INACTIVE: {}}
+        log = [rec("a", kind, it, **shape.get(kind, dict(
+                   target=1, payload="c", order=order)))
+               for it, kind, order in choices]
+        assert order_dynamics(log) == _reference_order_dynamics(log)
+        assert content_mix(log) == _reference_content_mix(log)
 
 
 class TestChainTables:
@@ -485,6 +561,40 @@ def mw_oracle(sample_a, sample_b):
     return u_a, min(1.0, 2.0 * min(le, ge))
 
 
+def _reference_mann_whitney_u(sample_a, sample_b):
+    """``mann_whitney_u`` before it ranked the combined sample once: every
+    enumerated split ranks it again."""
+    def u_statistic(combined, idx_a):
+        ranks = analytics._rank(combined)
+        n_a = len(idx_a)
+        r_a = sum(ranks[i] for i in idx_a)
+        return r_a - n_a * (n_a + 1) / 2
+
+    n_a, n_b = len(sample_a), len(sample_b)
+    combined = list(sample_a) + list(sample_b)
+    u_a = u_statistic(combined, range(n_a))
+    if n_a + n_b <= analytics.EXACT_LIMIT:
+        le = ge = total = 0
+        for idx in combinations(range(n_a + n_b), n_a):
+            u = u_statistic(combined, idx)
+            total += 1
+            if u <= u_a + 1e-12:
+                le += 1
+            if u >= u_a - 1e-12:
+                ge += 1
+        return u_a, min(1.0, 2.0 * min(le / total, ge / total))
+    n = n_a + n_b
+    tie_counts = {}
+    for v in combined:
+        tie_counts[v] = tie_counts.get(v, 0) + 1
+    tie_term = sum(t ** 3 - t for t in tie_counts.values())
+    var = n_a * n_b / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    if var == 0:
+        return u_a, 1.0
+    z = max((abs(u_a - n_a * n_b / 2.0) - 0.5) / math.sqrt(var), 0.0)
+    return u_a, min(1.0, math.erfc(z / math.sqrt(2)))
+
+
 class TestMannWhitney:
     def test_textbook_example(self):
         u, p = mann_whitney_u([1, 2, 3], [4, 5, 6])
@@ -527,3 +637,20 @@ class TestMannWhitney:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             mann_whitney_u([], [1])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_as_reference(self, data):
+        # Exact enumeration up to 12 values (924 splits at most, so the
+        # reference stays fast), and the normal approximation above 20.
+        values = st.one_of(st.integers(0, 5),
+                           st.floats(-1e3, 1e3, allow_nan=False))
+        if data.draw(st.booleans()):  # exact
+            n_a = data.draw(st.integers(1, 11))
+            n_b = data.draw(st.integers(1, 12 - n_a))
+        else:
+            n_a = data.draw(st.integers(1, 30))
+            n_b = data.draw(st.integers(max(1, 21 - n_a), 30))
+        a = data.draw(st.lists(values, min_size=n_a, max_size=n_a))
+        b = data.draw(st.lists(values, min_size=n_b, max_size=n_b))
+        assert mann_whitney_u(a, b) == _reference_mann_whitney_u(a, b)

@@ -348,6 +348,22 @@ class TestAnalyze:
         text = (Path(a) / "summary.txt").read_text()
         assert "U=" in text and "p=" in text
 
+    def test_malformed_compared_run_writes_nothing(self, tmp_path,
+                                                   personas_file, capsys):
+        a = simulate(tmp_path, personas_file, "a")
+        b = simulate(tmp_path, personas_file, "b")
+        content = b / "content.jsonl"
+        content.write_text(content.read_text().replace(
+            '"comment_texts"', '"comments"', 1))
+        before = sorted(a.iterdir())
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--run", str(a), "--compare", str(b),
+                     "--out", str(out)]) == 1
+        assert f"{content} line 1:" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["analyze", "--run", str(a), "--compare", str(b)]) == 1
+        assert sorted(a.iterdir()) == before
+
     def test_follow_only_agents_are_left_out(self, tmp_path, personas_file,
                                              capsys):
         run = simulate(tmp_path, personas_file)

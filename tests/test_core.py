@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,13 +8,14 @@ from traitsim.core import (
     ActionDistribution,
     ActionKind,
     ActionRecord,
+    CATEGORIES,
+    CATEGORY,
     ContentItem,
     ENGAGEMENT_KINDS,
     OCEAN_VARIANTS,
     Order,
     Trait,
     TRAIT_PROMPTS,
-    action_category,
     archetype_table,
 )
 
@@ -143,9 +146,37 @@ class TestActionRecord:
 
 
 def test_action_category_mapping():
-    assert action_category(ActionKind.POST) == "post"
-    assert action_category(ActionKind.RESHARE) == "reshare"
+    column = {name: i for i, name in enumerate(CATEGORIES)}
+    assert CATEGORY[ActionKind.POST] == column["post"]
+    assert CATEGORY[ActionKind.RESHARE] == column["reshare"]
     for kind in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT):
-        assert action_category(kind) == "interact"
-    assert action_category(ActionKind.INACTIVE) == "inactive"
-    assert action_category(ActionKind.FOLLOW) == "excluded"
+        assert CATEGORY[kind] == column["interact"]
+    assert CATEGORY[ActionKind.INACTIVE] == column["inactive"]
+    assert ActionKind.FOLLOW not in CATEGORY
+
+
+class TestBehaviourSpace:
+    """The behavioural space is defined once, in ``core``; these fail when a
+    copy of it (a kind, a column, a field or the asset's header) drifts."""
+
+    def test_every_kind_but_follow_has_a_column(self):
+        assert set(CATEGORY) == set(ActionKind) - {ActionKind.FOLLOW}
+        assert sorted(set(CATEGORY.values())) == list(range(len(CATEGORIES)))
+
+    def test_distribution_fields_follow_the_categories(self):
+        assert list(ActionDistribution.__dataclass_fields__) == [
+            f"p_{c}" for c in CATEGORIES]
+
+    def test_archetype_asset_names_the_columns(self):
+        text = resources.files("traitsim.assets").joinpath(
+            "archetypes.txt").read_text()
+        header = [line for line in text.splitlines()
+                  if line.startswith("# Columns:")]
+        assert header == ["# Columns: trait " + " ".join(
+            f"p_{c}" for c in CATEGORIES)]
+
+
+class TestFromCounts:
+    def test_divides_by_the_integer_total(self):
+        v = ActionDistribution.from_counts([13, 12, 0, 0])
+        assert v.as_tuple() == (13 / 25, 12 / 25, 0 / 25, 0 / 25)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traitsim.core import (
-    Action,
     ActionKind,
+    ENGAGEMENT_KINDS,
     Order,
     Trait,
 )
@@ -21,7 +21,6 @@ from traitsim.engine import (
     agent_rng,
     apply_action,
     check_integrity,
-    classify_order,
     content_from_dict,
     content_to_dict,
     init_population,
@@ -411,6 +410,26 @@ class TestApplyAction:
                 item.counters.comments) == (1, 1, 1)
         assert item.comment_texts == [("p000", "neat")]
 
+    @staticmethod
+    def engage(kind, target):
+        return Decision(kind, "r", target=target.content_id,
+                        payload="c" if kind is ActionKind.COMMENT else None)
+
+    def test_engagement_on_original_is_first_order(self):
+        original = add_post(self.world, "p001", 1)
+        for kind in sorted(ENGAGEMENT_KINDS, key=lambda k: k.value):
+            decision = self.engage(kind, original)
+            apply_action(self.world, self.agent, decision, 2)
+            assert self.world.log[-1].order is Order.FIRST
+
+    def test_engagement_on_reshare_is_second_order(self):
+        original = add_post(self.world, "p001", 1)
+        reshare = add_reshare(self.world, "p002", 2, original)
+        for kind in sorted(ENGAGEMENT_KINDS, key=lambda k: k.value):
+            decision = self.engage(kind, reshare)
+            apply_action(self.world, self.agent, decision, 3)
+            assert self.world.log[-1].order is Order.SECOND
+
     def test_follow_is_idempotent(self):
         for _ in range(2):
             apply_action(self.world, self.agent,
@@ -431,25 +450,6 @@ class TestApplyAction:
         apply_action(self.world, self.agent, Decision(ActionKind.INACTIVE, "r"), 1)
         assert not self.world.content
         assert self.world.log[-1].action.kind is ActionKind.INACTIVE
-
-
-class TestClassifyOrder:
-    def test_original_target_is_first_order(self):
-        world = WorldState()
-        original = add_post(world, "a", 1)
-        assert classify_order(Action(ActionKind.LIKE, target=original.content_id),
-                              world.content) is Order.FIRST
-
-    def test_reshare_target_is_second_order(self):
-        world = WorldState()
-        original = add_post(world, "a", 1)
-        reshare = add_reshare(world, "b", 2, original)
-        assert classify_order(Action(ActionKind.COMMENT, target=reshare.content_id),
-                              world.content) is Order.SECOND
-
-    def test_non_engagement_rejected(self):
-        with pytest.raises(ValueError):
-            classify_order(Action(ActionKind.POST, payload="x"), {})
 
 
 class TestRunIteration:

@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traitsim.core import ActionDistribution, Trait, archetype_table
 from traitsim.grounding import (
@@ -129,6 +131,33 @@ class TestEgoNetwork:
             extract_ego_network(WeightedDigraph())
 
 
+def _reference_empirical_action_vector(user_records, observation_slots,
+                                       slot_seconds=SECONDS_PER_DAY,
+                                       origin=None):
+    """``empirical_action_vector`` before it counted through
+    ``core.CATEGORY``: category names written out, dominant category by
+    ``max`` over them."""
+    if origin is None:
+        origin = min((r.timestamp for r in user_records), default=0.0)
+    slots = {}
+    for record in user_records:
+        index = int(math.floor((record.timestamp - origin) / slot_seconds))
+        counts = slots.setdefault(index, {"post": 0, "reshare": 0, "interact": 0})
+        if record.kind == "post":
+            counts["post"] += 1
+        elif record.kind == "reshare":
+            counts["reshare"] += 1
+        else:
+            counts["interact"] += 1
+    totals = {"post": 0, "reshare": 0, "interact": 0, "inactive": 0}
+    for counts in slots.values():
+        dominant = max(("post", "reshare", "interact"), key=lambda c: counts[c])
+        totals[dominant] += 1
+    totals["inactive"] = observation_slots - len(slots)
+    return ActionDistribution(*(totals[c] / observation_slots
+                                for c in ("post", "reshare", "interact", "inactive")))
+
+
 class TestEmpiricalVector:
     def test_reshare_half_of_days(self):
         records = [record("u", "reshare", d, target="x") for d in range(5)]
@@ -154,6 +183,29 @@ class TestEmpiricalVector:
                    record("u", "like", 0, target="x")]
         v = empirical_action_vector(records, observation_slots=1)
         assert v.p_reshare == 1.0
+
+    def test_dislike_and_comment_count_as_interact(self):
+        records = [record("u", "dislike", 0, target="x"),
+                   record("u", "comment", 1, target="x", text="hm"),
+                   record("u", "comment", 1, target="x", text="hm"),
+                   record("u", "post", 1)]
+        v = empirical_action_vector(records, observation_slots=4, origin=0.0)
+        assert v.as_tuple() == (0.0, 0.0, 0.5, 0.5)
+
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.sampled_from(["post", "reshare", "like",
+                                               "dislike", "comment"])),
+                    max_size=40),
+           st.integers(6, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_reference(self, choices, slots):
+        # Few days and few kinds, so that many slots tie, post with reshare
+        # among them.
+        records = [record("u", kind, day, target="x") for day, kind in choices]
+        for origin in (None, 0.0):
+            assert empirical_action_vector(records, slots, origin=origin) == \
+                _reference_empirical_action_vector(records, slots,
+                                                   origin=origin)
 
     def test_origin_anchors_the_window(self):
         records = [record("u", "post", 3)]
