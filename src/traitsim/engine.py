@@ -180,13 +180,15 @@ def init_population(personas: Sequence[dict], config: SimulationConfig,
 
 
 def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
-                   rng: np.random.Generator) -> list:
+                   rng: Optional[np.random.Generator]) -> list:
     """Build one agent's feed from the content pool.
 
     Pool: everything (originals and re-shares) not authored by the agent and
     not already re-shared by it. Re-shares authored by followees are
     force-included ahead of the ranked remainder; preference ranking puts
-    topic matches first, then recency; random sampling is seeded.
+    topic matches first, then recency; random sampling is seeded. Only the
+    random strategy draws from ``rng``; ``run_iteration`` passes ``None``
+    under the preference strategy.
 
     No item needs hiding as too new: ``run_iteration`` applies actions only
     after every agent has decided, so the store is the previous iteration's.
@@ -303,8 +305,8 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
 
 def agent_rng(master_seed: int, iteration: int, agent_index: int,
               stream: int) -> np.random.Generator:
-    """Independent per-(agent, iteration) stream; stream 0 feeds the
-    recommender, stream 1 the decision backend."""
+    """Independent per-(agent, iteration) stream; stream 0 feeds the random
+    recommender (and is built only for it), stream 1 the decision backend."""
     return np.random.default_rng([master_seed, iteration, agent_index, stream])
 
 
@@ -327,7 +329,8 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     for agent_id in order:
         agent = world.agents[agent_id]
         stm_decay(agent.memory, iteration, config.memory)
-        feed_rng = agent_rng(config.master_seed, iteration, agent.index, 0)
+        feed_rng = (agent_rng(config.master_seed, iteration, agent.index, 0)
+                    if config.recommender_strategy == "random" else None)
         feed = recommend_feed(agent, world, config.recommender_strategy,
                               config.feed_size, feed_rng)
         for entry in feed:

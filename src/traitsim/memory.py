@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .core import Action, ActionKind, ContentItem
@@ -78,6 +79,11 @@ def engagement_score(entry: StmEntry, comments, analyzer=None,
     )
 
 
+# Lowest score first, then least recently touched; on equal keys ``min``
+# keeps the first entry in the buffer's insertion order.
+_EVICTION_KEY = attrgetter("score", "last_touched")
+
+
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
                 params: MemoryParams = MemoryParams(), analyzer=None) -> MemoryUnit:
     """Insert or refresh the STM entry for ``content`` with current counters.
@@ -99,8 +105,7 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
         entry, [t for _, t in content.comment_texts], analyzer, params)
     memory.stm[content.content_id] = entry
     while len(memory.stm) > params.stm_capacity:
-        victim = min(memory.stm.values(),
-                     key=lambda e: (e.score, e.last_touched))
+        victim = min(memory.stm.values(), key=_EVICTION_KEY)
         del memory.stm[victim.content_id]
     return memory
 

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ActionKind
+from .core import CATEGORIES, CATEGORY
+
+
+def _kinds_in(category: str) -> frozenset:
+    """The action kinds counted in one column of the behavioral space."""
+    column = CATEGORIES.index(category)
+    return frozenset(kind for kind, col in CATEGORY.items() if col == column)
 
 
 @dataclass
@@ -45,13 +51,12 @@ def build_network(log, content_store: dict, kinds) -> WeightedDigraph:
 
 def build_resharing_network(log, content_store: dict) -> WeightedDigraph:
     """Edge (actor -> author of the re-shared item), weight = frequency."""
-    return build_network(log, content_store, {ActionKind.RESHARE})
+    return build_network(log, content_store, _kinds_in("reshare"))
 
 
 def build_interaction_network(log, content_store: dict) -> WeightedDigraph:
     """Edge (actor -> author of the liked/disliked/commented item)."""
-    return build_network(log, content_store, {
-        ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT})
+    return build_network(log, content_store, _kinds_in("interact"))
 
 
 def degree_centrality(graph: WeightedDigraph, direction: str,

@@ -27,6 +27,7 @@ import logging
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Optional, Sequence
 
 import numpy as np
@@ -82,11 +83,56 @@ class FeedEntry:
 
 @dataclass
 class DecisionPrompt:
-    system_text: str
-    feedback_section: str
-    activity_section: str
+    """The decision prompt of one agent-iteration.
+
+    The feed and the permitted actions are fixed when the prompt is built.
+    The system, feedback and activity sections are rendered from the
+    agent's profile, memory and authored ids on first read, then cached: the
+    stub backend reads none of them. That is sound because a decision's
+    memory does not change between ``build_prompt`` and the end of
+    ``decide``: ``run_iteration`` applies actions, records activity
+    (``am_record``) and evaluates LTM only after every agent has decided, and
+    a decision writes no other agent's memory.
+    """
+
+    agent: AgentProfile
+    memory: MemoryUnit
+    authored: AbstractSet[int]  # ids of the agent's own content
+    iteration: int
     feed_section: tuple  # of FeedEntry
     actions_section: tuple  # of ActionKind
+
+    @cached_property
+    def system_text(self) -> str:
+        """The identity text, then the behavioral (or psychometric) trait
+        prompt; identity-only agents get the identity text alone."""
+        system_parts = [self.agent.identity_text]
+        if self.agent.trait is not None:
+            system_parts.append(self.agent.trait.prompt_text)
+        return "\n\n".join(system_parts)
+
+    @cached_property
+    def feedback_section(self) -> str:
+        memory, authored = self.memory, self.authored
+        feedback_lines = []
+        for cid in sorted(memory.stm.keys() & authored):
+            entry = memory.stm[cid]
+            feedback_lines.append(
+                f"Your content [{cid}]: {entry.reshares} re-shares, "
+                f"{entry.likes} likes, {entry.dislikes} dislikes, "
+                f"{entry.comments} comments."
+            )
+        for cid, ltm_entry in sorted(memory.ltm.items()):
+            if cid in authored and not memory.stm.get(cid):
+                feedback_lines.append(
+                    f"Your content [{cid}] had lasting impact "
+                    f"(engagement score {ltm_entry.engagement_score:g})."
+                )
+        return "\n".join(feedback_lines) or "No feedback on your content yet."
+
+    @cached_property
+    def activity_section(self) -> str:
+        return am_summary(self.memory.am, self.iteration)
 
     def user_text(self) -> str:
         lines = ["## Feedback on your content", self.feedback_section, ""]
@@ -141,40 +187,11 @@ def build_prompt(agent: AgentProfile, memory: MemoryUnit,
                  feed: Sequence[FeedEntry], iteration: int,
                  authored: AbstractSet[int] = frozenset(),
                  others_exist: bool = True) -> DecisionPrompt:
-    """Deterministically render the decision prompt for one agent-iteration.
-
-    The behavioral (or psychometric) trait prompt is embedded in the system
-    text; identity-only agents get the identity text alone. ``authored``
-    holds the ids of the agent's own content, for the feedback section.
-    """
-    system_parts = [agent.identity_text]
-    if agent.trait is not None:
-        system_parts.append(agent.trait.prompt_text)
-    system_text = "\n\n".join(system_parts)
-
-    feedback_lines = []
-    for cid in sorted(memory.stm.keys() & authored):
-        entry = memory.stm[cid]
-        feedback_lines.append(
-            f"Your content [{cid}]: {entry.reshares} re-shares, "
-            f"{entry.likes} likes, {entry.dislikes} dislikes, "
-            f"{entry.comments} comments."
-        )
-    for cid, ltm_entry in sorted(memory.ltm.items()):
-        if cid in authored and not memory.stm.get(cid):
-            feedback_lines.append(
-                f"Your content [{cid}] had lasting impact "
-                f"(engagement score {ltm_entry.engagement_score:g})."
-            )
-    feedback = "\n".join(feedback_lines) or "No feedback on your content yet."
-
-    return DecisionPrompt(
-        system_text=system_text,
-        feedback_section=feedback,
-        activity_section=am_summary(memory.am, iteration),
-        feed_section=tuple(feed),
-        actions_section=permitted_actions(feed, iteration, others_exist),
-    )
+    """The decision prompt for one agent-iteration. ``authored`` holds the
+    ids of the agent's own content, for the feedback section; the text
+    sections render lazily (see ``DecisionPrompt``)."""
+    return DecisionPrompt(agent, memory, authored, iteration, tuple(feed),
+                          permitted_actions(feed, iteration, others_exist))
 
 
 _CHOICE_ALIASES = {
@@ -318,6 +335,27 @@ def surrogate_distribution(trait) -> tuple:
     return archetype_table()[trait].as_tuple()
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The cumulative distribution that ``Generator.choice(len(p), p=p)``
+    builds and searches."""
+    out = np.cumsum(p, dtype=float)
+    out /= out[-1]
+    return out
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """numpy's own inverse-CDF draw for ``choice`` with ``p``: the same index
+    and the same generator state as ``rng.choice(len(p), p=p)``, without the
+    checks ``choice`` makes on ``p``. The stub needs none of them: every
+    archetype row passes ``ActionDistribution.__post_init__`` (components in
+    [0, 1] that sum to 1) and the surrogates and ``INTERACT_SPLIT`` are
+    constants."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_INTERACT_CDF = _choice_cdf(INTERACT_SPLIT)
+
+
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
                 rng: np.random.Generator, iteration: int = 0) -> Decision:
     """Sample a decision from the agent's archetype row.
@@ -334,7 +372,7 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
     total = row.sum()
     if total <= 0:
         return Decision(ActionKind.INACTIVE, "stub: no feasible active category")
-    category = rng.choice(4, p=row / total)
+    category = _draw(_choice_cdf(row / total), rng)
 
     if category == 0:
         text = f"Update {iteration} from {agent.agent_id} on {agent.topic or 'life'}"
@@ -348,7 +386,7 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
     if category == 1:
         return Decision(ActionKind.RESHARE, "stub: archetype re-share",
                         target=target.content_id)
-    sub = rng.choice(3, p=np.asarray(INTERACT_SPLIT, dtype=float))
+    sub = _draw(_INTERACT_CDF, rng)
     if sub == 0:
         return Decision(ActionKind.LIKE, "stub: archetype reaction",
                         target=target.content_id)

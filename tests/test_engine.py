@@ -32,7 +32,14 @@ from traitsim.engine import (
     run_simulation,
     write_artifacts,
 )
-from traitsim.reasoning import Decision, StubBackend, TransportError
+from traitsim.memory import am_summary
+from traitsim.reasoning import (
+    Decision,
+    StubBackend,
+    TransportError,
+    build_prompt,
+    permitted_actions,
+)
 
 from conftest import TOPICS, make_personas
 
@@ -715,3 +722,129 @@ class TestLLMPathGoldenDigests:
         assert backend.calls == cfg.iterations * len(world.agents)
         assert backend.prompts.hexdigest() == self.PROMPTS
         assert digests == self.GOLDEN
+
+
+def _eager_prompt_text(profile, memory, feed, iteration, authored,
+                       others_exist):
+    """``system_text + user_text()`` as ``build_prompt`` rendered every
+    section when it built the prompt."""
+    system_parts = [profile.identity_text]
+    if profile.trait is not None:
+        system_parts.append(profile.trait.prompt_text)
+    feedback_lines = []
+    for cid in sorted(memory.stm.keys() & authored):
+        entry = memory.stm[cid]
+        feedback_lines.append(
+            f"Your content [{cid}]: {entry.reshares} re-shares, "
+            f"{entry.likes} likes, {entry.dislikes} dislikes, "
+            f"{entry.comments} comments.")
+    for cid, ltm_entry in sorted(memory.ltm.items()):
+        if cid in authored and not memory.stm.get(cid):
+            feedback_lines.append(
+                f"Your content [{cid}] had lasting impact "
+                f"(engagement score {ltm_entry.engagement_score:g}).")
+    lines = ["## Feedback on your content",
+             "\n".join(feedback_lines) or "No feedback on your content yet.",
+             "", "## Your recent activity", am_summary(memory.am, iteration),
+             "", "## Recommended feed"]
+    for e in feed:
+        tag = " (re-share)" if e.is_reshare else ""
+        lines.append(f"[{e.content_id}] by {e.author}{tag}: {e.text}")
+    if not feed:
+        lines.append("(no content available yet)")
+    lines += ["", "## Available actions", ", ".join(
+        k.value for k in permitted_actions(feed, iteration, others_exist))]
+    lines += [
+        "",
+        "Answer with exactly three lines:",
+        "CHOICE: one of the available actions",
+        "REASON: a short rationale",
+        "CONTENT: post text for post; a feed content id for reshare/like/"
+        "dislike; '<content id>: <your comment>' for comment; an agent id "
+        "for follow; leave empty for inactive.",
+    ]
+    return "\n\n".join(system_parts) + "\n".join(lines)
+
+
+class EagerCheckBackend(StubBackend):
+    """Answers as the stub does. ``build`` renders each prompt eagerly from
+    the arguments ``build_prompt`` got, when it got them; ``complete`` reads
+    the lazy prompt's text twice and compares both readings with that."""
+
+    def __init__(self):
+        self.eager = None  # (prompt, eager text) of the decision under way
+        self.texts = []
+
+    def build(self, profile, memory, feed, iteration, authored=frozenset(),
+              others_exist=True):
+        prompt = build_prompt(profile, memory, feed, iteration, authored,
+                              others_exist)
+        self.eager = (prompt, _eager_prompt_text(
+            profile, memory, feed, iteration, authored, others_exist))
+        return prompt
+
+    def complete(self, prompt, context):
+        built, eager = self.eager
+        assert built is prompt
+        text = prompt.system_text + prompt.user_text()
+        assert text == eager
+        assert prompt.system_text + prompt.user_text() == text
+        self.texts.append(text)
+        return super().complete(prompt, context)
+
+
+class TestLazyPrompt:
+    """The prompt sections render when a backend reads them, from the same
+    memory ``build_prompt`` saw: the text equals the eager rendering."""
+
+    @pytest.mark.parametrize("configuration",
+                             ("FullModel", "RandomRecommendation"))
+    def test_lazy_text_equals_eager_text(self, configuration, monkeypatch):
+        personas = make_personas(6)  # 42 agents
+        cfg = config(configuration=configuration, iterations=12,
+                     master_seed=17)
+        order = init_population(personas, cfg).agent_order()
+        edges = [(a, order[(i + step) % len(order)])
+                 for i, a in enumerate(order) for step in (1, 5, 11)]
+        backend = EagerCheckBackend()
+        monkeypatch.setattr(engine, "build_prompt", backend.build)
+        world = run_simulation(cfg, personas, backend,
+                               initial_world=init_population(
+                                   personas, cfg, follow_edges=edges))
+        assert len(backend.texts) == cfg.iterations * len(world.agents)
+        # The run reaches every kind of section line.
+        for line in (" re-shares, ", "had lasting impact",
+                     "No feedback on your content yet.", "iterations ago",
+                     "(re-share)", "(no content available yet)"):
+            assert any(line in text for text in backend.texts), line
+
+
+class TestAgentRngCalls:
+    """One generator per agent-iteration for the backend, and one more only
+    where the random recommender draws from it."""
+
+    @pytest.mark.parametrize("configuration", CONFIGURATIONS)
+    def test_feed_stream_built_only_for_the_random_strategy(
+            self, configuration, monkeypatch):
+        streams, feed_rngs = [], []
+
+        def spy_rng(master_seed, iteration, agent_index, stream):
+            streams.append(stream)
+            return agent_rng(master_seed, iteration, agent_index, stream)
+
+        def spy_feed(agent, world, strategy, k, rng):
+            feed_rngs.append(rng)
+            return recommend_feed(agent, world, strategy, k, rng)
+
+        monkeypatch.setattr(engine, "agent_rng", spy_rng)
+        monkeypatch.setattr(engine, "recommend_feed", spy_feed)
+        cfg = config(configuration=configuration, iterations=4)
+        world = init_population(make_personas(3), cfg)
+        for _ in range(cfg.iterations):
+            run_iteration(world, cfg, StubBackend())
+        decisions = cfg.iterations * len(world.agents)
+        preference = cfg.recommender_strategy == "preference"
+        assert len(streams) == (1 if preference else 2) * decisions
+        assert streams.count(1) == decisions
+        assert len(feed_rngs) == decisions
+        assert all((rng is None) == preference for rng in feed_rngs)

@@ -1,6 +1,15 @@
 import pytest
 
-from traitsim.core import Action, ActionKind, ActionRecord, ContentItem, Order
+from traitsim.core import (
+    CATEGORIES,
+    CATEGORY,
+    ENGAGEMENT_KINDS,
+    Action,
+    ActionKind,
+    ActionRecord,
+    ContentItem,
+    Order,
+)
 from traitsim.networks import (
     WeightedDigraph,
     build_interaction_network,
@@ -56,6 +65,19 @@ class TestGraphConstruction:
                                         ActionKind.COMMENT) for r in log)
         assert reshares.total_weight() == n_reshares
         assert interactions.total_weight() == n_inter
+
+    @pytest.mark.parametrize("kind", sorted(ENGAGEMENT_KINDS,
+                                            key=lambda k: k.value))
+    def test_each_engagement_lands_in_its_category_network(self, kind):
+        """A network counts exactly the kinds ``core.CATEGORY`` puts in its
+        column, so a copy of a category here cannot drift from ``core``."""
+        content = {1: ContentItem(1, "a", 1, "t", "Music")}
+        log = [rec("b", kind, 1)]
+        category = CATEGORIES[CATEGORY[kind]]
+        assert (bool(build_resharing_network(log, content).edges)
+                == (category == "reshare"))
+        assert (bool(build_interaction_network(log, content).edges)
+                == (category == "interact"))
 
     def test_rejects_non_positive_weight(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traitsim.core import (
     ActionKind,
@@ -14,6 +15,7 @@ from traitsim.core import (
     archetype_table,
 )
 from traitsim.memory import MemoryUnit
+from traitsim import reasoning
 from traitsim.reasoning import (
     Decision,
     DecisionContext,
@@ -259,6 +261,77 @@ class TestStub:
         raws = {backend.complete(prompt_for(), ctx(seed=9)) for _ in range(5)}
         # fresh rng per call in ctx(); same seed, same bytes
         assert len(raws) == 1
+
+
+def _reference_stub_decide(agent, feed, rng, iteration=0):
+    """``stub_decide`` as it sampled through ``Generator.choice``."""
+    row = np.asarray(surrogate_distribution(agent.trait), dtype=float)
+    if not feed:
+        row = row * np.array([1.0, 0.0, 0.0, 1.0])
+    total = row.sum()
+    if total <= 0:
+        return Decision(ActionKind.INACTIVE, "stub: no feasible active category")
+    category = rng.choice(4, p=row / total)
+    if category == 0:
+        text = f"Update {iteration} from {agent.agent_id} on {agent.topic or 'life'}"
+        return Decision(ActionKind.POST, "stub: archetype post", payload=text)
+    if category == 3:
+        return Decision(ActionKind.INACTIVE, "stub: archetype inactivity")
+    matching = [e for e in feed if e.topic == agent.topic]
+    pool = matching if matching else list(feed)
+    target = pool[rng.integers(len(pool))]
+    if category == 1:
+        return Decision(ActionKind.RESHARE, "stub: archetype re-share",
+                        target=target.content_id)
+    sub = rng.choice(3, p=np.asarray(reasoning.INTERACT_SPLIT, dtype=float))
+    if sub == 0:
+        return Decision(ActionKind.LIKE, "stub: archetype reaction",
+                        target=target.content_id)
+    if sub == 1:
+        return Decision(ActionKind.DISLIKE, "stub: archetype reaction",
+                        target=target.content_id)
+    text = f"Comment {iteration} from {agent.agent_id}"
+    return Decision(ActionKind.COMMENT, "stub: archetype reaction",
+                    target=target.content_id, payload=text)
+
+
+# Every trait the stub can see: the 7 archetypes, the psychometric variants
+# (both surrogate rows) and none (the all-post surrogate).
+STUB_TRAITS = (*Trait, *OCEAN_VARIANTS, None)
+# Every row the stub draws a category from, and the cumulative distribution
+# it searches: the rows as they are and masked for an empty feed, then the
+# interact split.
+_ROWS = [np.asarray(surrogate_distribution(t), dtype=float) * mask
+         for t in STUB_TRAITS for mask in (1.0, np.array([1.0, 0, 0, 1.0]))]
+STUB_CDFS = [(row / row.sum(), reasoning._choice_cdf(row / row.sum()))
+             for row in _ROWS if row.sum() > 0]
+STUB_CDFS.append((np.asarray(reasoning.INTERACT_SPLIT),
+                  reasoning._INTERACT_CDF))
+
+
+class TestInverseCdfDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.sampled_from(STUB_CDFS), seed=st.integers(0, 2**64 - 1),
+           draws=st.integers(1, 40))
+    def test_same_index_and_state_as_choice(self, case, seed, draws):
+        p, cdf = case
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            assert reasoning._draw(cdf, ours) == theirs.choice(len(p), p=p)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(trait=st.sampled_from(STUB_TRAITS),
+           topic=st.sampled_from(("Music", "Religion")),
+           feed=st.sampled_from(((), FEED, FEED[1:])),
+           seed=st.integers(0, 2**64 - 1))
+    def test_stub_decide_same_as_reference(self, trait, topic, feed, seed):
+        profile = agent(trait, topic)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for iteration in range(1, 6):
+            assert (stub_decide(profile, feed, ours, iteration)
+                    == _reference_stub_decide(profile, feed, theirs, iteration))
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
