@@ -47,7 +47,6 @@ from .memory import (
     stm_observe,
 )
 from .reasoning import (
-    DecisionContext,
     Decision,
     FeedEntry,
     StubBackend,
@@ -343,11 +342,9 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
                 stm_observe(agent.memory, item, iteration, config.memory, analyzer)
         prompt = build_prompt(agent.profile, agent.memory, feed, iteration,
                               own, others_exist=len(world.agents) > 1)
-        context = DecisionContext(
-            agent=agent.profile, iteration=iteration,
-            rng=agent_rng(config.master_seed, iteration, agent.index, 1),
-        )
-        decisions[agent_id] = decide(prompt, backend, context)
+        decisions[agent_id] = decide(
+            prompt, backend,
+            agent_rng(config.master_seed, iteration, agent.index, 1))
 
     for agent_id in world.agent_order():
         agent = world.agents[agent_id]

@@ -1,23 +1,29 @@
-"""Decision prompts, the Choice-Reason-Content protocol, and backends.
+"""Decision prompts, the decision protocol, and backends.
 
 Each iteration an agent receives a prompt with four sections (feedback on its
 own content, an activity summary, a recommended feed, and the permitted
-actions) and must answer with a labeled three-field triplet::
+actions). Every backend answers ``complete(prompt, rng)`` with a
+``Decision``; ``decide`` checks each answer against the prompt
+(``validate_decision``: a permitted action, and a feed target for an
+engagement), re-prompts up to ``MAX_RETRIES`` times, then falls back to
+inactivity.
+
+A model answers in text, a labeled three-field triplet::
 
     CHOICE: <action>
     REASON: <why>
     CONTENT: <payload>
 
-A tolerant parser also accepts a JSON object with ``choice``/``reason``/
-``content`` keys. CONTENT carries the post text for "post", a content id for
-"reshare"/"like"/"dislike", ``<content id>: <text>`` for "comment", an agent
-id for "follow", and is empty for "inactive". An agent is prompted up to
-``MAX_RETRIES`` times until it gives a valid answer, then falls back to
-inactivity.
+which ``parse_response`` reads; it also accepts a JSON object with
+``choice``/``reason``/``content`` keys. CONTENT carries the post text for
+"post", a content id for "reshare"/"like"/"dislike", ``<content id>:
+<text>`` for "comment", an agent id for "follow", and is empty for
+"inactive". A text that breaks a rule raises ``ValidationError`` from the
+backend, and ``decide`` re-prompts on it as on a refused decision.
 
 Two backends are provided: an HTTP chat-completion client for local model
-servers, and a deterministic stub that samples from the archetype table so
-whole runs are bit-reproducible from the master seed.
+servers, and a deterministic stub that samples a ``Decision`` from the
+archetype table so whole runs are bit-reproducible from the master seed.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import numpy as np
 import requests
 
 from .core import (
+    ENGAGEMENT_KINDS,
     ActionKind,
     AgentProfile,
     PsychometricVariant,
@@ -160,6 +167,8 @@ class DecisionPrompt:
 
 @dataclass
 class Decision:
+    """A backend's answer: what every ``complete`` returns."""
+
     choice: ActionKind
     reason: str
     target: Optional[object] = None
@@ -237,12 +246,12 @@ def _extract_fields(raw_text: str) -> dict:
     return fields
 
 
-def validate_decision(raw_text: str, prompt: DecisionPrompt) -> Decision:
-    """Parse and check a raw backend response against the prompt.
+def parse_response(raw_text: str) -> Decision:
+    """Read a backend's text answer into a ``Decision``.
 
-    Raises ValidationError naming the violated rule: ``parse failure``,
-    ``unknown action kind``, ``action not permitted``, ``dangling content
-    reference``, ``missing payload``, or ``missing target``.
+    Raises ValidationError naming the broken text rule: ``parse failure``,
+    ``unknown action kind``, ``missing payload`` or ``missing target``.
+    Whether the world allows the decision is ``validate_decision``'s part.
     """
     fields = _extract_fields(raw_text)
     if "choice" not in fields:
@@ -251,12 +260,9 @@ def validate_decision(raw_text: str, prompt: DecisionPrompt) -> Decision:
     kind = _CHOICE_ALIASES.get(choice_word)
     if kind is None:
         raise ValidationError("unknown action kind", fields["choice"])
-    if kind not in prompt.actions_section:
-        raise ValidationError("action not permitted", kind.value)
     reason = fields.get("reason", "").strip()
     content = fields.get("content", "").strip()
 
-    feed_ids = {e.content_id for e in prompt.feed_section}
     if kind is ActionKind.POST:
         if not content:
             raise ValidationError("missing payload", "post requires text")
@@ -265,16 +271,12 @@ def validate_decision(raw_text: str, prompt: DecisionPrompt) -> Decision:
         cid = _parse_content_id(content)
         if cid is None:
             raise ValidationError("missing target", f"{kind.value} requires a content id")
-        if cid not in feed_ids:
-            raise ValidationError("dangling content reference", str(cid))
         return Decision(kind, reason, target=cid)
     if kind is ActionKind.COMMENT:
         head, _, text = content.partition(":")
         cid = _parse_content_id(head)
         if cid is None:
             raise ValidationError("missing target", "comment requires '<id>: <text>'")
-        if cid not in feed_ids:
-            raise ValidationError("dangling content reference", str(cid))
         if not text.strip():
             raise ValidationError("missing payload", "comment requires text")
         return Decision(kind, reason, target=cid, payload=text.strip())
@@ -290,33 +292,39 @@ def _parse_content_id(text: str) -> Optional[int]:
     return int(m.group()) if m else None
 
 
-@dataclass
-class DecisionContext:
-    """Per-decision state handed to backends (the stub needs it; the HTTP
-    client ignores it)."""
+def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
+    """Check a decision against the world its prompt showed.
 
-    agent: AgentProfile
-    iteration: int
-    rng: Optional[np.random.Generator] = None
+    Raises ValidationError naming the broken world rule: ``action not
+    permitted``, then ``dangling content reference`` for an engagement whose
+    target is not in the feed.
+    """
+    if decision.choice not in prompt.actions_section:
+        raise ValidationError("action not permitted", decision.choice.value)
+    if decision.choice in ENGAGEMENT_KINDS and decision.target not in {
+            e.content_id for e in prompt.feed_section}:
+        raise ValidationError("dangling content reference", str(decision.target))
 
 
 def decide(prompt: DecisionPrompt, backend,
-           context: DecisionContext) -> Decision:
+           rng: Optional[np.random.Generator]) -> Decision:
     """Return the first valid decision, re-prompting on protocol violations.
 
-    Transport errors propagate; after ``MAX_RETRIES`` invalid responses the
-    agent falls back to inactivity.
+    Every answer, the stub's as well as a model's, goes through
+    ``validate_decision``. Transport errors propagate; after ``MAX_RETRIES``
+    invalid answers the agent falls back to inactivity.
     """
     for attempt in range(MAX_RETRIES):
-        raw = backend.complete(prompt, context)
         try:
-            return validate_decision(raw, prompt)
+            decision = backend.complete(prompt, rng)
+            validate_decision(decision, prompt)
+            return decision
         except ValidationError as err:
             log.warning(
                 "invalid decision from %s (attempt %d/%d): %s",
-                context.agent.agent_id, attempt + 1, MAX_RETRIES, err,
+                prompt.agent.agent_id, attempt + 1, MAX_RETRIES, err,
             )
-    log.warning("decision fallback to inactive for %s", context.agent.agent_id)
+    log.warning("decision fallback to inactive for %s", prompt.agent.agent_id)
     return Decision(ActionKind.INACTIVE, FALLBACK_REASON)
 
 
@@ -360,10 +368,10 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
                 rng: np.random.Generator, iteration: int = 0) -> Decision:
     """Sample a decision from the agent's archetype row.
 
-    The row is masked and renormalized over feasible categories (no
-    re-share/interact with an empty feed, and no posting/engaging outside the
-    permitted set at iteration 1 an empty feed already encodes). Targets are
-    drawn uniformly among topic-matching feed items when any exist, else
+    An empty feed masks re-share and interact out of the row, which is then
+    renormalized; a draw the prompt does not permit otherwise (an engagement
+    at iteration 1) is refused by ``validate_decision`` and re-drawn. Targets
+    are drawn uniformly among topic-matching feed items when any exist, else
     uniformly over the feed.
     """
     row = np.asarray(surrogate_distribution(agent.trait), dtype=float)
@@ -399,25 +407,13 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
 
 
 class StubBackend:
-    """Renders stub decisions through the same triplet wire format, so the
-    validation path is exercised identically to a real backend."""
+    """Answers with the decision ``stub_decide`` samples for the prompt's
+    agent, from the generator ``decide`` hands it."""
 
-    def complete(self, prompt: DecisionPrompt, context: DecisionContext) -> str:
-        decision = stub_decide(context.agent, prompt.feed_section, context.rng,
-                               context.iteration)
-        if decision.choice is ActionKind.POST:
-            content = decision.payload
-        elif decision.choice is ActionKind.COMMENT:
-            content = f"{decision.target}: {decision.payload}"
-        elif decision.target is not None:
-            content = str(decision.target)
-        else:
-            content = ""
-        return (
-            f"CHOICE: {decision.choice.value}\n"
-            f"REASON: {decision.reason}\n"
-            f"CONTENT: {content}"
-        )
+    def complete(self, prompt: DecisionPrompt,
+                 rng: np.random.Generator) -> Decision:
+        return stub_decide(prompt.agent, prompt.feed_section, rng,
+                           prompt.iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +431,8 @@ class EndpointConfig:
 
 
 class LLMBackend:
-    """One chat-completion round trip per decision; no retries here (the
-    re-prompt loop lives in ``decide``)."""
+    """One chat-completion round trip per decision, parsed into a
+    ``Decision``; no retries here (the re-prompt loop lives in ``decide``)."""
 
     def __init__(self, endpoint: EndpointConfig, session=None):
         self.endpoint = endpoint
@@ -471,5 +467,6 @@ class LLMBackend:
         except (ValueError, KeyError, IndexError) as err:
             raise TransportError(f"malformed completion response: {err}") from err
 
-    def complete(self, prompt: DecisionPrompt, context: DecisionContext) -> str:
-        return self.chat(prompt.system_text, prompt.user_text())
+    def complete(self, prompt: DecisionPrompt, rng) -> Decision:
+        """The parsed answer; ``rng`` is unused (sampling is the model's)."""
+        return parse_response(self.chat(prompt.system_text, prompt.user_text()))

@@ -255,11 +255,11 @@ class TestSimulate:
         class FlakyBackend(StubBackend):
             calls = 0
 
-            def complete(self, prompt, context):
+            def complete(self, prompt, rng):
                 self.calls += 1
                 if self.calls > 3 * agents + 5:
                     raise TransportError("backend unreachable: refused")
-                return super().complete(prompt, context)
+                return super().complete(prompt, rng)
 
         monkeypatch.setattr(cli, "_make_backend", lambda cfg: FlakyBackend())
         out = tmp_path / "run"

@@ -38,6 +38,7 @@ from traitsim.reasoning import (
     StubBackend,
     TransportError,
     build_prompt,
+    parse_response,
     permitted_actions,
 )
 
@@ -466,6 +467,29 @@ class TestRunIteration:
         kinds = {r.action.kind for r in world.log}
         assert kinds <= {ActionKind.POST, ActionKind.INACTIVE}
 
+    def test_stub_answers_go_through_the_world_check(self, personas_small,
+                                                    monkeypatch):
+        """Content from iteration 0 fills every feed at iteration 1, where
+        only post and inactive are permitted: the stub's engagements are
+        refused and re-drawn (or fall back), never applied."""
+        world = init_population(personas_small, config())
+        for agent_id in world.agent_order()[:3]:
+            add_post(world, agent_id, 0, topic=world.agents[agent_id].profile.topic)
+        drawn = []
+
+        class RecordingStub(StubBackend):
+            def complete(self, prompt, rng):
+                assert prompt.feed_section
+                decision = super().complete(prompt, rng)
+                drawn.append(decision.choice)
+                return decision
+
+        run_iteration(world, config(), RecordingStub())
+        assert ENGAGEMENT_KINDS & set(drawn)
+        logged = [r.action.kind for r in world.log]
+        assert len(logged) == len(world.agents)
+        assert set(logged) <= {ActionKind.POST, ActionKind.INACTIVE}
+
     def test_records_cover_every_agent_every_iteration(self, personas_small):
         cfg = config(iterations=4)
         world = run_simulation(cfg, personas_small)
@@ -489,11 +513,11 @@ class TestRunIteration:
         class FlakyBackend:
             calls = 0
 
-            def complete(self, prompt, context):
+            def complete(self, prompt, rng):
                 self.calls += 1
                 if self.calls > 100:
                     raise TransportError("gone")
-                return "CHOICE: inactive\nREASON: x\nCONTENT:"
+                return parse_response("CHOICE: inactive\nREASON: x\nCONTENT:")
 
         cfg = config(iterations=10)
         world = init_population(personas_small, cfg)
@@ -667,7 +691,7 @@ class PromptHashBackend:
         self.prompts = hashlib.sha256()
         self.calls = 0
 
-    def complete(self, prompt, context):
+    def complete(self, prompt, rng):
         text = prompt.system_text + prompt.user_text()
         self.prompts.update(hashlib.sha256(text.encode()).digest())
         self.calls += 1
@@ -687,7 +711,8 @@ class PromptHashBackend:
             content = rng.choice(feed).author
         elif kind is not ActionKind.INACTIVE:
             content = str(rng.choice(feed).content_id)
-        return f"CHOICE: {kind.value}\nREASON: hashed\nCONTENT: {content}"
+        return parse_response(
+            f"CHOICE: {kind.value}\nREASON: hashed\nCONTENT: {content}")
 
 
 class TestLLMPathGoldenDigests:
@@ -783,14 +808,14 @@ class EagerCheckBackend(StubBackend):
             profile, memory, feed, iteration, authored, others_exist))
         return prompt
 
-    def complete(self, prompt, context):
+    def complete(self, prompt, rng):
         built, eager = self.eager
         assert built is prompt
         text = prompt.system_text + prompt.user_text()
         assert text == eager
         assert prompt.system_text + prompt.user_text() == text
         self.texts.append(text)
-        return super().complete(prompt, context)
+        return super().complete(prompt, rng)
 
 
 class TestLazyPrompt:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -18,7 +19,6 @@ from traitsim.memory import MemoryUnit
 from traitsim import reasoning
 from traitsim.reasoning import (
     Decision,
-    DecisionContext,
     EndpointConfig,
     FALLBACK_REASON,
     FeedEntry,
@@ -29,6 +29,7 @@ from traitsim.reasoning import (
     ValidationError,
     build_prompt,
     decide,
+    parse_response,
     permitted_actions,
     stub_decide,
     surrogate_distribution,
@@ -99,37 +100,41 @@ class TestBuildPrompt:
         assert prompt_for().user_text() == prompt_for().user_text()
 
 
+def accepted(raw):
+    """The decision a text answer parses to, checked against ``prompt_for()``."""
+    decision = parse_response(raw)
+    validate_decision(decision, prompt_for())
+    return decision
+
+
+# The rules ``parse_response`` owns; ``validate_decision`` owns the rest.
+TEXT_RULES = ("parse failure", "unknown action kind", "missing payload",
+              "missing target")
+
+
 class TestValidateDecision:
     def test_post_triplet(self):
-        d = validate_decision(
-            "CHOICE: post\nREASON: felt like it\nCONTENT: hello world",
-            prompt_for())
+        d = accepted("CHOICE: post\nREASON: felt like it\nCONTENT: hello world")
         assert d.choice is ActionKind.POST
         assert d.payload == "hello world"
         assert d.reason == "felt like it"
 
     def test_json_alternative(self):
-        d = validate_decision(
-            json.dumps({"choice": "like", "reason": "nice", "content": "3"}),
-            prompt_for())
+        d = accepted(
+            json.dumps({"choice": "like", "reason": "nice", "content": "3"}))
         assert d.choice is ActionKind.LIKE
         assert d.target == 3
 
     def test_choice_aliases(self):
-        d = validate_decision("CHOICE: retweet\nREASON: x\nCONTENT: 5",
-                              prompt_for())
+        d = accepted("CHOICE: retweet\nREASON: x\nCONTENT: 5")
         assert d.choice is ActionKind.RESHARE
 
     def test_comment_payload_format(self):
-        d = validate_decision(
-            "CHOICE: comment\nREASON: x\nCONTENT: 3: great rhythm",
-            prompt_for())
+        d = accepted("CHOICE: comment\nREASON: x\nCONTENT: 3: great rhythm")
         assert (d.target, d.payload) == (3, "great rhythm")
 
     def test_multiline_post_content(self):
-        d = validate_decision(
-            "CHOICE: post\nREASON: x\nCONTENT: line one\nline two",
-            prompt_for())
+        d = accepted("CHOICE: post\nREASON: x\nCONTENT: line one\nline two")
         assert d.payload == "line one\nline two"
 
     @pytest.mark.parametrize("raw,rule", [
@@ -146,8 +151,21 @@ class TestValidateDecision:
         prompt = (prompt_for(iteration=1, feed=())
                   if rule == "action not permitted" else prompt_for())
         with pytest.raises(ValidationError) as err:
-            validate_decision(raw, prompt)
+            if rule in TEXT_RULES:
+                parse_response(raw)
+            else:
+                validate_decision(parse_response(raw), prompt)
         assert err.value.rule == rule
+
+    def test_text_rule_reported_before_world_rule(self, caplog):
+        # A target-less reshare where no reshare is permitted: the text
+        # rule is the one reported.
+        raw = "CHOICE: reshare\nREASON: x\nCONTENT:"
+        prompt = prompt_for(iteration=1, feed=())
+        assert ActionKind.RESHARE not in prompt.actions_section
+        decide(prompt, _ScriptedBackend([raw] * MAX_RETRIES), rng())
+        assert caplog.text.count("missing target") == MAX_RETRIES
+        assert "action not permitted" not in caplog.text
 
 
 class _ScriptedBackend:
@@ -155,43 +173,43 @@ class _ScriptedBackend:
         self.responses = list(responses)
         self.calls = 0
 
-    def complete(self, prompt, context):
+    def complete(self, prompt, rng):
         self.calls += 1
-        return self.responses.pop(0)
+        return parse_response(self.responses.pop(0))
 
 
-def ctx(seed=0):
-    return DecisionContext(agent(), 4, np.random.default_rng(seed))
+def rng(seed=0):
+    return np.random.default_rng(seed)
 
 
 class TestDecide:
     def test_valid_first_answer(self):
         backend = _ScriptedBackend(["CHOICE: like\nREASON: ok\nCONTENT: 3"])
-        d = decide(prompt_for(), backend, ctx())
+        d = decide(prompt_for(), backend, rng())
         assert d.choice is ActionKind.LIKE
         assert backend.calls == 1
 
     def test_reprompts_after_invalid_answer(self):
         backend = _ScriptedBackend(
             ["garbage", "CHOICE: post\nREASON: ok\nCONTENT: hi"])
-        d = decide(prompt_for(), backend, ctx())
+        d = decide(prompt_for(), backend, rng())
         assert d.choice is ActionKind.POST
         assert backend.calls == 2
 
     def test_falls_back_to_inactive_after_retries(self):
         backend = _ScriptedBackend(["bad"] * 3)
-        d = decide(prompt_for(), backend, ctx())
+        d = decide(prompt_for(), backend, rng())
         assert d.choice is ActionKind.INACTIVE
         assert d.reason == FALLBACK_REASON
         assert backend.calls == MAX_RETRIES == 3
 
     def test_transport_errors_propagate(self):
         class Boom:
-            def complete(self, prompt, context):
+            def complete(self, prompt, rng):
                 raise TransportError("down", status=503)
 
         with pytest.raises(TransportError):
-            decide(prompt_for(), Boom(), ctx())
+            decide(prompt_for(), Boom(), rng())
 
 
 class TestStub:
@@ -248,19 +266,40 @@ class TestStub:
         assert surrogate_distribution(by_code["EL"]) == (0.5, 0.0, 0.0, 0.5)
         assert surrogate_distribution(by_code["NH"]) == (0.5, 0.0, 0.0, 0.5)
 
-    def test_backend_emits_valid_triplets(self):
+    def test_backend_answers_pass_validation(self):
         backend = StubBackend()
         for seed in range(50):
-            context = DecisionContext(agent(Trait.BP), 4,
-                                      np.random.default_rng(seed))
-            raw = backend.complete(prompt_for(), context)
-            validate_decision(raw, prompt_for())  # must not raise
+            d = backend.complete(prompt_for(), rng(seed))
+            assert d == stub_decide(agent(Trait.BP), FEED, rng(seed), 4)
+            validate_decision(d, prompt_for())  # must not raise
 
     def test_backend_deterministic_per_seed(self):
         backend = StubBackend()
-        raws = {backend.complete(prompt_for(), ctx(seed=9)) for _ in range(5)}
-        # fresh rng per call in ctx(); same seed, same bytes
-        assert len(raws) == 1
+        decisions = [backend.complete(prompt_for(), rng(seed=9))
+                     for _ in range(5)]
+        # fresh rng per call; same seed, same decision
+        assert decisions == decisions[:1] * 5
+
+    @pytest.mark.parametrize("agent_id,topic", [("a1 ", "Tech "),
+                                                ("A\n\nB", "Music"),
+                                                ("\ta1\n", "\nTech")])
+    def test_text_payloads_are_the_stub_strings(self, agent_id, topic):
+        # No text parser sits between the stub and the world: edge
+        # whitespace and blank lines in an id or topic reach the payload,
+        # where the triplet's line parser stripped or dropped them.
+        expected = {ActionKind.POST: f"Update 4 from {agent_id} on {topic}",
+                    ActionKind.COMMENT: f"Comment 4 from {agent_id}"}
+        seen = set()
+        for trait, seed in itertools.product((Trait.PC, Trait.OE), range(50)):
+            prompt = build_prompt(agent(trait, topic, agent_id), MemoryUnit(),
+                                  FEED, 4)
+            d = decide(prompt, StubBackend(), rng(seed))
+            if d.choice in expected:
+                assert d.payload == expected[d.choice]
+                assert (parse_response(_reference_triplet(d)).payload
+                        != d.payload)
+                seen.add(d.choice)
+        assert seen == expected.keys()
 
 
 def _reference_stub_decide(agent, feed, rng, iteration=0):
@@ -334,6 +373,77 @@ class TestInverseCdfDraw:
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+def _reference_triplet(decision):
+    """A decision as the CHOICE/REASON/CONTENT triplet a model writes; the
+    stub backend once answered through this text."""
+    if decision.choice is ActionKind.POST:
+        content = decision.payload
+    elif decision.choice is ActionKind.COMMENT:
+        content = f"{decision.target}: {decision.payload}"
+    elif decision.target is not None:
+        content = str(decision.target)
+    else:
+        content = ""
+    return (
+        f"CHOICE: {decision.choice.value}\n"
+        f"REASON: {decision.reason}\n"
+        f"CONTENT: {content}"
+    )
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValidationError as err:
+        return err.rule
+
+
+def _round_trip_kinds(profile, feed, seed):
+    """Check that every stub decision of five iterations, written as a
+    triplet and parsed back, is the same decision with the same verdict;
+    return the kinds seen."""
+    rng = np.random.default_rng(seed)
+    kinds = set()
+    for iteration in range(1, 6):
+        prompt = build_prompt(profile, MemoryUnit(), feed, iteration)
+        decision = stub_decide(profile, feed, rng, iteration)
+        parsed = parse_response(_reference_triplet(decision))
+        assert parsed == decision
+        assert (_outcome(validate_decision, parsed, prompt)
+                == _outcome(validate_decision, decision, prompt))
+        kinds.add(decision.choice)
+    return kinds
+
+
+# Ids and topics without edge whitespace or line breaks, which the
+# triplet's line parser would alter.
+CLEAN_TEXT = st.from_regex(r"[A-Za-z0-9]([A-Za-z0-9 _.:=*-]{0,12}[A-Za-z0-9])?",
+                           fullmatch=True)
+
+
+class TestTripletRoundTrip:
+    """The LLM protocol can express every stub decision: its triplet parses
+    back to the same decision, which the world check treats the same."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trait=st.sampled_from(STUB_TRAITS), agent_id=CLEAN_TEXT,
+           topic=st.one_of(st.none(), st.sampled_from(("Music", "Healthcare")),
+                           CLEAN_TEXT),
+           feed=st.sampled_from(((), FEED, FEED[1:])),
+           seed=st.integers(0, 2**64 - 1))
+    def test_triplet_parses_back_to_the_decision(self, trait, agent_id, topic,
+                                                 feed, seed):
+        _round_trip_kinds(agent(trait, topic, agent_id), feed, seed)
+
+    def test_every_stub_decision_kind_round_trips(self):
+        kinds = set()
+        for trait in STUB_TRAITS:
+            for feed in ((), FEED):
+                for seed in range(20):
+                    kinds |= _round_trip_kinds(agent(trait), feed, seed)
+        assert kinds == set(ActionKind) - {ActionKind.FOLLOW}
+
+
 # ---------------------------------------------------------------------------
 # HTTP client against a real local server
 
@@ -381,8 +491,8 @@ def http_endpoint():
 class TestLLMBackend:
     def test_round_trip_and_request_shape(self, http_endpoint):
         backend = LLMBackend(EndpointConfig(http_endpoint, "test-model"))
-        raw = backend.complete(prompt_for(), ctx())
-        assert raw.startswith("CHOICE: inactive")
+        d = backend.complete(prompt_for(), None)
+        assert d == Decision(ActionKind.INACTIVE, "x")
         body = _Handler.requests_seen[-1]["body"]
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.7
