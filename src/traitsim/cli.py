@@ -1,7 +1,7 @@
 """Operator CLI: simulate, analyze, ground.
 
 ``simulate`` runs a configured simulation and writes an artifact directory
-(``engine.OUTPUTS`` and ``engine.MANIFEST``). ``analyze``
+(``engine.write_artifacts`` and ``engine.write_manifest``). ``analyze``
 turns one artifact directory into plot-ready CSVs and a text summary, with an
 optional second run for the Mann-Whitney chain-length comparison. ``ground``
 runs the empirical pipeline from platform records to an engine-ready
@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
 from .analytics import (
     action_probability_vector,
     chain_length_table,
@@ -34,9 +31,6 @@ from .analytics import (
 from .core import CATEGORIES, Trait
 from .engine import (
     CONFIGURATIONS,
-    MANIFEST,
-    OUTPUTS,
-    SCHEMA_VERSION,
     SimulationConfig,
     check_integrity,
     init_population,
@@ -44,6 +38,7 @@ from .engine import (
     load_run,
     run_simulation,
     write_artifacts,
+    write_manifest,
 )
 from .grounding import (
     assign_trait,
@@ -158,10 +153,6 @@ def read_follows(path: Path) -> list:
     return edges
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _present(section: dict, keys) -> dict:
     """``section`` cut to ``keys``; a dataclass supplies the rest."""
     return {key: section[key] for key in keys if key in section}
@@ -234,25 +225,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"content store failed its integrity check, no "
                        f"artifacts written: {err}")
     write_artifacts(world, out)
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "code_version": __version__,
-        "master_seed": sim_config.master_seed,
-        "completed_iterations": world.iteration,
-        "config": {
-            "configuration": sim_config.configuration,
-            "iterations": sim_config.iterations,
-            "feed_size": sim_config.feed_size,
-            "backend": {k: v for k, v in backend_cfg.items()},
-            "memory": asdict(sim_config.memory),
-        },
-        "inputs": {str(path): _sha256(path)
-                   for path in (personas_path, follows_path) if path},
-        "outputs": list(OUTPUTS),
-    }
-    (out / MANIFEST).write_text(json.dumps(manifest, indent=2,
-                                           sort_keys=True) + "\n")
+    write_manifest(world, sim_config, out, backend_cfg,
+                   [path for path in (personas_path, follows_path) if path])
     if failure is not None:
         raise CliError(f"backend transport error in iteration "
                        f"{world.iteration + 1}: {failure}; {out} holds the run "

@@ -13,8 +13,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Optional, Union
 
-TOPICS = ("Healthcare", "Technology", "Religion", "Music")
-
 SUM_TOLERANCE = 1e-9
 
 

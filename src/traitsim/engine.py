@@ -18,13 +18,15 @@ recommender pool) can engage with it, forming propagation chains.
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .core import (
     Action,
     ActionKind,
@@ -53,11 +55,10 @@ from .reasoning import (
     build_prompt,
     decide,
 )
-from .sentiment import NeutralSentiment
 
 SCHEMA_VERSION = 1
 OUTPUTS = ("actions.jsonl", "content.jsonl", "agents.jsonl")  # write_artifacts
-MANIFEST = "manifest.json"  # written beside them by ``simulate``
+MANIFEST = "manifest.json"  # write_manifest, beside them
 
 CONFIGURATIONS = ("FullModel", "IdentityOnly", "RandomRecommendation",
                   "PsychometricTraits")
@@ -310,7 +311,6 @@ def agent_rng(master_seed: int, iteration: int, agent_index: int,
 
 
 def run_iteration(world: WorldState, config: SimulationConfig, backend,
-                  analyzer=None,
                   decision_order: Optional[Sequence[str]] = None) -> WorldState:
     """One snapshot-decide / serialized-apply cycle.
 
@@ -318,7 +318,6 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     computed (they are order-independent by construction); application always
     happens in sorted agent order.
     """
-    analyzer = analyzer or NeutralSentiment()
     iteration = world.iteration + 1
     order = list(decision_order) if decision_order is not None else world.agent_order()
     if sorted(order) != world.agent_order():
@@ -334,14 +333,13 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
                               config.feed_size, feed_rng)
         for entry in feed:
             stm_observe(agent.memory, world.content[entry.content_id],
-                        iteration, config.memory, analyzer)
+                        iteration, config.memory)
         own = world.authored.get(agent_id, frozenset())
         for cid in own:
             item = world.content[cid]
             if iteration - item.iteration_created <= config.memory.decay_horizon:
-                stm_observe(agent.memory, item, iteration, config.memory, analyzer)
-        prompt = build_prompt(agent.profile, agent.memory, feed, iteration,
-                              own, others_exist=len(world.agents) > 1)
+                stm_observe(agent.memory, item, iteration, config.memory)
+        prompt = build_prompt(agent.profile, agent.memory, feed, iteration, own)
         decisions[agent_id] = decide(
             prompt, backend,
             agent_rng(config.master_seed, iteration, agent.index, 1))
@@ -361,7 +359,7 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
 
 
 def run_simulation(config: SimulationConfig, personas: Sequence[dict],
-                   backend=None, analyzer=None,
+                   backend=None,
                    initial_world: Optional[WorldState] = None) -> WorldState:
     """Run the configured number of iterations and return the final world.
 
@@ -376,12 +374,13 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
     world = initial_world if initial_world is not None else init_population(
         personas, config)
     for _ in range(config.iterations):
-        run_iteration(world, config, backend, analyzer)
+        run_iteration(world, config, backend)
     return world
 
 
 # ---------------------------------------------------------------------------
-# The run directory (schema_version = 1): write_artifacts and load_run
+# The run directory (schema_version = 1): write_artifacts, write_manifest
+# and load_run
 
 
 def record_to_dict(record: ActionRecord) -> dict:
@@ -466,6 +465,31 @@ def write_artifacts(world: WorldState, out_dir) -> None:
     )
     for name, file_rows in zip(OUTPUTS, rows):
         write_jsonl(out / name, file_rows)
+
+
+def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
+                   backend: dict, inputs: Sequence[Path]) -> None:
+    """Write ``MANIFEST`` into ``out_dir``: the schema and code versions, the
+    run's configuration (``backend`` as given), the iterations ``world``
+    completed, the sha256 of each input file and the ``OUTPUTS``."""
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "code_version": __version__,
+        "master_seed": config.master_seed,
+        "completed_iterations": world.iteration,
+        "config": {
+            "configuration": config.configuration,
+            "iterations": config.iterations,
+            "feed_size": config.feed_size,
+            "backend": dict(backend),
+            "memory": asdict(config.memory),
+        },
+        "inputs": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in inputs},
+        "outputs": list(OUTPUTS),
+    }
+    (Path(out_dir) / MANIFEST).write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_run_file(path: Path, parse) -> list:

@@ -7,6 +7,14 @@ bounded FIFO over the agent's own recent actions plus per-kind "last done"
 timestamps, rendered into a deterministic textual summary for the decision
 prompt.
 
+An item's engagement score, which decides both STM eviction and LTM
+promotion, is
+
+    w_reshare * reshares + w_like * likes - w_dislike * dislikes
+
+over the item's counters when it is observed. Comments are counted in the
+entry (the feedback section shows them) but do not enter the score.
+
 All three components start empty. LTM never evicts within a run.
 """
 
@@ -16,10 +24,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
 
 from .core import Action, ActionKind, ContentItem
-from .sentiment import NeutralSentiment
 
 
 @dataclass
@@ -32,7 +38,6 @@ class MemoryParams:
     w_reshare: float = 2.0
     w_like: float = 1.0
     w_dislike: float = 1.0
-    w_comment: float = 1.0
 
 
 @dataclass
@@ -66,17 +71,11 @@ class MemoryUnit:
     am: ActivityMemory = field(default_factory=ActivityMemory)
 
 
-def engagement_score(entry: StmEntry, comments, analyzer=None,
-                     params: Optional[MemoryParams] = None) -> float:
-    """w_r*reshares + w_l*likes - w_d*dislikes + w_c * sum(sentiment)."""
-    analyzer = analyzer or NeutralSentiment()
-    p = params or MemoryParams()
-    return (
-        p.w_reshare * entry.reshares
-        + p.w_like * entry.likes
-        - p.w_dislike * entry.dislikes
-        + p.w_comment * sum(analyzer.score(t) for t in comments)
-    )
+def engagement_score(entry: StmEntry,
+                     params: MemoryParams = MemoryParams()) -> float:
+    """w_reshare*reshares + w_like*likes - w_dislike*dislikes."""
+    return (params.w_reshare * entry.reshares + params.w_like * entry.likes
+            - params.w_dislike * entry.dislikes)
 
 
 # Lowest score first, then least recently touched; on equal keys ``min``
@@ -85,12 +84,12 @@ _EVICTION_KEY = attrgetter("score", "last_touched")
 
 
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
-                params: MemoryParams = MemoryParams(), analyzer=None) -> MemoryUnit:
+                params: MemoryParams = MemoryParams()) -> MemoryUnit:
     """Insert or refresh the STM entry for ``content`` with current counters.
 
     The entry's engagement score is computed here, once, from the counters
-    and comments the item has now. When the buffer would exceed capacity,
-    the lowest-score entry is evicted (the least recently touched on a tie).
+    the item has now. When the buffer would exceed capacity, the lowest-score
+    entry is evicted (the least recently touched on a tie).
     """
     c = content.counters
     entry = StmEntry(
@@ -101,8 +100,7 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
         comments=c.comments,
         last_touched=now,
     )
-    entry.score = engagement_score(
-        entry, [t for _, t in content.comment_texts], analyzer, params)
+    entry.score = engagement_score(entry, params)
     memory.stm[content.content_id] = entry
     while len(memory.stm) > params.stm_capacity:
         victim = min(memory.stm.values(), key=_EVICTION_KEY)

@@ -4,9 +4,9 @@ Each iteration an agent receives a prompt with four sections (feedback on its
 own content, an activity summary, a recommended feed, and the permitted
 actions). Every backend answers ``complete(prompt, rng)`` with a
 ``Decision``; ``decide`` checks each answer against the prompt
-(``validate_decision``: a permitted action, and a feed target for an
-engagement), re-prompts up to ``MAX_RETRIES`` times, then falls back to
-inactivity.
+(``validate_decision``: a permitted action, a feed target for an
+engagement, and a feed author for a follow), re-prompts up to
+``MAX_RETRIES`` times, then falls back to inactivity.
 
 A model answers in text, a labeled three-field triplet::
 
@@ -175,32 +175,27 @@ class Decision:
     payload: Optional[str] = None
 
 
-def permitted_actions(feed: Sequence[FeedEntry], iteration: int,
-                      others_exist: bool = True) -> tuple:
+def permitted_actions(feed: Sequence[FeedEntry], iteration: int) -> tuple:
     """Action kinds offered this iteration.
 
-    Iteration 1 (and any empty-feed iteration) offers no engagements; follow
-    is offered whenever other agents exist past the first iteration.
+    Iteration 1 and any empty-feed iteration offer post and inactive only:
+    the engagements target a feed item and follow a feed item's author.
     """
-    kinds = [ActionKind.POST]
     if feed and iteration > 1:
-        kinds += [ActionKind.RESHARE, ActionKind.LIKE, ActionKind.DISLIKE,
-                  ActionKind.COMMENT]
-    if others_exist and iteration > 1:
-        kinds.append(ActionKind.FOLLOW)
-    kinds.append(ActionKind.INACTIVE)
-    return tuple(kinds)
+        return (ActionKind.POST, ActionKind.RESHARE, ActionKind.LIKE,
+                ActionKind.DISLIKE, ActionKind.COMMENT, ActionKind.FOLLOW,
+                ActionKind.INACTIVE)
+    return (ActionKind.POST, ActionKind.INACTIVE)
 
 
 def build_prompt(agent: AgentProfile, memory: MemoryUnit,
                  feed: Sequence[FeedEntry], iteration: int,
-                 authored: AbstractSet[int] = frozenset(),
-                 others_exist: bool = True) -> DecisionPrompt:
+                 authored: AbstractSet[int] = frozenset()) -> DecisionPrompt:
     """The decision prompt for one agent-iteration. ``authored`` holds the
     ids of the agent's own content, for the feedback section; the text
     sections render lazily (see ``DecisionPrompt``)."""
     return DecisionPrompt(agent, memory, authored, iteration, tuple(feed),
-                          permitted_actions(feed, iteration, others_exist))
+                          permitted_actions(feed, iteration))
 
 
 _CHOICE_ALIASES = {
@@ -297,13 +292,17 @@ def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
 
     Raises ValidationError naming the broken world rule: ``action not
     permitted``, then ``dangling content reference`` for an engagement whose
-    target is not in the feed.
+    target is not in the feed, or ``unknown follow target`` for a follow
+    whose target is not the author of a feed item.
     """
     if decision.choice not in prompt.actions_section:
         raise ValidationError("action not permitted", decision.choice.value)
     if decision.choice in ENGAGEMENT_KINDS and decision.target not in {
             e.content_id for e in prompt.feed_section}:
         raise ValidationError("dangling content reference", str(decision.target))
+    if decision.choice is ActionKind.FOLLOW and decision.target not in {
+            e.author for e in prompt.feed_section}:
+        raise ValidationError("unknown follow target", str(decision.target))
 
 
 def decide(prompt: DecisionPrompt, backend,

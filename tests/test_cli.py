@@ -114,6 +114,18 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")]) == 1
         assert "stm_cap" in capsys.readouterr().err
 
+    def test_w_comment_is_an_unknown_memory_key(self, tmp_path, capsys,
+                                                personas_file):
+        # comments do not enter the engagement score, so no weight exists
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "memory": {"w_comment": 1.0}}))
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown config key(s)" in err and "memory.w_comment" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("text", ["[]", '{"backend": "llm"}',
                                       '{"memory": 5}'],
                              ids=["list", "backend", "memory"])

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -32,8 +33,10 @@ from traitsim.engine import (
     run_simulation,
     write_artifacts,
 )
-from traitsim.memory import am_summary
+from traitsim.memory import MemoryParams, am_summary
 from traitsim.reasoning import (
+    FALLBACK_REASON,
+    MAX_RETRIES,
     Decision,
     StubBackend,
     TransportError,
@@ -508,6 +511,31 @@ class TestRunIteration:
         world = run_simulation(config(iterations=6), personas_small)
         check_integrity(world)
 
+    def test_unknown_follow_target_never_reaches_the_graph(self, tmp_path):
+        """A backend that follows an id no agent has wherever follow is
+        offered: each such decision is re-prompted, then falls back to
+        inactivity, and ``agents.jsonl`` lists no such followee."""
+        class NobodyBackend:
+            calls = 0
+
+            def complete(self, prompt, rng):
+                self.calls += 1
+                if ActionKind.FOLLOW in prompt.actions_section:
+                    return parse_response(
+                        "CHOICE: follow\nREASON: x\nCONTENT: nobody-here")
+                return parse_response("CHOICE: post\nREASON: x\nCONTENT: hi")
+
+        backend = NobodyBackend()
+        world = run_simulation(config(iterations=2), make_personas(2), backend)
+        agents = len(world.agents)
+        assert backend.calls == agents + agents * MAX_RETRIES
+        assert all(r.action.kind is ActionKind.INACTIVE
+                   and r.reason_text == FALLBACK_REASON
+                   for r in world.log if r.iteration == 2)
+        write_artifacts(world, tmp_path)
+        assert all(json.loads(line)["following"] == [] for line in
+                   (tmp_path / "agents.jsonl").read_text().splitlines())
+
     def test_transport_error_leaves_completed_iterations_in_world(
             self, personas_small):
         class FlakyBackend:
@@ -732,25 +760,50 @@ class TestLLMPathGoldenDigests:
     }
 
     def test_prompts_and_artifacts_match_recorded_digests(self, tmp_path):
-        personas = make_personas(6)  # 42 agents
-        cfg = config(configuration="FullModel", iterations=8)
-        order = init_population(personas, cfg).agent_order()
-        edges = [(a, order[(i + step) % len(order)])
-                 for i, a in enumerate(order) for step in (1, 5, 11)]
-        backend = PromptHashBackend(seed=10)
-        world = run_simulation(cfg, personas, backend,
-                               initial_world=init_population(
-                                   personas, cfg, follow_edges=edges))
+        backend, world = llm_path_run(MemoryParams())
         write_artifacts(world, tmp_path)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN}
-        assert backend.calls == cfg.iterations * len(world.agents)
+        assert backend.calls == world.iteration * len(world.agents)
         assert backend.prompts.hexdigest() == self.PROMPTS
         assert digests == self.GOLDEN
 
 
-def _eager_prompt_text(profile, memory, feed, iteration, authored,
-                       others_exist):
+def llm_path_run(memory: MemoryParams):
+    """The golden LLM-path run (42 agents, 8 iterations, a follow graph,
+    ``PromptHashBackend(seed=10)``) under ``memory``: (backend, world)."""
+    personas = make_personas(6)  # 42 agents
+    cfg = config(configuration="FullModel", iterations=8, memory=memory)
+    order = init_population(personas, cfg).agent_order()
+    edges = [(a, order[(i + step) % len(order)])
+             for i, a in enumerate(order) for step in (1, 5, 11)]
+    backend = PromptHashBackend(seed=10)
+    world = run_simulation(cfg, personas, backend,
+                           initial_world=init_population(
+                               personas, cfg, follow_edges=edges))
+    return backend, world
+
+
+class TestMemoryKnobsReachThePrompt:
+    """Each ``MemoryParams`` field, set away from its default, changes what
+    an LLM backend reads in the golden LLM-path run: a knob that reaches no
+    prompt is a dead option. A new field needs a value in ``KNOBS``."""
+
+    KNOBS = {"stm_capacity": 3, "decay_horizon": 1, "eval_period": 2,
+             "promotion_quantile": 0.9, "am_window": 2, "w_reshare": 7.0,
+             "w_like": 3.0, "w_dislike": 5.0}
+
+    @pytest.mark.parametrize(
+        "knob", [f.name for f in dataclasses.fields(MemoryParams)])
+    def test_knob_changes_the_prompt_digest(self, knob):
+        value = self.KNOBS[knob]
+        assert value != getattr(MemoryParams(), knob)
+        backend, _ = llm_path_run(MemoryParams(**{knob: value}))
+        assert (backend.prompts.hexdigest()
+                != TestLLMPathGoldenDigests.PROMPTS)
+
+
+def _eager_prompt_text(profile, memory, feed, iteration, authored):
     """``system_text + user_text()`` as ``build_prompt`` rendered every
     section when it built the prompt."""
     system_parts = [profile.identity_text]
@@ -778,7 +831,7 @@ def _eager_prompt_text(profile, memory, feed, iteration, authored,
     if not feed:
         lines.append("(no content available yet)")
     lines += ["", "## Available actions", ", ".join(
-        k.value for k in permitted_actions(feed, iteration, others_exist))]
+        k.value for k in permitted_actions(feed, iteration))]
     lines += [
         "",
         "Answer with exactly three lines:",
@@ -800,12 +853,10 @@ class EagerCheckBackend(StubBackend):
         self.eager = None  # (prompt, eager text) of the decision under way
         self.texts = []
 
-    def build(self, profile, memory, feed, iteration, authored=frozenset(),
-              others_exist=True):
-        prompt = build_prompt(profile, memory, feed, iteration, authored,
-                              others_exist)
+    def build(self, profile, memory, feed, iteration, authored=frozenset()):
+        prompt = build_prompt(profile, memory, feed, iteration, authored)
         self.eager = (prompt, _eager_prompt_text(
-            profile, memory, feed, iteration, authored, others_exist))
+            profile, memory, feed, iteration, authored))
         return prompt
 
     def complete(self, prompt, rng):

@@ -14,7 +14,6 @@ from traitsim.memory import (
     stm_decay,
     stm_observe,
 )
-from traitsim.sentiment import WordListSentiment
 
 
 def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
@@ -28,22 +27,20 @@ def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
 class TestEngagementScore:
     def test_weighted_combination(self):
         entry = StmEntry(1, reshares=3, likes=2, dislikes=1)
-        assert engagement_score(entry, []) == pytest.approx(2 * 3 + 2 - 1)
+        assert engagement_score(entry) == pytest.approx(2 * 3 + 2 - 1)
 
-    def test_neutral_comments_add_nothing(self):
-        entry = StmEntry(1, comments=4)
-        assert engagement_score(entry, ["meh", "ok", "eh", "hm"]) == 0.0
-
-    def test_sentiment_analyzer_contributes(self):
-        entry = StmEntry(1, likes=1)
-        score = engagement_score(entry, ["awful and terrible"],
-                                 analyzer=WordListSentiment())
-        assert score == pytest.approx(1.0 - 1.0)
+    def test_comments_do_not_enter_the_score(self):
+        assert engagement_score(StmEntry(1, comments=4)) == 0.0
+        memory = MemoryUnit()
+        stm_observe(memory, make_item(1, likes=1, comments=["awful", "great"]),
+                    now=1)
+        assert memory.stm[1].comments == 2
+        assert memory.stm[1].score == 1.0
 
     def test_custom_weights(self):
-        entry = StmEntry(1, reshares=1, likes=1)
-        params = MemoryParams(w_reshare=5.0, w_like=0.5)
-        assert engagement_score(entry, [], params=params) == pytest.approx(5.5)
+        entry = StmEntry(1, reshares=1, likes=1, dislikes=2)
+        params = MemoryParams(w_reshare=5.0, w_like=0.5, w_dislike=0.25)
+        assert engagement_score(entry, params) == pytest.approx(5.0)
 
 
 class TestShortTermMemory:
@@ -116,18 +113,17 @@ class TestShortTermMemory:
         # a max-likes entry always survives eviction
         assert max(e.likes for e in memory.stm.values()) == max(likes_list)
 
-    def test_analyzer_reaches_eviction_and_ltm(self):
+    def test_stored_score_decides_eviction_and_ltm(self):
         params = MemoryParams(stm_capacity=2)
         memory = MemoryUnit()
-        analyzer = WordListSentiment()
-        for cid, comments in ((1, ["great and wonderful"]),
-                              (2, ["awful and terrible"]),
-                              (3, ["okay then"])):
-            stm_observe(memory, make_item(cid, likes=1, comments=comments),
-                        now=cid, params=params, analyzer=analyzer)
-        # with neutral sentiment all three tie and the oldest, 1, would go
+        items = {cid: make_item(cid, likes=likes, dislikes=dislikes)
+                 for cid, likes, dislikes in ((1, 3, 1), (2, 1, 1), (3, 1, 0))}
+        for cid, item in items.items():
+            stm_observe(memory, item, now=cid, params=params)
+        # with equal scores the oldest, 1, would go
         assert set(memory.stm) == {1, 3}
         assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
+        items[3].counters.likes = 9  # after the observe: not in the score
         ltm_evaluate(memory, now=5, params=params)
         assert set(memory.ltm) == {1}
         assert memory.ltm[1].engagement_score == 2.0

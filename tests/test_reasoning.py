@@ -15,6 +15,7 @@ from traitsim.core import (
     TRAIT_PROMPTS,
     archetype_table,
 )
+from traitsim.engine import SimulationConfig, run_simulation
 from traitsim.memory import MemoryUnit
 from traitsim import reasoning
 from traitsim.reasoning import (
@@ -47,27 +48,35 @@ FEED = (
 )
 
 
-def prompt_for(feed=FEED, iteration=4, trait=Trait.BP, others_exist=True):
-    return build_prompt(agent(trait), MemoryUnit(), feed, iteration,
-                        others_exist=others_exist)
+def prompt_for(feed=FEED, iteration=4, trait=Trait.BP):
+    return build_prompt(agent(trait), MemoryUnit(), feed, iteration)
 
 
 class TestPermittedActions:
     def test_first_iteration_post_or_inactive_only(self):
         assert permitted_actions((), 1) == (ActionKind.POST, ActionKind.INACTIVE)
 
-    def test_empty_feed_blocks_engagements_but_not_follow(self):
-        kinds = permitted_actions((), 5)
-        assert ActionKind.RESHARE not in kinds
-        assert ActionKind.FOLLOW in kinds
+    def test_empty_feed_blocks_engagements_and_follow(self):
+        # a follow names a feed item's author, as an engagement a feed item
+        assert permitted_actions((), 5) == (ActionKind.POST,
+                                            ActionKind.INACTIVE)
 
     def test_full_feed_offers_everything(self):
         kinds = permitted_actions(FEED, 5)
         assert set(kinds) == set(ActionKind)
 
     def test_solo_population_never_offers_follow(self):
-        kinds = permitted_actions(FEED, 5, others_exist=False)
-        assert ActionKind.FOLLOW not in kinds
+        offered = set()
+
+        class Recording(StubBackend):
+            def complete(self, prompt, rng):
+                offered.update(prompt.actions_section)
+                return super().complete(prompt, rng)
+
+        personas = [{"id": "solo", "identity_text": "Alone.", "topic": "Music"}]
+        run_simulation(SimulationConfig(configuration="IdentityOnly",
+                                        iterations=6), personas, Recording())
+        assert offered == {ActionKind.POST, ActionKind.INACTIVE}
 
 
 class TestBuildPrompt:
@@ -146,6 +155,8 @@ class TestValidateDecision:
         ("CHOICE: comment\nREASON: x\nCONTENT: 3:", "missing payload"),
         ("CHOICE: like\nREASON: x\nCONTENT: none", "missing target"),
         ("CHOICE: follow\nREASON: x\nCONTENT:", "missing target"),
+        ("CHOICE: follow\nREASON: x\nCONTENT: nobody-here",
+         "unknown follow target"),
     ])
     def test_violations_name_their_rule(self, raw, rule):
         prompt = (prompt_for(iteration=1, feed=())
@@ -195,6 +206,21 @@ class TestDecide:
         d = decide(prompt_for(), backend, rng())
         assert d.choice is ActionKind.POST
         assert backend.calls == 2
+
+    def test_follow_names_a_feed_author(self):
+        backend = _ScriptedBackend(["CHOICE: follow\nREASON: ok\nCONTENT: c1"])
+        d = decide(prompt_for(), backend, rng())
+        assert (d.choice, d.target) == (ActionKind.FOLLOW, "c1")
+
+    def test_unknown_follow_target_is_reprompted_then_falls_back(self,
+                                                                 caplog):
+        backend = _ScriptedBackend(
+            ["CHOICE: follow\nREASON: x\nCONTENT: nobody-here"] * MAX_RETRIES)
+        d = decide(prompt_for(), backend, rng())
+        assert d.choice is ActionKind.INACTIVE
+        assert d.reason == FALLBACK_REASON
+        assert backend.calls == MAX_RETRIES
+        assert caplog.text.count("unknown follow target") == MAX_RETRIES
 
     def test_falls_back_to_inactive_after_retries(self):
         backend = _ScriptedBackend(["bad"] * 3)
