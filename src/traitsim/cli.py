@@ -79,7 +79,8 @@ _CONFIG_KEYS = {
     "follows": _STRING, "memory": _OBJECT,
 }
 _BACKEND_KEYS = {"type": _STRING, "endpoint": _STRING, "model": _STRING,
-                 "temperature": _NUMBER, "timeout": _NUMBER}
+                 "temperature": _NUMBER, "timeout": _NUMBER,
+                 "concurrency": _INT}
 _MEMORY_KEYS = {name: _NUMBER if isinstance(f.default, float) else _INT
                 for name, f in MemoryParams.__dataclass_fields__.items()}
 
@@ -163,9 +164,14 @@ def _make_backend(backend_cfg: dict):
         return StubBackend()
     if "endpoint" not in backend_cfg or "model" not in backend_cfg:
         raise CliError("llm backend requires 'endpoint' and 'model'")
-    return LLMBackend(EndpointConfig(
-        url=backend_cfg["endpoint"], model=backend_cfg["model"],
-        **_present(backend_cfg, ("temperature", "timeout"))))
+    try:
+        endpoint = EndpointConfig(
+            url=backend_cfg["endpoint"], model=backend_cfg["model"],
+            **_present(backend_cfg, ("temperature", "timeout", "concurrency")))
+    except ValueError as err:
+        raise CliError(f"invalid 'backend.concurrency' (--concurrency): "
+                       f"{err}")
+    return LLMBackend(endpoint)
 
 
 def cmd_simulate(args) -> int:
@@ -186,6 +192,8 @@ def cmd_simulate(args) -> int:
         backend_cfg["model"] = args.model
     if args.temperature is not None:
         backend_cfg["temperature"] = args.temperature
+    if args.concurrency is not None:
+        backend_cfg["concurrency"] = args.concurrency
     cfg["backend"] = backend_cfg
 
     if "personas" not in cfg:
@@ -219,6 +227,9 @@ def cmd_simulate(args) -> int:
                                initial_world=world)
     except TransportError as err:
         failure = err  # ``world`` holds the completed iterations; write them
+    finally:
+        if hasattr(backend, "close"):
+            backend.close()
     try:
         check_integrity(world)
     except AssertionError as err:
@@ -377,36 +388,45 @@ def cmd_ground(args) -> int:
     for record in records:
         by_user.setdefault(record.user, []).append(record)
 
-    backend = None
+    backend_cfg = None
     if not args.no_identity_inference:
         if not args.endpoint or not args.model:
             raise CliError("identity inference requires --endpoint and --model "
                            "(or pass --no-identity-inference)")
         backend_cfg = {"type": "llm", "endpoint": args.endpoint,
                        "model": args.model}
-        if args.temperature is not None:
-            backend_cfg["temperature"] = args.temperature
-        backend = _make_backend(backend_cfg)
+        for key in ("temperature", "concurrency"):
+            if getattr(args, key) is not None:
+                backend_cfg[key] = getattr(args, key)
 
     follow_edges = []
     if args.follows:
         follow_edges = [(a, b) for a, b in read_follows(Path(args.follows))
                         if a in community and b in community]
 
+    users = sorted(community)
+    assignments = {user: assign_trait(empirical_action_vector(
+        by_user.get(user, []), slots, origin=origin), user=user)
+        for user in users}
+    if backend_cfg is None:
+        identities = dict.fromkeys(users, PLACEHOLDER_IDENTITY)
+    else:
+        # One profiling call per user with posts, on the backend's pool;
+        # results come back in sorted-user order at any concurrency.
+        backend = _make_backend(backend_cfg)
+        posts = {user: [r.text for r in by_user.get(user, [])
+                        if r.kind == "post"] for user in users}
+        try:
+            identities = dict(zip(users, backend.map(
+                lambda user: infer_identity(posts[user], backend), users)))
+        except TransportError as err:
+            raise CliError(f"identity inference failed at {args.endpoint}: "
+                           f"{err}; nothing written")
+        finally:
+            backend.close()
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    assignments = {}
-    identities = {}
-    for user in sorted(community):
-        vector = empirical_action_vector(by_user.get(user, []), slots,
-                                         origin=origin)
-        assignments[user] = assign_trait(vector, user=user)
-        posts = [r.text for r in by_user.get(user, []) if r.kind == "post"]
-        if backend is None:
-            identities[user] = PLACEHOLDER_IDENTITY
-        else:
-            identities[user] = infer_identity(posts, backend)
-
     _write_csv(out / "assignments.csv",
                ["user", *VECTOR_COLUMNS, "trait", "distance"],
                [[u, *a.empirical_vector.as_tuple(), a.assigned.name,
@@ -436,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--endpoint")
     sim.add_argument("--model")
     sim.add_argument("--temperature", type=float)
+    sim.add_argument("--concurrency", type=int,
+                     help="llm completions in flight at once (default 8)")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--iterations", type=int)
     sim.add_argument("--feed-size", type=int, dest="feed_size")
@@ -460,6 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--endpoint")
     grd.add_argument("--model")
     grd.add_argument("--temperature", type=float)
+    grd.add_argument("--concurrency", type=int,
+                     help="identity-inference calls in flight at once "
+                          "(default 8)")
     grd.add_argument("--no-identity-inference", action="store_true")
     grd.add_argument("--out", required=True)
     grd.set_defaults(func=cmd_ground)

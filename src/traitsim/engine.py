@@ -9,7 +9,9 @@ filter: decisions never see same-iteration actions, so the decision phase is
 order-independent and the whole run is bit-reproducible from the master seed
 under the stub backend: every agent draws from its own RNG stream keyed by
 (master seed, iteration, agent index). A decision writes only its own agent's
-memory; the world changes only in the apply phase.
+memory; the world changes only in the apply phase. That is what lets an
+``LLMBackend`` compute an iteration's decisions concurrently, on its thread
+pool, with artifacts byte-identical at any concurrency.
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -314,17 +316,29 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
                   decision_order: Optional[Sequence[str]] = None) -> WorldState:
     """One snapshot-decide / serialized-apply cycle.
 
-    ``decision_order`` only changes the sequence in which decisions are
-    computed (they are order-independent by construction); application always
-    happens in sorted agent order.
+    Each agent's decision step (STM decay, feed, STM observes, prompt,
+    ``decide``) reads the world and writes only that agent's memory, so the
+    steps may run in any order or at once. They go through
+    ``backend.map(step, order)`` when the backend has a ``map`` (an
+    ``LLMBackend`` runs up to its ``concurrency`` of them on its thread
+    pool), otherwise through the builtin ``map``, one after another in the
+    calling thread. ``decision_order`` only changes the order in which the
+    steps start. Application, activity recording and LTM evaluation happen
+    afterwards in the calling thread, in sorted agent order, so the world
+    and the artifacts are the same at any concurrency.
+
+    An exception from a step, such as a backend ``TransportError``,
+    propagates only once no step is still running, and before anything is
+    applied: the log, the store and the follow graph then hold the previous
+    iterations, while the agents' memories may hold this iteration's decay
+    and observations.
     """
     iteration = world.iteration + 1
     order = list(decision_order) if decision_order is not None else world.agent_order()
     if sorted(order) != world.agent_order():
         raise ValueError("decision_order must be a permutation of agent ids")
 
-    decisions = {}
-    for agent_id in order:
+    def decision_step(agent_id: str) -> Decision:
         agent = world.agents[agent_id]
         stm_decay(agent.memory, iteration, config.memory)
         feed_rng = (agent_rng(config.master_seed, iteration, agent.index, 0)
@@ -340,9 +354,11 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
             if iteration - item.iteration_created <= config.memory.decay_horizon:
                 stm_observe(agent.memory, item, iteration, config.memory)
         prompt = build_prompt(agent.profile, agent.memory, feed, iteration, own)
-        decisions[agent_id] = decide(
-            prompt, backend,
-            agent_rng(config.master_seed, iteration, agent.index, 1))
+        return decide(prompt, backend,
+                      agent_rng(config.master_seed, iteration, agent.index, 1))
+
+    decisions = dict(zip(order, getattr(backend, "map", map)(decision_step,
+                                                             order)))
 
     for agent_id in world.agent_order():
         agent = world.agents[agent_id]
@@ -364,11 +380,13 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
     """Run the configured number of iterations and return the final world.
 
     Does no file I/O. A backend ``TransportError`` propagates from the
-    decision phase, before that iteration applies anything to the log, the
-    content store or the follow graph, so the world a caller passed as
+    decision phase once no decision step is still running, before that
+    iteration applies anything to the log, the content store or the follow
+    graph (see ``run_iteration``), so the world a caller passed as
     ``initial_world`` then holds exactly the ``world.iteration`` completed
     iterations (agent memories may hold the failed iteration's decay and
-    observations) and can be written with ``write_artifacts``.
+    observations) and can be written with ``write_artifacts``. The backend
+    stays open; closing it is the caller's part.
     """
     backend = backend or StubBackend()
     world = initial_world if initial_world is not None else init_population(

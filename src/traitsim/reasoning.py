@@ -22,8 +22,10 @@ which ``parse_response`` reads; it also accepts a JSON object with
 backend, and ``decide`` re-prompts on it as on a refused decision.
 
 Two backends are provided: an HTTP chat-completion client for local model
-servers, and a deterministic stub that samples a ``Decision`` from the
-archetype table so whole runs are bit-reproducible from the master seed.
+servers, which keeps a bounded pool of completions in flight (``map``) and
+retries transport failures, and a deterministic stub that samples a
+``Decision`` from the archetype table so whole runs are bit-reproducible
+from the master seed.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ import json
 import logging
 import os
 import re
+import threading
+import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Optional, Sequence
@@ -420,6 +425,15 @@ class StubBackend:
 
 TOKEN_ENV_VAR = "TRAITSIM_API_TOKEN"
 
+# A connection error, a timeout, a 429 or a 5xx is sent again up to
+# TRANSPORT_RETRIES times, after a backoff that starts at RETRY_BACKOFF_S and
+# doubles up to RETRY_BACKOFF_CAP_S. These retries resend one request; the
+# protocol re-prompts live in ``decide``.
+TRANSPORT_RETRIES = 3
+RETRY_BACKOFF_S = 0.5
+RETRY_BACKOFF_CAP_S = 8.0
+_sleep = time.sleep
+
 
 @dataclass
 class EndpointConfig:
@@ -427,19 +441,79 @@ class EndpointConfig:
     model: str
     temperature: float = 0.7
     timeout: float = 60.0
+    concurrency: int = 8  # completions in flight at once (LLMBackend.map)
+
+    def __post_init__(self):
+        if self.concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, got "
+                             f"{self.concurrency}")
 
 
 class LLMBackend:
-    """One chat-completion round trip per decision, parsed into a
-    ``Decision``; no retries here (the re-prompt loop lives in ``decide``)."""
+    """One chat-completion round trip per answer, parsed into a
+    ``Decision``.
 
-    def __init__(self, endpoint: EndpointConfig, session=None):
+    The backend owns a pool of ``endpoint.concurrency`` worker threads for its
+    whole life; ``map`` runs work on it, and each thread keeps its own
+    ``requests.Session``, so connections are reused across calls. ``close``
+    stops the pool and closes the sessions.
+    """
+
+    def __init__(self, endpoint: EndpointConfig):
         self.endpoint = endpoint
-        self.session = session or requests.Session()
         token = os.environ.get(TOKEN_ENV_VAR)
         self.headers = {"Authorization": f"Bearer {token}"} if token else {}
+        self._pool = ThreadPoolExecutor(endpoint.concurrency,
+                                        thread_name_prefix="traitsim-llm")
+        self._local = threading.local()
+        self._sessions = []
+        self._sessions_lock = threading.Lock()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+            with self._sessions_lock:
+                self._sessions.append(session)
+        return session
+
+    def map(self, fn, items) -> list:
+        """``[fn(item) for item in items]``, computed on the pool with up to
+        ``endpoint.concurrency`` calls at once; results in ``items`` order.
+
+        If a call raises, the calls not yet started are cancelled and the
+        running ones awaited; then the exception of the first failing item
+        in ``items`` order is raised. No call is running when this returns
+        or raises.
+        """
+        futures = [self._pool.submit(fn, item) for item in items]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+        # The pool starts calls in submission order, so every cancelled call
+        # comes after the first failing one.
+        return [future.result() for future in futures]
+
+    def close(self) -> None:
+        """Stop the pool (cancelling queued calls, awaiting running ones)
+        and close every thread's session."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        with self._sessions_lock:
+            for session in self._sessions:
+                session.close()
+            self._sessions.clear()
 
     def chat(self, system_text: str, user_text: str) -> str:
+        """The model's answer text.
+
+        A connection error, a timeout, a 429 or a 5xx is retried
+        ``TRANSPORT_RETRIES`` times with capped exponential backoff. Any other
+        status, a malformed body, or the last retryable failure raises
+        ``TransportError`` (with the HTTP status, if there was one).
+        """
         body = {
             "model": self.endpoint.model,
             "messages": [
@@ -449,22 +523,32 @@ class LLMBackend:
             "temperature": self.endpoint.temperature,
             "stream": False,
         }
-        try:
-            response = self.session.post(
-                self.endpoint.url, json=body, headers=self.headers,
-                timeout=self.endpoint.timeout,
-            )
-        except requests.RequestException as err:
-            raise TransportError(f"backend unreachable: {err}") from err
-        if response.status_code != 200:
-            raise TransportError(
-                f"backend returned HTTP {response.status_code}: {response.text[:200]}",
-                status=response.status_code,
-            )
-        try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as err:
-            raise TransportError(f"malformed completion response: {err}") from err
+        for attempt in range(TRANSPORT_RETRIES + 1):
+            if attempt:
+                _sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1),
+                           RETRY_BACKOFF_CAP_S))
+            try:
+                response = self._session().post(
+                    self.endpoint.url, json=body, headers=self.headers,
+                    timeout=self.endpoint.timeout,
+                )
+            except (requests.ConnectionError, requests.Timeout) as err:
+                failure, status = f"backend unreachable: {err}", None
+                continue
+            except requests.RequestException as err:
+                raise TransportError(f"backend unreachable: {err}") from err
+            status = response.status_code
+            if status == 200:
+                try:
+                    return response.json()["choices"][0]["message"]["content"]
+                except (ValueError, KeyError, IndexError, TypeError) as err:
+                    raise TransportError(
+                        f"malformed completion response: {err}") from err
+            failure = f"backend returned HTTP {status}: {response.text[:200]}"
+            if status != 429 and status < 500:
+                raise TransportError(failure, status=status)
+        raise TransportError(f"{failure} ({attempt + 1} attempts)",
+                             status=status)
 
     def complete(self, prompt: DecisionPrompt, rng) -> Decision:
         """The parsed answer; ``rng`` is unused (sampling is the model's)."""

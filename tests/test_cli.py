@@ -1,17 +1,19 @@
 import csv
 import hashlib
 import json
+import socket
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from traitsim import cli
+from traitsim import cli, reasoning
 from traitsim.cli import main
 from traitsim.engine import SimulationConfig
 from traitsim.reasoning import EndpointConfig, StubBackend, TransportError
 
-from conftest import make_personas
+from conftest import chat_server, make_personas, pool_threads
 
 
 @pytest.fixture
@@ -163,6 +165,12 @@ class TestSimulate:
                      id="model-int"),
         pytest.param("backend.type", {"backend": {"type": "gpt"}},
                      id="type-unknown"),
+        pytest.param("backend.concurrency", {"backend": {"concurrency": True}},
+                     id="concurrency-bool"),
+        pytest.param("backend.concurrency", {"backend": {"concurrency": "4"}},
+                     id="concurrency-str"),
+        pytest.param("backend.concurrency", {"backend": {"concurrency": 2.0}},
+                     id="concurrency-float"),
     ])
     def test_config_value_of_wrong_type_is_named(self, tmp_path, capsys,
                                                  personas_file, key, section):
@@ -172,6 +180,26 @@ class TestSimulate:
                      "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert f"'{key}'" in err and str(cfg) in err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_concurrency_below_one_is_named(self, tmp_path, capsys,
+                                            personas_file, where):
+        backend = {"type": "llm", "endpoint": "http://localhost:1/v1",
+                   "model": "m"}
+        cfg = tmp_path / "cfg.json"
+        extra = []
+        if where == "config":
+            backend["concurrency"] = 0
+        else:
+            extra = ["--concurrency", "0"]
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "backend": backend}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), *extra,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'backend.concurrency'" in err and "at least 1" in err
+        assert not out.exists()
 
     def test_every_simulation_option_is_a_config_key(self):
         assert (set(SimulationConfig.__dataclass_fields__)
@@ -652,6 +680,77 @@ class TestGround:
             e == EndpointConfig("http://localhost:1/v1", "m",
                                 temperature=temperature)
             for e in endpoints)
+
+
+def identity_records(tmp_path, users=12):
+    """A hub and ``users`` users who each post twice and like the hub."""
+    lines = [{"user": "hub", "kind": "post", "timestamp": 10,
+              "text": "hub says hello"}]
+    for i in range(users):
+        user = f"u{i:02d}"
+        lines += [{"user": user, "kind": "post", "timestamp": 20 + i,
+                   "text": f"{user} writes about topic {i % 3}"},
+                  {"user": user, "kind": "post", "timestamp": DAY + i,
+                   "text": "and once more"},
+                  {"user": user, "kind": "like", "timestamp": 2 * DAY + i,
+                   "target_user": "hub"}]
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    return path
+
+
+def profile_answer(system, user, attempt):
+    """The profile of the user whose posts ``user`` lists, after a short
+    delay that varies with the request."""
+    time.sleep(len(user) % 4 / 1000)
+    return "profile of " + user.split("\n")[1].split()[1]
+
+
+class TestGroundIdentityInference:
+    def test_personas_identical_at_any_concurrency(self, tmp_path):
+        records = identity_records(tmp_path)
+        texts = []
+        for concurrency in ("1", "4"):
+            out = tmp_path / f"bundle-{concurrency}"
+            with chat_server(profile_answer) as (url, seen):
+                assert main(["ground", "--records", str(records), "--endpoint",
+                             url, "--model", "m", "--concurrency", concurrency,
+                             "--out", str(out)]) == 0
+            assert len(seen) == 13  # every user with posts, hub included
+            assert pool_threads() == []
+            texts.append((out / "personas.jsonl").read_text())
+        assert texts[0] == texts[1]
+        profiles = {p["id"]: p["identity_text"]
+                    for p in map(json.loads, texts[1].splitlines())}
+        assert list(profiles) == sorted(profiles)
+        assert profiles == {"hub": "profile of hub", **{
+            f"u{i:02d}": f"profile of u{i:02d}" for i in range(12)}}
+
+    @pytest.mark.parametrize("failure", ["refused", "http-503"])
+    def test_transport_error_is_named_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, failure):
+        monkeypatch.setattr(reasoning, "_sleep", lambda s: None)
+        records = identity_records(tmp_path, users=3)
+        out = tmp_path / "bundle"
+
+        def ground(url):
+            return main(["ground", "--records", str(records), "--endpoint",
+                         url, "--model", "m", "--out", str(out)])
+
+        if failure == "refused":
+            with socket.socket() as sock:  # a port nothing listens on
+                sock.bind(("127.0.0.1", 0))
+                url = f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
+            code = ground(url)
+        else:
+            with chat_server(lambda *a: (503, "busy")) as (url, seen):
+                code = ground(url)
+            assert len(seen) >= reasoning.TRANSPORT_RETRIES + 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: identity inference failed at " + url)
+        assert not out.exists()
+        assert pool_threads() == []
 
 
 class TestGroundToSimulate:

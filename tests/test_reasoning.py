@@ -1,6 +1,7 @@
 import itertools
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -36,6 +37,8 @@ from traitsim.reasoning import (
     surrogate_distribution,
     validate_decision,
 )
+
+from conftest import pool_threads
 
 
 def agent(trait=Trait.BP, topic="Music", agent_id="a1"):
@@ -475,6 +478,9 @@ class TestTripletRoundTrip:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """Answers ``script``; the first requests take their status from the
+    list ``script["statuses"]``, if there is one."""
+
     script = {"status": 200, "content": "CHOICE: inactive\nREASON: x\nCONTENT:"}
     requests_seen = []
 
@@ -483,7 +489,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(
             {"body": body, "auth": self.headers.get("Authorization")})
-        status = type(self).script["status"]
+        statuses = type(self).script.get("statuses")
+        status = statuses.pop(0) if statuses else type(self).script["status"]
         if status != 200:
             self.send_response(status)
             self.end_headers()
@@ -512,6 +519,15 @@ def http_endpoint():
                        "content": "CHOICE: inactive\nREASON: x\nCONTENT:"}
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def backoffs(monkeypatch):
+    """The transport retries' backoff delays, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(reasoning, "_sleep", delays.append)
+    return delays
 
 
 class TestLLMBackend:
@@ -544,18 +560,122 @@ class TestLLMBackend:
         backend.chat("s", "u")
         monkeypatch.delenv("TRAITSIM_API_TOKEN")
         backend.chat("s", "u")
-        backend.session.close()
+        backend.close()
         assert [r["auth"] for r in _Handler.requests_seen] == ["Bearer first"] * 2
 
-    def test_http_error_raises_transport_error_with_status(self, http_endpoint):
+    def test_http_error_raises_transport_error_with_status(self, http_endpoint,
+                                                           backoffs):
         _Handler.script = {"status": 500, "content": ""}
         backend = LLMBackend(EndpointConfig(http_endpoint, "m"))
         with pytest.raises(TransportError) as err:
             backend.chat("s", "u")
         assert err.value.status == 500
+        attempts = reasoning.TRANSPORT_RETRIES + 1
+        assert f"({attempts} attempts)" in str(err.value)
+        assert len(_Handler.requests_seen) == attempts
 
-    def test_unreachable_host_raises_transport_error(self):
+    def test_unreachable_host_raises_transport_error(self, backoffs):
         backend = LLMBackend(EndpointConfig(
             "http://127.0.0.1:1/v1/chat/completions", "m", timeout=0.5))
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError) as err:
             backend.chat("s", "u")
+        assert err.value.status is None
+        assert "unreachable" in str(err.value)
+        assert len(backoffs) == reasoning.TRANSPORT_RETRIES
+
+
+class TestTransportRetries:
+    def test_503_then_200_returns_the_answer_after_two_requests(
+            self, http_endpoint, backoffs):
+        _Handler.script["statuses"] = [503]
+        backend = LLMBackend(EndpointConfig(http_endpoint, "m"))
+        d = backend.complete(prompt_for(), None)
+        assert d == Decision(ActionKind.INACTIVE, "x")
+        assert len(_Handler.requests_seen) == 2
+        assert backoffs == [reasoning.RETRY_BACKOFF_S]
+
+    def test_429_is_retried(self, http_endpoint, backoffs):
+        _Handler.script["statuses"] = [429, 429]
+        LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert len(_Handler.requests_seen) == 3
+
+    def test_backoff_doubles_up_to_the_cap(self, http_endpoint, backoffs,
+                                           monkeypatch):
+        monkeypatch.setattr(reasoning, "TRANSPORT_RETRIES", 6)
+        _Handler.script = {"status": 502, "content": ""}
+        with pytest.raises(TransportError) as err:
+            LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert err.value.status == 502 and "(7 attempts)" in str(err.value)
+        assert backoffs == [0.5, 1.0, 2.0, 4.0, 8.0,
+                            reasoning.RETRY_BACKOFF_CAP_S]
+
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_other_4xx_is_not_retried(self, http_endpoint, backoffs, status):
+        _Handler.script = {"status": status, "content": ""}
+        with pytest.raises(TransportError) as err:
+            LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert err.value.status == status
+        assert len(_Handler.requests_seen) == 1 and backoffs == []
+
+    def test_malformed_body_is_not_retried(self, http_endpoint, backoffs,
+                                           monkeypatch):
+        monkeypatch.setattr(_Handler, "script", {"status": 200, "content": 7})
+        monkeypatch.setattr(reasoning.requests.Response, "json",
+                            lambda self: {"choices": []})
+        with pytest.raises(TransportError, match="malformed"):
+            LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert len(_Handler.requests_seen) == 1 and backoffs == []
+
+
+class TestBackendPool:
+    def test_concurrency_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="concurrency"):
+            EndpointConfig("http://localhost:1/v1", "m", concurrency=0)
+
+    def test_map_keeps_item_order(self):
+        backend = LLMBackend(EndpointConfig("http://localhost:1/v1", "m",
+                                            concurrency=3))
+        try:
+            assert backend.map(lambda x: x * x, range(20)) == [
+                x * x for x in range(20)]
+        finally:
+            backend.close()
+
+    def test_map_raises_the_first_failure_once_nothing_runs(self):
+        """Item 1 fails first, then item 0, which was running: item 0's error
+        is raised, once it has ended, and the queued items never start."""
+        backend = LLMBackend(EndpointConfig("http://localhost:1/v1", "m",
+                                            concurrency=2))
+        started, running = [], []
+        one_failed = threading.Event()
+
+        def work(item):
+            started.append(item)
+            running.append(item)
+            try:
+                if item == 0:
+                    one_failed.wait(5)
+                    time.sleep(0.05)
+                    raise TransportError("zero")
+                if item == 1:
+                    one_failed.set()
+                    raise TransportError("one")
+                time.sleep(0.1)
+                return item
+            finally:
+                running.remove(item)
+
+        try:
+            with pytest.raises(TransportError, match="zero"):
+                backend.map(work, range(50))
+            assert running == []
+            assert len(started) < 10
+        finally:
+            backend.close()
+
+    def test_close_ends_the_pool_threads(self, http_endpoint):
+        backend = LLMBackend(EndpointConfig(http_endpoint, "m", concurrency=3))
+        backend.map(lambda _: backend.chat("s", "u"), range(6))
+        assert pool_threads()
+        backend.close()
+        assert pool_threads() == []
