@@ -8,10 +8,14 @@ phase reads is therefore the snapshot left by the previous iteration, with no
 filter: decisions never see same-iteration actions, so the decision phase is
 order-independent and the whole run is bit-reproducible from the master seed
 under the stub backend: every agent draws from its own RNG stream keyed by
-(master seed, iteration, agent index). A decision writes only its own agent's
-memory; the world changes only in the apply phase. That is what lets an
-``LLMBackend`` compute an iteration's decisions concurrently, on its thread
-pool, with artifacts byte-identical at any concurrency.
+(master seed, iteration, agent index). ``agent_rng`` builds that generator in
+the state ``np.random.default_rng`` gives the same key, from seed words
+derived for a block of agent indices at once and memoised, so an iteration
+runs numpy's ``SeedSequence`` hashing once per block and stream rather than
+once per agent. A decision writes only its own agent's memory; the world
+changes only in the apply phase. That is what lets an ``LLMBackend`` compute
+an iteration's decisions concurrently, on its thread pool, with artifacts
+byte-identical at any concurrency.
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -20,13 +24,17 @@ recommender pool) can engage with it, forming propagation chains.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import operator
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .core import (
@@ -81,6 +89,8 @@ class SimulationConfig:
             raise ValueError("iterations must be >= 1")
         if self.feed_size < 1:
             raise ValueError("feed size must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be >= 0")
 
     @property
     def recommender_strategy(self) -> str:
@@ -305,11 +315,111 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
     ))
 
 
+# numpy's SeedSequence: a pool of 4 uint32 words, mixed with these constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# Agent indices per derivation. It divides 2**32, so the indices of one block
+# differ only in their lowest uint32 word.
+_SEED_BLOCK = 1024
+_SEED_LOCK = threading.Lock()
+
+
+def _uint32_words(n: int) -> list:
+    """The uint32 words SeedSequence reads from a non-negative integer: its
+    base-2**32 digits, least significant first, and [0] for 0."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_block(master_seed: int, iteration: int, stream: int,
+                block: int) -> np.ndarray:
+    """Row ``j`` of this read-only (``_SEED_BLOCK``, 4) uint64 array equals
+    ``SeedSequence([master_seed, iteration, block * _SEED_BLOCK + j,
+    stream]).generate_state(4, np.uint64)``: numpy's algorithm, run on uint32
+    arrays with one column per agent index."""
+    head = _uint32_words(master_seed) + _uint32_words(iteration)
+    low, *high = _uint32_words(block * _SEED_BLOCK)
+    entropy = np.repeat(np.array(head + [low] + high + _uint32_words(stream),
+                                 np.uint32)[:, None], _SEED_BLOCK, axis=1)
+    entropy[len(head)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    # Every key has at least _POOL_SIZE words: one per integer.
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((_SEED_BLOCK, 2 * _POOL_SIZE), np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, i] = value ^ value >> 16
+    # Read as little-endian uint64 pairs, as numpy does; no copy on a
+    # little-endian host.
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
+                                                             copy=False)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Hands ``PCG64`` one agent's row of ``_seed_block``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words exist for PCG64's request (4, "
+                             f"uint64) only, not ({n_words}, {dtype})")
+        return self.words
+
+
 def agent_rng(master_seed: int, iteration: int, agent_index: int,
               stream: int) -> np.random.Generator:
     """Independent per-(agent, iteration) stream; stream 0 feeds the random
-    recommender (and is built only for it), stream 1 the decision backend."""
-    return np.random.default_rng([master_seed, iteration, agent_index, stream])
+    recommender (and is built only for it), stream 1 the decision backend.
+
+    The generator's state equals that of ``np.random.default_rng([master_seed,
+    iteration, agent_index, stream])``. Its seed words come from
+    ``_seed_block``, which runs numpy's ``SeedSequence`` algorithm for a block
+    of ``_SEED_BLOCK`` agent indices at once and keeps the last few blocks, so
+    an iteration derives them once per stream and block of agents, not once
+    per agent. The block is filled under a lock, so concurrent decision steps
+    do not derive it twice. The arguments are non-negative integers.
+    """
+    block, offset = divmod(agent_index, _SEED_BLOCK)
+    with _SEED_LOCK:
+        words = _seed_block(master_seed, iteration, stream, block)
+    return np.random.Generator(np.random.PCG64(_SeedWords(words[offset])))
 
 
 def run_iteration(world: WorldState, config: SimulationConfig, backend,
@@ -413,21 +523,35 @@ def record_to_dict(record: ActionRecord) -> dict:
     }
 
 
+_KINDS = {kind.value: kind for kind in ActionKind}
+_ORDERS = {order.value: order for order in Order}
+
+
+def _member(members: dict, value, name: str):
+    """The enum member whose value is ``value``; any other value, hashable
+    or not, is a ``ValueError``."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {name} {json.dumps(value)}") from None
+
+
 def record_from_dict(d: dict) -> ActionRecord:
     """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
-    wrongly typed agent or iteration a ``TypeError``, a misshaped action a
-    ``ValueError``."""
+    wrongly typed agent or iteration a ``TypeError``, an unknown kind or order
+    or a misshaped action a ``ValueError``."""
     agent, iteration = d["agent"], d["iteration"]
     if type(agent) is not str:
         raise TypeError(f"agent must be a string, got {json.dumps(agent)}")
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
-    action = Action(ActionKind(d["kind"]), d["target"], d["payload"])
+    action = Action(_member(_KINDS, d["kind"], "kind"), d["target"],
+                    d["payload"])
     action.validate_shape()
     return ActionRecord(
         iteration=iteration, agent=agent, action=action,
-        order=Order(d["order"]), reason_text=d["reason"],
+        order=_member(_ORDERS, d["order"], "order"), reason_text=d["reason"],
     )
 
 

@@ -32,13 +32,13 @@ def simulate(tmp_path, personas_file, out_name="run", extra=()):
     return out
 
 
-def edit_first_record(kind, **fields):
+def edit_first_record(of_kind, **fields):
     """A corruption of actions.jsonl: set ``fields`` on its first record of
-    ``kind`` (of any kind for None)."""
+    kind ``of_kind`` (of any kind for None)."""
     def corrupt(text):
         records = [json.loads(line) for line in text.splitlines()]
         n = next(n for n, r in enumerate(records)
-                 if kind is None or r["kind"] == kind)
+                 if of_kind is None or r["kind"] == of_kind)
         records[n].update(fields)
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     return corrupt
@@ -199,6 +199,20 @@ class TestSimulate:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "'backend.concurrency'" in err and "at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_rejected_before_the_run(
+            self, tmp_path, capsys, personas_file, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "master_seed": -1}))
+        args = (["--config", str(cfg)] if where == "config"
+                else ["--personas", str(personas_file), "--seed", "-1"])
+        out = tmp_path / "x"
+        assert main(["simulate", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: master seed must be >= 0\n"
         assert not out.exists()
 
     def test_every_simulation_option_is_a_config_key(self):
@@ -441,6 +455,10 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record("like", target="x"), "edited"),
         ("actions.jsonl", edit_first_record("like", target=True), "edited"),
         ("actions.jsonl", edit_first_record("post", payload=None), "edited"),
+        ("actions.jsonl", edit_first_record(None, kind="shout"), "edited"),
+        ("actions.jsonl", edit_first_record(None, kind=["post"]), "edited"),
+        ("actions.jsonl", edit_first_record(None, order={"first": 1}),
+         "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
         ("content.jsonl", drop_first_key("comment_texts"), 1),
     ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
@@ -448,6 +466,8 @@ class TestAnalyze:
             "actions-int-agent", "actions-str-iteration",
             "actions-bool-iteration", "actions-like-str-target",
             "actions-like-bool-target", "actions-post-null-payload",
+            "actions-unknown-kind", "actions-list-kind",
+            "actions-object-order",
             "actions-missing-reason", "content-missing-comment-texts"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):

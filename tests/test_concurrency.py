@@ -10,6 +10,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -195,6 +196,48 @@ class TestStubPath:
         run_simulation(cfg, make_personas(2), RecordingStub())
         assert threads == {threading.get_ident()}
         assert threading.active_count() == before
+
+
+class PooledStub(StubBackend):
+    """The stub's answers, with each iteration's decision steps on eight
+    threads, as an ``LLMBackend`` runs them."""
+
+    def map(self, step, agent_ids):
+        with ThreadPoolExecutor(8) as pool:
+            return list(pool.map(step, agent_ids))
+
+
+class TestStubOnAThreadPool:
+    @pytest.mark.parametrize("configuration",
+                             ["FullModel", "RandomRecommendation"])
+    def test_artifacts_identical_to_the_serial_stub(self, tmp_path,
+                                                    configuration):
+        """Unlike ``LLMBackend``, the stub draws from its generator, so a
+        generator seeded wrongly on a pool thread changes the output. The
+        1,050 agents span two blocks of ``agent_rng``'s seed words."""
+        personas = make_personas(150)
+        cfg = SimulationConfig(configuration=configuration, iterations=3,
+                               master_seed=4099)
+        order = init_population(personas, cfg).agent_order()
+        assert len(order) > engine._SEED_BLOCK
+        edges = [(a, order[(i + step) % len(order)])
+                 for i, a in enumerate(order) for step in (1, 5, 11)]
+        digests = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # thread switches between bytecodes
+        try:
+            # The pooled run goes first, so no serial run has memoised its
+            # seed words.
+            for backend in (PooledStub(), StubBackend()):
+                world = init_population(personas, cfg, follow_edges=edges)
+                run_simulation(cfg, personas, backend, initial_world=world)
+                out = tmp_path / type(backend).__name__
+                write_artifacts(world, out)
+                digests.append({name: (out / name).read_bytes()
+                                for name in engine.OUTPUTS})
+        finally:
+            sys.setswitchinterval(switch)
+        assert digests[0] == digests[1]
 
 
 class TestCliClosesTheBackend:

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from traitsim.core import (
     ActionKind,
@@ -611,6 +611,45 @@ class TestDeterminism:
 
         assert ([record_to_dict(r) for r in world.log]
                 == [record_to_dict(r) for r in reference.log])
+
+    @settings(max_examples=150, deadline=None)
+    @given(master_seed=st.one_of(st.integers(0, 2**32 - 1),
+                                 st.integers(2**32, 2**64 - 1),
+                                 st.integers(2**64, 2**96)),
+           iteration=st.integers(0, 2**33),
+           agent_index=st.one_of(
+               st.integers(0, 3 * engine._SEED_BLOCK),
+               st.builds(lambda block, side: block * engine._SEED_BLOCK - side,
+                         st.integers(1, 2**40), st.sampled_from([0, 1]))),
+           stream=st.sampled_from([0, 1]))
+    @example(master_seed=0, iteration=1, agent_index=0, stream=0)
+    @example(master_seed=7, iteration=25, agent_index=engine._SEED_BLOCK - 1,
+             stream=1)
+    @example(master_seed=7, iteration=25, agent_index=engine._SEED_BLOCK,
+             stream=1)
+    @example(master_seed=2**32, iteration=3, agent_index=2**32 - 1, stream=0)
+    @example(master_seed=2**64, iteration=3, agent_index=2**32, stream=1)
+    def test_agent_rng_is_default_rng(self, master_seed, iteration,
+                                      agent_index, stream):
+        key = [master_seed, iteration, agent_index, stream]
+        got, want = agent_rng(*key), np.random.default_rng(key)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert (got.integers(2**63, size=3).tolist()
+                == want.integers(2**63, size=3).tolist())
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_agent_rng_rejects_a_negative_key_word(self, position):
+        key = [5, 2, 1, 1]
+        key[position] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            agent_rng(*key)
+
+    def test_agent_rng_seed_words_answer_pcg64_only(self):
+        seed_seq = agent_rng(5, 2, 1, 1).bit_generator.seed_seq
+        assert seed_seq.generate_state(4, np.uint64).dtype == np.uint64
+        for request in ((4, np.uint32), (8, np.uint64)):
+            with pytest.raises(ValueError, match="PCG64"):
+                seed_seq.generate_state(*request)
 
     def test_agent_rng_streams_are_independent(self):
         a = agent_rng(0, 1, 0, 0).random(4)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from traitsim import cli, reasoning
+from traitsim import cli, engine, reasoning
 from traitsim.cli import main
+from traitsim.memory import MemoryParams
 
 from conftest import make_personas
 
@@ -35,6 +36,26 @@ def test_simulate_patches_install_and_restore(tracing, backend_cls):
         assert all(owner.__dict__[attr] is wrapper
                    for owner, attr, wrapper in patches)
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
+
+
+def test_simulate_patches_record_every_name(tracing, tmp_path):
+    """A stub run with the random feed over a follow graph, through one LTM
+    evaluation and the artifact write, reaches every traced name, and builds
+    its two generators per agent-iteration through ``engine.agent_rng``."""
+    cfg = engine.SimulationConfig(configuration="RandomRecommendation",
+                                  iterations=MemoryParams().eval_period)
+    personas = make_personas(3)
+    order = engine.init_population(personas, cfg).agent_order()
+    edges = [(a, order[(i + 1) % len(order)]) for i, a in enumerate(order)]
+    world = engine.init_population(personas, cfg, follow_edges=edges)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracing.simulate_patches(tracer,
+                                                    reasoning.StubBackend)):
+        engine.run_simulation(cfg, personas, initial_world=world)
+        engine.write_artifacts(world, tmp_path / "run")
+    assert all(tracer.durations(name) for name in tracer.names)
+    assert (len(tracer.durations("engine.agent_rng"))
+            == 2 * len(world.agents) * cfg.iterations)
 
 
 def test_analyze_patches_install_restore_and_record(tracing, tmp_path):
