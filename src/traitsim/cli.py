@@ -16,7 +16,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .analytics import (
     action_probability_vector,
@@ -72,17 +74,24 @@ _INT = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
 _STRING = ((str,), "a string")
 _OBJECT = ((dict,), "a JSON object")
+_JSON_TYPES = {int: _INT, float: _NUMBER, str: _STRING}
 
-_CONFIG_KEYS = {
-    "configuration": _STRING, "iterations": _INT, "feed_size": _INT,
-    "master_seed": _INT, "backend": _OBJECT, "personas": _STRING,
-    "follows": _STRING, "memory": _OBJECT,
-}
-_BACKEND_KEYS = {"type": _STRING, "endpoint": _STRING, "model": _STRING,
-                 "temperature": _NUMBER, "timeout": _NUMBER,
-                 "concurrency": _INT}
-_MEMORY_KEYS = {name: _NUMBER if isinstance(f.default, float) else _INT
-                for name, f in MemoryParams.__dataclass_fields__.items()}
+
+def _keys(settings, **extra) -> dict:
+    """The config keys of a settings dataclass, each typed by its field's
+    annotation (a nested dataclass is a JSON object), plus ``extra``."""
+    hints = get_type_hints(settings)
+    return {**{f.name: _OBJECT if is_dataclass(hints[f.name])
+               else _JSON_TYPES[hints[f.name]] for f in fields(settings)},
+            **extra}
+
+
+# The only lists of settings: a config file's sections and ``simulate``'s
+# flags (each flag's ``dest`` is its key) are these keys.
+_CONFIG_KEYS = _keys(SimulationConfig, personas=_STRING, follows=_STRING,
+                     backend=_OBJECT)
+_BACKEND_KEYS = _keys(EndpointConfig, type=_STRING)
+_MEMORY_KEYS = _keys(MemoryParams)
 
 
 def _check_section(section: dict, keys: dict, prefix: str, path: Path) -> None:
@@ -119,10 +128,11 @@ def load_config(path: Path) -> dict:
 def _persona(obj) -> dict:
     persona = {"id": obj["id"], "identity_text": obj["identity_text"],
                "topic": obj.get("topic"), "trait": obj.get("trait")}
-    for key in ("id", "identity_text"):
-        if not isinstance(persona[key], str):
+    for key in ("id", "identity_text", "topic"):
+        value = persona[key]
+        if not (isinstance(value, str) or key == "topic" and value is None):
             raise ValueError(f"{key!r} must be a string, got "
-                             f"{json.dumps(persona[key])}")
+                             f"{json.dumps(value)}")
     trait = persona["trait"]
     if trait is not None and (not isinstance(trait, str)
                               or trait not in Trait.__members__):
@@ -154,20 +164,21 @@ def read_follows(path: Path) -> list:
     return edges
 
 
-def _present(section: dict, keys) -> dict:
-    """``section`` cut to ``keys``; a dataclass supplies the rest."""
-    return {key: section[key] for key in keys if key in section}
+def _overlay(section: dict, args, keys) -> dict:
+    """``section`` with each of ``keys`` that a flag gave in ``args``."""
+    given = {key: getattr(args, key) for key in keys
+             if getattr(args, key, None) is not None}
+    return {**section, **given}
 
 
 def _make_backend(backend_cfg: dict):
     if backend_cfg.get("type", "stub") == "stub":
         return StubBackend()
-    if "endpoint" not in backend_cfg or "model" not in backend_cfg:
+    if not backend_cfg.get("endpoint") or not backend_cfg.get("model"):
         raise CliError("llm backend requires 'endpoint' and 'model'")
     try:
-        endpoint = EndpointConfig(
-            url=backend_cfg["endpoint"], model=backend_cfg["model"],
-            **_present(backend_cfg, ("temperature", "timeout", "concurrency")))
+        endpoint = EndpointConfig(**{key: value for key, value
+                                     in backend_cfg.items() if key != "type"})
     except ValueError as err:
         raise CliError(f"invalid 'backend.concurrency' (--concurrency): "
                        f"{err}")
@@ -176,25 +187,8 @@ def _make_backend(backend_cfg: dict):
 
 def cmd_simulate(args) -> int:
     cfg = load_config(Path(args.config)) if args.config else {}
-    for key, value in (
-        ("configuration", args.configuration), ("iterations", args.iterations),
-        ("feed_size", args.feed_size), ("master_seed", args.seed),
-        ("personas", args.personas), ("follows", args.follows),
-    ):
-        if value is not None:
-            cfg[key] = value
-    backend_cfg = dict(cfg.get("backend", {}))
-    if args.backend:
-        backend_cfg["type"] = args.backend
-    if args.endpoint:
-        backend_cfg["endpoint"] = args.endpoint
-    if args.model:
-        backend_cfg["model"] = args.model
-    if args.temperature is not None:
-        backend_cfg["temperature"] = args.temperature
-    if args.concurrency is not None:
-        backend_cfg["concurrency"] = args.concurrency
-    cfg["backend"] = backend_cfg
+    cfg = _overlay(cfg, args, _CONFIG_KEYS)
+    backend_cfg = _overlay(cfg.get("backend", {}), args, _BACKEND_KEYS)
 
     if "personas" not in cfg:
         raise CliError("no personas file given (config key 'personas' or "
@@ -206,12 +200,14 @@ def cmd_simulate(args) -> int:
     follows_path = Path(cfg["follows"]) if "follows" in cfg else None
     follow_edges = read_follows(follows_path) if follows_path else None
 
+    settings = {key: value for key, value in cfg.items()
+                if key in SimulationConfig.__dataclass_fields__}
     try:
-        sim_config = SimulationConfig(
-            **_present(cfg, ("configuration", "iterations", "feed_size",
-                             "master_seed")),
-            memory=MemoryParams(**cfg.get("memory", {})),
-        )
+        settings["memory"] = MemoryParams(**cfg.get("memory", {}))
+    except ValueError as err:
+        raise CliError(f"memory.{err}")
+    try:
+        sim_config = SimulationConfig(**settings)
     except ValueError as err:
         raise CliError(str(err))
     try:
@@ -336,7 +332,7 @@ def cmd_analyze(args) -> int:
             _write_csv(out / f"centrality_{name}.csv",
                        ["agent", "trait", "in_degree", "out_degree"],
                        [[a, traits.get(a), cin.get(a, 0.0), cout.get(a, 0.0)]
-                        for a in sorted(traits or set(cin) | set(cout))])
+                        for a in sorted(traits)])
             if traits:
                 for trait, (median, q1, q3, count) in sorted(
                         centrality_by_trait(cout, traits).items(),
@@ -388,16 +384,9 @@ def cmd_ground(args) -> int:
     for record in records:
         by_user.setdefault(record.user, []).append(record)
 
-    backend_cfg = None
-    if not args.no_identity_inference:
-        if not args.endpoint or not args.model:
-            raise CliError("identity inference requires --endpoint and --model "
-                           "(or pass --no-identity-inference)")
-        backend_cfg = {"type": "llm", "endpoint": args.endpoint,
-                       "model": args.model}
-        for key in ("temperature", "concurrency"):
-            if getattr(args, key) is not None:
-                backend_cfg[key] = getattr(args, key)
+    if not args.no_identity_inference and not (args.endpoint and args.model):
+        raise CliError("identity inference requires --endpoint and --model "
+                       "(or pass --no-identity-inference)")
 
     follow_edges = []
     if args.follows:
@@ -408,12 +397,12 @@ def cmd_ground(args) -> int:
     assignments = {user: assign_trait(empirical_action_vector(
         by_user.get(user, []), slots, origin=origin), user=user)
         for user in users}
-    if backend_cfg is None:
+    if args.no_identity_inference:
         identities = dict.fromkeys(users, PLACEHOLDER_IDENTITY)
     else:
         # One profiling call per user with posts, on the backend's pool;
         # results come back in sorted-user order at any concurrency.
-        backend = _make_backend(backend_cfg)
+        backend = _make_backend(_overlay({"type": "llm"}, args, _BACKEND_KEYS))
         posts = {user: [r.text for r in by_user.get(user, [])
                         if r.kind == "post"] for user in users}
         try:
@@ -443,6 +432,16 @@ def cmd_ground(args) -> int:
     return 0
 
 
+def _add_endpoint_flags(parser) -> None:
+    """The flags of the llm backend's ``_BACKEND_KEYS``."""
+    parser.add_argument("--endpoint")
+    parser.add_argument("--model")
+    parser.add_argument("--temperature", type=float)
+    parser.add_argument("--concurrency", type=int,
+                        help=f"llm completions in flight at once (default "
+                             f"{EndpointConfig.concurrency})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="traitsim")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,13 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--personas", help="personas jsonl file")
     sim.add_argument("--follows", help="follower,followee csv file")
     sim.add_argument("--configuration", choices=CONFIGURATIONS)
-    sim.add_argument("--backend", choices=("stub", "llm"))
-    sim.add_argument("--endpoint")
-    sim.add_argument("--model")
-    sim.add_argument("--temperature", type=float)
-    sim.add_argument("--concurrency", type=int,
-                     help="llm completions in flight at once (default 8)")
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--backend", choices=("stub", "llm"), dest="type")
+    _add_endpoint_flags(sim)
+    sim.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     sim.add_argument("--iterations", type=int)
     sim.add_argument("--feed-size", type=int, dest="feed_size")
     sim.add_argument("--out", required=True)
@@ -479,12 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--records", required=True)
     grd.add_argument("--follows")
     grd.add_argument("--cap", type=int, default=1000)
-    grd.add_argument("--endpoint")
-    grd.add_argument("--model")
-    grd.add_argument("--temperature", type=float)
-    grd.add_argument("--concurrency", type=int,
-                     help="identity-inference calls in flight at once "
-                          "(default 8)")
+    _add_endpoint_flags(grd)
     grd.add_argument("--no-identity-inference", action="store_true")
     grd.add_argument("--out", required=True)
     grd.set_defaults(func=cmd_ground)

@@ -422,8 +422,8 @@ def agent_rng(master_seed: int, iteration: int, agent_index: int,
     return np.random.Generator(np.random.PCG64(_SeedWords(words[offset])))
 
 
-def run_iteration(world: WorldState, config: SimulationConfig, backend,
-                  decision_order: Optional[Sequence[str]] = None) -> WorldState:
+def run_iteration(world: WorldState, config: SimulationConfig,
+                  backend) -> WorldState:
     """One snapshot-decide / serialized-apply cycle.
 
     Each agent's decision step (STM decay, feed, STM observes, prompt,
@@ -432,10 +432,10 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     ``backend.map(step, order)`` when the backend has a ``map`` (an
     ``LLMBackend`` runs up to its ``concurrency`` of them on its thread
     pool), otherwise through the builtin ``map``, one after another in the
-    calling thread. ``decision_order`` only changes the order in which the
-    steps start. Application, activity recording and LTM evaluation happen
-    afterwards in the calling thread, in sorted agent order, so the world
-    and the artifacts are the same at any concurrency.
+    calling thread. Application, activity recording and LTM evaluation
+    happen afterwards in the calling thread, in sorted agent order, so the
+    world and the artifacts are the same at any concurrency and in any order
+    in which a ``map`` starts the steps.
 
     An exception from a step, such as a backend ``TransportError``,
     propagates only once no step is still running, and before anything is
@@ -444,9 +444,7 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
     and observations.
     """
     iteration = world.iteration + 1
-    order = list(decision_order) if decision_order is not None else world.agent_order()
-    if sorted(order) != world.agent_order():
-        raise ValueError("decision_order must be a permutation of agent ids")
+    order = world.agent_order()
 
     def decision_step(agent_id: str) -> Decision:
         agent = world.agents[agent_id]
@@ -467,17 +465,16 @@ def run_iteration(world: WorldState, config: SimulationConfig, backend,
         return decide(prompt, backend,
                       agent_rng(config.master_seed, iteration, agent.index, 1))
 
-    decisions = dict(zip(order, getattr(backend, "map", map)(decision_step,
-                                                             order)))
+    decisions = list(getattr(backend, "map", map)(decision_step, order))
 
-    for agent_id in world.agent_order():
+    for agent_id, decision in zip(order, decisions):
         agent = world.agents[agent_id]
-        apply_action(world, agent, decisions[agent_id], iteration)
+        apply_action(world, agent, decision, iteration)
         am_record(agent.memory.am, world.log[-1].action, iteration,
                   config.memory)
 
     if iteration % config.memory.eval_period == 0:
-        for agent_id in world.agent_order():
+        for agent_id in order:
             ltm_evaluate(world.agents[agent_id].memory, iteration,
                          config.memory)
     world.iteration = iteration
@@ -614,18 +611,13 @@ def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
     """Write ``MANIFEST`` into ``out_dir``: the schema and code versions, the
     run's configuration (``backend`` as given), the iterations ``world``
     completed, the sha256 of each input file and the ``OUTPUTS``."""
+    settings = asdict(config)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "code_version": __version__,
-        "master_seed": config.master_seed,
+        "master_seed": settings.pop("master_seed"),
         "completed_iterations": world.iteration,
-        "config": {
-            "configuration": config.configuration,
-            "iterations": config.iterations,
-            "feed_size": config.feed_size,
-            "backend": dict(backend),
-            "memory": asdict(config.memory),
-        },
+        "config": {**settings, "backend": dict(backend)},
         "inputs": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in inputs},
         "outputs": list(OUTPUTS),
@@ -672,10 +664,8 @@ def load_run(run_dir):
         raise ValueError(f"not an artifact directory: {run_dir}")
     content = load_content(run_dir)
     log = _read_run_file(actions_path, record_from_dict)
-    traits = {}
-    if agents_path.exists():
-        traits = dict(_read_run_file(
-            agents_path, lambda obj: (obj["agent_id"], obj["trait"])))
+    traits = dict(_read_run_file(
+        agents_path, lambda obj: (obj["agent_id"], obj["trait"])))
     return log, content, traits
 
 

@@ -10,6 +10,7 @@ identity description from the user's original posts.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -74,6 +75,12 @@ def _parse_timestamp(value) -> float:
 
 
 def _platform_record(obj) -> PlatformRecord:
+    for key in ("user", "target_user"):
+        value = obj.get(key)
+        if not (isinstance(value, str) or key == "target_user"
+                and value is None):
+            raise ValueError(f"{key!r} must be a string, got "
+                             f"{json.dumps(value)}")
     return PlatformRecord(
         user=obj["user"],
         kind=obj["kind"],

@@ -39,6 +39,16 @@ class MemoryParams:
     w_like: float = 1.0
     w_dislike: float = 1.0
 
+    def __post_init__(self):
+        for name, low in (("stm_capacity", 0), ("am_window", 0),
+                          ("eval_period", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got "
+                                 f"{getattr(self, name)}")
+        if not 0 <= self.promotion_quantile <= 1:
+            raise ValueError(f"promotion_quantile must be in [0, 1], got "
+                             f"{self.promotion_quantile}")
+
 
 @dataclass
 class StmEntry:

@@ -437,7 +437,7 @@ _sleep = time.sleep
 
 @dataclass
 class EndpointConfig:
-    url: str  # full chat-completions URL, e.g. http://localhost:11434/v1/chat/completions
+    endpoint: str  # full chat-completions URL, e.g. http://localhost:11434/v1/chat/completions
     model: str
     temperature: float = 0.7
     timeout: float = 60.0
@@ -529,7 +529,7 @@ class LLMBackend:
                            RETRY_BACKOFF_CAP_S))
             try:
                 response = self._session().post(
-                    self.endpoint.url, json=body, headers=self.headers,
+                    self.endpoint.endpoint, json=body, headers=self.headers,
                     timeout=self.endpoint.timeout,
                 )
             except (requests.ConnectionError, requests.Timeout) as err:

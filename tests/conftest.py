@@ -76,3 +76,20 @@ def pool_threads() -> list:
     """The live worker threads of every ``LLMBackend`` pool."""
     return [t for t in threading.enumerate()
             if t.name.startswith("traitsim-llm")]
+
+
+class Shuffled:
+    """``backend``'s answers, with each iteration's decision steps started
+    in the order ``shuffle`` leaves them in (on ``backend.map`` when it has
+    one) and the results returned in agent order."""
+
+    def __init__(self, backend, shuffle):
+        self.complete = backend.complete
+        self._map = getattr(backend, "map", map)
+        self.shuffle = shuffle
+
+    def map(self, step, agent_ids):
+        order = list(agent_ids)
+        self.shuffle(order)
+        decisions = dict(zip(order, self._map(step, order)))
+        return [decisions[agent_id] for agent_id in agent_ids]

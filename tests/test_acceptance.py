@@ -31,9 +31,7 @@ from traitsim.core import (
 )
 from traitsim.engine import (
     SimulationConfig,
-    init_population,
     record_to_dict,
-    run_iteration,
     run_simulation,
 )
 from traitsim.grounding import (
@@ -52,7 +50,7 @@ from traitsim.networks import (
 )
 from traitsim.reasoning import StubBackend
 
-from conftest import make_personas
+from conftest import Shuffled, make_personas
 from test_analytics import brute_force_chains, mw_oracle, random_forest
 
 SEED_98 = 7
@@ -361,13 +359,9 @@ def test_ac8_determinism(run98):
     repeat = run_simulation(config, make_personas(14))
     repeat_ok = [record_to_dict(r) for r in repeat.log] == ref_log
 
-    shuffler = random.Random(5)
-    world = init_population(make_personas(14), config)
-    for _ in range(config.iterations):
-        order = list(world.agent_order())
-        shuffler.shuffle(order)
-        run_iteration(world, config, StubBackend(), decision_order=order)
-    permuted_ok = [record_to_dict(r) for r in world.log] == ref_log
+    shuffled = Shuffled(StubBackend(), random.Random(5).shuffle)
+    permuted = run_simulation(config, make_personas(14), shuffled)
+    permuted_ok = [record_to_dict(r) for r in permuted.log] == ref_log
 
     report(f"[AC8] determinism (repeat identical {repeat_ok}, permuted "
            f"decision order identical {permuted_ok})",

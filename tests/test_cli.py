@@ -201,6 +201,23 @@ class TestSimulate:
         assert "'backend.concurrency'" in err and "at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("eval_period", 0), ("promotion_quantile", 1.5),
+        ("promotion_quantile", -0.1), ("am_window", -1), ("stm_capacity", -1),
+    ])
+    def test_memory_setting_out_of_range_is_named(
+            self, tmp_path, capsys, personas_file, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "memory": {key: value}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--iterations", "5",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: memory.{key} must be")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_negative_seed_is_rejected_before_the_run(
             self, tmp_path, capsys, personas_file, where):
@@ -247,7 +264,8 @@ class TestSimulate:
         ('{"id": 5, "identity_text": "x"}', "'id'"),
         ('{"id": "b", "identity_text": 7}', "'identity_text'"),
         ('{"id": null, "identity_text": "x"}', "'id'"),
-    ], ids=["int-id", "int-text", "null-id"])
+        ('{"id": "b", "identity_text": "x", "topic": ["m"]}', "'topic'"),
+    ], ids=["int-id", "int-text", "null-id", "list-topic"])
     def test_persona_id_and_text_must_be_strings(self, tmp_path, capsys,
                                                  line, key):
         path = tmp_path / "personas.jsonl"
@@ -390,6 +408,7 @@ class TestAnalyze:
         run.mkdir()
         (run / "actions.jsonl").write_text("")
         (run / "content.jsonl").write_text("")
+        (run / "agents.jsonl").write_text("")
         assert main(["analyze", "--run", str(run)]) == 0
         for name in ("clusters.csv", "chains.csv", "centrality_resharing.csv"):
             assert len(read_csv(run / name)) == 1
@@ -497,10 +516,11 @@ class TestAnalyze:
 
     def test_missing_content_file_is_named(self, tmp_path, personas_file,
                                            capsys):
-        run = simulate(tmp_path, personas_file)
-        (run / "content.jsonl").unlink()
-        assert main(["analyze", "--run", str(run)]) == 1
-        assert f"not found: {run / 'content.jsonl'}" in capsys.readouterr().err
+        for name in ("content.jsonl", "agents.jsonl"):
+            run = simulate(tmp_path, personas_file, f"without-{name}")
+            (run / name).unlink()
+            assert main(["analyze", "--run", str(run)]) == 1
+            assert f"not found: {run / name}" in capsys.readouterr().err
 
     def test_same_directory_compare_parses_the_run_once(
             self, tmp_path, personas_file, monkeypatch):
@@ -700,6 +720,41 @@ class TestGround:
             e == EndpointConfig("http://localhost:1/v1", "m",
                                 temperature=temperature)
             for e in endpoints)
+
+    def test_endpoint_settings_build_one_endpoint_config(
+            self, tmp_path, monkeypatch, personas_file):
+        """The same settings as ``simulate`` flags, in a ``simulate`` config
+        file and as ``ground`` flags build equal endpoints."""
+        built = []
+
+        class Recorder(StubBackend):
+            def __init__(self, endpoint):
+                built.append(endpoint)
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli, "LLMBackend", Recorder)
+        monkeypatch.setattr(cli, "infer_identity", lambda posts, b: "inferred")
+        settings = {"endpoint": "http://localhost:1/v1", "model": "m",
+                    "temperature": 0.2, "concurrency": 3}
+        flags = [arg for key, value in settings.items()
+                 for arg in (f"--{key}", str(value))]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "iterations": 1,
+                                   "backend": {"type": "llm", **settings}}))
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--iterations", "1", "--backend", "llm", *flags,
+                     "--out", str(tmp_path / "by-flags")]) == 0
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "by-config")]) == 0
+        assert main(["ground", "--records", str(ground_records(tmp_path)),
+                     *flags, "--out", str(tmp_path / "bundle")]) == 0
+        assert built == [EndpointConfig(**settings)] * 3
 
 
 def identity_records(tmp_path, users=12):

@@ -32,7 +32,7 @@ from traitsim.reasoning import (
     TransportError,
 )
 
-from conftest import chat_server, make_personas, pool_threads
+from conftest import Shuffled, chat_server, make_personas, pool_threads
 
 _FEED_RE = re.compile(r"^\[(\d+)\] by (\S+?)(?: \(re-share\))?: ", re.M)
 WEIGHTS = {"post": 3, "reshare": 2, "like": 3, "dislike": 1, "comment": 1,
@@ -167,11 +167,11 @@ class TestTransportErrorUnderConcurrency:
                 snapshot = copy.deepcopy((world.log, world.content, {
                     a: s.profile.following for a, s in world.agents.items()}))
                 failing.update(dict.fromkeys(failing, True))
-                for order, first in ((world.agent_order(), "Persona 1,"),
-                                     (world.agent_order()[::-1], "Persona 4,")):
+                for start, first in ((lambda order: None, "Persona 1,"),
+                                     (list.reverse, "Persona 4,")):
                     with pytest.raises(TransportError,
                                        match=f"refused {first}"):
-                        run_iteration(world, cfg, backend, decision_order=order)
+                        run_iteration(world, cfg, Shuffled(backend, start))
                     assert running[0] == 0
                     assert world.iteration == 2
                     assert (world.log, world.content, {

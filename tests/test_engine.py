@@ -45,7 +45,7 @@ from traitsim.reasoning import (
     permitted_actions,
 )
 
-from conftest import TOPICS, make_personas
+from conftest import TOPICS, Shuffled, make_personas
 
 
 def config(**kwargs):
@@ -501,12 +501,6 @@ class TestRunIteration:
             agents = [r.agent for r in world.log if r.iteration == it]
             assert sorted(agents) == world.agent_order()
 
-    def test_decision_order_must_be_permutation(self, personas_small):
-        world = init_population(personas_small, config())
-        with pytest.raises(ValueError, match="permutation"):
-            run_iteration(world, config(), StubBackend(),
-                          decision_order=world.agent_order()[:-1])
-
     def test_integrity_after_a_run(self, personas_small):
         world = run_simulation(config(iterations=6), personas_small)
         check_integrity(world)
@@ -602,12 +596,8 @@ class TestDeterminism:
         cfg = config(iterations=6, master_seed=11)
         reference = run_simulation(cfg, personas_small)
 
-        rng = np.random.default_rng(99)
-        world = init_population(personas_small, cfg)
-        for _ in range(cfg.iterations):
-            order = list(world.agent_order())
-            rng.shuffle(order)
-            run_iteration(world, cfg, StubBackend(), decision_order=order)
+        shuffled = Shuffled(StubBackend(), np.random.default_rng(99).shuffle)
+        world = run_simulation(cfg, personas_small, shuffled)
 
         assert ([record_to_dict(r) for r in world.log]
                 == [record_to_dict(r) for r in reference.log])

@@ -61,6 +61,22 @@ class TestParseRecords:
         with pytest.raises(IngestError):
             parse_records(jsonl([{"user": "u1", "kind": "post", "timestamp": 0}]))
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"user": 5, "kind": "post", "text": "x"}, "'user'"),
+        ({"user": ["x"], "kind": "post", "text": "x"}, "'user'"),
+        ({"user": None, "kind": "post", "text": "x"}, "'user'"),
+        ({"user": "u1", "kind": "like", "target_user": 5}, "'target_user'"),
+        ({"user": "u1", "kind": "like", "target_user": ["u2"]},
+         "'target_user'"),
+    ], ids=["int-user", "list-user", "null-user", "int-target",
+            "list-target"])
+    def test_users_must_be_strings(self, fields, key):
+        good = {"user": "u0", "kind": "post", "timestamp": 0, "text": "x"}
+        lines = jsonl([good, {"timestamp": 0, **fields}])
+        with pytest.raises(IngestError, match="line 2") as err:
+            parse_records(lines)
+        assert f"{key} must be a string" in str(err.value)
+
     def test_unknown_kind_rejected(self):
         lines = jsonl([{"user": "u1", "kind": "poke", "timestamp": 0,
                         "target_user": "u2"}])
