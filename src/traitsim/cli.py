@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
+from urllib.parse import urlsplit
 
 from .analytics import (
     action_probability_vector,
@@ -177,12 +178,26 @@ def _make_backend(backend_cfg: dict):
     if not backend_cfg.get("endpoint") or not backend_cfg.get("model"):
         raise CliError("llm backend requires 'endpoint' and 'model'")
     try:
+        _check_endpoint_url(backend_cfg["endpoint"])
         endpoint = EndpointConfig(**{key: value for key, value
                                      in backend_cfg.items() if key != "type"})
-    except ValueError as err:
-        raise CliError(f"invalid 'backend.concurrency' (--concurrency): "
-                       f"{err}")
+    except ValueError as err:  # each message starts with the setting's name
+        raise CliError(f"invalid 'backend.{str(err).split()[0]}': {err}")
     return LLMBackend(endpoint)
+
+
+def _check_endpoint_url(url: str) -> None:
+    """Raise ValueError unless ``url`` is an http or https URL with a host,
+    the only endpoints ``LLMBackend`` can reach."""
+    try:
+        parts = urlsplit(url)  # .port raises on a malformed port
+        reachable = (parts.scheme in ("http", "https") and bool(parts.hostname)
+                     and (parts.port is None or parts.port > 0))
+    except ValueError:
+        reachable = False
+    if not reachable:
+        raise ValueError(f"endpoint must be an http:// or https:// URL with a "
+                         f"host, got {url!r}")
 
 
 def cmd_simulate(args) -> int:

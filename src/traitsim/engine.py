@@ -533,6 +533,16 @@ def _member(members: dict, value, name: str):
         raise ValueError(f"unknown {name} {json.dumps(value)}") from None
 
 
+def _string(d: dict, key: str, nullable: bool = False):
+    """``d[key]``, which must be a string (or null, if ``nullable``); any
+    other value is a ``TypeError``."""
+    value = d[key]
+    if not (type(value) is str or nullable and value is None):
+        kind = "a string or null" if nullable else "a string"
+        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
 def record_from_dict(d: dict) -> ActionRecord:
     """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
     wrongly typed agent or iteration a ``TypeError``, an unknown kind or order
@@ -576,7 +586,8 @@ def content_from_dict(d: dict) -> ContentItem:
     return ContentItem(
         content_id=d["content_id"], author=d["author"],
         iteration_created=d["iteration_created"], text=d["text"],
-        topic=d["topic"], parent=d["parent"], root=d["root"],
+        topic=_string(d, "topic", nullable=True), parent=d["parent"],
+        root=d["root"],
         counters=Counters(**d["counters"]),
         comment_texts=[tuple(pair) for pair in d["comment_texts"]],
         cascade_reshares=d["cascade_reshares"],
@@ -664,8 +675,8 @@ def load_run(run_dir):
         raise ValueError(f"not an artifact directory: {run_dir}")
     content = load_content(run_dir)
     log = _read_run_file(actions_path, record_from_dict)
-    traits = dict(_read_run_file(
-        agents_path, lambda obj: (obj["agent_id"], obj["trait"])))
+    traits = dict(_read_run_file(agents_path, lambda obj: (
+        _string(obj, "agent_id"), _string(obj, "trait", nullable=True))))
     return log, content, traits
 
 

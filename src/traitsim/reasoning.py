@@ -30,19 +30,21 @@ from the master seed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import re
+import select
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Optional, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
-import requests
 
 from .core import (
     ENGAGEMENT_KINDS,
@@ -444,6 +446,8 @@ class EndpointConfig:
     concurrency: int = 8  # completions in flight at once (LLMBackend.map)
 
     def __post_init__(self):
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be above 0, got {self.timeout}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got "
                              f"{self.concurrency}")
@@ -454,28 +458,43 @@ class LLMBackend:
     ``Decision``.
 
     The backend owns a pool of ``endpoint.concurrency`` worker threads for its
-    whole life; ``map`` runs work on it, and each thread keeps its own
-    ``requests.Session``, so connections are reused across calls. ``close``
-    stops the pool and closes the sessions.
+    whole life; ``map`` runs work on it, and each thread keeps one keep-alive
+    ``http.client`` connection to the endpoint's host, reused across calls.
+    ``close`` stops the pool and closes the connections.
     """
 
     def __init__(self, endpoint: EndpointConfig):
         self.endpoint = endpoint
+        url = urlsplit(endpoint.endpoint)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (url.hostname, url.port)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         token = os.environ.get(TOKEN_ENV_VAR)
-        self.headers = {"Authorization": f"Bearer {token}"} if token else {}
+        self.headers = {"Content-Type": "application/json"}
+        if token:
+            self.headers["Authorization"] = f"Bearer {token}"
         self._pool = ThreadPoolExecutor(endpoint.concurrency,
                                         thread_name_prefix="traitsim-llm")
         self._local = threading.local()
-        self._sessions = []
-        self._sessions_lock = threading.Lock()
+        self._connections = []
+        self._connections_lock = threading.Lock()
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-            with self._sessions_lock:
-                self._sessions.append(session)
-        return session
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection. One whose idle socket is readable was
+        closed by the server (or got bytes it did not ask for), so it is
+        closed here and reopens on the next request."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                *self._address, timeout=self.endpoint.timeout)
+            with self._connections_lock:
+                self._connections.append(connection)
+        elif (connection.sock is not None
+              and select.select([connection.sock], [], [], 0)[0]):
+            connection.close()
+        return connection
 
     def map(self, fn, items) -> list:
         """``[fn(item) for item in items]``, computed on the pool with up to
@@ -499,12 +518,12 @@ class LLMBackend:
 
     def close(self) -> None:
         """Stop the pool (cancelling queued calls, awaiting running ones)
-        and close every thread's session."""
+        and close every thread's connection."""
         self._pool.shutdown(wait=True, cancel_futures=True)
-        with self._sessions_lock:
-            for session in self._sessions:
-                session.close()
-            self._sessions.clear()
+        with self._connections_lock:
+            for connection in self._connections:
+                connection.close()
+            self._connections.clear()
 
     def chat(self, system_text: str, user_text: str) -> str:
         """The model's answer text.
@@ -523,28 +542,29 @@ class LLMBackend:
             "temperature": self.endpoint.temperature,
             "stream": False,
         }
+        payload = json.dumps(body).encode()
         for attempt in range(TRANSPORT_RETRIES + 1):
             if attempt:
                 _sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1),
                            RETRY_BACKOFF_CAP_S))
+            connection = self._connection()
             try:
-                response = self._session().post(
-                    self.endpoint.endpoint, json=body, headers=self.headers,
-                    timeout=self.endpoint.timeout,
-                )
-            except (requests.ConnectionError, requests.Timeout) as err:
+                connection.request("POST", self._path, payload, self.headers)
+                response = connection.getresponse()
+                data = response.read()
+            except (OSError, http.client.HTTPException) as err:
+                connection.close()
                 failure, status = f"backend unreachable: {err}", None
                 continue
-            except requests.RequestException as err:
-                raise TransportError(f"backend unreachable: {err}") from err
-            status = response.status_code
+            status = response.status
             if status == 200:
                 try:
-                    return response.json()["choices"][0]["message"]["content"]
+                    return json.loads(data)["choices"][0]["message"]["content"]
                 except (ValueError, KeyError, IndexError, TypeError) as err:
                     raise TransportError(
                         f"malformed completion response: {err}") from err
-            failure = f"backend returned HTTP {status}: {response.text[:200]}"
+            failure = (f"backend returned HTTP {status}: "
+                       f"{data.decode('utf-8', 'replace')[:200]}")
             if status != 429 and status < 500:
                 raise TransportError(failure, status=status)
         raise TransportError(f"{failure} ({attempt + 1} attempts)",

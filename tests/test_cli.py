@@ -1,13 +1,17 @@
 import csv
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+import traitsim
 from traitsim import cli, reasoning
 from traitsim.cli import main
 from traitsim.engine import SimulationConfig
@@ -21,6 +25,11 @@ def personas_file(tmp_path):
     path = tmp_path / "personas.jsonl"
     path.write_text("\n".join(json.dumps(p) for p in make_personas(4)) + "\n")
     return path
+
+
+MALFORMED_ENDPOINTS = ["localhost:11434/v1/chat/completions",
+                       "ftp://localhost/v1", "http:///v1",
+                       "http://localhost:port/v1"]
 
 
 def simulate(tmp_path, personas_file, out_name="run", extra=()):
@@ -201,6 +210,20 @@ class TestSimulate:
         assert "'backend.concurrency'" in err and "at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("timeout", [0, -1.5])
+    def test_timeout_not_above_zero_is_named(self, tmp_path, capsys,
+                                             personas_file, timeout):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file), "backend": {
+            "type": "llm", "endpoint": "http://localhost:1/v1", "model": "m",
+            "timeout": timeout}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid 'backend.timeout': timeout must "
+                              "be above 0")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("eval_period", 0), ("promotion_quantile", 1.5),
         ("promotion_quantile", -0.1), ("am_window", -1), ("stm_capacity", -1),
@@ -352,6 +375,19 @@ class TestSimulate:
         assert len(iterations) == 3 * agents
         assert main(["analyze", "--run", str(out)]) == 0
 
+    @pytest.mark.parametrize("url", MALFORMED_ENDPOINTS)
+    def test_malformed_endpoint_fails_before_the_run(
+            self, tmp_path, capsys, personas_file, url):
+        out = tmp_path / "x"
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--backend", "llm", "--endpoint", url, "--model", "m",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid 'backend.endpoint': endpoint "
+                              "must be an http")
+        assert repr(url) in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):
         assert main(["simulate", "--personas", str(personas_file),
@@ -480,6 +516,9 @@ class TestAnalyze:
          "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
         ("content.jsonl", drop_first_key("comment_texts"), 1),
+        ("content.jsonl", edit_first_record(None, topic=["m"]), 1),
+        ("agents.jsonl", edit_first_record(None, trait=["PC"]), 1),
+        ("agents.jsonl", edit_first_record(None, agent_id=["p000"]), 1),
     ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
             "content-not-object", "agents-broken-json", "agents-missing-key",
             "actions-int-agent", "actions-str-iteration",
@@ -487,7 +526,8 @@ class TestAnalyze:
             "actions-like-bool-target", "actions-post-null-payload",
             "actions-unknown-kind", "actions-list-kind",
             "actions-object-order",
-            "actions-missing-reason", "content-missing-comment-texts"])
+            "actions-missing-reason", "content-missing-comment-texts",
+            "content-list-topic", "agents-list-trait", "agents-list-agent-id"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)
@@ -695,6 +735,18 @@ class TestGround:
                      "--out", str(tmp_path / "x")]) == 1
         assert "cap must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("url", MALFORMED_ENDPOINTS)
+    def test_malformed_endpoint_is_named_and_writes_nothing(
+            self, tmp_path, capsys, url):
+        records = ground_records(tmp_path)
+        out = tmp_path / "x"
+        assert main(["ground", "--records", str(records), "--endpoint", url,
+                     "--model", "m", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid 'backend.endpoint': endpoint "
+                              "must be an http")
+        assert not out.exists()
+
     def test_identity_inference_needs_endpoint(self, tmp_path, capsys):
         records = ground_records(tmp_path)
         assert main(["ground", "--records", str(records),
@@ -876,3 +928,16 @@ class TestDemoData:
                      "--seed", "1", "--out", str(out)]) == 0
         agents = (out / "agents.jsonl").read_text().splitlines()
         assert len(agents) == 14 * 7
+
+
+def test_no_command_imports_requests():
+    """The cli and everything it imports load without ``requests`` or
+    ``urllib3``, which would add about 0.15 s to every command."""
+    src = str(Path(traitsim.__file__).parents[1])
+    code = ("import sys, traitsim.cli; "
+            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

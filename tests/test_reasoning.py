@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -479,7 +481,9 @@ class TestTripletRoundTrip:
 
 class _Handler(BaseHTTPRequestHandler):
     """Answers ``script``; the first requests take their status from the
-    list ``script["statuses"]``, if there is one."""
+    list ``script["statuses"]``, if there is one. A 200 carries
+    ``script["body"]`` if it is given, else a completion of
+    ``script["content"]``."""
 
     script = {"status": 200, "content": "CHOICE: inactive\nREASON: x\nCONTENT:"}
     requests_seen = []
@@ -488,7 +492,9 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")})
+            {"body": body, "auth": self.headers.get("Authorization"),
+             "content_type": self.headers.get("Content-Type"),
+             "path": self.path})
         statuses = type(self).script.get("statuses")
         status = statuses.pop(0) if statuses else type(self).script["status"]
         if status != 200:
@@ -496,7 +502,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"server exploded")
             return
-        payload = json.dumps({
+        payload = type(self).script.get("body") or json.dumps({
             "choices": [{"message": {"content": type(self).script["content"]}}]
         }).encode()
         self.send_response(200)
@@ -522,6 +528,50 @@ def http_endpoint():
     server.server_close()
 
 
+ANSWER = "CHOICE: inactive\nREASON: x\nCONTENT:"
+
+
+@pytest.fixture
+def closing_endpoint():
+    """A raw-socket HTTP/1.1 server that answers each connection's first
+    request with a ``Content-Length`` 200, then closes the socket without
+    having sent ``Connection: close``. Yields ``(url, closed)``; ``closed``
+    is set each time the server has closed a connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    closed, stop = threading.Event(), threading.Event()
+    payload = json.dumps({"choices": [{"message": {"content": ANSWER}}]})
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    request += chunk
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = re.search(rb"(?i)content-length: *(\d+)", head)
+                while length and len(body) < int(length.group(1)):
+                    body += conn.recv(65536)
+                conn.sendall(
+                    f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    f"Content-Length: {len(payload)}\r\n\r\n{payload}".encode())
+            closed.set()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1", closed
+    stop.set()
+    thread.join()
+    listener.close()
+
+
 @pytest.fixture
 def backoffs(monkeypatch):
     """The transport retries' backoff delays, recorded instead of slept."""
@@ -532,10 +582,14 @@ def backoffs(monkeypatch):
 
 class TestLLMBackend:
     def test_round_trip_and_request_shape(self, http_endpoint):
-        backend = LLMBackend(EndpointConfig(http_endpoint, "test-model"))
+        backend = LLMBackend(EndpointConfig(http_endpoint + "?api-version=2",
+                                            "test-model"))
         d = backend.complete(prompt_for(), None)
         assert d == Decision(ActionKind.INACTIVE, "x")
-        body = _Handler.requests_seen[-1]["body"]
+        request = _Handler.requests_seen[-1]
+        assert request["path"] == "/v1/chat/completions?api-version=2"
+        assert request["content_type"] == "application/json"
+        body = request["body"]
         assert body["model"] == "test-model"
         assert body["temperature"] == 0.7
         assert body["stream"] is False
@@ -617,14 +671,34 @@ class TestTransportRetries:
         assert err.value.status == status
         assert len(_Handler.requests_seen) == 1 and backoffs == []
 
-    def test_malformed_body_is_not_retried(self, http_endpoint, backoffs,
-                                           monkeypatch):
-        monkeypatch.setattr(_Handler, "script", {"status": 200, "content": 7})
-        monkeypatch.setattr(reasoning.requests.Response, "json",
-                            lambda self: {"choices": []})
+    def test_malformed_body_is_not_retried(self, http_endpoint, backoffs):
+        _Handler.script["body"] = b'{"choices": []}'
         with pytest.raises(TransportError, match="malformed"):
             LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
         assert len(_Handler.requests_seen) == 1 and backoffs == []
+
+    def test_body_that_is_not_json_is_not_retried(self, http_endpoint,
+                                                  backoffs):
+        _Handler.script["body"] = b"<html>not json</html>"
+        with pytest.raises(TransportError, match="malformed"):
+            LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert len(_Handler.requests_seen) == 1 and backoffs == []
+
+
+    def test_connection_the_server_closed_is_not_a_retry(
+            self, closing_endpoint, backoffs):
+        """A keep-alive connection the server dropped while idle is
+        replaced before it is reused, not found broken by a request."""
+        url, closed = closing_endpoint
+        backend = LLMBackend(EndpointConfig(url, "m"))
+        try:
+            for _ in range(3):
+                closed.clear()
+                assert backend.chat("s", "u") == ANSWER
+                assert closed.wait(5)
+        finally:
+            backend.close()
+        assert backoffs == []
 
 
 class TestBackendPool:
