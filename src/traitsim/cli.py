@@ -37,7 +37,6 @@ from .engine import (
     SimulationConfig,
     check_integrity,
     init_population,
-    load_content,
     load_run,
     run_simulation,
     write_artifacts,
@@ -274,7 +273,7 @@ def cmd_analyze(args) -> int:
     try:
         log, content, traits = load_run(run_dir)
         if other is not None and not same_run:
-            other_content = load_content(other)
+            _, other_content, _ = load_run(other)
     except ValueError as err:
         raise CliError(str(err))
     out = Path(args.out) if args.out else run_dir

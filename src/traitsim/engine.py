@@ -20,6 +20,14 @@ byte-identical at any concurrency.
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
 recommender pool) can engage with it, forming propagation chains.
+
+The log is the run. ``apply_action`` turns a decision into an
+``ActionRecord`` and hands it to ``apply_record``, the one function that
+changes the content store and the follow graph; the store is therefore a
+function of the log and the agents' topics. ``write_artifacts`` still writes
+``content.jsonl`` for readers of the run directory, but ``load_run`` never
+reads it: it replays ``actions.jsonl`` through ``apply_record`` onto the
+agents of ``agents.jsonl``, so every record must replay cleanly.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from .core import (
     ActionRecord,
     AgentProfile,
     ContentItem,
-    Counters,
     OCEAN_VARIANTS,
     Order,
     Trait,
@@ -277,23 +284,36 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
 def apply_action(world: WorldState, agent: AgentState, decision: Decision,
                  iteration: int) -> None:
     """Apply one validated decision to the world (serialized phase)."""
-    profile = agent.profile
-    kind = decision.choice
     order = Order.NA
-    action = Action(kind=kind, target=decision.target, payload=decision.payload)
+    if decision.choice in ENGAGEMENT_KINDS:  # first-order iff on an original
+        order = (Order.FIRST if world.content[decision.target].parent is None
+                 else Order.SECOND)
+    record = ActionRecord(iteration, agent.profile.agent_id, Action(
+        decision.choice, decision.target, decision.payload), order,
+        decision.reason)
+    apply_record(world, agent, record)
+    world.log.append(record)
+
+
+def apply_record(world: WorldState, agent: AgentState,
+                 record: ActionRecord) -> None:
+    """Update the content store and the follow graph for ``agent``'s
+    ``record``; one that ``apply_action`` cannot have logged is an error."""
+    profile, action, kind = agent.profile, record.action, record.action.kind
 
     if kind is ActionKind.POST:
-        world.add_content(profile.agent_id, iteration, decision.payload,
+        world.add_content(profile.agent_id, record.iteration, action.payload,
                           profile.topic)
     elif kind in ENGAGEMENT_KINDS:
-        target = world.content[decision.target]
-        # First-order iff the engagement targets an original item.
-        order = Order.FIRST if target.parent is None else Order.SECOND
+        target = world.content[action.target]
+        if (record.order is Order.FIRST) != (target.parent is None):
+            raise ValueError(f"{kind.value} of content {action.target} is "
+                             f"not {record.order.value}")
         if kind is ActionKind.RESHARE:
             if target.content_id in agent.reshared_ids:
                 raise ValueError(f"{profile.agent_id} already re-shared "
                                  f"{target.content_id}")
-            world.add_content(profile.agent_id, iteration, target.text,
+            world.add_content(profile.agent_id, record.iteration, target.text,
                               target.topic, target)
             agent.reshared_ids.add(target.content_id)
             target.counters.reshares += 1
@@ -304,15 +324,10 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
             target.counters.dislikes += 1
         else:
             target.counters.comments += 1
-            target.comment_texts.append((profile.agent_id, decision.payload))
+            target.comment_texts.append((profile.agent_id, action.payload))
     elif kind is ActionKind.FOLLOW:
-        profile.following.add(decision.target)  # idempotent
+        profile.following.add(action.target)  # idempotent
     # INACTIVE: log only
-
-    world.log.append(ActionRecord(
-        iteration=iteration, agent=profile.agent_id, action=action,
-        order=order, reason_text=decision.reason,
-    ))
 
 
 # numpy's SeedSequence: a pool of 4 uint32 words, mixed with these constants.
@@ -547,9 +562,7 @@ def record_from_dict(d: dict) -> ActionRecord:
     """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
     wrongly typed agent or iteration a ``TypeError``, an unknown kind or order
     or a misshaped action a ``ValueError``."""
-    agent, iteration = d["agent"], d["iteration"]
-    if type(agent) is not str:
-        raise TypeError(f"agent must be a string, got {json.dumps(agent)}")
+    agent, iteration = _string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
@@ -580,18 +593,6 @@ def content_to_dict(item: ContentItem) -> dict:
         "cascade_reshares": item.cascade_reshares,
         "comment_texts": [list(pair) for pair in item.comment_texts],
     }
-
-
-def content_from_dict(d: dict) -> ContentItem:
-    return ContentItem(
-        content_id=d["content_id"], author=d["author"],
-        iteration_created=d["iteration_created"], text=d["text"],
-        topic=_string(d, "topic", nullable=True), parent=d["parent"],
-        root=d["root"],
-        counters=Counters(**d["counters"]),
-        comment_texts=[tuple(pair) for pair in d["comment_texts"]],
-        cascade_reshares=d["cascade_reshares"],
-    )
 
 
 def profile_to_dict(profile: AgentProfile) -> dict:
@@ -637,21 +638,34 @@ def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _read_run_file(path: Path, parse) -> list:
-    """``parse`` of each non-blank line of a run file; a missing file or a
-    malformed line is a ValueError naming the file (and the line)."""
+def _read_run_file(path: Path, parse, finish=lambda: None) -> list:
+    """``parse`` of each non-blank line of a run file, then ``finish()``; a
+    missing file, a malformed line or a ValueError from ``finish`` is a
+    ValueError naming the file (and the line, the last for ``finish``)."""
     try:
-        return read_jsonl(path.read_text().splitlines(), parse)
+        lines = path.read_text().splitlines()
+        rows = read_jsonl(lines, parse)
+        try:
+            finish()
+        except ValueError as err:
+            raise LineError(len(lines), err) from err
+        return rows
     except FileNotFoundError:
         raise ValueError(f"run file not found: {path}")
     except LineError as err:
         raise ValueError(f"malformed record in {path} {err}") from err.cause
 
 
-def load_content(run_dir) -> dict:
-    """A run's content store (content_id -> ContentItem), read from its
-    content.jsonl alone after the manifest's schema check."""
+def load_run(run_dir):
+    """A run's action log, content store and agent traits; the inverse of
+    ``write_artifacts``. The store is rebuilt by replaying ``actions.jsonl``
+    onto the agents of ``agents.jsonl``; ``content.jsonl`` is not read. A
+    record that cannot be replayed, or out of the log's shape (one per agent
+    per iteration, in ``agents.jsonl`` order), is a malformed line."""
     run_dir = Path(run_dir)
+    actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
+    if not actions_path.exists():
+        raise ValueError(f"not an artifact directory: {run_dir}")
     manifest_path = run_dir / MANIFEST
     if manifest_path.exists():
         try:
@@ -662,22 +676,32 @@ def load_content(run_dir) -> dict:
                 or manifest.get("schema_version") != SCHEMA_VERSION):
             raise ValueError(f"incompatible artifact schema_version in "
                              f"{run_dir} (expected {SCHEMA_VERSION})")
-    return {item.content_id: item for item in
-            _read_run_file(run_dir / OUTPUTS[1], content_from_dict)}
+    world, traits = WorldState(), {}
+    for agent_id, trait, topic in _read_run_file(agents_path, lambda obj: (
+            _string(obj, "agent_id"), _string(obj, "trait", nullable=True),
+            _string(obj, "topic", nullable=True))):
+        world.agents[agent_id] = AgentState(AgentProfile(agent_id, "", None,
+                                                         topic))
+        traits[agent_id] = trait
+    order = list(world.agents)
 
+    def replay(obj):
+        record = record_from_dict(obj)
+        agent = world.agents[record.agent]  # so ``order`` is not empty
+        iteration, at = divmod(len(world.log), len(order))
+        if (record.iteration, record.agent) != (iteration + 1, order[at]):
+            raise ValueError(f"expected the record of {order[at]!r} in "
+                             f"iteration {iteration + 1}")
+        apply_record(world, agent, record)
+        world.log.append(record)
 
-def load_run(run_dir):
-    """A run's action log, content store and agent traits; the inverse of
-    ``write_artifacts``."""
-    run_dir = Path(run_dir)
-    actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
-    if not actions_path.exists():
-        raise ValueError(f"not an artifact directory: {run_dir}")
-    content = load_content(run_dir)
-    log = _read_run_file(actions_path, record_from_dict)
-    traits = dict(_read_run_file(agents_path, lambda obj: (
-        _string(obj, "agent_id"), _string(obj, "trait", nullable=True))))
-    return log, content, traits
+    def finish():
+        if order and len(world.log) % len(order):
+            raise ValueError(f"the log ends inside iteration "
+                             f"{world.log[-1].iteration}")
+
+    _read_run_file(actions_path, replay, finish)
+    return world.log, world.content, traits
 
 
 def check_integrity(world: WorldState) -> None:

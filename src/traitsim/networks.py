@@ -34,9 +34,6 @@ class WeightedDigraph:
         self.nodes.add(dst)
         self.edges[(src, dst)] = self.edges.get((src, dst), 0) + weight
 
-    def total_weight(self) -> int:
-        return sum(self.edges.values())
-
 
 def build_network(log, content_store: dict, kinds) -> WeightedDigraph:
     """Edge (actor -> author of the target item) for each record whose kind

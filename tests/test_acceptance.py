@@ -235,7 +235,7 @@ def test_ac5_network_centrality(run98):
     for graph in (reshare_graph, interact_graph):
         total_in = sum(degree_centrality(graph, "in", n).values())
         total_out = sum(degree_centrality(graph, "out", n).values())
-        expected = graph.total_weight() / (n - 1)
+        expected = sum(graph.edges.values()) / (n - 1)
         conserved &= (abs(total_in - total_out) < 1e-9
                       and abs(total_in - expected) < 1e-9)
 

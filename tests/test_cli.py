@@ -63,6 +63,23 @@ def drop_first_key(key):
     return corrupt
 
 
+def reshare_twice(text):
+    """A corruption of actions.jsonl: a later record of the first agent to
+    re-share becomes a second re-share of the same item."""
+    records = [json.loads(line) for line in text.splitlines()]
+    first = next(r for r in records if r["kind"] == "reshare")
+    later = next(r for r in records if r["agent"] == first["agent"]
+                 and r["iteration"] > first["iteration"])
+    later.update(kind="reshare", target=first["target"], payload=None,
+                 order=first["order"])
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
+def swap_first_lines(text):
+    first, second, rest = text.split("\n", 2)
+    return "\n".join((second, first, rest))
+
+
 class TestSimulate:
     def test_writes_artifact_bundle(self, tmp_path, personas_file):
         out = simulate(tmp_path, personas_file)
@@ -443,7 +460,6 @@ class TestAnalyze:
         run = tmp_path / "empty"
         run.mkdir()
         (run / "actions.jsonl").write_text("")
-        (run / "content.jsonl").write_text("")
         (run / "agents.jsonl").write_text("")
         assert main(["analyze", "--run", str(run)]) == 0
         for name in ("clusters.csv", "chains.csv", "centrality_resharing.csv"):
@@ -461,14 +477,13 @@ class TestAnalyze:
                                                    personas_file, capsys):
         a = simulate(tmp_path, personas_file, "a")
         b = simulate(tmp_path, personas_file, "b")
-        content = b / "content.jsonl"
-        content.write_text(content.read_text().replace(
-            '"comment_texts"', '"comments"', 1))
+        actions = b / "actions.jsonl"
+        actions.write_text(reshare_twice(actions.read_text()))
         before = sorted(a.iterdir())
         out = tmp_path / "analysis"
         assert main(["analyze", "--run", str(a), "--compare", str(b),
                      "--out", str(out)]) == 1
-        assert f"{content} line 1:" in capsys.readouterr().err
+        assert f"{actions} line " in capsys.readouterr().err
         assert not out.exists()
         assert main(["analyze", "--run", str(a), "--compare", str(b)]) == 1
         assert sorted(a.iterdir()) == before
@@ -479,7 +494,11 @@ class TestAnalyze:
         records = [json.loads(line) for line in
                    (run / "actions.jsonl").read_text().splitlines()]
         agents = sorted({r["agent"] for r in records})
-        follower, followee = agents[0], agents[1]
+        # The log stays replayable only if the follower created no content.
+        follower = next(a for a in agents if not any(
+            r["agent"] == a and r["kind"] in ("post", "reshare")
+            for r in records))
+        followee = next(a for a in agents if a != follower)
         for r in records:
             if r["agent"] == follower:
                 r.update(kind="follow", target=followee, payload=None,
@@ -491,16 +510,15 @@ class TestAnalyze:
         assert "follow-only agents left out of clustering: 1" in summary
         assert any(line.startswith("clustering: k=") for line in summary)
         clustered = [row[0] for row in read_csv(run / "clusters.csv")[1:]]
-        assert clustered == agents[1:]
+        assert clustered == [a for a in agents if a != follower]
 
     @pytest.mark.parametrize("name, corrupt, line", [
         ("actions.jsonl", lambda text: text[:-20], "last"),
         ("actions.jsonl",
          lambda text: text.replace('"not_applicable"', '"sideways"', 1),
          "first-na"),
-        ("content.jsonl", lambda text: text.replace('"counters"', '"count"', 1),
-         1),
-        ("content.jsonl", lambda text: "[1, 2]\n" + text, 1),
+        ("actions.jsonl", edit_first_record("like", target=10 ** 6), "edited"),
+        ("actions.jsonl", reshare_twice, "edited"),
         ("agents.jsonl", lambda text: text + "{oops\n", "last"),
         ("agents.jsonl", lambda text: text.replace('"agent_id"', '"id"', 1),
          1),
@@ -515,19 +533,30 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record(None, order={"first": 1}),
          "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
-        ("content.jsonl", drop_first_key("comment_texts"), 1),
-        ("content.jsonl", edit_first_record(None, topic=["m"]), 1),
+        ("actions.jsonl", edit_first_record(None, agent="ghost"), "edited"),
+        ("actions.jsonl",
+         lambda text: text.replace('"first_order"', '"second_order"', 1),
+         "edited"),
+        ("agents.jsonl", edit_first_record(None, topic=["m"]), 1),
+        ("actions.jsonl", lambda text: text.rsplit("\n", 2)[0] + "\n",
+         "last"),
+        ("actions.jsonl", swap_first_lines, 1),
+        ("actions.jsonl", edit_first_record(None, iteration=2), "edited"),
         ("agents.jsonl", edit_first_record(None, trait=["PC"]), 1),
         ("agents.jsonl", edit_first_record(None, agent_id=["p000"]), 1),
-    ], ids=["actions-truncated", "actions-bad-order", "content-missing-key",
-            "content-not-object", "agents-broken-json", "agents-missing-key",
+    ], ids=["actions-truncated", "actions-bad-order",
+            "replay-unknown-content", "replay-second-reshare",
+            "agents-broken-json", "agents-missing-key",
             "actions-int-agent", "actions-str-iteration",
             "actions-bool-iteration", "actions-like-str-target",
             "actions-like-bool-target", "actions-post-null-payload",
             "actions-unknown-kind", "actions-list-kind",
             "actions-object-order",
-            "actions-missing-reason", "content-missing-comment-texts",
-            "content-list-topic", "agents-list-trait", "agents-list-agent-id"])
+            "actions-missing-reason", "replay-unknown-agent",
+            "replay-contradicted-order", "agents-list-topic",
+            "actions-last-line-dropped", "actions-lines-swapped",
+            "actions-iteration-skipped", "agents-list-trait",
+            "agents-list-agent-id"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)
@@ -556,11 +585,13 @@ class TestAnalyze:
 
     def test_missing_content_file_is_named(self, tmp_path, personas_file,
                                            capsys):
-        for name in ("content.jsonl", "agents.jsonl"):
-            run = simulate(tmp_path, personas_file, f"without-{name}")
-            (run / name).unlink()
-            assert main(["analyze", "--run", str(run)]) == 1
-            assert f"not found: {run / name}" in capsys.readouterr().err
+        """agents.jsonl is read; content.jsonl is output only."""
+        run = simulate(tmp_path, personas_file)
+        (run / "content.jsonl").unlink()
+        assert main(["analyze", "--run", str(run)]) == 0
+        (run / "agents.jsonl").unlink()
+        assert main(["analyze", "--run", str(run)]) == 1
+        assert f"not found: {run / 'agents.jsonl'}" in capsys.readouterr().err
 
     def test_same_directory_compare_parses_the_run_once(
             self, tmp_path, personas_file, monkeypatch):
@@ -593,9 +624,10 @@ class TestAnalyze:
 
         monkeypatch.setattr(Path, "read_text", spy)
         assert main(["analyze", "--run", str(a), "--compare", str(b)]) == 0
-        # the manifest is read for its schema check, as for the analyzed run
+        # the compared run is loaded as the analyzed run is: its store is
+        # replayed from the log, never read from content.jsonl
         assert sorted(p.name for p in read if p.parent == b) == [
-            "content.jsonl", "manifest.json"]
+            "actions.jsonl", "agents.jsonl", "manifest.json"]
         assert "U=" in (a / "summary.txt").read_text()
 
     def test_empty_k_range_is_an_error(self, tmp_path, personas_file, capsys):

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from traitsim.core import (
+    Action,
     ActionKind,
+    ActionRecord,
+    Counters,
     ENGAGEMENT_KINDS,
     Order,
     Trait,
@@ -21,8 +24,8 @@ from traitsim.engine import (
     WorldState,
     agent_rng,
     apply_action,
+    apply_record,
     check_integrity,
-    content_from_dict,
     content_to_dict,
     init_population,
     load_run,
@@ -33,6 +36,7 @@ from traitsim.engine import (
     run_simulation,
     write_artifacts,
 )
+from traitsim.cli import main
 from traitsim.memory import MemoryParams, am_summary
 from traitsim.reasoning import (
     FALLBACK_REASON,
@@ -457,6 +461,20 @@ class TestApplyAction:
         assert original.counters.reshares == 1
         assert len(self.world.content) == 2
 
+    def test_unreplayable_record_changes_nothing(self):
+        original = add_post(self.world, "p001", 1)
+        for kind, target, order, error in (
+                (ActionKind.LIKE, original.content_id + 1, Order.FIRST,
+                 KeyError),
+                (ActionKind.RESHARE, original.content_id, Order.SECOND,
+                 ValueError)):
+            record = ActionRecord(2, "p000", Action(kind, target), order)
+            with pytest.raises(error):
+                apply_record(self.world, self.agent, record)
+        assert len(self.world.content) == 1
+        assert original.counters == Counters()
+        assert not self.agent.reshared_ids
+
     def test_inactive_logs_only(self):
         apply_action(self.world, self.agent, Decision(ActionKind.INACTIVE, "r"), 1)
         assert not self.world.content
@@ -655,15 +673,6 @@ class TestSerialization:
         record = run_simulation(config(iterations=3), make_personas(2)).log[5]
         assert record_from_dict(record_to_dict(record)) == record
 
-    def test_content_roundtrip(self):
-        world = WorldState()
-        original = add_post(world, "a", 1)
-        original.counters.likes = 2
-        original.comment_texts.append(("b", "hey"))
-        add_reshare(world, "b", 2, original)
-        for item in world.content.values():
-            assert content_from_dict(content_to_dict(item)) == item
-
     def test_artifacts_on_disk(self, personas_small, tmp_path):
         world = run_simulation(config(iterations=4, master_seed=3),
                                personas_small)
@@ -692,6 +701,33 @@ class TestSerialization:
             agent_id: None if agent.profile.trait is None
             else agent.profile.trait.code
             for agent_id, agent in world.agents.items()}
+
+    @pytest.mark.parametrize("run", [*CONFIGURATIONS, "llm-path"])
+    def test_replay_agrees_with_the_content_file(self, run, tmp_path):
+        """``load_run`` rebuilds the store from the log: it equals what
+        ``write_artifacts`` wrote to content.jsonl, and analyze writes the
+        same bytes once that file is gone. The LLM-path run comments."""
+        if run == "llm-path":
+            world = llm_path_run(MemoryParams())[1]
+        else:
+            world = run_simulation(config(configuration=run, iterations=6,
+                                          master_seed=5), make_personas(4))
+        run_dir = tmp_path / "run"
+        write_artifacts(world, run_dir)
+        content = load_run(run_dir)[1]
+        assert (run_dir / "content.jsonl").read_text().splitlines() == [
+            json.dumps(content_to_dict(content[cid]), sort_keys=True)
+            for cid in sorted(content)]
+        assert run != "llm-path" or any(
+            item.comment_texts for item in content.values())
+        outputs = []
+        for out in (tmp_path / "with", tmp_path / "without"):
+            assert main(["analyze", "--run", str(run_dir), "--compare",
+                         str(run_dir), "--out", str(out)]) == 0
+            (run_dir / "content.jsonl").unlink(missing_ok=True)
+            outputs.append({path.name: path.read_bytes()
+                            for path in out.iterdir()})
+        assert outputs[0] == outputs[1]
 
     def test_check_integrity_catches_corruption(self):
         world = WorldState()

@@ -63,8 +63,8 @@ class TestGraphConstruction:
         n_reshares = sum(r.action.kind is ActionKind.RESHARE for r in log)
         n_inter = sum(r.action.kind in (ActionKind.LIKE, ActionKind.DISLIKE,
                                         ActionKind.COMMENT) for r in log)
-        assert reshares.total_weight() == n_reshares
-        assert interactions.total_weight() == n_inter
+        assert sum(reshares.edges.values()) == n_reshares
+        assert sum(interactions.edges.values()) == n_inter
 
     @pytest.mark.parametrize("kind", sorted(ENGAGEMENT_KINDS,
                                             key=lambda k: k.value))
@@ -101,7 +101,8 @@ class TestDegreeCentrality:
             out = degree_centrality(graph, "out", 4)
             inn = degree_centrality(graph, "in", 4)
             assert sum(out.values()) == pytest.approx(sum(inn.values()))
-            assert sum(out.values()) * 3 == pytest.approx(graph.total_weight())
+            assert sum(out.values()) * 3 == pytest.approx(
+                sum(graph.edges.values()))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
