@@ -38,6 +38,7 @@ import json
 import operator
 import threading
 from dataclasses import asdict, dataclass, field
+from itertools import filterfalse, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -67,7 +68,6 @@ from .memory import (
 )
 from .reasoning import (
     Decision,
-    FeedEntry,
     StubBackend,
     build_prompt,
     decide,
@@ -200,85 +200,84 @@ def init_population(personas: Sequence[dict], config: SimulationConfig,
 
 def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
                    rng: Optional[np.random.Generator]) -> list:
-    """Build one agent's feed from the content pool.
+    """Build one agent's feed from the content pool: the chosen
+    ``ContentItem``s of the store, in feed order.
 
     Pool: everything (originals and re-shares) not authored by the agent and
     not already re-shared by it. Re-shares authored by followees are
-    force-included ahead of the ranked remainder; preference ranking puts
-    topic matches first, then recency; random sampling is seeded. Only the
-    random strategy draws from ``rng``; ``run_iteration`` passes ``None``
-    under the preference strategy.
+    force-included, newest first, ahead of the ranked remainder; preference
+    ranking puts topic matches first, then recency; random sampling is
+    seeded. Only the random strategy draws from ``rng``; ``run_iteration``
+    passes ``None`` under the preference strategy.
 
     No item needs hiding as too new: ``run_iteration`` applies actions only
     after every agent has decided, so the store is the previous iteration's.
 
-    Reads the world and writes nothing to it. Cost per call with the random
-    strategy: O(followee re-shares + excluded items + k), up to a log factor,
-    where the excluded items are the agent's own content
-    (``world.authored``), the forced re-shares (``world.reshares_by_author``)
-    and its re-shared ids; sampled ranks map straight to the dense ids.
-    The preference ranking adds a newest-first scan of the store that stops
-    once the topic matches fill the slots left after the forced re-shares:
-    O(k) items while the agent's topic has k recent eligible items (in a
-    ``ground`` bundle every item matches: all topics are ``None``), the whole
-    store when it is scarce.
+    Reads the world and writes nothing to it. Content ids are chronological,
+    so the forced re-shares come from a newest-first walk of each followee's
+    ``world.reshares_by_author`` list that stops after ``k`` ids the agent has
+    not re-shared: O(F·k + skipped) for F followees, however long the run.
+    When they fill the feed nothing else is read. Otherwise the walks found
+    every forced re-share, and the remaining slots are filled as follows.
+    The random strategy excludes the agent's own content
+    (``world.authored``), the forced re-shares and its re-shared ids, in
+    O(excluded items + k) up to a log factor; sampled ranks map straight to
+    the dense ids. The preference ranking scans the store newest first and
+    stops once the topic matches fill the slots: O(k) items while the
+    agent's topic has k recent eligible items (in a ``ground`` bundle every
+    item matches: all topics are ``None``), the whole store when it is
+    scarce.
     """
     me = agent.profile.agent_id
+    reshared = agent.reshared_ids.__contains__
 
-    forced = []
-    if agent.profile.following:
-        forced = [item for author in agent.profile.following if author != me
-                  for item in map(world.content.__getitem__,
-                                  world.reshares_by_author.get(author, ()))
-                  if item.content_id not in agent.reshared_ids]
-        forced.sort(key=lambda it: (-it.iteration_created, -it.content_id))
-    forced_ids = {item.content_id for item in forced}
+    forced_ids = sorted(
+        (cid for author in agent.profile.following if author != me
+         for cid in islice(filterfalse(reshared, reversed(
+             world.reshares_by_author.get(author, ()))), k)),
+        reverse=True)[:k]
+    forced = list(map(world.content.__getitem__, forced_ids))
+    need = k - len(forced)
 
     if strategy == "preference":
         # Content ids are chronological, so a reversed scan yields the
         # recency order directly; once the topic matches fill the slots the
         # forced re-shares leave, no older item can enter the feed.
-        # Equivalent to sorting the whole pool, but O(k)-ish on the hot path.
-        need = k - len(forced)
         matches, others = [], []
-        for item in reversed(world.content.values()):
-            if len(matches) >= need:
-                break
-            if (item.author == me or item.content_id in agent.reshared_ids
-                    or item.content_id in forced_ids):
-                continue
-            if item.topic == agent.profile.topic:
-                matches.append(item)
-            elif len(others) < need:
-                others.append(item)
-        chosen = (forced + matches + others)[:k]
-    elif strategy == "random":
-        # The draw depends only on (pool size, take), so sample ranks in the
-        # dense id order 1 ... next_content_id - 1 minus the excluded ids,
-        # without building the pool.
-        own = world.authored.get(me, ())
-        excluded = sorted({cid for cid in (*own, *agent.reshared_ids,
-                                           *forced_ids)
-                           if cid in world.content})
-        pool_size = len(world.content) - len(excluded)
-        take = min(k - len(forced[:k]), pool_size)
-        sampled = []
-        if take > 0:
-            picks = rng.choice(pool_size, size=take, replace=False)
-            passed = 0
-            for rank in sorted(picks):
-                cid = rank + 1
-                while passed < len(excluded) and excluded[passed] <= cid + passed:
-                    passed += 1
-                sampled.append(world.content[cid + passed])
-        chosen = (forced[:k] + sampled)[:k]
-    else:
+        if need > 0:
+            for item in reversed(world.content.values()):
+                if len(matches) >= need:
+                    break
+                if (item.author == me or item.content_id in agent.reshared_ids
+                        or item.content_id in forced_ids):
+                    continue
+                if item.topic == agent.profile.topic:
+                    matches.append(item)
+                elif len(others) < need:
+                    others.append(item)
+        return (forced + matches + others)[:k]
+    if strategy != "random":
         raise ValueError(f"unknown recommender strategy {strategy!r}")
-    return [
-        FeedEntry(item.content_id, item.author, item.text, item.is_reshare,
-                  item.topic)
-        for item in chosen
-    ]
+    if need == 0:
+        return forced
+    # The draw depends only on (pool size, take), so sample ranks in the
+    # dense id order 1 ... next_content_id - 1 minus the excluded ids,
+    # without building the pool.
+    own = world.authored.get(me, ())
+    excluded = sorted({cid for cid in (*own, *agent.reshared_ids, *forced_ids)
+                       if cid in world.content})
+    pool_size = len(world.content) - len(excluded)
+    take = min(need, pool_size)
+    sampled = []
+    if take > 0:
+        picks = rng.choice(pool_size, size=take, replace=False)
+        passed = 0
+        for rank in sorted(picks):
+            cid = rank + 1
+            while passed < len(excluded) and excluded[passed] <= cid + passed:
+                passed += 1
+            sampled.append(world.content[cid + passed])
+    return forced + sampled
 
 
 def apply_action(world: WorldState, agent: AgentState, decision: Decision,
@@ -326,6 +325,8 @@ def apply_record(world: WorldState, agent: AgentState,
             target.counters.comments += 1
             target.comment_texts.append((profile.agent_id, action.payload))
     elif kind is ActionKind.FOLLOW:
+        if action.target not in world.agents:
+            raise ValueError(f"follow of unknown agent {action.target!r}")
         profile.following.add(action.target)  # idempotent
     # INACTIVE: log only
 
@@ -468,9 +469,8 @@ def run_iteration(world: WorldState, config: SimulationConfig,
                     if config.recommender_strategy == "random" else None)
         feed = recommend_feed(agent, world, config.recommender_strategy,
                               config.feed_size, feed_rng)
-        for entry in feed:
-            stm_observe(agent.memory, world.content[entry.content_id],
-                        iteration, config.memory)
+        for item in feed:
+            stm_observe(agent.memory, item, iteration, config.memory)
         own = world.authored.get(agent_id, frozenset())
         for cid in own:
             item = world.content[cid]

@@ -88,6 +88,10 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class FeedEntry:
+    """The shape of a feed item: any object with these five attributes is
+    one. ``recommend_feed`` hands the prompt the store's ``ContentItem``s;
+    this class serves feeds built by hand."""
+
     content_id: int
     author: str
     text: str
@@ -113,7 +117,7 @@ class DecisionPrompt:
     memory: MemoryUnit
     authored: AbstractSet[int]  # ids of the agent's own content
     iteration: int
-    feed_section: tuple  # of FeedEntry
+    feed_section: tuple  # feed items: anything shaped like a FeedEntry
     actions_section: tuple  # of ActionKind
 
     @cached_property

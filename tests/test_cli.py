@@ -534,6 +534,9 @@ class TestAnalyze:
          "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
         ("actions.jsonl", edit_first_record(None, agent="ghost"), "edited"),
+        ("actions.jsonl", edit_first_record(
+            None, kind="follow", target="ghost", payload=None,
+            order="not_applicable"), "edited"),
         ("actions.jsonl",
          lambda text: text.replace('"first_order"', '"second_order"', 1),
          "edited"),
@@ -553,6 +556,7 @@ class TestAnalyze:
             "actions-unknown-kind", "actions-list-kind",
             "actions-object-order",
             "actions-missing-reason", "replay-unknown-agent",
+            "replay-follow-unknown-agent",
             "replay-contradicted-order", "agents-list-topic",
             "actions-last-line-dropped", "actions-lines-swapped",
             "actions-iteration-skipped", "agents-list-trait",

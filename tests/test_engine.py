@@ -343,6 +343,54 @@ class TestRecommendFeedMatchesReference:
         assert agent.reshared_ids == set(reshared)
 
 
+class CountingStore(dict):
+    """A content store that counts the items read through it; a walk over
+    its values counts as reading every item."""
+
+    reads = 0
+
+    def __getitem__(self, cid):
+        self.reads += 1
+        return super().__getitem__(cid)
+
+    def __contains__(self, cid):
+        self.reads += 1
+        return super().__contains__(cid)
+
+    def get(self, cid, default=None):
+        self.reads += 1
+        return super().get(cid, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+
+class TestRecommendFeedCost:
+    @pytest.mark.parametrize("strategy", ["preference", "random"])
+    def test_forced_reshares_read_k_items_however_many_are_older(
+            self, strategy):
+        world = init_population(make_personas(3),
+                                config(configuration="IdentityOnly"))
+        agent = world.agents["p000"]
+        agent.profile.following = {"p001"}
+        for iteration in range(1, 10_001):
+            original = add_post(world, "p002", iteration)
+            add_reshare(world, "p001", iteration, original)
+        world.iteration = 10_000
+        newest = world.reshares_by_author["p001"][::-1]
+        agent.reshared_ids = {newest[0], newest[2]}
+        world.content = CountingStore(world.content)
+        rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
+        feed = recommend_feed(agent, world, strategy, 5, rng)
+        assert world.content.reads <= 5
+        # a re-shared item's slot goes to the next-newest re-share
+        assert [item.content_id for item in feed] == _reference_recommend_feed(
+            agent, world, strategy, 5, ref_rng) == [newest[1], *newest[3:7]]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert all(item is world.content[item.content_id] for item in feed)
+
+
 class TestAddContent:
     def test_allocates_stores_and_records_the_author(self):
         world = WorldState()
@@ -467,13 +515,15 @@ class TestApplyAction:
                 (ActionKind.LIKE, original.content_id + 1, Order.FIRST,
                  KeyError),
                 (ActionKind.RESHARE, original.content_id, Order.SECOND,
-                 ValueError)):
+                 ValueError),
+                (ActionKind.FOLLOW, "ghost", Order.NA, ValueError)):
             record = ActionRecord(2, "p000", Action(kind, target), order)
             with pytest.raises(error):
                 apply_record(self.world, self.agent, record)
         assert len(self.world.content) == 1
         assert original.counters == Counters()
         assert not self.agent.reshared_ids
+        assert not self.agent.profile.following
 
     def test_inactive_logs_only(self):
         apply_action(self.world, self.agent, Decision(ActionKind.INACTIVE, "r"), 1)
