@@ -125,6 +125,8 @@ class WorldState:
     next_content_id: int = 1
     authored: dict = field(default_factory=dict)  # author -> set of ids
     reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
+    # topic (None included) -> ascending ids: the preference feed's matches
+    by_topic: dict = field(default_factory=dict)
 
     def agent_order(self) -> list:
         return sorted(self.agents)
@@ -133,7 +135,7 @@ class WorldState:
                     topic: Optional[str],
                     parent: Optional[ContentItem] = None) -> ContentItem:
         """Store a new original, or a re-share of ``parent``, under the next
-        content id and record its author."""
+        content id and record its author and topic."""
         item = ContentItem(
             content_id=self.next_content_id, author=author,
             iteration_created=iteration, text=text, topic=topic,
@@ -143,6 +145,7 @@ class WorldState:
         self.next_content_id += 1
         self.content[item.content_id] = item
         self.authored.setdefault(author, set()).add(item.content_id)
+        self.by_topic.setdefault(topic, []).append(item.content_id)
         if parent is not None:
             self.reshares_by_author.setdefault(author, []).append(
                 item.content_id)
@@ -214,19 +217,21 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     after every agent has decided, so the store is the previous iteration's.
 
     Reads the world and writes nothing to it. Content ids are chronological,
-    so the forced re-shares come from a newest-first walk of each followee's
-    ``world.reshares_by_author`` list that stops after ``k`` ids the agent has
-    not re-shared: O(F·k + skipped) for F followees, however long the run.
-    When they fill the feed nothing else is read. Otherwise the walks found
-    every forced re-share, and the remaining slots are filled as follows.
-    The random strategy excludes the agent's own content
-    (``world.authored``), the forced re-shares and its re-shared ids, in
-    O(excluded items + k) up to a log factor; sampled ranks map straight to
-    the dense ids. The preference ranking scans the store newest first and
-    stops once the topic matches fill the slots: O(k) items while the
-    agent's topic has k recent eligible items (in a ``ground`` bundle every
-    item matches: all topics are ``None``), the whole store when it is
-    scarce.
+    so every walk below is newest first and stops as soon as it has what the
+    feed needs: O(k + skipped) for both strategies, however long the run.
+    The forced re-shares come from a walk of each followee's
+    ``world.reshares_by_author`` list that stops after ``k`` ids the agent
+    has not re-shared (O(F·k + skipped) for F followees). When they fill the
+    feed nothing else is read. Otherwise the walks found every forced
+    re-share, and the remaining slots are filled as follows. The random
+    strategy excludes the agent's own content (``world.authored``), the
+    forced re-shares and its re-shared ids, in O(excluded items + k) up to a
+    log factor; sampled ranks map straight to the dense ids. The preference
+    ranking takes the topic matches from the agent's ``world.by_topic``
+    list, and only when the topic runs short the other topics' items from a
+    walk of the store; both skip own, re-shared and forced items. A scarce
+    topic, or a world where every topic is ``None`` (a ``ground`` bundle),
+    costs no more than a plentiful one.
     """
     me = agent.profile.agent_id
     reshared = agent.reshared_ids.__contains__
@@ -240,22 +245,21 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     need = k - len(forced)
 
     if strategy == "preference":
-        # Content ids are chronological, so a reversed scan yields the
-        # recency order directly; once the topic matches fill the slots the
-        # forced re-shares leave, no older item can enter the feed.
-        matches, others = [], []
-        if need > 0:
-            for item in reversed(world.content.values()):
-                if len(matches) >= need:
-                    break
-                if (item.author == me or item.content_id in agent.reshared_ids
-                        or item.content_id in forced_ids):
-                    continue
-                if item.topic == agent.profile.topic:
-                    matches.append(item)
-                elif len(others) < need:
-                    others.append(item)
-        return (forced + matches + others)[:k]
+        # The newest eligible topic matches rank first; the newest eligible
+        # items of other topics fill what they leave, and no older item can
+        # enter the feed.
+        own, topic = world.authored.get(me, ()), agent.profile.topic
+
+        def skip(cid):
+            return cid in own or reshared(cid) or cid in forced_ids
+
+        feed = forced + [world.content[cid] for cid in islice(filterfalse(
+            skip, reversed(world.by_topic.get(topic, ()))), need)]
+        if len(feed) < k:
+            feed += islice((item for item in reversed(world.content.values())
+                            if item.topic != topic
+                            and not skip(item.content_id)), k - len(feed))
+        return feed
     if strategy != "random":
         raise ValueError(f"unknown recommender strategy {strategy!r}")
     if need == 0:

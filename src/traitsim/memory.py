@@ -41,16 +41,21 @@ class MemoryParams:
 
     def __post_init__(self):
         for name, low in (("stm_capacity", 0), ("am_window", 0),
-                          ("eval_period", 1)):
+                          ("decay_horizon", 0), ("eval_period", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got "
                                  f"{getattr(self, name)}")
         if not 0 <= self.promotion_quantile <= 1:
             raise ValueError(f"promotion_quantile must be in [0, 1], got "
                              f"{self.promotion_quantile}")
+        # A NaN score would make eviction and promotion depend on order.
+        for name in ("w_reshare", "w_like", "w_dislike"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StmEntry:
     content_id: int
     reshares: int = 0
@@ -81,9 +86,9 @@ class MemoryUnit:
     am: ActivityMemory = field(default_factory=ActivityMemory)
 
 
-def engagement_score(entry: StmEntry,
-                     params: MemoryParams = MemoryParams()) -> float:
-    """w_reshare*reshares + w_like*likes - w_dislike*dislikes."""
+def engagement_score(entry, params: MemoryParams = MemoryParams()) -> float:
+    """w_reshare*reshares + w_like*likes - w_dislike*dislikes, over any
+    object with those three counters (an ``StmEntry``, a ``Counters``)."""
     return (params.w_reshare * entry.reshares + params.w_like * entry.likes
             - params.w_dislike * entry.dislikes)
 
@@ -91,6 +96,7 @@ def engagement_score(entry: StmEntry,
 # Lowest score first, then least recently touched; on equal keys ``min``
 # keeps the first entry in the buffer's insertion order.
 _EVICTION_KEY = attrgetter("score", "last_touched")
+_SCORE = attrgetter("score")
 
 
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
@@ -102,16 +108,9 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
     entry is evicted (the least recently touched on a tie).
     """
     c = content.counters
-    entry = StmEntry(
-        content_id=content.content_id,
-        reshares=c.reshares,
-        likes=c.likes,
-        dislikes=c.dislikes,
-        comments=c.comments,
-        last_touched=now,
-    )
-    entry.score = engagement_score(entry, params)
-    memory.stm[content.content_id] = entry
+    memory.stm[content.content_id] = StmEntry(
+        content.content_id, c.reshares, c.likes, c.dislikes, c.comments,
+        engagement_score(c, params), now)
     while len(memory.stm) > params.stm_capacity:
         victim = min(memory.stm.values(), key=_EVICTION_KEY)
         del memory.stm[victim.content_id]
@@ -139,7 +138,7 @@ def ltm_evaluate(memory: MemoryUnit, now: int,
     """
     if not memory.stm:
         return memory
-    ranked = sorted(memory.stm.values(), key=lambda e: e.score, reverse=True)
+    ranked = sorted(memory.stm.values(), key=_SCORE, reverse=True)
     take = max(1, math.ceil(params.promotion_quantile * len(ranked)))
     cutoff = ranked[take - 1].score
     for entry in ranked:

@@ -40,7 +40,7 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import AbstractSet, Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -374,6 +374,22 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
 _INTERACT_CDF = _choice_cdf(INTERACT_SPLIT)
 
 
+@lru_cache(maxsize=None)
+def _category_cdf(trait, has_feed: bool) -> Optional[np.ndarray]:
+    """The read-only CDF ``stub_decide`` draws a category from, or ``None``
+    when no category is feasible: the trait's row, with re-share and interact
+    masked out for an empty feed, renormalized."""
+    row = np.asarray(surrogate_distribution(trait), dtype=float)
+    if not has_feed:
+        row = row * np.array([1.0, 0.0, 0.0, 1.0])
+    total = row.sum()
+    if total <= 0:
+        return None
+    cdf = _choice_cdf(row / total)
+    cdf.flags.writeable = False
+    return cdf
+
+
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
                 rng: np.random.Generator, iteration: int = 0) -> Decision:
     """Sample a decision from the agent's archetype row.
@@ -383,14 +399,14 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
     at iteration 1) is refused by ``validate_decision`` and re-drawn. Targets
     are drawn uniformly among topic-matching feed items when any exist, else
     uniformly over the feed.
+
+    The category CDF depends only on the trait and on whether the feed is
+    empty, so ``_category_cdf`` builds it once per pair and caches it.
     """
-    row = np.asarray(surrogate_distribution(agent.trait), dtype=float)
-    if not feed:
-        row = row * np.array([1.0, 0.0, 0.0, 1.0])
-    total = row.sum()
-    if total <= 0:
+    cdf = _category_cdf(agent.trait, bool(feed))
+    if cdf is None:
         return Decision(ActionKind.INACTIVE, "stub: no feasible active category")
-    category = _draw(_choice_cdf(row / total), rng)
+    category = _draw(cdf, rng)
 
     if category == 0:
         text = f"Update {iteration} from {agent.agent_id} on {agent.topic or 'life'}"

@@ -244,6 +244,8 @@ class TestSimulate:
     @pytest.mark.parametrize("key, value", [
         ("eval_period", 0), ("promotion_quantile", 1.5),
         ("promotion_quantile", -0.1), ("am_window", -1), ("stm_capacity", -1),
+        ("decay_horizon", -2), ("w_like", float("nan")),
+        ("w_reshare", float("inf")), ("w_dislike", float("-inf")),
     ])
     def test_memory_setting_out_of_range_is_named(
             self, tmp_path, capsys, personas_file, key, value):

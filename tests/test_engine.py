@@ -340,12 +340,21 @@ class TestRecommendFeedMatchesReference:
         assert world.next_content_id == before.next_content_id
         assert world.authored == before.authored
         assert world.reshares_by_author == before.reshares_by_author
+        assert world.by_topic == before.by_topic
         assert agent.reshared_ids == set(reshared)
+
+
+def topic_index(content):
+    """``WorldState.by_topic`` rebuilt from a content store."""
+    index = {}
+    for cid, item in content.items():
+        index.setdefault(item.topic, []).append(cid)
+    return index
 
 
 class CountingStore(dict):
     """A content store that counts the items read through it; a walk over
-    its values counts as reading every item."""
+    its values, forward or reversed, counts each item it yields."""
 
     reads = 0
 
@@ -362,8 +371,28 @@ class CountingStore(dict):
         return super().get(cid, default)
 
     def values(self):
-        self.reads += len(self)
-        return super().values()
+        return CountingValues(self)
+
+
+class CountingValues:
+    """``CountingStore.values()``: counts each item as a walk yields it."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def __len__(self):
+        return len(self.store)
+
+    def __iter__(self):
+        return self._counted(dict.values(self.store))
+
+    def __reversed__(self):
+        return self._counted(reversed(dict.values(self.store)))
+
+    def _counted(self, items):
+        for item in items:
+            self.store.reads += 1
+            yield item
 
 
 class TestRecommendFeedCost:
@@ -390,6 +419,49 @@ class TestRecommendFeedCost:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(item is world.content[item.content_id] for item in feed)
 
+    def test_scarce_topic_reads_k_plus_skipped_items(self):
+        world = init_population(make_personas(3),
+                                config(configuration="IdentityOnly"))
+        agent = world.agents["p000"]  # topic Healthcare
+        eligible = [add_post(world, "p001", 1, topic="Healthcare")
+                    for _ in range(2)]
+        add_post(world, "p000", 1, topic="Healthcare")  # own: skipped
+        for i in range(10_000):
+            add_post(world, "p001" if i % 2 else "p002", 2 + i // 100,
+                     topic=("Music", "Religion", None)[i % 3])
+        newest = add_post(world, "p000", 101, topic="Music")  # own: skipped
+        world.iteration = 101
+        agent.reshared_ids = {newest.content_id - 1, newest.content_id - 3}
+        world.content = CountingStore(world.content)
+        feed = recommend_feed(agent, world, "preference", 5, None)
+        # 2 topic matches, then 3 others past 3 skipped items (the own Music
+        # post, the two re-shared ids); the own Healthcare post is skipped
+        # by id, without a read
+        assert world.content.reads <= 5 + 3
+        assert [item.content_id for item in feed] == _reference_recommend_feed(
+            agent, world, "preference", 5, None)
+        assert feed[:2] == eligible[::-1]
+        assert [item.content_id for item in feed[2:]] == [
+            newest.content_id - 2, newest.content_id - 4,
+            newest.content_id - 5]
+        assert all(item is world.content[item.content_id] for item in feed)
+
+    def test_topicless_world_reads_k_plus_skipped_items(self):
+        world = init_population(grounded_personas(), config())
+        agent = world.agents["u1"]  # topic None, as in a ground bundle
+        for iteration in range(1, 10_001):
+            add_post(world, "u2", iteration, topic=None)
+        own = [add_post(world, "u1", 10_000, topic=None) for _ in range(2)]
+        world.iteration = 10_000
+        agent.reshared_ids = {own[0].content_id - 2}
+        world.content = CountingStore(world.content)
+        feed = recommend_feed(agent, world, "preference", 5, None)
+        # the own and re-shared ids are skipped by id, without a read
+        assert world.content.reads <= 5
+        assert [item.content_id for item in feed] == _reference_recommend_feed(
+            agent, world, "preference", 5, None)
+        assert all(item is world.content[item.content_id] for item in feed)
+
 
 class TestAddContent:
     def test_allocates_stores_and_records_the_author(self):
@@ -403,10 +475,13 @@ class TestAddContent:
         assert (second.parent, second.root, second.text) == (1, 1, first.text)
         assert world.authored == {"a": {1, 3}, "b": {2}}
         assert world.reshares_by_author == {"b": [2]}
+        assert world.by_topic == {"Music": [1, 2], None: [3]}
+        assert world.by_topic == topic_index(world.content)
 
     @pytest.mark.parametrize("configuration",
                              ["FullModel", "RandomRecommendation"])
-    def test_authorship_matches_the_store_after_a_run(self, configuration):
+    def test_authorship_matches_the_store_after_a_run(
+            self, configuration, tmp_path, monkeypatch):
         personas = make_personas(3)
         cfg = config(configuration=configuration, iterations=6)
         order = init_population(personas, cfg).agent_order()
@@ -421,6 +496,21 @@ class TestAddContent:
         assert any(reshares.values())
         assert world.authored == authored
         assert world.reshares_by_author == reshares
+        assert world.by_topic == topic_index(world.content)
+        # load_run's replay rebuilds the index through add_content as well
+        write_artifacts(world, tmp_path)
+        replayed = []
+
+        class RecordedWorld(WorldState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                replayed.append(self)
+
+        monkeypatch.setattr(engine, "WorldState", RecordedWorld)
+        _, content, _ = load_run(tmp_path)
+        [rebuilt] = replayed
+        assert rebuilt.content is content
+        assert rebuilt.by_topic == topic_index(content) == world.by_topic
 
 
 class TestApplyAction:

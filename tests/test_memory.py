@@ -24,6 +24,26 @@ def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
     return item
 
 
+class TestMemoryParams:
+    @pytest.mark.parametrize("key, value", [
+        ("stm_capacity", -1), ("am_window", -1), ("eval_period", 0),
+        ("decay_horizon", -2), ("promotion_quantile", 1.5),
+        ("promotion_quantile", float("nan")), ("w_like", float("nan")),
+        ("w_reshare", float("inf")), ("w_dislike", float("-inf")),
+    ])
+    def test_out_of_range_setting_is_named(self, key, value):
+        with pytest.raises(ValueError) as err:
+            MemoryParams(**{key: value})
+        assert str(err.value).startswith(f"{key} must be ")
+        assert str(err.value).endswith(f", got {value}")
+
+    def test_edges_of_the_range_are_accepted(self):
+        params = MemoryParams(stm_capacity=0, am_window=0, eval_period=1,
+                              decay_horizon=0, promotion_quantile=1.0,
+                              w_reshare=-2.0, w_like=0.0, w_dislike=1e300)
+        assert params.decay_horizon == 0
+
+
 class TestEngagementScore:
     def test_weighted_combination(self):
         entry = StmEntry(1, reshares=3, likes=2, dislikes=1)
@@ -36,6 +56,9 @@ class TestEngagementScore:
                     now=1)
         assert memory.stm[1].comments == 2
         assert memory.stm[1].score == 1.0
+
+    def test_stm_entries_have_no_instance_dict(self):
+        assert not hasattr(StmEntry(1), "__dict__")
 
     def test_custom_weights(self):
         entry = StmEntry(1, reshares=1, likes=1, dislikes=2)

@@ -390,6 +390,34 @@ class TestInverseCdfDraw:
             assert reasoning._draw(cdf, ours) == theirs.choice(len(p), p=p)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
+    def test_cached_cdf_is_the_rows_cdf_bit_for_bit(self):
+        keys = itertools.product(STUB_TRAITS, (True, False))  # _ROWS' order
+        for (trait, has_feed), row in zip(keys, _ROWS, strict=True):
+            cdf = reasoning._category_cdf(trait, has_feed)
+            if row.sum() <= 0:
+                assert cdf is None
+                continue
+            expected = reasoning._choice_cdf(row / row.sum())
+            assert cdf.dtype == expected.dtype
+            assert cdf.tobytes() == expected.tobytes()
+            assert cdf is reasoning._category_cdf(trait, has_feed)
+            with pytest.raises(ValueError):
+                cdf[0] = 0.5
+
+    def test_infeasible_row_caches_none(self, monkeypatch):
+        no_row = object()  # a trait key no other test uses
+        rows = surrogate_distribution
+        monkeypatch.setattr(reasoning, "surrogate_distribution", lambda t: (
+            (0.0, 0.6, 0.4, 0.0) if t is no_row else rows(t)))
+        assert reasoning._category_cdf(no_row, True) is not None
+        assert reasoning._category_cdf(no_row, False) is None
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        decision = stub_decide(agent(no_row), (), rng, 2)
+        assert decision == Decision(ActionKind.INACTIVE,
+                                    "stub: no feasible active category")
+        assert rng.bit_generator.state == state
+
     @settings(max_examples=300, deadline=None)
     @given(trait=st.sampled_from(STUB_TRAITS),
            topic=st.sampled_from(("Music", "Religion")),
