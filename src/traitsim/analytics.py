@@ -154,6 +154,8 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int, seed: int,
     the k maximizing the silhouette wins; the inertia curve is kept for
     elbow inspection. Degenerate all-identical input forces k=1 with a
     warning."""
+    if k_min < 1:
+        raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_min > k_max:
         raise ValueError(f"empty k range: k_min={k_min} > k_max={k_max}")
     agent_ids = sorted(vectors)

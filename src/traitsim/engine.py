@@ -123,7 +123,7 @@ class WorldState:
     log: list = field(default_factory=list)  # ActionRecord, append-only
     iteration: int = 0
     next_content_id: int = 1
-    authored: dict = field(default_factory=dict)  # author -> set of ids
+    authored: dict = field(default_factory=dict)  # author -> {id: None}, ascending
     reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
     # topic (None included) -> ascending ids: the preference feed's matches
     by_topic: dict = field(default_factory=dict)
@@ -144,7 +144,7 @@ class WorldState:
         )
         self.next_content_id += 1
         self.content[item.content_id] = item
-        self.authored.setdefault(author, set()).add(item.content_id)
+        self.authored.setdefault(author, {})[item.content_id] = None
         self.by_topic.setdefault(topic, []).append(item.content_id)
         if parent is not None:
             self.reshares_by_author.setdefault(author, []).append(
@@ -229,9 +229,9 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     log factor; sampled ranks map straight to the dense ids. The preference
     ranking takes the topic matches from the agent's ``world.by_topic``
     list, and only when the topic runs short the other topics' items from a
-    walk of the store; both skip own, re-shared and forced items. A scarce
-    topic, or a world where every topic is ``None`` (a ``ground`` bundle),
-    costs no more than a plentiful one.
+    walk of the store; both skip own items by id in ``world.authored``
+    (reading none), re-shared and forced items. A scarce topic, or a topicless
+    world (a ``ground`` bundle), costs no more than a plentiful one.
     """
     me = agent.profile.agent_id
     reshared = agent.reshared_ids.__contains__
@@ -475,11 +475,12 @@ def run_iteration(world: WorldState, config: SimulationConfig,
                               config.feed_size, feed_rng)
         for item in feed:
             stm_observe(agent.memory, item, iteration, config.memory)
-        own = world.authored.get(agent_id, frozenset())
-        for cid in own:
+        own = world.authored.get(agent_id, ())
+        for cid in reversed(own):  # newest first, up to the first stale item
             item = world.content[cid]
-            if iteration - item.iteration_created <= config.memory.decay_horizon:
-                stm_observe(agent.memory, item, iteration, config.memory)
+            if iteration - item.iteration_created > config.memory.decay_horizon:
+                break
+            stm_observe(agent.memory, item, iteration, config.memory)
         prompt = build_prompt(agent.profile, agent.memory, feed, iteration, own)
         return decide(prompt, backend,
                       agent_rng(config.master_seed, iteration, agent.index, 1))
@@ -681,12 +682,16 @@ def load_run(run_dir):
             raise ValueError(f"incompatible artifact schema_version in "
                              f"{run_dir} (expected {SCHEMA_VERSION})")
     world, traits = WorldState(), {}
-    for agent_id, trait, topic in _read_run_file(agents_path, lambda obj: (
-            _string(obj, "agent_id"), _string(obj, "trait", nullable=True),
-            _string(obj, "topic", nullable=True))):
-        world.agents[agent_id] = AgentState(AgentProfile(agent_id, "", None,
-                                                         topic))
-        traits[agent_id] = trait
+
+    def add_agent(obj):
+        agent_id = _string(obj, "agent_id")
+        if agent_id in world.agents:
+            raise ValueError(f"agent {agent_id!r} is listed twice")
+        traits[agent_id] = _string(obj, "trait", nullable=True)
+        world.agents[agent_id] = AgentState(AgentProfile(
+            agent_id, "", None, _string(obj, "topic", nullable=True)))
+
+    _read_run_file(agents_path, add_agent)
     order = list(world.agents)
 
     def replay(obj):

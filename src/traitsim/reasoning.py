@@ -41,7 +41,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import AbstractSet, Optional, Sequence
+from typing import Collection, Optional, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -115,7 +115,7 @@ class DecisionPrompt:
 
     agent: AgentProfile
     memory: MemoryUnit
-    authored: AbstractSet[int]  # ids of the agent's own content
+    authored: Collection[int]  # the agent's own content ids, ascending
     iteration: int
     feed_section: tuple  # feed items: anything shaped like a FeedEntry
     actions_section: tuple  # of ActionKind
@@ -131,22 +131,20 @@ class DecisionPrompt:
 
     @cached_property
     def feedback_section(self) -> str:
-        memory, authored = self.memory, self.authored
-        feedback_lines = []
-        for cid in sorted(memory.stm.keys() & authored):
-            entry = memory.stm[cid]
-            feedback_lines.append(
-                f"Your content [{cid}]: {entry.reshares} re-shares, "
-                f"{entry.likes} likes, {entry.dislikes} dislikes, "
-                f"{entry.comments} comments."
-            )
-        for cid, ltm_entry in sorted(memory.ltm.items()):
-            if cid in authored and not memory.stm.get(cid):
-                feedback_lines.append(
+        # own items in STM, then own items only in LTM; each in id order
+        stm, ltm = self.memory.stm, self.memory.ltm
+        lines, ltm_lines = [], []
+        for cid in self.authored:
+            if (entry := stm.get(cid)) is not None:
+                lines.append(
+                    f"Your content [{cid}]: {entry.reshares} re-shares, "
+                    f"{entry.likes} likes, {entry.dislikes} dislikes, "
+                    f"{entry.comments} comments.")
+            elif (ltm_entry := ltm.get(cid)) is not None:
+                ltm_lines.append(
                     f"Your content [{cid}] had lasting impact "
-                    f"(engagement score {ltm_entry.engagement_score:g})."
-                )
-        return "\n".join(feedback_lines) or "No feedback on your content yet."
+                    f"(engagement score {ltm_entry.engagement_score:g}).")
+        return "\n".join(lines + ltm_lines) or "No feedback on your content yet."
 
     @cached_property
     def activity_section(self) -> str:
@@ -201,10 +199,10 @@ def permitted_actions(feed: Sequence[FeedEntry], iteration: int) -> tuple:
 
 def build_prompt(agent: AgentProfile, memory: MemoryUnit,
                  feed: Sequence[FeedEntry], iteration: int,
-                 authored: AbstractSet[int] = frozenset()) -> DecisionPrompt:
-    """The decision prompt for one agent-iteration. ``authored`` holds the
-    ids of the agent's own content, for the feedback section; the text
-    sections render lazily (see ``DecisionPrompt``)."""
+                 authored: Collection[int] = ()) -> DecisionPrompt:
+    """The decision prompt for one agent-iteration; ``authored`` holds the
+    agent's own content ids in ascending order, for the feedback section.
+    The text sections render lazily (see ``DecisionPrompt``)."""
     return DecisionPrompt(agent, memory, authored, iteration, tuple(feed),
                           permitted_actions(feed, iteration))
 

@@ -165,6 +165,11 @@ class TestClustering:
         with pytest.raises(ValueError, match="k_min"):
             cluster_agents(corner_vectors(), 5, 3, seed=0)
 
+    @pytest.mark.parametrize("k_min", [0, -3])
+    def test_k_min_below_one_rejected(self, k_min):
+        with pytest.raises(ValueError, match=f"k_min must be >= 1, got {k_min}"):
+            cluster_agents(corner_vectors(), k_min, 1, seed=0)
+
     def test_seeded_and_repeatable(self):
         vectors = corner_vectors(jitter=0.3, seed=5)
         a = cluster_agents(vectors, 2, 5, seed=3)

@@ -549,6 +549,7 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record(None, iteration=2), "edited"),
         ("agents.jsonl", edit_first_record(None, trait=["PC"]), 1),
         ("agents.jsonl", edit_first_record(None, agent_id=["p000"]), 1),
+        ("agents.jsonl", lambda text: text + text.splitlines(True)[0], "last"),
     ], ids=["actions-truncated", "actions-bad-order",
             "replay-unknown-content", "replay-second-reshare",
             "agents-broken-json", "agents-missing-key",
@@ -562,7 +563,7 @@ class TestAnalyze:
             "replay-contradicted-order", "agents-list-topic",
             "actions-last-line-dropped", "actions-lines-swapped",
             "actions-iteration-skipped", "agents-list-trait",
-            "agents-list-agent-id"])
+            "agents-list-agent-id", "agents-repeated-agent-id"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)
@@ -641,6 +642,13 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(run), "--k-min", "5",
                      "--k-max", "3"]) == 1
         assert "k_min=5 > k_max=3" in capsys.readouterr().err
+
+    def test_k_min_below_one_is_an_error(self, tmp_path, personas_file,
+                                         capsys):
+        run = simulate(tmp_path, personas_file)
+        assert main(["analyze", "--run", str(run), "--k-min", "-3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot cluster: k_min must be >= 1, got -3\n")
 
     def test_missing_run_directory(self, tmp_path, capsys):
         assert main(["analyze", "--run", str(tmp_path / "ghost")]) == 1

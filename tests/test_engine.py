@@ -37,7 +37,7 @@ from traitsim.engine import (
     write_artifacts,
 )
 from traitsim.cli import main
-from traitsim.memory import MemoryParams, am_summary
+from traitsim.memory import MemoryParams, am_summary, stm_observe
 from traitsim.reasoning import (
     FALLBACK_REASON,
     MAX_RETRIES,
@@ -463,6 +463,52 @@ class TestRecommendFeedCost:
         assert all(item is world.content[item.content_id] for item in feed)
 
 
+class TestOwnContentWalk:
+    """The decision step observes an agent's own items within
+    ``decay_horizon`` from a newest-first walk of ``world.authored`` that
+    stops at the first older item, however many older items there are."""
+
+    def setup_method(self):
+        # One agent, so every feed is empty and nothing else is observed.
+        self.world = init_population(make_personas(1),
+                                     config(configuration="IdentityOnly"))
+        for i in range(10_000):
+            add_post(self.world, "p000", 1 + i // 1000, topic="Healthcare")
+        self.recent = [add_post(self.world, "p000", iteration,
+                                topic="Healthcare").content_id
+                       for iteration in (18, 19)]
+        self.world.iteration = 19  # iteration 20 decides; horizon 3
+
+    def test_reads_the_recent_items_and_one_older(self, monkeypatch):
+        world = self.world
+        feed_reads = []
+
+        def uncounted(agent, seen, *args):
+            before = seen.content.reads
+            feed = recommend_feed(agent, seen, *args)
+            feed_reads.append(seen.content.reads - before)
+            return feed
+
+        monkeypatch.setattr(engine, "recommend_feed", uncounted)
+        world.content = CountingStore(world.content)
+        run_iteration(world, config(), StubBackend())
+        assert len(feed_reads) == 1
+        assert world.content.reads - feed_reads[0] <= len(self.recent) + 1
+
+    def test_stm_holds_the_recent_items_observed_newest_first(
+            self, monkeypatch):
+        observed = []
+
+        def spy(memory, item, now, params):
+            observed.append(item.content_id)
+            return stm_observe(memory, item, now, params)
+
+        monkeypatch.setattr(engine, "stm_observe", spy)
+        run_iteration(self.world, config(), StubBackend())
+        assert observed == self.recent[::-1]
+        assert list(self.world.agents["p000"].memory.stm) == self.recent[::-1]
+
+
 class TestAddContent:
     def test_allocates_stores_and_records_the_author(self):
         world = WorldState()
@@ -473,7 +519,8 @@ class TestAddContent:
         assert world.next_content_id == 4
         assert world.content == {1: first, 2: second, 3: third}
         assert (second.parent, second.root, second.text) == (1, 1, first.text)
-        assert world.authored == {"a": {1, 3}, "b": {2}}
+        assert {a: list(ids) for a, ids in world.authored.items()} == {
+            "a": [1, 3], "b": [2]}
         assert world.reshares_by_author == {"b": [2]}
         assert world.by_topic == {"Music": [1, 2], None: [3]}
         assert world.by_topic == topic_index(world.content)
@@ -490,11 +537,11 @@ class TestAddContent:
             personas, cfg, follow_edges=edges))
         authored, reshares = {}, {}
         for cid, item in world.content.items():
-            authored.setdefault(item.author, set()).add(cid)
+            authored.setdefault(item.author, []).append(cid)
             if item.is_reshare:
                 reshares.setdefault(item.author, []).append(cid)
         assert any(reshares.values())
-        assert world.authored == authored
+        assert {a: list(ids) for a, ids in world.authored.items()} == authored
         assert world.reshares_by_author == reshares
         assert world.by_topic == topic_index(world.content)
         # load_run's replay rebuilds the index through add_content as well
@@ -511,6 +558,7 @@ class TestAddContent:
         [rebuilt] = replayed
         assert rebuilt.content is content
         assert rebuilt.by_topic == topic_index(content) == world.by_topic
+        assert {a: list(ids) for a, ids in rebuilt.authored.items()} == authored
 
 
 class TestApplyAction:
@@ -953,9 +1001,8 @@ class TestLLMPathGoldenDigests:
     whose backend reads every rendered prompt, recorded before authorship
     moved into ``WorldState.add_content``. The stub never reads the
     feedback or activity sections, so only a run like this one pins what
-    the agents' memories hold: observing an agent's own content in
-    ascending id order instead of its authored set's order changes these
-    digests."""
+    the agents' memories hold: observing an agent's own content oldest
+    first instead of newest first changes these digests."""
 
     PROMPTS = "ab38ab06f4fa96f075437bba6a4728c7985e39946090a323397d82538493bcfe"
     GOLDEN = {
