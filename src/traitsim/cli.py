@@ -49,11 +49,10 @@ from .grounding import (
     extract_ego_network,
     infer_identity,
     parse_records,
-    IngestError,
     PLACEHOLDER_IDENTITY,
     SECONDS_PER_DAY,
 )
-from .jsonl import LineError, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string, write_jsonl
 from .memory import MemoryParams
 from .networks import (
     build_interaction_network,
@@ -126,36 +125,32 @@ def load_config(path: Path) -> dict:
 
 
 def _persona(obj) -> dict:
-    persona = {"id": obj["id"], "identity_text": obj["identity_text"],
-               "topic": obj.get("topic"), "trait": obj.get("trait")}
-    for key in ("id", "identity_text", "topic"):
-        value = persona[key]
-        if not (isinstance(value, str) or key == "topic" and value is None):
-            raise ValueError(f"{key!r} must be a string, got "
-                             f"{json.dumps(value)}")
-    trait = persona["trait"]
-    if trait is not None and (not isinstance(trait, str)
-                              or trait not in Trait.__members__):
+    obj = {"topic": None, "trait": None, **obj}
+    trait = obj["trait"]  # tested by equality: unhashable values are unknown
+    if trait is not None and trait not in [t.code for t in Trait]:
         raise ValueError(f"unknown trait {trait!r}")
-    return persona
+    return {"id": string(obj, "id"),
+            "identity_text": string(obj, "identity_text"),
+            "topic": string(obj, "topic", nullable=True), "trait": trait}
 
 
 def read_personas(path: Path) -> list:
-    try:
-        return read_jsonl(path.read_text().splitlines(), _persona)
-    except LineError as err:
-        raise CliError(f"personas line {err.line_number}: {err.cause}")
+    """The personas of a line-delimited JSON file; a ValueError names a
+    missing file or the malformed line."""
+    return read_jsonl(path, _persona)
 
 
 def read_follows(path: Path) -> list:
-    """(follower, followee) pairs from a CSV file; header rows are skipped."""
+    """(follower, followee) pairs from a CSV file whose first row may be the
+    header ``follower,followee``."""
     if not path.exists():
         raise CliError(f"follows file not found: {path}")
     edges = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if not row or row[0] == "follower":
+            if not row or (reader.line_num == 1
+                           and row == ["follower", "followee"]):
                 continue
             if len(row) < 2:
                 raise CliError(f"follows line {reader.line_num}: expected "
@@ -208,9 +203,10 @@ def cmd_simulate(args) -> int:
         raise CliError("no personas file given (config key 'personas' or "
                        "--personas)")
     personas_path = Path(cfg["personas"])
-    if not personas_path.exists():
-        raise CliError(f"personas file not found: {personas_path}")
-    personas = read_personas(personas_path)
+    try:
+        personas = read_personas(personas_path)
+    except ValueError as err:
+        raise CliError(str(err))
     follows_path = Path(cfg["follows"]) if "follows" in cfg else None
     follow_edges = read_follows(follows_path) if follows_path else None
 
@@ -282,7 +278,8 @@ def cmd_analyze(args) -> int:
     summary = [f"run: {run_dir}", f"actions: {len(log)}",
                f"content items: {len(content)}"]
 
-    chains = trace_chains(content, traits)
+    chains = (trace_chains(content, traits)
+              if which in ("all", "rq2") or other is not None else None)
     if which in ("all", "rq1"):
         vectors = action_probability_vector(log)
         agents = sorted(vectors)
@@ -374,11 +371,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_ground(args) -> int:
     records_path = Path(args.records)
-    if not records_path.exists():
-        raise CliError(f"records file not found: {records_path}")
     try:
-        records = parse_records(records_path.read_text().splitlines())
-    except IngestError as err:
+        records = parse_records(records_path)
+    except ValueError as err:
         raise CliError(str(err))
     if not records:
         raise CliError(f"records file is empty: {records_path}")

@@ -57,7 +57,7 @@ from .core import (
     Trait,
     ENGAGEMENT_KINDS,
 )
-from .jsonl import LineError, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string, write_jsonl
 from .memory import (
     MemoryParams,
     MemoryUnit,
@@ -266,10 +266,10 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         return forced
     # The draw depends only on (pool size, take), so sample ranks in the
     # dense id order 1 ... next_content_id - 1 minus the excluded ids,
-    # without building the pool.
-    own = world.authored.get(me, ())
-    excluded = sorted({cid for cid in (*own, *agent.reshared_ids, *forced_ids)
-                       if cid in world.content})
+    # without building the pool. The excluded ids are disjoint, because
+    # ``apply_record`` rejects a re-share of one's own item.
+    excluded = sorted((*world.authored.get(me, ()), *agent.reshared_ids,
+                       *forced_ids))
     pool_size = len(world.content) - len(excluded)
     take = min(need, pool_size)
     sampled = []
@@ -313,6 +313,9 @@ def apply_record(world: WorldState, agent: AgentState,
             raise ValueError(f"{kind.value} of content {action.target} is "
                              f"not {record.order.value}")
         if kind is ActionKind.RESHARE:
+            if target.author == profile.agent_id:
+                raise ValueError(f"{profile.agent_id} re-shares its own "
+                                 f"content {target.content_id}")
             if target.content_id in agent.reshared_ids:
                 raise ValueError(f"{profile.agent_id} already re-shared "
                                  f"{target.content_id}")
@@ -553,21 +556,11 @@ def _member(members: dict, value, name: str):
         raise ValueError(f"unknown {name} {json.dumps(value)}") from None
 
 
-def _string(d: dict, key: str, nullable: bool = False):
-    """``d[key]``, which must be a string (or null, if ``nullable``); any
-    other value is a ``TypeError``."""
-    value = d[key]
-    if not (type(value) is str or nullable and value is None):
-        kind = "a string or null" if nullable else "a string"
-        raise TypeError(f"{key} must be {kind}, got {json.dumps(value)}")
-    return value
-
-
 def record_from_dict(d: dict) -> ActionRecord:
     """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
     wrongly typed agent or iteration a ``TypeError``, an unknown kind or order
     or a misshaped action a ``ValueError``."""
-    agent, iteration = _string(d, "agent"), d["iteration"]
+    agent, iteration = string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
@@ -643,24 +636,6 @@ def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _read_run_file(path: Path, parse, finish=lambda: None) -> list:
-    """``parse`` of each non-blank line of a run file, then ``finish()``; a
-    missing file, a malformed line or a ValueError from ``finish`` is a
-    ValueError naming the file (and the line, the last for ``finish``)."""
-    try:
-        lines = path.read_text().splitlines()
-        rows = read_jsonl(lines, parse)
-        try:
-            finish()
-        except ValueError as err:
-            raise LineError(len(lines), err) from err
-        return rows
-    except FileNotFoundError:
-        raise ValueError(f"run file not found: {path}")
-    except LineError as err:
-        raise ValueError(f"malformed record in {path} {err}") from err.cause
-
-
 def load_run(run_dir):
     """A run's action log, content store and agent traits; the inverse of
     ``write_artifacts``. The store is rebuilt by replaying ``actions.jsonl``
@@ -669,7 +644,7 @@ def load_run(run_dir):
     per iteration, in ``agents.jsonl`` order), is a malformed line."""
     run_dir = Path(run_dir)
     actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
-    if not actions_path.exists():
+    if not run_dir.is_dir():
         raise ValueError(f"not an artifact directory: {run_dir}")
     manifest_path = run_dir / MANIFEST
     if manifest_path.exists():
@@ -684,14 +659,14 @@ def load_run(run_dir):
     world, traits = WorldState(), {}
 
     def add_agent(obj):
-        agent_id = _string(obj, "agent_id")
+        agent_id = string(obj, "agent_id")
         if agent_id in world.agents:
             raise ValueError(f"agent {agent_id!r} is listed twice")
-        traits[agent_id] = _string(obj, "trait", nullable=True)
+        traits[agent_id] = string(obj, "trait", nullable=True)
         world.agents[agent_id] = AgentState(AgentProfile(
-            agent_id, "", None, _string(obj, "topic", nullable=True)))
+            agent_id, "", None, string(obj, "topic", nullable=True)))
 
-    _read_run_file(agents_path, add_agent)
+    read_jsonl(agents_path, add_agent)
     order = list(world.agents)
 
     def replay(obj):
@@ -709,7 +684,7 @@ def load_run(run_dir):
             raise ValueError(f"the log ends inside iteration "
                              f"{world.log[-1].iteration}")
 
-    _read_run_file(actions_path, replay, finish)
+    read_jsonl(actions_path, replay, finish)
     return world.log, world.content, traits
 
 

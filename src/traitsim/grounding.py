@@ -10,7 +10,6 @@ identity description from the user's original posts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,7 +24,7 @@ from .core import (
     Trait,
     archetype_table,
 )
-from .jsonl import LineError, read_jsonl
+from .jsonl import read_jsonl, string
 from .networks import WeightedDigraph
 
 SECONDS_PER_DAY = 86400
@@ -38,14 +37,6 @@ RECORD_KINDS = ("post",) + ENGAGEMENT_RECORD_KINDS
 PLACEHOLDER_IDENTITY = (
     "A general-interest social media user with no original posts on record."
 )
-
-
-class IngestError(ValueError):
-    """Malformed platform record; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"record line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass
@@ -75,28 +66,20 @@ def _parse_timestamp(value) -> float:
 
 
 def _platform_record(obj) -> PlatformRecord:
-    for key in ("user", "target_user"):
-        value = obj.get(key)
-        if not (isinstance(value, str) or key == "target_user"
-                and value is None):
-            raise ValueError(f"{key!r} must be a string, got "
-                             f"{json.dumps(value)}")
+    obj = {"target_user": None, **obj}
     return PlatformRecord(
-        user=obj["user"],
+        user=string(obj, "user"),
         kind=obj["kind"],
         timestamp=_parse_timestamp(obj["timestamp"]),
-        target_user=obj.get("target_user"),
+        target_user=string(obj, "target_user", nullable=True),
         text=obj.get("text"),
     )
 
 
-def parse_records(lines) -> list:
-    """Parse line-delimited JSON platform records, citing line numbers on
-    failure."""
-    try:
-        return read_jsonl(lines, _platform_record)
-    except LineError as err:
-        raise IngestError(err.line_number, str(err.cause)) from err.cause
+def parse_records(path) -> list:
+    """The platform records of a line-delimited JSON file; a ValueError
+    names a missing file or the malformed line."""
+    return read_jsonl(path, _platform_record)
 
 
 def build_engagement_graph(records: Sequence[PlatformRecord]) -> WeightedDigraph:

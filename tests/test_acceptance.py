@@ -296,7 +296,7 @@ EXPECTED_TRAITS = {
 }
 
 
-def test_ac6_empirical_grounding():
+def test_ac6_empirical_grounding(tmp_path):
     """Archetype self-recovery, the capped ego network on a 5000-node graph,
     and the hand-computed 10-user fixture end to end."""
     self_recovery = all(
@@ -309,7 +309,9 @@ def test_ac6_empirical_grounding():
     ego = extract_ego_network(graph, cap=1000)
     ego_ok = len(ego.nodes) == 1001 and "hub" in ego.nodes
 
-    records = parse_records(_ten_user_records())
+    records_path = tmp_path / "records.jsonl"
+    records_path.write_text("\n".join(_ten_user_records()) + "\n")
+    records = parse_records(records_path)
     engagement = build_engagement_graph(records)
     community = extract_ego_network(engagement, cap=1000).nodes
     origin = min(r.timestamp for r in records)

@@ -75,6 +75,20 @@ def reshare_twice(text):
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
+def reshare_own_post(text):
+    """A corruption of actions.jsonl: a later record of the first agent to
+    post becomes a re-share of that post. Content ids count the post and
+    re-share records from 1."""
+    records = [json.loads(line) for line in text.splitlines()]
+    created = [r for r in records if r["kind"] in ("post", "reshare")]
+    n, first = next((n, r) for n, r in enumerate(created, 1)
+                    if r["kind"] == "post")
+    later = next(r for r in records if r["agent"] == first["agent"]
+                 and r["iteration"] > first["iteration"])
+    later.update(kind="reshare", target=n, payload=None, order="first_order")
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
 def swap_first_lines(text):
     first, second, rest = text.split("\n", 2)
     return "\n".join((second, first, rest))
@@ -303,10 +317,10 @@ class TestSimulate:
             assert "line 2" in err and "unknown trait" in err
 
     @pytest.mark.parametrize("line, key", [
-        ('{"id": 5, "identity_text": "x"}', "'id'"),
-        ('{"id": "b", "identity_text": 7}', "'identity_text'"),
-        ('{"id": null, "identity_text": "x"}', "'id'"),
-        ('{"id": "b", "identity_text": "x", "topic": ["m"]}', "'topic'"),
+        ('{"id": 5, "identity_text": "x"}', "id"),
+        ('{"id": "b", "identity_text": 7}', "identity_text"),
+        ('{"id": null, "identity_text": "x"}', "id"),
+        ('{"id": "b", "identity_text": "x", "topic": ["m"]}', "topic"),
     ], ids=["int-id", "int-text", "null-id", "list-topic"])
     def test_persona_id_and_text_must_be_strings(self, tmp_path, capsys,
                                                  line, key):
@@ -316,7 +330,7 @@ class TestSimulate:
         assert main(["simulate", "--personas", str(path), "--configuration",
                      "IdentityOnly", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err and key in err and "must be a string" in err
+        assert f"{path} line 2: TypeError: {key} must be a string" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("personas, follows, message", [
@@ -337,6 +351,27 @@ class TestSimulate:
         assert main(args + ["--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_agent_named_follower_keeps_its_edges(self, tmp_path):
+        """Only a first row ``follower,followee`` is the header."""
+        personas = tmp_path / "personas.jsonl"
+        personas.write_text("".join(
+            json.dumps({"id": i, "identity_text": "x", "trait": "PC"}) + "\n"
+            for i in ("follower", "a", "b")))
+        follows = tmp_path / "follows.csv"
+        follows.write_text("follower,followee\nfollower,b\na,follower\n")
+        assert cli.read_follows(follows) == [("follower", "b"),
+                                             ("a", "follower")]
+        follows.write_text("follower,b\nfollower,followee\n")
+        assert cli.read_follows(follows) == [("follower", "b"),
+                                             ("follower", "followee")]
+        follows.write_text("follower,followee\nfollower,b\na,follower\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--personas", str(personas), "--follows",
+                     str(follows), "--iterations", "1", "--out", str(out)]) == 0
+        following = {row["agent_id"]: set(row["following"]) for row in map(
+            json.loads, (out / "agents.jsonl").read_text().splitlines())}
+        assert "b" in following["follower"] and "follower" in following["a"]
 
     def test_short_follows_row_is_cited(self, tmp_path, personas_file, capsys):
         follows = tmp_path / "follows.csv"
@@ -550,6 +585,7 @@ class TestAnalyze:
         ("agents.jsonl", edit_first_record(None, trait=["PC"]), 1),
         ("agents.jsonl", edit_first_record(None, agent_id=["p000"]), 1),
         ("agents.jsonl", lambda text: text + text.splitlines(True)[0], "last"),
+        ("actions.jsonl", reshare_own_post, "edited"),
     ], ids=["actions-truncated", "actions-bad-order",
             "replay-unknown-content", "replay-second-reshare",
             "agents-broken-json", "agents-missing-key",
@@ -563,7 +599,8 @@ class TestAnalyze:
             "replay-contradicted-order", "agents-list-topic",
             "actions-last-line-dropped", "actions-lines-swapped",
             "actions-iteration-skipped", "agents-list-trait",
-            "agents-list-agent-id", "agents-repeated-agent-id"])
+            "agents-list-agent-id", "agents-repeated-agent-id",
+            "replay-own-reshare"])
     def test_malformed_run_file_is_cited(self, tmp_path, personas_file, capsys,
                                          name, corrupt, line):
         run = simulate(tmp_path, personas_file)
@@ -616,6 +653,23 @@ class TestAnalyze:
                      str(tmp_path / "." / "run")]) == 0
         assert calls == {"load_run": 1, "trace_chains": 1}
         assert "U=" in (run / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("which, compare, traced", [
+        ("rq1", False, 0), ("rq3", False, 0), ("rq2", False, 1),
+        ("all", False, 1), ("rq1", True, 1), ("rq3", True, 1)])
+    def test_chains_are_traced_only_when_read(
+            self, tmp_path, personas_file, monkeypatch, which, compare,
+            traced):
+        """rq2 and ``--compare`` read the chains; rq1 and rq3 do not."""
+        run = simulate(tmp_path, personas_file)
+        calls = []
+        real = cli.trace_chains
+        monkeypatch.setattr(cli, "trace_chains",
+                            lambda *args: calls.append(1) or real(*args))
+        extra = ["--compare", str(run)] if compare else []
+        assert main(["analyze", "--run", str(run), "--which", which,
+                     *extra]) == 0
+        assert len(calls) == traced
 
     def test_other_directory_compare_reads_only_its_content(
             self, tmp_path, personas_file, monkeypatch):

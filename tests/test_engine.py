@@ -280,8 +280,8 @@ class TestRecommendFeed:
 def chronological_worlds(draw):
     """A world of 4 agents whose content ids follow creation order: posts
     and re-shares (of earlier items) by any agent, the agent under test
-    included, plus its re-shared ids, follows (possibly itself) and the
-    recommender arguments."""
+    included, plus candidate re-shared ids (``reshareable`` keeps those it
+    can have), follows (possibly itself) and the recommender arguments."""
     world = init_population(make_personas(4),
                             config(configuration="IdentityOnly"))
     authors = world.agent_order()
@@ -310,13 +310,20 @@ def fill(world, items):
     world.iteration = iteration
 
 
+def reshareable(world, agent, ids):
+    """The ``ids`` that ``agent`` can have re-shared: items in the store
+    that another agent authored (``apply_record`` rejects the rest)."""
+    return {cid for cid in ids if cid in world.content
+            and world.content[cid].author != agent.profile.agent_id}
+
+
 class TestRecommendFeedMatchesReference:
     @given(chronological_worlds())
     @settings(max_examples=200, deadline=None)
     def test_same_feed_and_same_draws(self, case):
         world, agent, items, reshared, k, strategy, seed = case
         fill(world, items)
-        agent.reshared_ids = set(reshared)
+        agent.reshared_ids = reshareable(world, agent, reshared)
         rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
         feed = recommend_feed(agent, world, strategy, k, rng)
         expected = _reference_recommend_feed(agent, world, strategy, k, ref_rng)
@@ -331,7 +338,7 @@ class TestRecommendFeedMatchesReference:
         it found them."""
         world, agent, items, reshared, k, _, seed = case
         fill(world, items)
-        agent.reshared_ids = set(reshared)
+        agent.reshared_ids = reshared = reshareable(world, agent, reshared)
         before = copy.deepcopy(world)
         for strategy in ("preference", "random"):
             recommend_feed(agent, world, strategy, k,
@@ -341,7 +348,7 @@ class TestRecommendFeedMatchesReference:
         assert world.authored == before.authored
         assert world.reshares_by_author == before.reshares_by_author
         assert world.by_topic == before.by_topic
-        assert agent.reshared_ids == set(reshared)
+        assert agent.reshared_ids == reshared
 
 
 def topic_index(content):
@@ -461,6 +468,24 @@ class TestRecommendFeedCost:
         assert [item.content_id for item in feed] == _reference_recommend_feed(
             agent, world, "preference", 5, None)
         assert all(item is world.content[item.content_id] for item in feed)
+
+    def test_random_with_nothing_eligible_reads_no_item(self):
+        world = init_population(make_personas(2),
+                                config(configuration="IdentityOnly"))
+        agent = world.agents["p000"]
+        for iteration in range(1, 1_001):
+            original = add_post(world, "p001", iteration)
+            add_reshare(world, "p000", iteration, original)
+            agent.reshared_ids.add(original.content_id)
+            add_post(world, "p000", iteration, topic="Healthcare")
+        world.iteration = 1_000
+        world.content = CountingStore(world.content)
+        rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
+        assert recommend_feed(agent, world, "random", 5, rng) == []
+        assert world.content.reads == 0
+        assert _reference_recommend_feed(agent, world, "random", 5,
+                                         ref_rng) == []
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestOwnContentWalk:
@@ -646,6 +671,19 @@ class TestApplyAction:
             apply_action(self.world, self.agent, reshare, 3)
         assert original.counters.reshares == 1
         assert len(self.world.content) == 2
+
+    def test_reshare_of_own_item_rejected(self):
+        """The feed never shows an agent its own items, so a re-share of
+        one, original or re-share, cannot have been logged."""
+        own = add_post(self.world, "p000", 1)
+        own_reshare = add_reshare(self.world, "p000", 1,
+                                  add_post(self.world, "p001", 1))
+        for target in (own, own_reshare):
+            with pytest.raises(ValueError, match="re-shares its own content"):
+                apply_action(self.world, self.agent, Decision(
+                    ActionKind.RESHARE, "r", target=target.content_id), 2)
+        assert len(self.world.content) == 3 and not self.world.log
+        assert not self.agent.reshared_ids
 
     def test_unreplayable_record_changes_nothing(self):
         original = add_post(self.world, "p001", 1)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from traitsim.core import ActionDistribution, Trait, archetype_table
 from traitsim.grounding import (
-    IngestError,
     PLACEHOLDER_IDENTITY,
     PlatformRecord,
     SECONDS_PER_DAY,
@@ -27,61 +26,72 @@ def record(user, kind, day, target=None, text=None):
                           text=text or ("hello" if kind == "post" else None))
 
 
-def jsonl(records):
-    return [json.dumps(r) for r in records]
+def write_records(tmp_path, lines):
+    """A platform-records file holding ``lines``: JSON text, or objects
+    written as JSON."""
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join((line if isinstance(line, str)
+                             else json.dumps(line)) + "\n" for line in lines))
+    return path
 
 
 class TestParseRecords:
-    def test_happy_path_with_iso_timestamps(self):
-        lines = jsonl([
+    def test_happy_path_with_iso_timestamps(self, tmp_path):
+        path = write_records(tmp_path, [
             {"user": "u1", "kind": "post", "timestamp": "2024-05-01T10:00:00+00:00",
              "text": "hi"},
             {"user": "u2", "kind": "like", "timestamp": 1714557600,
              "target_user": "u1"},
         ])
-        records = parse_records(lines)
+        records = parse_records(path)
         assert [r.user for r in records] == ["u1", "u2"]
         assert records[0].timestamp == pytest.approx(1714557600.0)
 
-    def test_blank_lines_skipped(self):
-        assert parse_records(["", "  ", ""]) == []
+    def test_blank_lines_skipped(self, tmp_path):
+        assert parse_records(write_records(tmp_path, ["", "  ", ""])) == []
 
-    def test_error_carries_line_number(self):
-        lines = [""] * 11 + ["{not json"]
-        with pytest.raises(IngestError, match="line 12") as err:
-            parse_records(lines)
-        assert err.value.line_number == 12
+    def test_error_carries_line_number(self, tmp_path):
+        path = write_records(tmp_path, [""] * 11 + ["{not json"])
+        with pytest.raises(ValueError) as err:
+            parse_records(path)
+        assert str(err.value).startswith(
+            f"malformed record in {path} line 12: JSONDecodeError: ")
 
-    def test_engagement_requires_target_user(self):
-        lines = jsonl([{"user": "u1", "kind": "like", "timestamp": 0}])
-        with pytest.raises(IngestError, match="line 1"):
-            parse_records(lines)
+    def test_engagement_requires_target_user(self, tmp_path):
+        path = write_records(tmp_path, [{"user": "u1", "kind": "like",
+                                         "timestamp": 0}])
+        with pytest.raises(ValueError, match="line 1: ValueError: like "
+                           "record requires target_user"):
+            parse_records(path)
 
-    def test_post_requires_text(self):
-        with pytest.raises(IngestError):
-            parse_records(jsonl([{"user": "u1", "kind": "post", "timestamp": 0}]))
+    def test_post_requires_text(self, tmp_path):
+        path = write_records(tmp_path, [{"user": "u1", "kind": "post",
+                                         "timestamp": 0}])
+        with pytest.raises(ValueError, match="post record requires text"):
+            parse_records(path)
 
     @pytest.mark.parametrize("fields, key", [
-        ({"user": 5, "kind": "post", "text": "x"}, "'user'"),
-        ({"user": ["x"], "kind": "post", "text": "x"}, "'user'"),
-        ({"user": None, "kind": "post", "text": "x"}, "'user'"),
-        ({"user": "u1", "kind": "like", "target_user": 5}, "'target_user'"),
+        ({"user": 5, "kind": "post", "text": "x"}, "user"),
+        ({"user": ["x"], "kind": "post", "text": "x"}, "user"),
+        ({"user": None, "kind": "post", "text": "x"}, "user"),
+        ({"user": "u1", "kind": "like", "target_user": 5}, "target_user"),
         ({"user": "u1", "kind": "like", "target_user": ["u2"]},
-         "'target_user'"),
+         "target_user"),
     ], ids=["int-user", "list-user", "null-user", "int-target",
             "list-target"])
-    def test_users_must_be_strings(self, fields, key):
+    def test_users_must_be_strings(self, tmp_path, fields, key):
         good = {"user": "u0", "kind": "post", "timestamp": 0, "text": "x"}
-        lines = jsonl([good, {"timestamp": 0, **fields}])
-        with pytest.raises(IngestError, match="line 2") as err:
-            parse_records(lines)
-        assert f"{key} must be a string" in str(err.value)
+        path = write_records(tmp_path, [good, {"timestamp": 0, **fields}])
+        with pytest.raises(ValueError) as err:
+            parse_records(path)
+        assert (f"{path} line 2: TypeError: {key} must be a string"
+                in str(err.value))
 
-    def test_unknown_kind_rejected(self):
-        lines = jsonl([{"user": "u1", "kind": "poke", "timestamp": 0,
-                        "target_user": "u2"}])
-        with pytest.raises(IngestError, match="poke"):
-            parse_records(lines)
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = write_records(tmp_path, [{"user": "u1", "kind": "poke",
+                                         "timestamp": 0, "target_user": "u2"}])
+        with pytest.raises(ValueError, match="poke"):
+            parse_records(path)
 
 
 class TestEngagementGraph:

@@ -1,7 +1,8 @@
-"""perfbench traces names where their callers look them up. A renamed or
-moved name fails here, in tier-1, not only in a ``--trace 1`` benchmark
-run."""
+"""perfbench traces names where their callers look them up, and calls
+others directly. A renamed or moved name fails here, in tier-1, not only in
+a benchmark run."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -14,7 +15,8 @@ from traitsim.memory import MemoryParams
 
 from conftest import make_personas
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +77,46 @@ def test_analyze_patches_install_restore_and_record(tracing, tmp_path):
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals
     # every traced name was reached through the name perfbench replaced
     assert all(tracer.durations(name) for name in tracer.names)
+
+
+def traitsim_names(filename):
+    """The dotted traitsim names ``perfbench/filename`` uses: each name it
+    imports from a traitsim module, and each attribute it reads from a name
+    so imported. Read from the source with ``ast``, importing nothing."""
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names
+                         if alias.name.split(".")[0] == "traitsim")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "traitsim"):
+            bound.update((alias.asname or alias.name,
+                          f"{node.module}.{alias.name}")
+                         for alias in node.names)
+    return set(bound.values()) | {
+        f"{bound[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound}
+
+
+def resolves(dotted):
+    """Whether ``dotted`` names a module or an attribute reached from one."""
+    parts = dotted.split(".")
+    try:
+        obj = importlib.import_module(parts[0])
+        for n, part in enumerate(parts[1:], start=2):
+            obj = (getattr(obj, part) if hasattr(obj, part)
+                   else importlib.import_module(".".join(parts[:n])))
+    except ImportError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("filename", ["worker.py", "run.py",
+                                      "test_perfbench.py"])
+def test_perfbench_calls_only_names_that_exist(filename):
+    names = traitsim_names(filename)
+    assert names
+    assert sorted(name for name in names if not resolves(name)) == []
