@@ -148,12 +148,15 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def cluster_agents(vectors: dict, k_min: int, k_max: int, seed: int,
-                   restarts: int = 50) -> Clustering:
-    """Seeded k-means (k-means++ init, 50 restarts) for each k in range;
-    the k maximizing the silhouette wins; the inertia curve is kept for
-    elbow inspection. Degenerate all-identical input forces k=1 with a
-    warning."""
+KMEANS_RESTARTS = 50  # seeded k-means runs per k; the lowest inertia wins
+
+
+def cluster_agents(vectors: dict, k_min: int, k_max: int,
+                   seed: int) -> Clustering:
+    """Seeded k-means (k-means++ init, ``KMEANS_RESTARTS`` restarts) for
+    each k in range; the k maximizing the silhouette wins; the inertia curve
+    is kept for elbow inspection. Degenerate all-identical input forces k=1
+    with a warning."""
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_min > k_max:
@@ -174,7 +177,7 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int, seed: int,
     curve = {}
     for k in range(k_min, k_max + 1):
         run_best = None
-        for _ in range(restarts):
+        for _ in range(KMEANS_RESTARTS):
             result = _kmeans_once(X, k, rng)
             if run_best is None or result[2] < run_best[2]:
                 run_best = result

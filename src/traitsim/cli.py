@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import fields, is_dataclass
@@ -43,16 +44,19 @@ from .engine import (
     write_manifest,
 )
 from .grounding import (
-    assign_trait,
-    build_engagement_graph,
-    empirical_action_vector,
-    extract_ego_network,
+    ground,
     infer_identity,
     parse_records,
     PLACEHOLDER_IDENTITY,
-    SECONDS_PER_DAY,
 )
-from .jsonl import read_jsonl, string, write_jsonl
+from .jsonl import (
+    malformed,
+    read_json,
+    read_jsonl,
+    read_text,
+    string,
+    write_jsonl,
+)
 from .memory import MemoryParams
 from .networks import (
     build_interaction_network,
@@ -97,30 +101,28 @@ def _check_section(section: dict, keys: dict, prefix: str, path: Path) -> None:
     """Reject unknown keys and values of the wrong JSON type in one section."""
     unknown = sorted(prefix + key for key in set(section) - set(keys))
     if unknown:
-        raise CliError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s) in {path}: "
+                         f"{', '.join(unknown)}")
     for key, value in section.items():
         types, name = keys[key]
         if isinstance(value, bool) or not isinstance(value, types):
-            raise CliError(f"config key '{prefix}{key}' in {path} must be "
-                           f"{name}, got {json.dumps(value)}")
+            raise ValueError(f"config key '{prefix}{key}' in {path} must be "
+                             f"{name}, got {json.dumps(value)}")
 
 
 def load_config(path: Path) -> dict:
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as err:
-        raise CliError(f"config parse error in {path} at line {err.lineno}: "
-                       f"{err.msg}")
+    """The checked settings of a JSON config file; a ValueError names an
+    unreadable or malformed file, an unknown key or a value of the wrong
+    type."""
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     _check_section(raw, _CONFIG_KEYS, "", path)
     _check_section(raw.get("backend", {}), _BACKEND_KEYS, "backend.", path)
     _check_section(raw.get("memory", {}), _MEMORY_KEYS, "memory.", path)
     if raw.get("backend", {}).get("type", "stub") not in ("stub", "llm"):
-        raise CliError(f"config key 'backend.type' in {path} must be "
-                       f"\"stub\" or \"llm\"")
+        raise ValueError(f"config key 'backend.type' in {path} must be "
+                         f"\"stub\" or \"llm\"")
     return raw
 
 
@@ -142,20 +144,20 @@ def read_personas(path: Path) -> list:
 
 def read_follows(path: Path) -> list:
     """(follower, followee) pairs from a CSV file whose first row may be the
-    header ``follower,followee``."""
-    if not path.exists():
-        raise CliError(f"follows file not found: {path}")
+    header ``follower,followee``; a ValueError names an unreadable file or
+    cites a row with fewer than two columns."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
         for row in reader:
             if not row or (reader.line_num == 1
                            and row == ["follower", "followee"]):
                 continue
             if len(row) < 2:
-                raise CliError(f"follows line {reader.line_num}: expected "
-                               f"follower,followee, got {row!r}")
+                raise ValueError(f"expected follower,followee, got {row!r}")
             edges.append((row[0], row[1]))
+    except (csv.Error, ValueError) as err:
+        raise malformed(path, reader.line_num, err) from err
     return edges
 
 
@@ -195,7 +197,10 @@ def _check_endpoint_url(url: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(Path(args.config)) if args.config else {}
+    try:
+        cfg = load_config(Path(args.config)) if args.config else {}
+    except ValueError as err:
+        raise CliError(str(err))
     cfg = _overlay(cfg, args, _CONFIG_KEYS)
     backend_cfg = _overlay(cfg.get("backend", {}), args, _BACKEND_KEYS)
 
@@ -203,12 +208,12 @@ def cmd_simulate(args) -> int:
         raise CliError("no personas file given (config key 'personas' or "
                        "--personas)")
     personas_path = Path(cfg["personas"])
+    follows_path = Path(cfg["follows"]) if "follows" in cfg else None
     try:
         personas = read_personas(personas_path)
+        follow_edges = read_follows(follows_path) if follows_path else None
     except ValueError as err:
         raise CliError(str(err))
-    follows_path = Path(cfg["follows"]) if "follows" in cfg else None
-    follow_edges = read_follows(follows_path) if follows_path else None
 
     settings = {key: value for key, value in cfg.items()
                 if key in SimulationConfig.__dataclass_fields__}
@@ -338,18 +343,17 @@ def cmd_analyze(args) -> int:
             ("resharing", build_resharing_network(log, content)),
             ("interaction", build_interaction_network(log, content)),
         ):
-            cin = degree_centrality(graph, "in", n) if graph.nodes else {}
-            cout = degree_centrality(graph, "out", n) if graph.nodes else {}
+            cin = degree_centrality(graph, "in", n)
+            cout = degree_centrality(graph, "out", n)
             _write_csv(out / f"centrality_{name}.csv",
                        ["agent", "trait", "in_degree", "out_degree"],
                        [[a, traits.get(a), cin.get(a, 0.0), cout.get(a, 0.0)]
                         for a in sorted(traits)])
-            if traits:
-                for trait, (median, q1, q3, count) in sorted(
-                        centrality_by_trait(cout, traits).items(),
-                        key=lambda kv: str(kv[0])):
-                    summary.append(f"{name} out-degree {trait}: "
-                                   f"median={median:.4f} n={count}")
+            for trait, (median, q1, q3, count) in sorted(
+                    centrality_by_trait(cout, traits).items(),
+                    key=lambda kv: str(kv[0])):
+                summary.append(f"{name} out-degree {trait}: "
+                               f"median={median:.4f} n={count}")
 
     if other is not None:
         lengths_a = [c.length for c in chains]
@@ -370,53 +374,31 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ground(args) -> int:
+    if not args.no_identity_inference and not (args.endpoint and args.model):
+        raise CliError("identity inference requires --endpoint and --model "
+                       "(or pass --no-identity-inference)")
     records_path = Path(args.records)
     try:
         records = parse_records(records_path)
+        follow_edges = read_follows(Path(args.follows)) if args.follows else []
     except ValueError as err:
         raise CliError(str(err))
     if not records:
         raise CliError(f"records file is empty: {records_path}")
-
-    graph = build_engagement_graph(records)
     try:
-        ego = extract_ego_network(graph, cap=args.cap)
+        bundle = ground(records, follow_edges, args.cap)
     except ValueError as err:
         raise CliError(f"cannot extract the ego network: {err}")
-    community = ego.nodes
 
-    origin = min(r.timestamp for r in records)
-    span = max(r.timestamp for r in records) - origin
-    slots = max(1, int(span // SECONDS_PER_DAY) + 1)
-
-    by_user = {}
-    for record in records:
-        by_user.setdefault(record.user, []).append(record)
-
-    if not args.no_identity_inference and not (args.endpoint and args.model):
-        raise CliError("identity inference requires --endpoint and --model "
-                       "(or pass --no-identity-inference)")
-
-    follow_edges = []
-    if args.follows:
-        follow_edges = [(a, b) for a, b in read_follows(Path(args.follows))
-                        if a in community and b in community]
-
-    users = sorted(community)
-    assignments = {user: assign_trait(empirical_action_vector(
-        by_user.get(user, []), slots, origin=origin), user=user)
-        for user in users}
-    if args.no_identity_inference:
-        identities = dict.fromkeys(users, PLACEHOLDER_IDENTITY)
-    else:
+    identities = [PLACEHOLDER_IDENTITY] * len(bundle.posts)
+    if not args.no_identity_inference:
         # One profiling call per user with posts, on the backend's pool;
         # results come back in sorted-user order at any concurrency.
         backend = _make_backend(_overlay({"type": "llm"}, args, _BACKEND_KEYS))
-        posts = {user: [r.text for r in by_user.get(user, [])
-                        if r.kind == "post"] for user in users}
         try:
-            identities = dict(zip(users, backend.map(
-                lambda user: infer_identity(posts[user], backend), users)))
+            identities = backend.map(
+                lambda posts: infer_identity(posts, backend),
+                bundle.posts.values())
         except TransportError as err:
             raise CliError(f"identity inference failed at {args.endpoint}: "
                            f"{err}; nothing written")
@@ -428,16 +410,16 @@ def cmd_ground(args) -> int:
     _write_csv(out / "assignments.csv",
                ["user", *VECTOR_COLUMNS, "trait", "distance"],
                [[u, *a.empirical_vector.as_tuple(), a.assigned.name,
-                 f"{a.distance:.6f}"] for u, a in sorted(assignments.items())])
+                 f"{a.distance:.6f}"] for u, a in bundle.assignments.items()])
     write_jsonl(out / "personas.jsonl",
-                ({"id": user, "identity_text": identities[user], "topic": None,
-                  "trait": assignments[user].assigned.name}
-                 for user in sorted(community)))
-    _write_csv(out / "follows.csv", ["follower", "followee"], follow_edges)
+                ({"id": user, "identity_text": identity, "topic": None,
+                  "trait": a.assigned.name} for (user, a), identity
+                 in zip(bundle.assignments.items(), identities)))
+    _write_csv(out / "follows.csv", ["follower", "followee"], bundle.follows)
     _write_csv(out / "ego_edges.csv", ["src", "dst", "weight"],
-               [[s, d, w] for (s, d), w in sorted(ego.edges.items())])
-    print(f"ground bundle written to {out}: {len(community)} users, "
-          f"{len(follow_edges)} follow edges")
+               [[s, d, w] for (s, d), w in sorted(bundle.ego.edges.items())])
+    print(f"ground bundle written to {out}: {len(bundle.posts)} users, "
+          f"{len(bundle.follows)} follow edges")
     return 0
 
 

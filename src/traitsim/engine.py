@@ -57,7 +57,7 @@ from .core import (
     Trait,
     ENGAGEMENT_KINDS,
 )
-from .jsonl import read_jsonl, string, write_jsonl
+from .jsonl import read_json, read_jsonl, string, write_jsonl
 from .memory import (
     MemoryParams,
     MemoryUnit,
@@ -498,8 +498,7 @@ def run_iteration(world: WorldState, config: SimulationConfig,
 
     if iteration % config.memory.eval_period == 0:
         for agent_id in order:
-            ltm_evaluate(world.agents[agent_id].memory, iteration,
-                         config.memory)
+            ltm_evaluate(world.agents[agent_id].memory, config.memory)
     world.iteration = iteration
     return world
 
@@ -648,10 +647,7 @@ def load_run(run_dir):
         raise ValueError(f"not an artifact directory: {run_dir}")
     manifest_path = run_dir / MANIFEST
     if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as err:
-            raise ValueError(f"malformed manifest {manifest_path}: {err}")
+        manifest = read_json(manifest_path, "manifest")
         if (not isinstance(manifest, dict)
                 or manifest.get("schema_version") != SCHEMA_VERSION):
             raise ValueError(f"incompatible artifact schema_version in "

@@ -1,16 +1,17 @@
 """Empirical grounding pipeline.
 
-Ingests platform-export engagement records, builds the engagement graph,
-extracts a capped two-hop ego network around the highest-degree user,
-measures each user's empirical action distribution over discrete time slots
-(day granularity by default; empty slots count as inactivity), assigns the
-nearest behavioral archetype by Euclidean distance, and optionally infers an
-identity description from the user's original posts.
+``ground`` builds the engagement graph of platform-export records, extracts
+a capped two-hop ego network around the highest-degree user, measures each
+member's empirical action distribution over day slots (empty slots count as
+inactivity), and assigns the nearest behavioral archetype by Euclidean
+distance. ``infer_identity`` describes a user from their original posts.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from .jsonl import read_jsonl, string
 from .networks import WeightedDigraph
 
 SECONDS_PER_DAY = 86400
+IDENTITY_BUDGET_CHARS = 4000  # of joined posts in one profiling call
 
 # A record's kind is the value of the action kind it stands for. Tuples, so
 # that a kind of any JSON type is tested by equality and reported as unknown.
@@ -57,22 +59,29 @@ class PlatformRecord:
 
 
 def _parse_timestamp(value) -> float:
-    if isinstance(value, (int, float)):
+    """Epoch seconds from a finite JSON number or an ISO 8601 string."""
+    if type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, too large
+            raise ValueError(f"timestamp must be finite, "
+                             f"got {json.dumps(value)}")
         return float(value)
-    dt = datetime.fromisoformat(str(value))
+    if type(value) is not str:
+        raise TypeError(f"timestamp must be a number or an ISO 8601 string, "
+                        f"got {json.dumps(value)}")
+    dt = datetime.fromisoformat(value)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.timestamp()
 
 
 def _platform_record(obj) -> PlatformRecord:
-    obj = {"target_user": None, **obj}
+    obj = {"target_user": None, "text": None, **obj}
     return PlatformRecord(
         user=string(obj, "user"),
         kind=obj["kind"],
         timestamp=_parse_timestamp(obj["timestamp"]),
         target_user=string(obj, "target_user", nullable=True),
-        text=obj.get("text"),
+        text=string(obj, "text", nullable=True),
     )
 
 
@@ -93,7 +102,7 @@ def build_engagement_graph(records: Sequence[PlatformRecord]) -> WeightedDigraph
     return graph
 
 
-def extract_ego_network(graph: WeightedDigraph, cap: int = 1000) -> WeightedDigraph:
+def extract_ego_network(graph: WeightedDigraph, cap: int) -> WeightedDigraph:
     """Capped two-hop ego network around the max-degree node.
 
     The ego is the node with the highest total (in+out) weighted degree;
@@ -132,20 +141,17 @@ def extract_ego_network(graph: WeightedDigraph, cap: int = 1000) -> WeightedDigr
 
 def empirical_action_vector(user_records: Sequence[PlatformRecord],
                             observation_slots: int,
-                            slot_seconds: int = SECONDS_PER_DAY,
-                            origin: Optional[float] = None) -> ActionDistribution:
-    """Slot the user's records into discrete time windows and normalize.
+                            origin: float) -> ActionDistribution:
+    """Slot the user's records into days from ``origin`` and normalize.
 
     Each slot contributes one choice: its dominant category (ties broken in
     post > reshare > interact order), or inactivity when the slot is empty.
     """
     if observation_slots < 1:
         raise ValueError("need at least one observation slot")
-    if origin is None:
-        origin = min((r.timestamp for r in user_records), default=0.0)
     slots = {}
     for record in user_records:
-        index = int(math.floor((record.timestamp - origin) / slot_seconds))
+        index = int(math.floor((record.timestamp - origin) / SECONDS_PER_DAY))
         if index < 0 or index >= observation_slots:
             raise ValueError(f"record at {record.timestamp} outside the "
                              f"{observation_slots}-slot observation window")
@@ -160,14 +166,13 @@ def empirical_action_vector(user_records: Sequence[PlatformRecord],
 
 @dataclass
 class TraitAssignment:
-    user: str
     empirical_vector: ActionDistribution
     assigned: Trait
     distance: float
 
 
-def assign_trait(vector: ActionDistribution, archetypes: Optional[dict] = None,
-                 user: str = "") -> TraitAssignment:
+def assign_trait(vector: ActionDistribution,
+                 archetypes: Optional[dict] = None) -> TraitAssignment:
     """Nearest archetype by Euclidean distance; ties break in Trait enum
     order (SO < OS < OE < BP < CA < PC < IE)."""
     archetypes = archetypes or archetype_table()
@@ -178,17 +183,46 @@ def assign_trait(vector: ActionDistribution, archetypes: Optional[dict] = None,
         distance = math.sqrt(sum((a - b) ** 2 for a, b in zip(v, row)))
         if best_distance is None or distance < best_distance - 1e-12:
             best_trait, best_distance = trait, distance
-    return TraitAssignment(user, vector, best_trait, best_distance)
+    return TraitAssignment(vector, best_trait, best_distance)
 
 
-def infer_identity(user_posts: Sequence[str], backend,
-                   budget_chars: int = 4000) -> str:
+@dataclass
+class Bundle:
+    """The ego network; each member's assignment and post texts, in sorted
+    user order; and the follow edges with both ends among the members."""
+    ego: WeightedDigraph
+    assignments: dict  # user -> TraitAssignment
+    posts: dict  # user -> [text]
+    follows: list  # (follower, followee)
+
+
+def ground(records: Sequence[PlatformRecord], follow_edges, cap: int) -> Bundle:
+    """The ego network of the records' engagement graph, and each member's
+    nearest archetype to its action vector over the day slots that run from
+    the earliest record of all users to the latest."""
+    ego = extract_ego_network(build_engagement_graph(records), cap)
+    origin = min(r.timestamp for r in records)
+    slots = int((max(r.timestamp for r in records) - origin)
+                // SECONDS_PER_DAY) + 1
+    by_user = {user: [] for user in sorted(ego.nodes)}
+    for record in records:  # a non-member's records go to a throwaway list
+        by_user.get(record.user, []).append(record)
+    return Bundle(
+        ego,
+        {user: assign_trait(empirical_action_vector(own, slots, origin))
+         for user, own in by_user.items()},
+        {user: [r.text for r in own if r.kind == "post"]
+         for user, own in by_user.items()},
+        [(a, b) for a, b in follow_edges if a in ego.nodes and b in ego.nodes])
+
+
+def infer_identity(user_posts: Sequence[str], backend) -> str:
     """One profiling call over the user's concatenated original posts,
-    truncated to the character budget. No posts -> placeholder profile."""
+    truncated to ``IDENTITY_BUDGET_CHARS``. No posts -> placeholder profile."""
     posts = [p for p in user_posts if p]
     if not posts:
         return PLACEHOLDER_IDENTITY
-    joined = "\n".join(f"- {p}" for p in posts)[:budget_chars]
+    joined = "\n".join(f"- {p}" for p in posts)[:IDENTITY_BUDGET_CHARS]
     system = ("You profile social media users. Given a user's original posts, "
               "write a concise third-person description of their personality, "
               "background cues, and topical interests.")

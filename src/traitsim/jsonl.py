@@ -1,10 +1,11 @@
-"""The one reader and the one writer of line-delimited JSON.
+"""The one opener of input files, and the one reader and writer of
+line-delimited JSON.
 
-Every line-delimited input (personas, platform records, a run's
-``agents.jsonl`` and ``actions.jsonl``) is read by ``read_jsonl``, and its
-string fields are checked by ``string``. A missing or unreadable file, or a
-line that is not JSON or that the caller's ``parse`` rejects, is a
-``ValueError`` naming the file (and the line).
+Every input file (personas, platform records, follows, a config file, a
+run's ``agents.jsonl``, ``actions.jsonl`` and ``manifest.json``) is opened by
+``read_text``, and the line-delimited ones are read by ``read_jsonl``, their
+string fields checked by ``string``. A missing or unreadable file, or a line
+that does not parse, is a ``ValueError`` naming the file (and the line).
 """
 
 from __future__ import annotations
@@ -23,19 +24,41 @@ def string(d: dict, key: str, nullable: bool = False):
     return value
 
 
-def read_jsonl(path, parse, finish=lambda: None) -> list:
-    """``parse(json.loads(line))`` for each non-blank line of the file at
-    ``path``, then ``finish()``. A missing file is a ``ValueError`` saying
-    so, and any other file that cannot be read as text (a directory, bytes
-    that do not decode) one naming it. Bad JSON, or a KeyError, TypeError or
-    ValueError from ``parse`` or ``finish``, is a ``ValueError`` citing the
-    file and the 1-based line number (the last line for ``finish``)."""
+def read_text(path) -> str:
+    """The text of the file at ``path``. A missing file is a ``ValueError``
+    saying so, and any other file that cannot be read as text (a directory,
+    bytes that do not decode) one naming it."""
     try:
-        lines = Path(path).read_text().splitlines()
+        return Path(path).read_text()
     except FileNotFoundError:
         raise ValueError(f"file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as err:
         raise ValueError(f"cannot read {path}: {err}") from None
+
+
+def malformed(path, number, err) -> ValueError:
+    """The error for line ``number`` (1-based) of the file at ``path``,
+    which ``err`` rejected."""
+    return ValueError(f"malformed record in {path} line {number}: "
+                      f"{type(err).__name__}: {err}")
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at ``path`` (``read_text``); text that
+    is not JSON is a ``ValueError`` citing the ``what`` file and the line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed {what} {path} line {err.lineno}: "
+                         f"JSONDecodeError: {err.msg}") from None
+
+
+def read_jsonl(path, parse, finish=lambda: None) -> list:
+    """``parse(json.loads(line))`` for each non-blank line of the file at
+    ``path`` (``read_text``), then ``finish()``. Bad JSON, or a KeyError,
+    TypeError or ValueError from ``parse`` or ``finish``, is ``malformed``
+    at its line (the last line for ``finish``)."""
+    lines = read_text(path).splitlines()
     rows, number = [], 0
     try:
         for number, line in enumerate(lines, start=1):
@@ -43,8 +66,7 @@ def read_jsonl(path, parse, finish=lambda: None) -> list:
                 rows.append(parse(json.loads(line)))
         finish()
     except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"malformed record in {path} line {number}: "
-                         f"{type(err).__name__}: {err}") from err
+        raise malformed(path, number, err) from err
     return rows
 
 

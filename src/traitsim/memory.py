@@ -67,13 +67,6 @@ class StmEntry:
 
 
 @dataclass
-class LtmEntry:
-    content_id: int
-    engagement_score: float
-    promoted_at: int
-
-
-@dataclass
 class ActivityMemory:
     recent: deque = field(default_factory=deque)  # (iteration, kind, target)
     last_performed: dict = field(default_factory=dict)  # ActionKind -> iteration
@@ -82,7 +75,7 @@ class ActivityMemory:
 @dataclass
 class MemoryUnit:
     stm: dict = field(default_factory=dict)  # content_id -> StmEntry
-    ltm: dict = field(default_factory=dict)  # content_id -> LtmEntry
+    ltm: dict = field(default_factory=dict)  # content_id -> engagement score
     am: ActivityMemory = field(default_factory=ActivityMemory)
 
 
@@ -127,10 +120,11 @@ def stm_decay(memory: MemoryUnit, now: int,
     return memory
 
 
-def ltm_evaluate(memory: MemoryUnit, now: int,
+def ltm_evaluate(memory: MemoryUnit,
                  params: MemoryParams = MemoryParams()) -> MemoryUnit:
     """Copy the top-q quantile of STM entries (by the engagement score stored
-    when each was observed) into LTM.
+    when each was observed) into LTM, which maps each promoted content id to
+    the score of its latest promotion.
 
     At least one entry is promoted when the STM is non-empty; entries tied
     with the quantile cutoff are all promoted. Originals stay in STM until
@@ -144,12 +138,7 @@ def ltm_evaluate(memory: MemoryUnit, now: int,
     for entry in ranked:
         if entry.score < cutoff:
             break
-        existing = memory.ltm.get(entry.content_id)
-        if existing is None:
-            memory.ltm[entry.content_id] = LtmEntry(entry.content_id,
-                                                    entry.score, now)
-        else:
-            existing.engagement_score = entry.score
+        memory.ltm[entry.content_id] = entry.score
     return memory
 
 

@@ -140,10 +140,9 @@ class DecisionPrompt:
                     f"Your content [{cid}]: {entry.reshares} re-shares, "
                     f"{entry.likes} likes, {entry.dislikes} dislikes, "
                     f"{entry.comments} comments.")
-            elif (ltm_entry := ltm.get(cid)) is not None:
-                ltm_lines.append(
-                    f"Your content [{cid}] had lasting impact "
-                    f"(engagement score {ltm_entry.engagement_score:g}).")
+            elif (score := ltm.get(cid)) is not None:
+                ltm_lines.append(f"Your content [{cid}] had lasting impact "
+                                 f"(engagement score {score:g}).")
         return "\n".join(lines + ltm_lines) or "No feedback on your content yet."
 
     @cached_property

@@ -36,9 +36,8 @@ from traitsim.engine import (
 )
 from traitsim.grounding import (
     assign_trait,
-    build_engagement_graph,
-    empirical_action_vector,
     extract_ego_network,
+    ground,
     parse_records,
 )
 from traitsim.networks import (
@@ -311,18 +310,9 @@ def test_ac6_empirical_grounding(tmp_path):
 
     records_path = tmp_path / "records.jsonl"
     records_path.write_text("\n".join(_ten_user_records()) + "\n")
-    records = parse_records(records_path)
-    engagement = build_engagement_graph(records)
-    community = extract_ego_network(engagement, cap=1000).nodes
-    origin = min(r.timestamp for r in records)
-    by_user = {}
-    for r in records:
-        by_user.setdefault(r.user, []).append(r)
-    assigned = {
-        u: assign_trait(empirical_action_vector(by_user[u], 10, origin=origin),
-                        user=u).assigned
-        for u in sorted(community)
-    }
+    bundle = ground(parse_records(records_path), [], cap=1000)
+    community = bundle.ego.nodes
+    assigned = {u: a.assigned for u, a in bundle.assignments.items()}
     fixture_ok = (community == set(EXPECTED_TRAITS)
                   and assigned == EXPECTED_TRAITS)
 

@@ -379,7 +379,9 @@ class TestSimulate:
         assert main(["simulate", "--personas", str(personas_file),
                      "--follows", str(follows),
                      "--out", str(tmp_path / "x")]) == 1
-        assert "follows line 3" in capsys.readouterr().err
+        assert (f"malformed record in {follows} line 3: ValueError: expected "
+                f"follower,followee, got ['p002-SO']"
+                in capsys.readouterr().err)
 
     def test_corrupt_content_store_fails_before_writing(
             self, tmp_path, personas_file, monkeypatch, capsys):
@@ -807,7 +809,9 @@ class TestGround:
         assert main(["ground", "--records", str(records),
                      "--follows", str(follows), "--no-identity-inference",
                      "--out", str(tmp_path / "x")]) == 1
-        assert "follows line 2" in capsys.readouterr().err
+        assert (f"malformed record in {follows} line 2: ValueError: expected "
+                f"follower,followee, got ['sharer']"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     def test_malformed_record_line_is_cited(self, tmp_path, capsys):

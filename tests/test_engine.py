@@ -1106,11 +1106,11 @@ def _eager_prompt_text(profile, memory, feed, iteration, authored):
             f"Your content [{cid}]: {entry.reshares} re-shares, "
             f"{entry.likes} likes, {entry.dislikes} dislikes, "
             f"{entry.comments} comments.")
-    for cid, ltm_entry in sorted(memory.ltm.items()):
+    for cid, score in sorted(memory.ltm.items()):
         if cid in authored and not memory.stm.get(cid):
             feedback_lines.append(
                 f"Your content [{cid}] had lasting impact "
-                f"(engagement score {ltm_entry.engagement_score:g}).")
+                f"(engagement score {score:g}).")
     lines = ["## Feedback on your content",
              "\n".join(feedback_lines) or "No feedback on your content yet.",
              "", "## Your recent activity", am_summary(memory.am, iteration),

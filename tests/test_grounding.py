@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from traitsim import grounding
 from traitsim.core import ActionDistribution, Trait, archetype_table
 from traitsim.grounding import (
     PLACEHOLDER_IDENTITY,
@@ -13,6 +14,7 @@ from traitsim.grounding import (
     build_engagement_graph,
     empirical_action_vector,
     extract_ego_network,
+    ground,
     infer_identity,
     parse_records,
 )
@@ -93,6 +95,42 @@ class TestParseRecords:
         with pytest.raises(ValueError, match="poke"):
             parse_records(path)
 
+    @pytest.mark.parametrize("timestamp, cause", [
+        ("NaN", "ValueError: timestamp must be finite, got NaN"),
+        ("Infinity", "ValueError: timestamp must be finite, got Infinity"),
+        ("-Infinity", "ValueError: timestamp must be finite, got -Infinity"),
+        ("1" + "0" * 400, "ValueError: timestamp must be finite, got 1"
+                          + "0" * 400),
+        ("true", "TypeError: timestamp must be a number or an ISO 8601 "
+                 "string, got true"),
+        ("null", "TypeError: timestamp must be a number or an ISO 8601 "
+                 "string, got null"),
+        ("[0]", "TypeError: timestamp must be a number or an ISO 8601 "
+                "string, got [0]"),
+    ], ids=["nan", "infinity", "minus-infinity", "too-large", "bool", "null",
+            "list"])
+    def test_timestamp_must_be_a_finite_number_or_a_string(
+            self, tmp_path, timestamp, cause):
+        path = write_records(tmp_path, [
+            '{"user": "u1", "kind": "post", "text": "x", "timestamp": %s}'
+            % timestamp])
+        with pytest.raises(ValueError) as err:
+            parse_records(path)
+        assert str(err.value) == f"malformed record in {path} line 1: {cause}"
+
+    @pytest.mark.parametrize("text", [["x"], 5, {"x": 1}],
+                             ids=["list", "int", "object"])
+    def test_text_must_be_a_string_or_null(self, tmp_path, text):
+        path = write_records(tmp_path, [
+            {"user": "u1", "kind": "like", "timestamp": 0,
+             "target_user": "u2", "text": None},
+            {"user": "u1", "kind": "post", "timestamp": 0, "text": text}])
+        with pytest.raises(ValueError) as err:
+            parse_records(path)
+        assert str(err.value) == (
+            f"malformed record in {path} line 2: TypeError: text must be a "
+            f"string or null, got {json.dumps(text)}")
+
 
 class TestEngagementGraph:
     def test_edges_weighted_by_frequency(self):
@@ -118,7 +156,7 @@ class TestEgoNetwork:
         graph.add_edge("a", "b", 5)
         graph.add_edge("c", "b", 2)
         graph.add_edge("c", "d", 1)
-        ego = extract_ego_network(graph)
+        ego = extract_ego_network(graph, cap=1000)
         # b has total degree 7; two-hop reach covers everyone here
         assert ego.nodes == {"a", "b", "c", "d"}
 
@@ -129,7 +167,7 @@ class TestEgoNetwork:
         graph.add_edge("hub", "c", 3)
         graph.add_edge("c", "d", 1)
         graph.add_edge("d", "e", 1)
-        ego = extract_ego_network(graph)
+        ego = extract_ego_network(graph, cap=1000)
         assert ego.nodes == {"a", "hub", "c", "d"}  # e is three hops out
         assert ("d", "e") not in ego.edges
 
@@ -154,20 +192,17 @@ class TestEgoNetwork:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            extract_ego_network(WeightedDigraph())
+            extract_ego_network(WeightedDigraph(), cap=1000)
 
 
 def _reference_empirical_action_vector(user_records, observation_slots,
-                                       slot_seconds=SECONDS_PER_DAY,
-                                       origin=None):
+                                       origin):
     """``empirical_action_vector`` before it counted through
     ``core.CATEGORY``: category names written out, dominant category by
     ``max`` over them."""
-    if origin is None:
-        origin = min((r.timestamp for r in user_records), default=0.0)
     slots = {}
     for record in user_records:
-        index = int(math.floor((record.timestamp - origin) / slot_seconds))
+        index = int(math.floor((record.timestamp - origin) / DAY))
         counts = slots.setdefault(index, {"post": 0, "reshare": 0, "interact": 0})
         if record.kind == "post":
             counts["post"] += 1
@@ -187,27 +222,28 @@ def _reference_empirical_action_vector(user_records, observation_slots,
 class TestEmpiricalVector:
     def test_reshare_half_of_days(self):
         records = [record("u", "reshare", d, target="x") for d in range(5)]
-        v = empirical_action_vector(records, observation_slots=10)
+        v = empirical_action_vector(records, observation_slots=10,
+                                    origin=0.0)
         assert v.as_tuple() == (0.0, 0.5, 0.0, 0.5)
 
     def test_no_records_is_fully_inactive(self):
-        v = empirical_action_vector([], observation_slots=10)
+        v = empirical_action_vector([], observation_slots=10, origin=0.0)
         assert v.as_tuple() == (0.0, 0.0, 0.0, 1.0)
 
     def test_dominant_category_per_slot(self):
         records = [record("u", "like", 0, target="x"),
                    record("u", "like", 0, target="x"),
                    record("u", "post", 0)]
-        v = empirical_action_vector(records, observation_slots=1)
+        v = empirical_action_vector(records, observation_slots=1, origin=0.0)
         assert v.as_tuple() == (0.0, 0.0, 1.0, 0.0)
 
     def test_slot_tie_prefers_post_then_reshare(self):
         records = [record("u", "post", 0), record("u", "like", 0, target="x")]
-        v = empirical_action_vector(records, observation_slots=1)
+        v = empirical_action_vector(records, observation_slots=1, origin=0.0)
         assert v.p_post == 1.0
         records = [record("u", "reshare", 0, target="x"),
                    record("u", "like", 0, target="x")]
-        v = empirical_action_vector(records, observation_slots=1)
+        v = empirical_action_vector(records, observation_slots=1, origin=0.0)
         assert v.p_reshare == 1.0
 
     def test_dislike_and_comment_count_as_interact(self):
@@ -228,7 +264,8 @@ class TestEmpiricalVector:
         # Few days and few kinds, so that many slots tie, post with reshare
         # among them.
         records = [record("u", kind, day, target="x") for day, kind in choices]
-        for origin in (None, 0.0):
+        first = min((r.timestamp for r in records), default=0.0)
+        for origin in (first, 0.0):
             assert empirical_action_vector(records, slots, origin=origin) == \
                 _reference_empirical_action_vector(records, slots,
                                                    origin=origin)
@@ -247,7 +284,7 @@ class TestEmpiricalVector:
 class TestAssignTrait:
     def test_exact_archetypes_recover_themselves(self):
         for trait, row in archetype_table().items():
-            assignment = assign_trait(row, user="u")
+            assignment = assign_trait(row)
             assert assignment.assigned is trait
             assert assignment.distance == pytest.approx(0.0)
 
@@ -264,6 +301,43 @@ class TestAssignTrait:
         assignment = assign_trait(ActionDistribution(0.5, 0.0, 0.0, 0.5),
                                   archetypes=archetypes)
         assert assignment.assigned is Trait.SO
+
+
+class TestGround:
+    def test_slots_run_from_the_earliest_record_of_all_users(self):
+        """b's likes fall one day apart from a's post, so they take two
+        slots, though they lie within a day of each other."""
+        records = [PlatformRecord("a", "post", 100, text="hi"),
+                   PlatformRecord("b", "like", DAY + 50, target_user="a"),
+                   PlatformRecord("b", "like", 2 * DAY, target_user="a")]
+        assignments = ground(records, [], cap=1000).assignments
+        assert assignments["a"].empirical_vector.as_tuple() == (0.5, 0, 0, 0.5)
+        assert assignments["b"].empirical_vector.as_tuple() == (0, 0, 1, 0)
+
+    def test_bundle_holds_the_members_in_sorted_order(self):
+        records = [record("hub", "post", 0, text="hello"),
+                   record("zed", "like", 0, target="hub"),
+                   record("amy", "comment", 1, target="hub", text="nice"),
+                   record("amy", "post", 1, text="mine"),
+                   record("amy", "like", 1, target="ghost")]
+        bundle = ground(records, [("amy", "hub"), ("hub", "stranger"),
+                                  ("zed", "amy")], cap=1000)
+        assert bundle.ego.nodes == {"amy", "ghost", "hub", "zed"}
+        assert list(bundle.assignments) == ["amy", "ghost", "hub", "zed"]
+        assert bundle.posts == {"amy": ["mine"], "ghost": [],
+                                "hub": ["hello"], "zed": []}
+        assert bundle.assignments["ghost"].assigned is Trait.SO
+        assert bundle.follows == [("amy", "hub"), ("zed", "amy")]
+
+    def test_cap_bounds_the_members(self):
+        records = [record(f"u{i}", "like", 0, target="hub") for i in range(5)]
+        bundle = ground(records, [("u0", "hub"), ("u4", "hub")], cap=2)
+        assert list(bundle.assignments) == ["hub", "u0", "u1"]
+        assert bundle.follows == [("u0", "hub")]
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            ground([], [], cap=1000)
 
 
 class _EchoBackend:
@@ -288,7 +362,8 @@ class TestInferIdentity:
         assert len(backend.calls) == 1
         assert "I love jazz" in backend.calls[0][1]
 
-    def test_character_budget_truncates(self):
+    def test_character_budget_truncates(self, monkeypatch):
+        monkeypatch.setattr(grounding, "IDENTITY_BUDGET_CHARS", 100)
         backend = _EchoBackend()
-        infer_identity(["x" * 10_000], backend, budget_chars=100)
+        infer_identity(["x" * 10_000], backend)
         assert len(backend.calls[0][1]) < 400

@@ -1,20 +1,21 @@
-"""Every line-delimited input (personas, platform records, a run's
-``agents.jsonl`` and ``actions.jsonl``) is read by ``jsonl.read_jsonl``: a
-malformed line is a ValueError citing ``<path> line <n>:``, a missing file
-one ending ``not found: <path>``, and a file that cannot be read as text (a
-directory, undecodable bytes) one naming the file, whichever reader meets
-it."""
+"""Every input file (personas, platform records, follows, a config file, a
+run's ``agents.jsonl``, ``actions.jsonl`` and ``manifest.json``) is opened
+by ``jsonl.read_text``: a malformed line is a ValueError citing
+``<path> line <n>:``, a missing file one ending ``not found: <path>``, and a
+file that cannot be read as text (a directory, undecodable bytes) one naming
+the file, whichever reader meets it."""
 
 import json
 
 import pytest
 
-from traitsim.cli import read_personas
+from traitsim.cli import load_config, read_follows, read_personas
 from traitsim.engine import (
     SimulationConfig,
     load_run,
     run_simulation,
     write_artifacts,
+    write_manifest,
 )
 from traitsim.grounding import parse_records
 from traitsim.jsonl import string
@@ -35,23 +36,41 @@ def well_formed_input(tmp_path, reader):
             {"user": user, "kind": "post", "timestamp": 0, "text": "x"})
             + "\n" for user in ("u1", "u2")))
         return path, lambda: parse_records(path)
+    if reader == "follows":
+        path = tmp_path / "follows.csv"
+        path.write_text("follower,followee\na,b\n")
+        return path, lambda: read_follows(path)
+    if reader == "config":
+        path = tmp_path / "config.json"
+        path.write_text('{"iterations": 2}\n')
+        return path, lambda: load_config(path)
     run = tmp_path / "run"
-    write_artifacts(run_simulation(SimulationConfig(iterations=2),
-                                   make_personas(2)), run)
+    config = SimulationConfig(iterations=2)
+    world = run_simulation(config, make_personas(2))
+    write_artifacts(world, run)
+    if reader == "manifest":
+        write_manifest(world, config, run, {"type": "stub"}, [])
+        return run / "manifest.json", lambda: load_run(run)
     return run / f"{reader}.jsonl", lambda: load_run(run)
 
 
-@pytest.mark.parametrize("fault", ["malformed-line", "missing-file",
-                                   "directory", "binary-file"])
-@pytest.mark.parametrize("reader", ["personas", "records", "agents",
-                                    "actions"])
+READERS = ["personas", "records", "follows", "config", "agents", "actions",
+           "manifest"]
+FAULTS = ["malformed-line", "missing-file", "directory", "binary-file"]
+
+
+# A run without manifest.json is read without the schema check, so a missing
+# manifest is no fault.
+@pytest.mark.parametrize("reader, fault", [
+    (reader, fault) for reader in READERS for fault in FAULTS
+    if (reader, fault) != ("manifest", "missing-file")])
 def test_every_reader_cites_the_file(tmp_path, reader, fault):
     path, read = well_formed_input(tmp_path, reader)
     read()
     if fault == "malformed-line":
         path.write_text(path.read_text() + "{oops\n")
-        cited = (f"{path} line {len(path.read_text().splitlines())}: "
-                 f"JSONDecodeError: ")
+        cause = "ValueError" if reader == "follows" else "JSONDecodeError"
+        cited = f"{path} line {len(path.read_text().splitlines())}: {cause}: "
     elif fault == "missing-file":
         path.unlink()
         cited = f"not found: {path}"

@@ -147,9 +147,9 @@ class TestShortTermMemory:
         assert set(memory.stm) == {1, 3}
         assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
         items[3].counters.likes = 9  # after the observe: not in the score
-        ltm_evaluate(memory, now=5, params=params)
+        ltm_evaluate(memory, params=params)
         assert set(memory.ltm) == {1}
-        assert memory.ltm[1].engagement_score == 2.0
+        assert memory.ltm[1] == 2.0
 
 
 class TestLongTermMemory:
@@ -157,39 +157,37 @@ class TestLongTermMemory:
         memory = MemoryUnit()
         for cid in range(10):
             memory.stm[cid] = StmEntry(cid, score=float(cid))
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         assert set(memory.ltm) == {9}
-        assert memory.ltm[9].engagement_score == pytest.approx(9.0)
-        assert memory.ltm[9].promoted_at == 5
+        assert memory.ltm[9] == pytest.approx(9.0)
 
     def test_at_least_one_promoted(self):
         memory = MemoryUnit()
         memory.stm[1] = StmEntry(1, score=0.0)
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         assert set(memory.ltm) == {1}
 
     def test_cutoff_ties_all_promoted(self):
         memory = MemoryUnit()
         for cid in range(10):
             memory.stm[cid] = StmEntry(cid, score=7.0)
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         assert set(memory.ltm) == set(range(10))
 
     def test_empty_stm_is_a_noop(self):
         memory = MemoryUnit()
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         assert not memory.ltm
 
     def test_never_evicts_and_updates_scores(self):
         memory = MemoryUnit()
         memory.stm[1] = StmEntry(1, score=3.0)
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         del memory.stm[1]
         memory.stm[2] = StmEntry(2, score=8.0)
         memory.stm[1] = StmEntry(1, score=9.0)
-        ltm_evaluate(memory, now=10)
-        assert 1 in memory.ltm and memory.ltm[1].engagement_score == 9.0
-        assert memory.ltm[1].promoted_at == 5  # original promotion stamp kept
+        ltm_evaluate(memory)
+        assert 1 in memory.ltm and memory.ltm[1] == 9.0
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
@@ -197,7 +195,7 @@ class TestLongTermMemory:
         memory = MemoryUnit()
         for cid, likes in enumerate(likes_list):
             memory.stm[cid] = StmEntry(cid, score=float(likes))
-        ltm_evaluate(memory, now=5)
+        ltm_evaluate(memory)
         promoted = {likes_list[cid] for cid in memory.ltm}
         rest = [likes_list[cid] for cid in memory.stm if cid not in memory.ltm]
         assert memory.ltm
