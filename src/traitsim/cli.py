@@ -168,18 +168,35 @@ def _overlay(section: dict, args, keys) -> dict:
     return {**section, **given}
 
 
-def _make_backend(backend_cfg: dict):
-    if backend_cfg.get("type", "stub") == "stub":
-        return StubBackend()
+def _endpoint_config(backend_cfg: dict) -> EndpointConfig:
+    """The llm backend's checked settings; no connection is made."""
     if not backend_cfg.get("endpoint") or not backend_cfg.get("model"):
         raise CliError("llm backend requires 'endpoint' and 'model'")
     try:
         _check_endpoint_url(backend_cfg["endpoint"])
-        endpoint = EndpointConfig(**{key: value for key, value
-                                     in backend_cfg.items() if key != "type"})
+        return EndpointConfig(**{key: value for key, value
+                                 in backend_cfg.items() if key != "type"})
     except ValueError as err:  # each message starts with the setting's name
         raise CliError(f"invalid 'backend.{str(err).split()[0]}': {err}")
-    return LLMBackend(endpoint)
+
+
+def _make_backend(backend_cfg: dict):
+    if backend_cfg.get("type", "stub") == "stub":
+        return StubBackend()
+    return LLMBackend(_endpoint_config(backend_cfg))
+
+
+def _out_dir(out: str) -> Path:
+    """``--out`` as a path, once it is known that the directory can be made
+    there: the nearest of it and its parents that exists is a directory.
+    A dangling symlink exists here, as ``mkdir`` would find it."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents)
+                    if p.is_symlink() or p.exists())
+    if not existing.is_dir():
+        raise CliError(f"--out {out}: {existing} exists and is not a "
+                       f"directory")
+    return path
 
 
 def _check_endpoint_url(url: str) -> None:
@@ -230,7 +247,7 @@ def cmd_simulate(args) -> int:
     except ValueError as err:
         raise CliError(f"cannot build the population: {err}")
 
-    out = Path(args.out)
+    out = _out_dir(args.out)
     backend = _make_backend(backend_cfg)
     failure = None
     try:
@@ -377,6 +394,9 @@ def cmd_ground(args) -> int:
     if not args.no_identity_inference and not (args.endpoint and args.model):
         raise CliError("identity inference requires --endpoint and --model "
                        "(or pass --no-identity-inference)")
+    endpoint = None if args.no_identity_inference else _endpoint_config(
+        _overlay({}, args, _BACKEND_KEYS))
+    out = _out_dir(args.out)
     records_path = Path(args.records)
     try:
         records = parse_records(records_path)
@@ -391,10 +411,10 @@ def cmd_ground(args) -> int:
         raise CliError(f"cannot extract the ego network: {err}")
 
     identities = [PLACEHOLDER_IDENTITY] * len(bundle.posts)
-    if not args.no_identity_inference:
+    if endpoint is not None:
         # One profiling call per user with posts, on the backend's pool;
         # results come back in sorted-user order at any concurrency.
-        backend = _make_backend(_overlay({"type": "llm"}, args, _BACKEND_KEYS))
+        backend = LLMBackend(endpoint)
         try:
             identities = backend.map(
                 lambda posts: infer_identity(posts, backend),
@@ -405,7 +425,6 @@ def cmd_ground(args) -> int:
         finally:
             backend.close()
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "assignments.csv",
                ["user", *VECTOR_COLUMNS, "trait", "distance"],

@@ -28,6 +28,11 @@ class Trait(Enum):
     PC = "Proactive Contributor"
     IE = "Interactive Enthusiast"
 
+    # ``Enum.__hash__`` hashes the name in Python on every dict or set
+    # lookup; the identity hash is as stable, since members are singletons,
+    # and no less deterministic, since string hashes vary by process too.
+    __hash__ = object.__hash__
+
     @property
     def code(self) -> str:
         return self.name
@@ -124,6 +129,8 @@ class ActionKind(Enum):
     FOLLOW = "follow"
     INACTIVE = "inactive"
 
+    __hash__ = object.__hash__  # as for Trait
+
 
 ENGAGEMENT_KINDS = frozenset(
     {ActionKind.RESHARE, ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT}
@@ -141,6 +148,8 @@ class Order(Enum):
     FIRST = "first_order"
     SECOND = "second_order"
     NA = "not_applicable"
+
+    __hash__ = object.__hash__  # as for Trait
 
 
 @dataclass
@@ -279,6 +288,6 @@ def archetype_table() -> dict:
         name, *values = line.split()
         table[Trait[name]] = ActionDistribution(*(float(v) for v in values))
     if set(table) != set(Trait):
-        missing = set(Trait) - set(table)
+        missing = sorted(t.name for t in set(Trait) - set(table))
         raise ValueError(f"archetype asset missing rows for {missing}")
     return table

@@ -468,37 +468,39 @@ def run_iteration(world: WorldState, config: SimulationConfig,
     """
     iteration = world.iteration + 1
     order = world.agent_order()
+    params, seed = config.memory, config.master_seed
+    strategy, k = config.recommender_strategy, config.feed_size
+    oldest = iteration - params.decay_horizon  # own items before it are stale
 
     def decision_step(agent_id: str) -> Decision:
         agent = world.agents[agent_id]
-        stm_decay(agent.memory, iteration, config.memory)
-        feed_rng = (agent_rng(config.master_seed, iteration, agent.index, 0)
-                    if config.recommender_strategy == "random" else None)
-        feed = recommend_feed(agent, world, config.recommender_strategy,
-                              config.feed_size, feed_rng)
+        memory = agent.memory
+        stm_decay(memory, iteration, params)
+        feed_rng = (agent_rng(seed, iteration, agent.index, 0)
+                    if strategy == "random" else None)
+        feed = recommend_feed(agent, world, strategy, k, feed_rng)
         for item in feed:
-            stm_observe(agent.memory, item, iteration, config.memory)
+            stm_observe(memory, item, iteration, params)
         own = world.authored.get(agent_id, ())
         for cid in reversed(own):  # newest first, up to the first stale item
             item = world.content[cid]
-            if iteration - item.iteration_created > config.memory.decay_horizon:
+            if item.iteration_created < oldest:
                 break
-            stm_observe(agent.memory, item, iteration, config.memory)
-        prompt = build_prompt(agent.profile, agent.memory, feed, iteration, own)
+            stm_observe(memory, item, iteration, params)
+        prompt = build_prompt(agent.profile, memory, feed, iteration, own)
         return decide(prompt, backend,
-                      agent_rng(config.master_seed, iteration, agent.index, 1))
+                      agent_rng(seed, iteration, agent.index, 1))
 
     decisions = list(getattr(backend, "map", map)(decision_step, order))
 
     for agent_id, decision in zip(order, decisions):
         agent = world.agents[agent_id]
         apply_action(world, agent, decision, iteration)
-        am_record(agent.memory.am, world.log[-1].action, iteration,
-                  config.memory)
+        am_record(agent.memory.am, world.log[-1].action, iteration, params)
 
-    if iteration % config.memory.eval_period == 0:
+    if iteration % params.eval_period == 0:
         for agent_id in order:
-            ltm_evaluate(world.agents[agent_id].memory, config.memory)
+            ltm_evaluate(world.agents[agent_id].memory, params)
     world.iteration = iteration
     return world
 

@@ -12,8 +12,18 @@ promotion, is
 
     w_reshare * reshares + w_like * likes - w_dislike * dislikes
 
-over the item's counters when it is observed. Comments are counted in the
-entry (the feedback section shows them) but do not enter the score.
+over the item's counters when ``stm_observe`` sees it. Comments are counted
+in the entry (the feedback section shows them) but do not enter the score.
+
+The STM dict is kept in touch order: an observe pops the item's entry and
+inserts the new one last. Observes come with a non-decreasing ``now``, so
+the entries' ``last_touched`` never decreases along the dict, and the stale
+entries ``stm_decay`` drops are a prefix of it; decay reads those entries
+and the first fresh one, O(1) when nothing is stale. Eviction removes the
+entry with the lowest score, then the least recently touched, then the
+lowest ``seq``: the order in which the ids entered the buffer, which a
+refresh keeps. An ``StmEntry`` leads with those three fields, so ``min``
+compares entries as tuples.
 
 All three components start empty. LTM never evicts within a run.
 """
@@ -23,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
 from .core import Action, ActionKind, ContentItem
 
@@ -55,15 +65,15 @@ class MemoryParams:
                                  f"{getattr(self, name)}")
 
 
-@dataclass(slots=True)
-class StmEntry:
+class StmEntry(NamedTuple):
+    score: float  # engagement score, fixed when the entry is observed
+    last_touched: int
+    seq: int  # when the id entered the buffer; a refresh keeps it
     content_id: int
     reshares: int = 0
     likes: int = 0
     dislikes: int = 0
     comments: int = 0
-    score: float = 0.0  # engagement score, fixed when the entry is observed
-    last_touched: int = 0
 
 
 @dataclass
@@ -74,49 +84,57 @@ class ActivityMemory:
 
 @dataclass
 class MemoryUnit:
-    stm: dict = field(default_factory=dict)  # content_id -> StmEntry
+    stm: dict = field(default_factory=dict)  # id -> StmEntry, touch order
     ltm: dict = field(default_factory=dict)  # content_id -> engagement score
     am: ActivityMemory = field(default_factory=ActivityMemory)
+    seq: int = 0  # the last StmEntry.seq handed out
 
 
-def engagement_score(entry, params: MemoryParams = MemoryParams()) -> float:
-    """w_reshare*reshares + w_like*likes - w_dislike*dislikes, over any
-    object with those three counters (an ``StmEntry``, a ``Counters``)."""
-    return (params.w_reshare * entry.reshares + params.w_like * entry.likes
-            - params.w_dislike * entry.dislikes)
-
-
-# Lowest score first, then least recently touched; on equal keys ``min``
-# keeps the first entry in the buffer's insertion order.
-_EVICTION_KEY = attrgetter("score", "last_touched")
-_SCORE = attrgetter("score")
+# ``StmEntry(...)`` runs a Python-level ``__new__``; this builds the same
+# tuple in C.
+_new_tuple = tuple.__new__
 
 
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
                 params: MemoryParams = MemoryParams()) -> MemoryUnit:
-    """Insert or refresh the STM entry for ``content`` with current counters.
+    """Insert or refresh the STM entry for ``content`` with current counters,
+    as the newest entry in touch order.
 
     The entry's engagement score is computed here, once, from the counters
-    the item has now. When the buffer would exceed capacity, the lowest-score
-    entry is evicted (the least recently touched on a tie).
+    the item has now. When the buffer would exceed capacity, the lowest
+    entry by (score, last touched, seq) is evicted. ``now`` must not be
+    below that of an earlier observe.
     """
     c = content.counters
-    memory.stm[content.content_id] = StmEntry(
-        content.content_id, c.reshares, c.likes, c.dislikes, c.comments,
-        engagement_score(c, params), now)
-    while len(memory.stm) > params.stm_capacity:
-        victim = min(memory.stm.values(), key=_EVICTION_KEY)
-        del memory.stm[victim.content_id]
+    cid = content.content_id
+    stm = memory.stm
+    old = stm.pop(cid, None)
+    if old is None:
+        memory.seq = seq = memory.seq + 1
+    else:
+        seq = old.seq
+    stm[cid] = _new_tuple(StmEntry, (
+        params.w_reshare * c.reshares + params.w_like * c.likes
+        - params.w_dislike * c.dislikes,
+        now, seq, cid, c.reshares, c.likes, c.dislikes, c.comments))
+    while len(stm) > params.stm_capacity:
+        del stm[min(stm.values()).content_id]
     return memory
 
 
 def stm_decay(memory: MemoryUnit, now: int,
               params: MemoryParams = MemoryParams()) -> MemoryUnit:
-    """Drop every STM entry older than the decay horizon."""
-    stale = [cid for cid, e in memory.stm.items()
-             if now - e.last_touched > params.decay_horizon]
+    """Drop every STM entry older than the decay horizon: the prefix of the
+    touch order touched before ``now - decay_horizon``."""
+    stm = memory.stm
+    oldest = now - params.decay_horizon
+    stale = []
+    for cid, entry in stm.items():
+        if entry.last_touched >= oldest:
+            break
+        stale.append(cid)
     for cid in stale:
-        del memory.stm[cid]
+        del stm[cid]
     return memory
 
 
@@ -130,15 +148,15 @@ def ltm_evaluate(memory: MemoryUnit,
     with the quantile cutoff are all promoted. Originals stay in STM until
     they decay.
     """
-    if not memory.stm:
+    stm = memory.stm
+    if not stm:
         return memory
-    ranked = sorted(memory.stm.values(), key=_SCORE, reverse=True)
-    take = max(1, math.ceil(params.promotion_quantile * len(ranked)))
-    cutoff = ranked[take - 1].score
-    for entry in ranked:
-        if entry.score < cutoff:
-            break
-        memory.ltm[entry.content_id] = entry.score
+    scores = sorted([entry.score for entry in stm.values()], reverse=True)
+    cutoff = scores[max(1, math.ceil(params.promotion_quantile
+                                     * len(scores))) - 1]
+    for entry in stm.values():
+        if entry.score >= cutoff:
+            memory.ltm[entry.content_id] = entry.score
     return memory
 
 

@@ -38,6 +38,7 @@ import re
 import select
 import threading
 import time
+from bisect import bisect_right
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -350,41 +351,40 @@ def surrogate_distribution(trait) -> tuple:
     return archetype_table()[trait].as_tuple()
 
 
-def _choice_cdf(p) -> np.ndarray:
+def _choice_cdf(p) -> tuple:
     """The cumulative distribution that ``Generator.choice(len(p), p=p)``
-    builds and searches."""
+    builds and searches, as a tuple of the same float64 values."""
     out = np.cumsum(p, dtype=float)
     out /= out[-1]
-    return out
+    return tuple(out.tolist())
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+def _draw(cdf: tuple, rng: np.random.Generator) -> int:
     """numpy's own inverse-CDF draw for ``choice`` with ``p``: the same index
     and the same generator state as ``rng.choice(len(p), p=p)``, without the
-    checks ``choice`` makes on ``p``. The stub needs none of them: every
-    archetype row passes ``ActionDistribution.__post_init__`` (components in
-    [0, 1] that sum to 1) and the surrogates and ``INTERACT_SPLIT`` are
-    constants."""
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    checks ``choice`` makes on ``p``. ``bisect_right`` finds the index that
+    ``searchsorted(side="right")`` does, without building an array. The stub
+    needs none of the checks: every archetype row passes
+    ``ActionDistribution.__post_init__`` (components in [0, 1] that sum to 1)
+    and the surrogates and ``INTERACT_SPLIT`` are constants."""
+    return bisect_right(cdf, rng.random())
 
 
 _INTERACT_CDF = _choice_cdf(INTERACT_SPLIT)
 
 
 @lru_cache(maxsize=None)
-def _category_cdf(trait, has_feed: bool) -> Optional[np.ndarray]:
-    """The read-only CDF ``stub_decide`` draws a category from, or ``None``
-    when no category is feasible: the trait's row, with re-share and interact
-    masked out for an empty feed, renormalized."""
+def _category_cdf(trait, has_feed: bool) -> Optional[tuple]:
+    """The CDF ``stub_decide`` draws a category from, or ``None`` when no
+    category is feasible: the trait's row, with re-share and interact masked
+    out for an empty feed, renormalized."""
     row = np.asarray(surrogate_distribution(trait), dtype=float)
     if not has_feed:
         row = row * np.array([1.0, 0.0, 0.0, 1.0])
     total = row.sum()
     if total <= 0:
         return None
-    cdf = _choice_cdf(row / total)
-    cdf.flags.writeable = False
-    return cdf
+    return _choice_cdf(row / total)
 
 
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],

@@ -444,11 +444,50 @@ class TestSimulate:
         assert repr(url) in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["file", "file/run"])
+    def test_out_that_cannot_be_a_directory_fails_before_the_run(
+            self, tmp_path, personas_file, blocking_file, monkeypatch, capsys,
+            out):
+        monkeypatch.setattr(cli, "run_simulation", must_not_run)
+        out = tmp_path / out
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_A_DIRECTORY.format(
+            out=out, file=blocking_file)
+        assert blocking_file.read_text() == "kept\n"
+
+    def test_out_that_is_a_dangling_symlink_fails_before_the_run(
+            self, tmp_path, personas_file, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_simulation", must_not_run)
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing")
+        assert main(["simulate", "--personas", str(personas_file),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_A_DIRECTORY.format(
+            out=out, file=out)
+        assert out.is_symlink() and not out.exists()
+
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):
         assert main(["simulate", "--personas", str(personas_file),
                      "--backend", "llm", "--out", str(tmp_path / "x")]) == 1
         assert "endpoint" in capsys.readouterr().err
+
+
+NOT_A_DIRECTORY = "error: --out {out}: {file} exists and is not a directory\n"
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran although an argument was invalid")
+
+
+@pytest.fixture
+def blocking_file(tmp_path):
+    """A regular file where an ``--out`` directory, or its parent, would
+    go; the name the error cites."""
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    return path
 
 
 def read_csv(path):
@@ -850,6 +889,26 @@ class TestGround:
         assert err.startswith("error: invalid 'backend.endpoint': endpoint "
                               "must be an http")
         assert not out.exists()
+
+    @pytest.mark.parametrize("out, flags, error", [
+        ("file", ["--no-identity-inference"], NOT_A_DIRECTORY),
+        ("file/bundle", ["--no-identity-inference"], NOT_A_DIRECTORY),
+        ("bundle", ["--endpoint", "not-a-url", "--model", "m"],
+         "error: invalid 'backend.endpoint': endpoint must be an http")],
+        ids=["out-is-a-file", "out-under-a-file", "malformed-endpoint"])
+    def test_invalid_argument_fails_before_the_pipeline(
+            self, tmp_path, blocking_file, monkeypatch, capsys, out, flags,
+            error):
+        records = ground_records(tmp_path)
+        monkeypatch.setattr(cli, "parse_records", must_not_run)
+        monkeypatch.setattr(cli, "ground", must_not_run)
+        out = tmp_path / out
+        assert main(["ground", "--records", str(records), *flags,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            error.format(out=out, file=blocking_file))
+        assert blocking_file.read_text() == "kept\n"
+        assert not (tmp_path / "bundle").exists()
 
     def test_identity_inference_needs_endpoint(self, tmp_path, capsys):
         records = ground_records(tmp_path)

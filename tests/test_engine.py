@@ -2,7 +2,11 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from traitsim.core import (
     Order,
     Trait,
 )
+import traitsim
 from traitsim import engine
 from traitsim.engine import (
     CONFIGURATIONS,
@@ -981,19 +986,46 @@ class TestGoldenDigests:
         },
     }
 
-    @pytest.mark.parametrize("configuration", sorted(GOLDEN))
-    def test_artifacts_match_recorded_digests(self, configuration, tmp_path):
+    # Every agent's final STM, LTM and AM after the FullModel run, recorded
+    # before STM entries carried their eviction key. Stub artifacts cannot
+    # see memory, so this is the stub path's one whole-run memory check.
+    MEMORY = "2497fddd8a72168a60e784b3e75eab837086bc18c62582156e8af13665c71328"
+
+    @staticmethod
+    def run(configuration):
         personas = make_personas(6)  # 42 agents
         cfg = config(configuration=configuration, iterations=6, master_seed=17)
         order = init_population(personas, cfg).agent_order()
         edges = [(a, order[(i + step) % len(order)])
                  for i, a in enumerate(order) for step in (1, 5, 11)]
-        world = run_simulation(cfg, personas, initial_world=init_population(
+        return run_simulation(cfg, personas, initial_world=init_population(
             personas, cfg, follow_edges=edges))
+
+    @pytest.mark.parametrize("configuration", sorted(GOLDEN))
+    def test_artifacts_match_recorded_digests(self, configuration, tmp_path):
+        world = self.run(configuration)
         write_artifacts(world, tmp_path)
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN[configuration]}
         assert digests == self.GOLDEN[configuration]
+
+    def test_memories_match_recorded_digest(self):
+        world = self.run("FullModel")
+        digest = hashlib.sha256()
+        for agent_id in world.agent_order():
+            memory = world.agents[agent_id].memory
+            digest.update(json.dumps([
+                agent_id,
+                sorted((e.content_id, e.reshares, e.likes, e.dislikes,
+                        e.comments, e.score, e.last_touched)
+                       for e in memory.stm.values()),
+                sorted(memory.ltm.items()),
+                [(it, kind.value, target)
+                 for it, kind, target in memory.am.recent],
+                sorted((kind.value, it)
+                       for kind, it in memory.am.last_performed.items()),
+            ]).encode() + b"\n")
+        assert digest.hexdigest() == self.MEMORY
 
 
 class PromptHashBackend:
@@ -1057,6 +1089,35 @@ class TestLLMPathGoldenDigests:
         assert backend.calls == world.iteration * len(world.agents)
         assert backend.prompts.hexdigest() == self.PROMPTS
         assert digests == self.GOLDEN
+
+
+class TestHashSeedIndependence:
+    """The golden LLM-path run gives its recorded prompt and artifact digests
+    under two string-hash seeds, so no set of strings orders anything an LLM
+    backend reads or the log holds. The enums hash by identity, which the
+    hash seed does not change; their safety rests on no output iterating a
+    set of enums (the one place that did, `archetype_table`'s error
+    message, sorts the names)."""
+
+    CODE = ("import sys; from test_engine import llm_path_run, write_artifacts; "
+            "from traitsim.memory import MemoryParams; "
+            "backend, world = llm_path_run(MemoryParams()); "
+            "write_artifacts(world, sys.argv[1]); "
+            "print(backend.prompts.hexdigest())")
+
+    def test_recorded_digests_under_two_hash_seeds(self, tmp_path):
+        path = os.pathsep.join([str(Path(traitsim.__file__).parents[1]),
+                                str(Path(__file__).parent)])
+        golden = TestLLMPathGoldenDigests
+        for seed in ("0", "1"):
+            run = subprocess.run(
+                [sys.executable, "-c", self.CODE, str(tmp_path / seed)],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True, timeout=120)
+            assert run.stdout == golden.PROMPTS + "\n"
+            assert {name: hashlib.sha256(
+                (tmp_path / seed / name).read_bytes()).hexdigest()
+                for name in golden.GOLDEN} == golden.GOLDEN
 
 
 def llm_path_run(memory: MemoryParams):

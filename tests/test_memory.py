@@ -1,5 +1,8 @@
+import math
+from collections import deque
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from traitsim.core import Action, ActionKind, ContentItem, Counters
 from traitsim.memory import (
@@ -9,7 +12,6 @@ from traitsim.memory import (
     StmEntry,
     am_record,
     am_summary,
-    engagement_score,
     ltm_evaluate,
     stm_decay,
     stm_observe,
@@ -44,13 +46,28 @@ class TestMemoryParams:
         assert params.decay_horizon == 0
 
 
+def entry(cid, score=0.0, last_touched=0):
+    """An STM entry as a test puts it into the buffer by hand: ``seq`` is the
+    content id, so ids inserted in ascending order keep the buffer's
+    entry order."""
+    return StmEntry(score=score, last_touched=last_touched, seq=cid,
+                    content_id=cid)
+
+
 class TestEngagementScore:
+    """The score is defined once, in ``stm_observe``."""
+
     def test_weighted_combination(self):
-        entry = StmEntry(1, reshares=3, likes=2, dislikes=1)
-        assert engagement_score(entry) == pytest.approx(2 * 3 + 2 - 1)
+        memory = MemoryUnit()
+        stm_observe(memory, make_item(1, reshares=3, likes=2, dislikes=1),
+                    now=1)
+        assert memory.stm[1].score == pytest.approx(2 * 3 + 2 - 1)
 
     def test_comments_do_not_enter_the_score(self):
-        assert engagement_score(StmEntry(1, comments=4)) == 0.0
+        memory = MemoryUnit()
+        stm_observe(memory, make_item(1, comments=["a", "b", "c", "d"]), now=1)
+        assert memory.stm[1].comments == 4
+        assert memory.stm[1].score == 0.0
         memory = MemoryUnit()
         stm_observe(memory, make_item(1, likes=1, comments=["awful", "great"]),
                     now=1)
@@ -58,12 +75,16 @@ class TestEngagementScore:
         assert memory.stm[1].score == 1.0
 
     def test_stm_entries_have_no_instance_dict(self):
-        assert not hasattr(StmEntry(1), "__dict__")
+        memory = MemoryUnit()
+        stm_observe(memory, make_item(1), now=1)
+        assert not hasattr(memory.stm[1], "__dict__")
 
     def test_custom_weights(self):
-        entry = StmEntry(1, reshares=1, likes=1, dislikes=2)
+        memory = MemoryUnit()
         params = MemoryParams(w_reshare=5.0, w_like=0.5, w_dislike=0.25)
-        assert engagement_score(entry, params) == pytest.approx(5.0)
+        stm_observe(memory, make_item(1, reshares=1, likes=1, dislikes=2),
+                    now=1, params=params)
+        assert memory.stm[1].score == pytest.approx(5.0)
 
 
 class TestShortTermMemory:
@@ -112,13 +133,13 @@ class TestShortTermMemory:
     def test_decay_drops_entries_past_horizon(self):
         memory = MemoryUnit()
         for cid, touched in ((1, 1), (2, 4), (3, 5)):
-            memory.stm[cid] = StmEntry(cid, score=0.0, last_touched=touched)
+            memory.stm[cid] = entry(cid, last_touched=touched)
         stm_decay(memory, now=8)
         assert set(memory.stm) == {3}
 
     def test_decay_keeps_everything_within_horizon(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1, score=0.0, last_touched=5)
+        memory.stm[1] = entry(1, last_touched=5)
         stm_decay(memory, now=8)
         assert set(memory.stm) == {1}
 
@@ -156,21 +177,21 @@ class TestLongTermMemory:
     def test_promotes_top_quantile(self):
         memory = MemoryUnit()
         for cid in range(10):
-            memory.stm[cid] = StmEntry(cid, score=float(cid))
+            memory.stm[cid] = entry(cid, score=float(cid))
         ltm_evaluate(memory)
         assert set(memory.ltm) == {9}
         assert memory.ltm[9] == pytest.approx(9.0)
 
     def test_at_least_one_promoted(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1, score=0.0)
+        memory.stm[1] = entry(1)
         ltm_evaluate(memory)
         assert set(memory.ltm) == {1}
 
     def test_cutoff_ties_all_promoted(self):
         memory = MemoryUnit()
         for cid in range(10):
-            memory.stm[cid] = StmEntry(cid, score=7.0)
+            memory.stm[cid] = entry(cid, score=7.0)
         ltm_evaluate(memory)
         assert set(memory.ltm) == set(range(10))
 
@@ -181,11 +202,11 @@ class TestLongTermMemory:
 
     def test_never_evicts_and_updates_scores(self):
         memory = MemoryUnit()
-        memory.stm[1] = StmEntry(1, score=3.0)
+        memory.stm[1] = entry(1, score=3.0)
         ltm_evaluate(memory)
         del memory.stm[1]
-        memory.stm[2] = StmEntry(2, score=8.0)
-        memory.stm[1] = StmEntry(1, score=9.0)
+        memory.stm[2] = entry(2, score=8.0)
+        memory.stm[1] = entry(1, score=9.0)
         ltm_evaluate(memory)
         assert 1 in memory.ltm and memory.ltm[1] == 9.0
 
@@ -194,7 +215,7 @@ class TestLongTermMemory:
     def test_promoted_scores_dominate_the_rest(self, likes_list):
         memory = MemoryUnit()
         for cid, likes in enumerate(likes_list):
-            memory.stm[cid] = StmEntry(cid, score=float(likes))
+            memory.stm[cid] = entry(cid, score=float(likes))
         ltm_evaluate(memory)
         promoted = {likes_list[cid] for cid in memory.ltm}
         rest = [likes_list[cid] for cid in memory.stm if cid not in memory.ltm]
@@ -231,3 +252,98 @@ class TestActivityMemory:
         am_record(am, Action(ActionKind.LIKE, target=4), now=1)
         am_record(am, Action(ActionKind.INACTIVE), now=2)
         assert am_summary(am, now=3) == am_summary(am, now=3)
+
+
+class ReferenceMemory:
+    """STM, LTM and AM as the code stated them before entries led with their
+    eviction key: the STM dict keeps insertion order (a refresh keeps an
+    id's slot), eviction takes the first entry with the least (score, last
+    touched) in that order, decay is a full pass and promotion a sort."""
+
+    def __init__(self):
+        # id -> (reshares, likes, dislikes, comments, score, last touched)
+        self.stm = {}
+        self.ltm, self.recent, self.last = {}, deque(), {}
+
+    def observe(self, item, now, p):
+        c = item.counters
+        self.stm[item.content_id] = (
+            c.reshares, c.likes, c.dislikes, c.comments,
+            p.w_reshare * c.reshares + p.w_like * c.likes
+            - p.w_dislike * c.dislikes, now)
+        while len(self.stm) > p.stm_capacity:
+            del self.stm[min(self.stm, key=lambda cid: self.stm[cid][4:])]
+
+    def decay(self, now, p):
+        for cid in [cid for cid, e in self.stm.items()
+                    if now - e[5] > p.decay_horizon]:
+            del self.stm[cid]
+
+    def evaluate(self, p):
+        ranked = sorted(self.stm.items(), key=lambda kv: kv[1][4],
+                        reverse=True)
+        if ranked:
+            take = max(1, math.ceil(p.promotion_quantile * len(ranked)))
+            for cid, e in ranked:
+                if e[4] < ranked[take - 1][1][4]:
+                    break
+                self.ltm[cid] = e[4]
+
+    def record(self, action, now, p):
+        self.recent.append((now, action.kind, action.target))
+        while len(self.recent) > p.am_window:
+            self.recent.popleft()
+        self.last[action.kind] = now
+
+
+WEIGHTS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+# (operation, id, reshares, likes, dislikes, comments). Most operations
+# observe one of a few ids with small counters, so refreshes and equal
+# scores, where the eviction tie rule decides, are common. A tick advances
+# the time by 1 + reshares; a record logs action kind number id + comments.
+OPERATIONS = st.lists(st.tuples(
+    st.sampled_from(("observe",) * 6 + ("tick", "decay", "evaluate", "record")),
+    st.integers(0, 4), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
+    st.integers(0, 2)), min_size=10, max_size=120)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.builds(
+        MemoryParams, stm_capacity=st.integers(0, 4),
+        decay_horizon=st.integers(0, 4), am_window=st.integers(0, 4),
+        promotion_quantile=st.floats(0, 1), w_reshare=WEIGHTS,
+        w_like=WEIGHTS, w_dislike=WEIGHTS), operations=OPERATIONS)
+    # 1 entered before 2 and keeps that place when refreshed, so 3 evicts it
+    @example(params=MemoryParams(stm_capacity=2), operations=[
+        ("observe", cid, 0, 0, 0, 0) for cid in (1, 2, 1, 3)])
+    def test_every_operation_leaves_the_reference_state(self, params,
+                                                        operations):
+        memory, ref, now = MemoryUnit(), ReferenceMemory(), 1
+        for op, cid, reshares, likes, dislikes, comments in operations:
+            if op == "observe":
+                item = make_item(cid, reshares, likes, dislikes,
+                                 ["c"] * comments)
+                stm_observe(memory, item, now, params)
+                ref.observe(item, now, params)
+            elif op == "tick":
+                now += 1 + reshares
+            elif op == "decay":
+                stm_decay(memory, now, params)
+                ref.decay(now, params)
+            elif op == "evaluate":
+                ltm_evaluate(memory, params)
+                ref.evaluate(params)
+            else:
+                action = Action(list(ActionKind)[cid + comments])
+                am_record(memory.am, action, now, params)
+                ref.record(action, now, params)
+            assert {cid: (e.reshares, e.likes, e.dislikes, e.comments,
+                          e.score, e.last_touched)
+                    for cid, e in memory.stm.items()} == ref.stm
+            assert all(cid == e.content_id for cid, e in memory.stm.items())
+            touched = [e.last_touched for e in memory.stm.values()]
+            assert touched == sorted(touched)  # the dict is in touch order
+            assert memory.ltm == ref.ltm
+            assert list(memory.am.recent) == list(ref.recent)
+            assert memory.am.last_performed == ref.last
