@@ -1,12 +1,24 @@
 """Post-hoc analysis over action logs and content stores.
 
 Covers behavioral action-probability vectors (counted for all agents in one
-pass over the log) and their k-means clustering (bit-reproducible for a
-seed, with a silhouette computed in bounded memory), propagation chain
-tracing (one chain per root-to-leaf re-share path),
+pass over the log) and their k-means clustering, propagation chain tracing
+(one chain per root-to-leaf re-share path),
 first/second-order temporal dynamics, chain length and per-topic statistics,
 and a Mann-Whitney U test (exact enumeration for small samples, tie-corrected
 normal approximation otherwise).
+
+The clustering is bit-reproducible for a seed: it equals running one
+k-means++ restart at a time, ``KMEANS_RESTARTS`` per k, and scoring each k's
+best restart with a dense silhouette. It computes differently. All restarts
+of a k run as one array computation; their draws are taken first, in the
+order the single restarts take them (per restart one ``rng.integers(n)``,
+then ``k - 1`` ``rng.random()``), and a k in which some restart's k-means++
+d2 sums to 0 is seeded again one restart at a time from the generator state
+before that k. Distances are computed only from the distinct rows (action
+vectors are count ratios, so agents share them) and expanded to every row;
+sums that reach the output still run over every row in index order. Restart
+batches and silhouette row chunks each hold about ``SILHOUETTE_CHUNK``
+distance entries, so memory stays linear in the number of agents.
 """
 
 from __future__ import annotations
@@ -75,80 +87,156 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmeans_once(X: np.ndarray, k: int, rng: np.random.Generator,
-                 tol: float = 1e-6, max_iter: int = 300):
-    n, dims = X.shape
-    # k-means++ seeding; d2 is each point's squared distance to its nearest
-    # center so far.
-    centers = [X[rng.integers(n)]]
-    d2 = np.full(n, np.inf)
-    while len(centers) < k:
-        d2 = np.minimum(d2, _sq_distances(centers[-1][None], X)[0])
-        total = d2.sum()
-        if total == 0:
-            centers.append(X[rng.integers(n)])
-        else:
-            # numpy's own algorithm for rng.choice(n, p=d2 / total): the same
-            # single draw and the same index, without choice's checks of p.
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            centers.append(X[cdf.searchsorted(rng.random(), side="right")])
-    C = np.array(centers)
-    for _ in range(max_iter):
-        labels = np.argmin(_sq_distances(C, X), axis=0)
-        # bincount adds each cluster's rows in index order, as mean() does.
-        counts = np.bincount(labels, minlength=k)[:, None]
-        sums = np.column_stack([np.bincount(labels, weights=X[:, c], minlength=k)
-                                for c in range(dims)])
-        new_C = np.where(counts > 0, sums / np.maximum(counts, 1), C)
-        shift = np.abs(new_C - C).max()
-        C = new_C
-        if shift < tol:
-            break
-    labels = np.argmin(_sq_distances(C, X), axis=0)
-    inertia = float(((X - C[labels]) ** 2).sum())
-    return C, labels, inertia
-
-
 SILHOUETTE_CHUNK = 1 << 20  # distance entries held in memory at once
+KMEANS_RESTARTS = 50  # seeded k-means runs per k; the lowest inertia wins
+
+
+def _distinct_rows(X: np.ndarray):
+    """The distinct rows of X and, for each row of X, the index of its
+    distinct row."""
+    Xu, inv = np.unique(X, axis=0, return_inverse=True)
+    return Xu, inv.reshape(-1)
+
+
+def _kmeans_pp(X: np.ndarray, Xu: np.ndarray, inv: np.ndarray, k: int,
+               first, pick):
+    """k-means++ seeds of ``len(first)`` restarts at once, as row indices of
+    X, shape (restarts, k); ``first`` holds each restart's first index.
+
+    Each step updates every restart's d2 (its squared distance to the
+    nearest center so far) on the distinct rows, expands it to all rows and
+    sums it per restart in index order. ``pick(j, cdf)`` returns the j-th
+    indices from the (restarts, n) CDFs, or is given ``cdf=None`` when some
+    restart's d2 sums to 0; seeding stops with None if it returns None.
+    """
+    idx = np.empty((len(first), k), dtype=np.intp)
+    idx[:, 0] = first
+    d2u = np.full((len(first), len(Xu)), np.inf)
+    for j in range(1, k):
+        d2u = np.minimum(d2u, _sq_distances(X[idx[:, j - 1]], Xu))
+        # take() keeps d2 C-ordered (``d2u[:, inv]`` would not), so that
+        # each row is summed pairwise as a 1-D array is
+        d2 = d2u.take(inv, axis=1)
+        total = d2.sum(axis=1)
+        cdf = None
+        if total.all():
+            # numpy's own algorithm for rng.choice(n, p=d2 / total)
+            cdf = (d2 / total[:, None]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+        picked = pick(j, cdf)
+        if picked is None:
+            return None
+        idx[:, j] = picked
+    return idx
+
+
+def _nearest(C: np.ndarray, Xu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Each row's nearest center (lowest index on ties) for each restart's
+    (k, dims) centers, shape (restarts, n)."""
+    R, k, dims = C.shape
+    d = _sq_distances(C.reshape(R * k, dims), Xu).reshape(R, k, len(Xu))
+    return d.argmin(axis=1).take(inv, axis=1)
+
+
+def _lloyd(X: np.ndarray, Xu: np.ndarray, inv: np.ndarray, C: np.ndarray,
+           tol: float = 1e-6, max_iter: int = 300):
+    """Lloyd iterations from each restart's (k, dims) seeds in C; a restart
+    stops once no center moves by ``tol`` or more. Returns centers, labels
+    and inertia per restart."""
+    R, k, dims = C.shape
+    n = len(X)
+    weights = np.tile(X.ravel(), R)
+    active = np.arange(R)
+    for _ in range(max_iter):
+        A = len(active)
+        cluster = _nearest(C[active], Xu, inv) + np.arange(A)[:, None] * k
+        counts = np.bincount(cluster.ravel(), minlength=A * k).reshape(A, k, 1)
+        # one bincount for every (restart, cluster, coordinate) bin; it adds
+        # each bin's rows in index order, as mean() does
+        bins = (cluster[:, :, None] * dims + np.arange(dims)).ravel()
+        sums = np.bincount(bins, weights=weights[:A * n * dims],
+                           minlength=A * k * dims).reshape(A, k, dims)
+        old = C[active]
+        new = np.where(counts > 0, sums / np.maximum(counts, 1), old)
+        shift = np.abs(new - old).max(axis=(1, 2))
+        C[active] = new
+        active = active[~(shift < tol)]
+        if not len(active):
+            break
+    labels = _nearest(C, Xu, inv)
+    residuals = X - C[np.arange(R)[:, None], labels]
+    residuals *= residuals
+    return C, labels, residuals.reshape(R, n * dims).sum(axis=1)
+
+
+def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
+    """``KMEANS_RESTARTS`` seeded k-means runs of one k, bit-identical to
+    that many single k-means++ restarts run one after another on ``rng``
+    (the module docstring gives the draw order and the fallback): centers
+    (restarts, k, dims), labels (restarts, n) and inertia (restarts,)."""
+    n, dims = X.shape
+    Xu, inv = _distinct_rows(X)
+    state = rng.bit_generator.state
+    first, u = zip(*[(rng.integers(n), rng.random(k - 1))
+                     for _ in range(KMEANS_RESTARTS)])
+    first, u = np.array(first), np.array(u)
+    batch = max(1, SILHOUETTE_CHUNK // (n * max(k, dims)))
+    batches = [slice(b, b + batch) for b in range(0, KMEANS_RESTARTS, batch)]
+    seeds = []
+    for rows in batches:
+        seeds.append(_kmeans_pp(
+            X, Xu, inv, k, first[rows], lambda j, cdf: None if cdf is None
+            else (cdf <= u[rows, j - 1, None]).sum(axis=1)))
+        if seeds[-1] is None:
+            rng.bit_generator.state = state
+            seeds = [_kmeans_pp(X, Xu, inv, k, [rng.integers(n)],
+                                lambda j, cdf: rng.integers(n) if cdf is None
+                                else (cdf <= rng.random()).sum())
+                     for _ in range(KMEANS_RESTARTS)]
+            break
+    seeds = np.concatenate(seeds)
+    runs = [_lloyd(X, Xu, inv, X[seeds[rows]]) for rows in batches]
+    return tuple(np.concatenate(part) for part in zip(*runs))
 
 
 def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette over all points (0 for singleton-cluster points).
 
-    Distances are computed one chunk of rows at a time, about
-    ``SILHOUETTE_CHUNK`` entries, so memory is O(n x chunk) and not O(n^2).
-    The columns are ordered by cluster, so each point's distances to one
-    cluster are one contiguous slice of its row, summed as a 1-D array in
-    index order: the score is bit-identical to summing ``D[i, labels == j]``.
+    Distances are computed from the distinct rows of X only, to every point,
+    one chunk of about ``SILHOUETTE_CHUNK`` entries at a time, so memory is
+    O(n + chunk) and not O(n^2), and time O(distinct x n). The columns are
+    ordered by cluster, so a row's distances to one cluster are one
+    contiguous slice, summed for the whole chunk by one row-wise ``sum`` in
+    index order: the score is bit-identical to summing ``D[i, labels == j]``
+    for every point i.
     """
-    present = sorted(set(labels.tolist()))
+    present, position = np.unique(labels, return_inverse=True)
     if len(present) < 2:
         return 0.0
     order = np.argsort(labels, kind="stable")
     by_cluster = X[order]
-    ends = np.searchsorted(labels[order], present, side="right").tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    sizes = [end - start for start, end in bounds]
-    position = np.searchsorted(present, labels).tolist()
-    n = len(X)
-    scores = np.zeros(n)
-    step = max(1, SILHOUETTE_CHUNK // n)
-    for first in range(0, n, step):
-        D = np.sqrt(_sq_distances(X[first:first + step], by_cluster))
-        for i, row in enumerate(D, start=first):
-            p = position[i]
-            n_same = sizes[p] - 1
-            if n_same == 0:
-                continue  # a singleton's score is 0
-            sums = [row[start:end].sum() for start, end in bounds]
-            a = sums[p] / n_same
-            b = min(sums[q] / sizes[q] for q in range(len(present)) if q != p)
-            scores[i] = (b - a) / max(a, b)
+    ends = np.searchsorted(labels[order], present, side="right")
+    bounds = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+    sizes = np.diff(ends, prepend=0)
+    Xu, inv = _distinct_rows(X)
+    sums = np.empty((len(Xu), len(present)))
+    step = max(1, SILHOUETTE_CHUNK // len(X))
+    for first in range(0, len(Xu), step):
+        D = _sq_distances(Xu[first:first + step], by_cluster)
+        np.sqrt(D, out=D)
+        for j, (start, end) in enumerate(bounds):
+            sums[first:first + step, j] = D[:, start:end].sum(axis=1)
+    sums = sums[inv]
+    points = np.arange(len(X))
+    n_same = sizes[position] - 1
+    a = sums[points, position] / np.maximum(n_same, 1)
+    means = sums / sizes
+    means[points, position] = np.inf
+    b = means.min(axis=1)
+    scores = np.zeros(len(X))
+    live = n_same > 0  # a singleton's score is 0
+    scores[live] = (b - a)[live] / np.maximum(a, b)[live]
     return float(scores.mean())
-
-
-KMEANS_RESTARTS = 50  # seeded k-means runs per k; the lowest inertia wins
 
 
 def cluster_agents(vectors: dict, k_min: int, k_max: int,
@@ -156,7 +244,14 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int,
     """Seeded k-means (k-means++ init, ``KMEANS_RESTARTS`` restarts) for
     each k in range; the k maximizing the silhouette wins; the inertia curve
     is kept for elbow inspection. Degenerate all-identical input forces k=1
-    with a warning."""
+    with a warning.
+
+    Each k's restarts run together (``_kmeans``), in batches of about
+    ``SILHOUETTE_CHUNK`` distance entries, with distances from the distinct
+    vectors only; the result is bit-identical to running them one at a time
+    (see the module docstring for the draw order and the fallback when a
+    k-means++ d2 sums to 0). The restart of lowest inertia, the first of
+    equal ones, is scored by one ``silhouette_score`` call per k."""
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_min > k_max:
@@ -176,12 +271,9 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int,
     best = None
     curve = {}
     for k in range(k_min, k_max + 1):
-        run_best = None
-        for _ in range(KMEANS_RESTARTS):
-            result = _kmeans_once(X, k, rng)
-            if run_best is None or result[2] < run_best[2]:
-                run_best = result
-        C, labels, inertia = run_best
+        C, labels, inertia = _kmeans(X, k, rng)
+        run = int(np.argmin(inertia))  # the first of equal inertias
+        C, labels, inertia = C[run], labels[run], float(inertia[run])
         curve[k] = inertia
         sil = silhouette_score(X, labels)
         if best is None or sil > best[0]:

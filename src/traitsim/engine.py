@@ -229,9 +229,10 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     log factor; sampled ranks map straight to the dense ids. The preference
     ranking takes the topic matches from the agent's ``world.by_topic``
     list, and only when the topic runs short the other topics' items from a
-    walk of the store; both skip own items by id in ``world.authored``
-    (reading none), re-shared and forced items. A scarce topic, or a topicless
-    world (a ``ground`` bundle), costs no more than a plentiful one.
+    walk of the store's ids; both skip own (``world.authored``), re-shared
+    and forced ids before reading the item, so the walk reads only eligible
+    items. A scarce topic, or a topicless world (a ``ground`` bundle), costs
+    no more than a plentiful one.
     """
     me = agent.profile.agent_id
     reshared = agent.reshared_ids.__contains__
@@ -256,9 +257,10 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
         feed = forced + [world.content[cid] for cid in islice(filterfalse(
             skip, reversed(world.by_topic.get(topic, ()))), need)]
         if len(feed) < k:
-            feed += islice((item for item in reversed(world.content.values())
-                            if item.topic != topic
-                            and not skip(item.content_id)), k - len(feed))
+            eligible = map(world.content.__getitem__,
+                           filterfalse(skip, reversed(world.content)))
+            feed += islice((item for item in eligible if item.topic != topic),
+                           k - len(feed))
         return feed
     if strategy != "random":
         raise ValueError(f"unknown recommender strategy {strategy!r}")

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from traitsim import analytics
 from traitsim.analytics import (
@@ -182,6 +182,25 @@ class TestClustering:
         for c in clustering.centroids:
             assert abs(sum(c.as_tuple()) - 1.0) < 1e-9
 
+    def test_memory_is_bounded_by_the_chunk(self):
+        import tracemalloc
+
+        n, k_min, k_max = 2000, 7, 8
+        rows = np.random.default_rng(2).dirichlet(np.ones(4), n)
+        vectors = {f"a{i:04d}": ActionDistribution(*row / row.sum())
+                   for i, row in enumerate(rows)}
+        scored = mock.Mock(wraps=analytics.silhouette_score)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(analytics, "silhouette_score", scored):
+                cluster_agents(vectors, k_min, k_max, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * analytics.SILHOUETTE_CHUNK
+        # one silhouette per k: perfbench counts these calls
+        assert scored.call_count == k_max - k_min + 1
+
 
 class TestSilhouette:
     def test_well_separated_near_one(self):
@@ -257,19 +276,115 @@ matrices = st.one_of(
     st.lists(_row, min_size=1, max_size=40).map(np.array),
     st.builds(lambda row, n: np.array([row] * n), _row, st.integers(1, 20)),
 )
+# 2-7 distinct rows whose coordinates differ by about 1e-200: every squared
+# distance underflows to 0, so k-means++ meets an all-zero d2 at any k.
+_tiny_row = st.tuples(*[st.sampled_from((0.0, 1e-200, 3e-200))] * 4)
+near_duplicates = st.lists(_tiny_row, min_size=2, max_size=7,
+                           unique=True).flatmap(
+    lambda rows: st.lists(st.sampled_from(rows), max_size=30).map(
+        lambda more: np.array(rows + more)))
 
 
 class TestKMeansMatchesReference:
-    @given(matrices, st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @given(st.one_of(matrices, near_duplicates), st.integers(1, 8),
+           st.integers(0, 2**32 - 1), st.sampled_from([1, 1 << 20]))
     @settings(max_examples=300, deadline=None)
-    def test_same_centroids_labels_inertia_and_draws(self, X, k, seed):
+    def test_same_centroids_labels_inertia_and_draws(self, X, k, seed, chunk):
+        # a chunk of 1 entry puts every restart in a batch of its own
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        C_ref, labels_ref, inertia_ref = _reference_kmeans_once(X, k, rng_ref)
-        C, labels, inertia = analytics._kmeans_once(X, k, rng)
-        assert C.shape == C_ref.shape and _bits(C) == _bits(C_ref)
-        assert labels.tolist() == labels_ref.tolist()
-        assert _bits(inertia) == _bits(inertia_ref)
+        runs = [_reference_kmeans_once(X, k, rng_ref)
+                for _ in range(analytics.KMEANS_RESTARTS)]
+        with mock.patch.object(analytics, "SILHOUETTE_CHUNK", chunk):
+            C, labels, inertia = analytics._kmeans(X, k, rng)
+        assert len(C) == len(labels) == len(inertia) == len(runs)
+        for r, (C_ref, labels_ref, inertia_ref) in enumerate(runs):
+            assert C[r].shape == C_ref.shape and _bits(C[r]) == _bits(C_ref)
+            assert labels[r].tolist() == labels_ref.tolist()
+            assert _bits(inertia[r]) == _bits(inertia_ref)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @given(st.lists(_row, min_size=8, max_size=60).map(np.array),
+           st.integers(2, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_seeding_cdfs_are_the_single_restart_cdfs(self, X, k, seed):
+        # A last-bit change in a d2 total almost never moves a draw, so the
+        # test above cannot see one: compare each restart's CDF itself with
+        # the one rng.choice(n, p=d2 / d2.sum()) builds.
+        rng = np.random.default_rng(seed)
+        first = rng.integers(len(X), size=5)
+        cdfs = []
+
+        def pick(j, cdf):
+            if cdf is not None:
+                cdfs.append(cdf.copy())
+                return rng.integers(len(X), size=len(first))
+
+        Xu, inv = analytics._distinct_rows(X)
+        idx = analytics._kmeans_pp(X, Xu, inv, k, first, pick)
+        assume(idx is not None)
+        for j, cdf in enumerate(cdfs, start=1):
+            for r, row in enumerate(cdf):
+                d2 = np.min(((X[:, None, :] - X[idx[r, :j]][None]) ** 2)
+                            .sum(-1), axis=1)
+                expected = (d2 / d2.sum()).cumsum()
+                expected /= expected[-1]
+                assert _bits(row) == _bits(expected)
+
+
+def _reference_cluster_agents(vectors, k_min, k_max, seed):
+    """``cluster_agents`` as first written, for input that is not all
+    identical: one reference restart at a time, the first of equal inertias
+    kept, and the reference silhouette."""
+    agent_ids = sorted(vectors)
+    X = np.array([vectors[a].as_tuple() for a in agent_ids])
+    rng = np.random.default_rng(seed)
+    best, curve = None, {}
+    for k in range(k_min, k_max + 1):
+        run_best = None
+        for _ in range(analytics.KMEANS_RESTARTS):
+            run = _reference_kmeans_once(X, k, rng)
+            if run_best is None or run[2] < run_best[2]:
+                run_best = run
+        C, labels, inertia = run_best
+        curve[k] = inertia
+        sil = _reference_silhouette_score(X, labels)
+        if best is None or sil > best[0]:
+            best = (sil, k, C, labels, inertia)
+    sil, k, C, labels, inertia = best
+    return (k, [analytics._centroid_distribution(c) for c in C],
+            {a: int(l) for a, l in zip(agent_ids, labels)}, inertia, sil,
+            curve)
+
+
+# Action vectors as the log gives them: count ratios, so duplicate rows.
+_count_vectors = st.lists(
+    st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+    min_size=2, max_size=30).map(
+    lambda rows: {f"a{i:02d}": ActionDistribution.from_counts(row)
+                  for i, row in enumerate(rows)})
+
+
+class TestClusterAgentsMatchesReference:
+    @given(_count_vectors, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_same_clustering_bit_for_bit(self, vectors, data):
+        X = np.array([v.as_tuple() for v in vectors.values()])
+        assume(not np.allclose(X, X[0]))
+        k_max = data.draw(st.integers(2, min(8, len(vectors))))
+        k_min = data.draw(st.integers(1, k_max))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = cluster_agents(vectors, k_min, k_max, seed)
+        k, centroids, assignments, inertia, sil, curve = (
+            _reference_cluster_agents(vectors, k_min, k_max, seed))
+        assert got.k == k
+        assert [c.as_tuple() for c in got.centroids] == [
+            c.as_tuple() for c in centroids]
+        assert got.assignments == assignments
+        assert _bits(got.inertia) == _bits(inertia)
+        assert _bits(got.silhouette) == _bits(sil)
+        assert list(got.inertia_curve) == list(curve)
+        assert _bits(list(got.inertia_curve.values())) == _bits(
+            list(curve.values()))
 
 
 class TestSilhouetteMatchesReference:

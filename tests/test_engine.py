@@ -474,6 +474,34 @@ class TestRecommendFeedCost:
             agent, world, "preference", 5, None)
         assert all(item is world.content[item.content_id] for item in feed)
 
+    def test_newer_own_items_are_skipped_without_a_read(self):
+        world = init_population(make_personas(2),
+                                config(configuration="IdentityOnly"))
+        agent = world.agents["p000"]  # topic Healthcare
+        older = add_post(world, "p001", 1, topic="Music")
+        for iteration in range(1, 10_001):
+            add_post(world, "p000", iteration, topic="Healthcare")
+        world.iteration = 10_000
+        world.content = CountingStore(world.content)
+        feed = recommend_feed(agent, world, "preference", 5, None)
+        assert world.content.reads == 1
+        assert [item.content_id for item in feed] == _reference_recommend_feed(
+            agent, world, "preference", 5, None) == [older.content_id]
+
+    def test_preference_with_nothing_eligible_reads_no_item(self):
+        world = init_population(make_personas(1),
+                                config(configuration="IdentityOnly"))
+        agent = world.agents["p000"]
+        for i in range(10_002):
+            add_post(world, "p000", 1 + i // 1000,
+                     topic=("Healthcare", "Music")[i % 2])
+        world.iteration = 11
+        world.content = CountingStore(world.content)
+        assert recommend_feed(agent, world, "preference", 5, None) == []
+        assert world.content.reads == 0
+        assert _reference_recommend_feed(agent, world, "preference", 5,
+                                         None) == []
+
     def test_random_with_nothing_eligible_reads_no_item(self):
         world = init_population(make_personas(2),
                                 config(configuration="IdentityOnly"))
