@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import sys
@@ -285,16 +286,35 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Write the analysis of the run in ``args.run`` (and the chain-length
+    comparison with ``args.compare``) into ``args.out``, or into the run.
+    ``--out`` is checked and both runs are read before anything is written.
+
+    The cyclic garbage collector is paused for the whole command and left
+    as it was found. The loaded store is hundreds of thousands of tracked
+    objects, which every collection would walk again, and analyze makes no
+    reference cycles, so the collections would reclaim nothing; the store is
+    freed by reference counting when the command returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(args) -> int:
     run_dir = Path(args.run)
     other = Path(args.compare) if args.compare else None
     same_run = other is not None and other.resolve() == run_dir.resolve()
+    out = _out_dir(args.out) if args.out else run_dir
     try:
         log, content, traits = load_run(run_dir)
         if other is not None and not same_run:
             _, other_content, _ = load_run(other)
     except ValueError as err:
         raise CliError(str(err))
-    out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     which = args.which
     summary = [f"run: {run_dir}", f"actions: {len(log)}",

@@ -152,7 +152,7 @@ class Order(Enum):
     __hash__ = object.__hash__  # as for Trait
 
 
-@dataclass
+@dataclass(slots=True)
 class Action:
     """One platform action. Shape constraints:
 
@@ -218,7 +218,7 @@ class AgentProfile:
     following: set = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     reshares: int = 0
     likes: int = 0
@@ -226,7 +226,7 @@ class Counters:
     comments: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ContentItem:
     """An original post or a re-share node.
 
@@ -261,7 +261,7 @@ class ContentItem:
         return self.parent is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionRecord:
     iteration: int
     agent: str

@@ -644,18 +644,27 @@ def load_run(run_dir):
     ``write_artifacts``. The store is rebuilt by replaying ``actions.jsonl``
     onto the agents of ``agents.jsonl``; ``content.jsonl`` is not read. A
     record that cannot be replayed, or out of the log's shape (one per agent
-    per iteration, in ``agents.jsonl`` order), is a malformed line."""
+    per iteration, in ``agents.jsonl`` order, for as many iterations as the
+    manifest's ``completed_iterations`` if it names them), is a malformed
+    line."""
     run_dir = Path(run_dir)
     actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
     if not run_dir.is_dir():
         raise ValueError(f"not an artifact directory: {run_dir}")
     manifest_path = run_dir / MANIFEST
+    completed = None
     if manifest_path.exists():
         manifest = read_json(manifest_path, "manifest")
         if (not isinstance(manifest, dict)
                 or manifest.get("schema_version") != SCHEMA_VERSION):
             raise ValueError(f"incompatible artifact schema_version in "
                              f"{run_dir} (expected {SCHEMA_VERSION})")
+        completed = manifest.get("completed_iterations")
+        if not (completed is None
+                or type(completed) is int and completed >= 0):
+            raise ValueError(f"malformed manifest {manifest_path}: "
+                             f"completed_iterations must be an integer >= 0, "
+                             f"got {json.dumps(completed)}")
     world, traits = WorldState(), {}
 
     def add_agent(obj):
@@ -683,6 +692,11 @@ def load_run(run_dir):
         if order and len(world.log) % len(order):
             raise ValueError(f"the log ends inside iteration "
                              f"{world.log[-1].iteration}")
+        # Without agents there is no record, so ``order`` is not empty here.
+        if completed is not None and len(world.log) != completed * len(order):
+            raise ValueError(f"the log holds {len(world.log) // len(order)} "
+                             f"iterations, but {MANIFEST} says "
+                             f"completed_iterations {completed}")
 
     read_jsonl(actions_path, replay, finish)
     return world.log, world.content, traits

@@ -53,17 +53,33 @@ def read_json(path, what: str):
                          f"JSONDecodeError: {err.msg}") from None
 
 
+# ``json.loads`` without its wrappers: the value at the start of a string
+# and the index where it ends.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path, parse, finish=lambda: None) -> list:
     """``parse(json.loads(line))`` for each non-blank line of the file at
     ``path`` (``read_text``), then ``finish()``. Bad JSON, or a KeyError,
     TypeError or ValueError from ``parse`` or ``finish``, is ``malformed``
-    at its line (the last line for ``finish``)."""
+    at its line (the last line for ``finish``).
+
+    A line is decoded by ``json.JSONDecoder().raw_decode`` and used as is
+    when its value ends at the end of the line, as every line ``write_jsonl``
+    writes does. Any other line (surrounding whitespace, extra data, a BOM,
+    bad JSON) goes to ``json.loads``, so values and errors are its own."""
     lines = read_text(path).splitlines()
     rows, number = [], 0
     try:
         for number, line in enumerate(lines, start=1):
             if line.strip():
-                rows.append(parse(json.loads(line)))
+                try:
+                    value, end = _raw_decode(line)
+                except ValueError:
+                    end = -1
+                if end != len(line):
+                    value = json.loads(line)
+                rows.append(parse(value))
         finish()
     except (KeyError, TypeError, ValueError) as err:
         raise malformed(path, number, err) from err

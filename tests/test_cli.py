@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -757,6 +758,118 @@ class TestAnalyze:
         (run / "manifest.json").write_text(json.dumps(manifest))
         assert main(["analyze", "--run", str(run)]) == 1
         assert "schema_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["file", "file/analysis"])
+    def test_out_that_cannot_be_a_directory_fails_before_the_load(
+            self, tmp_path, personas_file, blocking_file, monkeypatch, capsys,
+            out):
+        run = simulate(tmp_path, personas_file)
+        monkeypatch.setattr(cli, "load_run", must_not_run)
+        out = tmp_path / out
+        assert main(["analyze", "--run", str(run), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_A_DIRECTORY.format(
+            out=out, file=blocking_file)
+        assert blocking_file.read_text() == "kept\n"
+
+    def test_out_that_is_a_dangling_symlink_fails_before_the_load(
+            self, tmp_path, personas_file, monkeypatch, capsys):
+        run = simulate(tmp_path, personas_file)
+        monkeypatch.setattr(cli, "load_run", must_not_run)
+        out = tmp_path / "link"
+        out.symlink_to(tmp_path / "missing")
+        assert main(["analyze", "--run", str(run), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == NOT_A_DIRECTORY.format(
+            out=out, file=out)
+        assert out.is_symlink() and not out.exists()
+
+    @pytest.mark.parametrize("keep", [7, 9])
+    def test_log_must_hold_the_manifests_iterations(
+            self, tmp_path, personas_file, capsys, keep):
+        """A log cut (or grown) at an iteration boundary replays cleanly,
+        so only the manifest's count can tell that iterations are missing."""
+        run = simulate(tmp_path, personas_file)  # 8 iterations of 28 agents
+        actions = run / "actions.jsonl"
+        lines = actions.read_text().splitlines(True)
+        lines = (lines * 2)[:keep * 28]
+        if keep > 8:  # iteration 9 replays the records of iteration 1
+            lines[8 * 28:] = [json.dumps({**json.loads(line), "iteration": 9},
+                                         sort_keys=True) + "\n"
+                              for line in lines[8 * 28:]]
+        actions.write_text("".join(lines))
+        assert main(["analyze", "--run", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed record in {actions} line {keep * 28}: "
+            f"ValueError: the log holds {keep} iterations, but manifest.json "
+            f"says completed_iterations 8\n")
+
+    def test_manifest_without_completed_iterations_loads_any_length(
+            self, tmp_path, personas_file, capsys):
+        run = simulate(tmp_path, personas_file)
+        manifest = json.loads((run / "manifest.json").read_text())
+        del manifest["completed_iterations"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        actions = run / "actions.jsonl"
+        actions.write_text("".join(
+            actions.read_text().splitlines(True)[:7 * 28]))
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert "actions: 196" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["8", 8.0, True, -1])
+    def test_completed_iterations_must_be_a_count(
+            self, tmp_path, personas_file, capsys, value):
+        run = simulate(tmp_path, personas_file)
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["completed_iterations"] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["analyze", "--run", str(run)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed manifest {run / 'manifest.json'}: "
+            f"completed_iterations must be an integer >= 0, got "
+            f"{json.dumps(value)}\n")
+
+
+@pytest.fixture
+def collector():
+    """Leave the cyclic garbage collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestAnalyzeCollector:
+    """``analyze`` runs with the cyclic garbage collector paused, which is
+    sound only because it makes no reference cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_paused_and_left_as_found(
+            self, tmp_path, personas_file, monkeypatch, collector, enabled):
+        run = simulate(tmp_path, personas_file)
+        seen = []
+        real = cli.load_run
+        monkeypatch.setattr(cli, "load_run", lambda run_dir: seen.append(
+            gc.isenabled()) or real(run_dir))
+        (gc.enable if enabled else gc.disable)()
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert gc.isenabled() is enabled
+        actions = run / "actions.jsonl"
+        actions.write_text(actions.read_text() + "{oops\n")
+        assert main(["analyze", "--run", str(run)]) == 1  # a CliError
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
+
+    def test_analyze_leaves_no_cyclic_garbage(self, tmp_path, personas_file,
+                                              collector):
+        a = simulate(tmp_path, personas_file, "a")
+        b = simulate(tmp_path, personas_file, "b",
+                     extra=["--configuration", "RandomRecommendation"])
+        args = cli.build_parser().parse_args([
+            "analyze", "--run", str(a), "--compare", str(b),
+            "--out", str(tmp_path / "analysis")])
+        assert cli.cmd_analyze(args) == 0  # imports and caches fill once
+        gc.disable()
+        gc.collect()
+        assert cli.cmd_analyze(args) == 0
+        assert gc.collect() == 0
 
 
 class TestAnalyzeGoldenDigests:

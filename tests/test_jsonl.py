@@ -6,8 +6,11 @@ file that cannot be read as text (a directory, undecodable bytes) one naming
 the file, whichever reader meets it."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from traitsim.cli import load_config, read_follows, read_personas
 from traitsim.engine import (
@@ -18,7 +21,7 @@ from traitsim.engine import (
     write_manifest,
 )
 from traitsim.grounding import parse_records
-from traitsim.jsonl import string
+from traitsim.jsonl import malformed, read_jsonl, string
 
 from conftest import make_personas
 
@@ -101,3 +104,73 @@ def test_string_rejects_other_json_types(value, nullable, message):
     assert string({"key": "v"}, "key", nullable) == "v"
     with pytest.raises(KeyError):
         string({}, "key", nullable)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text()
+    | st.integers() | st.integers(min_value=10 ** 20),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
+whitespace = st.text(" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line as a file may hold it: a ``json.dumps`` value, possibly with
+    surrounding whitespace, extra data, a BOM or cut short, or a blank or
+    out-of-range line."""
+    line = json.dumps(draw(json_values))
+    edit = draw(st.sampled_from(["none", "lead", "trail", "extra", "bom",
+                                 "cut", "blank", "digits"]))
+    if edit == "lead":
+        return draw(whitespace) + line
+    if edit == "trail":
+        return line + draw(whitespace)
+    if edit == "extra":
+        return line + draw(st.sampled_from([" 1", "{}", "x", ",", " ]"]))
+    if edit == "bom":
+        return "\ufeff" + line
+    if edit == "cut":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if edit == "blank":
+        return draw(st.sampled_from(["", " ", "\t "]))
+    if edit == "digits":  # beyond the integer string conversion limit
+        return "1" * 5000
+    return line
+
+
+def loads_per_line(path):
+    """``read_jsonl(path, parse=identity)`` as ``json.loads`` per line:
+    the rows and the error text."""
+    rows = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except ValueError as err:
+                return rows, str(malformed(path, number, err))
+    return rows, None
+
+
+def read_per_line(path):
+    rows = []
+    try:
+        read_jsonl(path, rows.append)
+    except ValueError as err:
+        return rows, str(err)
+    return rows, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(jsonl_lines(), min_size=1, max_size=6))
+def test_read_jsonl_decodes_as_json_loads(lines):
+    """The same values (NaN, -0.0, ints and floats kept apart, so compared by
+    repr) and the same error text as ``json.loads`` for the whole file and
+    for each line alone."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.jsonl"
+        for text in ["\n".join(lines) + "\n", *(line + "\n" for line in lines)]:
+            path.write_text(text)
+            assert repr(read_per_line(path)) == repr(loads_per_line(path))
