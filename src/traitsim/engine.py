@@ -24,7 +24,11 @@ recommender pool) can engage with it, forming propagation chains.
 The log is the run. ``apply_action`` turns a decision into an
 ``ActionRecord`` and hands it to ``apply_record``, the one function that
 changes the content store and the follow graph; the store is therefore a
-function of the log and the agents' topics. ``write_artifacts`` still writes
+function of the log and the agents' topics, and ``check_integrity`` checks
+every counter of the store against the log. ``write_artifacts`` streams each
+file line by line from ``record_line``, ``content_line`` and
+``profile_line``, which write the bytes ``json.dumps(row, sort_keys=True)``
+writes for each row's dict without building it. It still writes
 ``content.jsonl`` for readers of the run directory, but ``load_run`` never
 reads it: it replays ``actions.jsonl`` through ``apply_record`` onto the
 agents of ``agents.jsonl``, so every record must replay cleanly.
@@ -37,6 +41,7 @@ import hashlib
 import json
 import operator
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import filterfalse, islice
 from pathlib import Path
@@ -57,7 +62,7 @@ from .core import (
     Trait,
     ENGAGEMENT_KINDS,
 )
-from .jsonl import read_json, read_jsonl, string, write_jsonl
+from .jsonl import read_json, read_jsonl, string
 from .memory import (
     MemoryParams,
     MemoryUnit,
@@ -534,18 +539,6 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
 # and load_run
 
 
-def record_to_dict(record: ActionRecord) -> dict:
-    return {
-        "iteration": record.iteration,
-        "agent": record.agent,
-        "kind": record.action.kind.value,
-        "target": record.action.target,
-        "payload": record.action.payload,
-        "order": record.order.value,
-        "reason": record.reason_text,
-    }
-
-
 _KINDS = {kind.value: kind for kind in ActionKind}
 _ORDERS = {order.value: order for order in Order}
 
@@ -560,9 +553,9 @@ def _member(members: dict, value, name: str):
 
 
 def record_from_dict(d: dict) -> ActionRecord:
-    """The inverse of ``record_to_dict``; a missing key is a ``KeyError``, a
-    wrongly typed agent or iteration a ``TypeError``, an unknown kind or order
-    or a misshaped action a ``ValueError``."""
+    """The record whose ``record_line`` parses to ``d``; a missing key is a
+    ``KeyError``, a wrongly typed agent or iteration a ``TypeError``, an
+    unknown kind or order or a misshaped action a ``ValueError``."""
     agent, iteration = string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
@@ -576,47 +569,84 @@ def record_from_dict(d: dict) -> ActionRecord:
     )
 
 
-def content_to_dict(item: ContentItem) -> dict:
-    return {
-        "content_id": item.content_id,
-        "author": item.author,
-        "iteration_created": item.iteration_created,
-        "parent": item.parent,
-        "root": item.root,
-        "topic": item.topic,
-        "text": item.text,
-        "counters": {
-            "reshares": item.counters.reshares,
-            "likes": item.counters.likes,
-            "dislikes": item.counters.dislikes,
-            "comments": item.counters.comments,
-        },
-        "cascade_reshares": item.cascade_reshares,
-        "comment_texts": [list(pair) for pair in item.comment_texts],
-    }
+# Each renderer returns the line ``json.dumps(row, sort_keys=True) + "\n"``
+# gives for the row's dict, byte for byte, without building the dict or a
+# JSON encoder per row: the keys are literal text in sorted order.
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' ensure_ascii
+_KIND_JSON = {kind: _quote(kind.value) for kind in ActionKind}
+_ORDER_JSON = {order: _quote(order.value) for order in Order}
 
 
-def profile_to_dict(profile: AgentProfile) -> dict:
-    return {
-        "agent_id": profile.agent_id,
-        "trait": None if profile.trait is None else profile.trait.code,
-        "topic": profile.topic,
-        "following": sorted(profile.following),
-    }
+def _value(value) -> str:
+    """A string, an integer or None as ``json.dumps`` writes it; any other
+    value, a bool or a float included, is a ``TypeError``."""
+    cls = type(value)
+    if cls is str:
+        return _quote(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"no JSON rendering for {cls.__name__} {value!r}")
+
+
+def record_line(record: ActionRecord) -> str:
+    """The ``actions.jsonl`` line of ``record``."""
+    action = record.action
+    return (f'{{"agent": {_quote(record.agent)}, '
+            f'"iteration": {_value(record.iteration)}, '
+            f'"kind": {_KIND_JSON[action.kind]}, '
+            f'"order": {_ORDER_JSON[record.order]}, '
+            f'"payload": {_value(action.payload)}, '
+            f'"reason": {_quote(record.reason_text)}, '
+            f'"target": {_value(action.target)}}}\n')
+
+
+def content_line(item: ContentItem) -> str:
+    """The ``content.jsonl`` line of ``item``."""
+    counters = item.counters
+    comments = ", ".join([f"[{_quote(agent)}, {_quote(text)}]"
+                          for agent, text in item.comment_texts])
+    return (f'{{"author": {_quote(item.author)}, '
+            f'"cascade_reshares": {_value(item.cascade_reshares)}, '
+            f'"comment_texts": [{comments}], '
+            f'"content_id": {_value(item.content_id)}, '
+            f'"counters": {{"comments": {_value(counters.comments)}, '
+            f'"dislikes": {_value(counters.dislikes)}, '
+            f'"likes": {_value(counters.likes)}, '
+            f'"reshares": {_value(counters.reshares)}}}, '
+            f'"iteration_created": {_value(item.iteration_created)}, '
+            f'"parent": {_value(item.parent)}, '
+            f'"root": {_value(item.root)}, '
+            f'"text": {_quote(item.text)}, '
+            f'"topic": {_value(item.topic)}}}\n')
+
+
+def profile_line(profile: AgentProfile) -> str:
+    """The ``agents.jsonl`` line of ``profile``."""
+    trait = profile.trait
+    following = ", ".join(map(_quote, sorted(profile.following)))
+    return (f'{{"agent_id": {_quote(profile.agent_id)}, '
+            f'"following": [{following}], '
+            f'"topic": {_value(profile.topic)}, '
+            f'"trait": {_value(None if trait is None else trait.code)}}}\n')
 
 
 def write_artifacts(world: WorldState, out_dir) -> None:
-    """Write the run's ``OUTPUTS`` into ``out_dir``."""
+    """Write the run's ``OUTPUTS`` into ``out_dir``, one line at a time.
+    The store's ids are dense and chronological, so its values are in
+    ascending id order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = (
-        map(record_to_dict, world.log),
-        (content_to_dict(world.content[cid]) for cid in sorted(world.content)),
-        (profile_to_dict(world.agents[agent_id].profile)
+    lines = (
+        map(record_line, world.log),
+        map(content_line, world.content.values()),
+        (profile_line(world.agents[agent_id].profile)
          for agent_id in world.agent_order()),
     )
-    for name, file_rows in zip(OUTPUTS, rows):
-        write_jsonl(out / name, file_rows)
+    for name, file_lines in zip(OUTPUTS, lines):
+        with open(out / name, "w") as fh:
+            fh.writelines(file_lines)
 
 
 def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
@@ -703,17 +733,45 @@ def load_run(run_dir):
 
 
 def check_integrity(world: WorldState) -> None:
-    """Assert content-store invariants: parents/roots resolve, roots are
-    originals, and each item's reshare counter equals its child count."""
-    children = {}
+    """Assert content-store invariants: parents and roots resolve and roots
+    are originals; each item's reshare counter equals its child count and
+    its ``cascade_reshares`` the re-share nodes under it; and its likes,
+    dislikes, comments and comment texts are those ``world.log`` records
+    for it, in order."""
+    children, cascade = Counter(), Counter()
     for item in world.content.values():
         if item.parent is not None:
             if item.parent not in world.content:
                 raise AssertionError(f"dangling parent for {item.content_id}")
-            children[item.parent] = children.get(item.parent, 0) + 1
+            children[item.parent] += 1
+            cascade[item.root] += 1
         root = world.content.get(item.root)
         if root is None or root.parent is not None:
             raise AssertionError(f"bad root for {item.content_id}")
-    for item in world.content.values():
-        if item.counters.reshares != children.get(item.content_id, 0):
-            raise AssertionError(f"reshare counter mismatch on {item.content_id}")
+    likes, dislikes, comments = Counter(), Counter(), {}
+    for record in world.log:
+        kind, target = record.action.kind, record.action.target
+        if kind is ActionKind.LIKE:
+            likes[target] += 1
+        elif kind is ActionKind.DISLIKE:
+            dislikes[target] += 1
+        elif kind is ActionKind.COMMENT:
+            comments.setdefault(target, []).append(
+                (record.agent, record.action.payload))
+    for target in likes.keys() | dislikes.keys() | comments.keys():
+        if target not in world.content:
+            raise AssertionError(f"the log reacts to unknown content {target}")
+    for cid, item in world.content.items():
+        counters, texts = item.counters, comments.get(cid, [])
+        if counters.reshares != children[cid]:
+            raise AssertionError(f"reshare counter mismatch on {cid}")
+        if item.cascade_reshares != cascade[cid]:
+            raise AssertionError(f"cascade_reshares mismatch on {cid}")
+        if counters.likes != likes[cid]:
+            raise AssertionError(f"like counter mismatch on {cid}")
+        if counters.dislikes != dislikes[cid]:
+            raise AssertionError(f"dislike counter mismatch on {cid}")
+        if counters.comments != len(texts):
+            raise AssertionError(f"comment counter mismatch on {cid}")
+        if item.comment_texts != texts:
+            raise AssertionError(f"comment texts mismatch on {cid}")

@@ -1,11 +1,13 @@
-"""The one opener of input files, and the one reader and writer of
-line-delimited JSON.
+"""The one opener of input files, and the one reader of line-delimited
+JSON.
 
 Every input file (personas, platform records, follows, a config file, a
 run's ``agents.jsonl``, ``actions.jsonl`` and ``manifest.json``) is opened by
 ``read_text``, and the line-delimited ones are read by ``read_jsonl``, their
 string fields checked by ``string``. A missing or unreadable file, or a line
 that does not parse, is a ``ValueError`` naming the file (and the line).
+``write_jsonl`` writes ``ground``'s personas; a run's files are rendered
+line by line in ``engine``.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ def read_jsonl(path, parse, finish=lambda: None) -> list:
 
     A line is decoded by ``json.JSONDecoder().raw_decode`` and used as is
     when its value ends at the end of the line, as every line ``write_jsonl``
-    writes does. Any other line (surrounding whitespace, extra data, a BOM,
-    bad JSON) goes to ``json.loads``, so values and errors are its own."""
+    and ``engine.write_artifacts`` write does. Any other line (surrounding
+    whitespace, extra data, a BOM, bad JSON) goes to ``json.loads``, so
+    values and errors are its own."""
     lines = read_text(path).splitlines()
     rows, number = [], 0
     try:

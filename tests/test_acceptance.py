@@ -31,7 +31,6 @@ from traitsim.core import (
 )
 from traitsim.engine import (
     SimulationConfig,
-    record_to_dict,
     run_simulation,
 )
 from traitsim.grounding import (
@@ -345,15 +344,15 @@ def test_ac8_determinism(run98):
     """Bit-identical logs across repeated runs and across permuted decision
     order."""
     reference, _ = run98
-    ref_log = [record_to_dict(r) for r in reference.log]
+    ref_log = reference.log
 
     config = SimulationConfig(master_seed=SEED_98, iterations=25)
     repeat = run_simulation(config, make_personas(14))
-    repeat_ok = [record_to_dict(r) for r in repeat.log] == ref_log
+    repeat_ok = repeat.log == ref_log
 
     shuffled = Shuffled(StubBackend(), random.Random(5).shuffle)
     permuted = run_simulation(config, make_personas(14), shuffled)
-    permuted_ok = [record_to_dict(r) for r in permuted.log] == ref_log
+    permuted_ok = permuted.log == ref_log
 
     report(f"[AC8] determinism (repeat identical {repeat_ok}, permuted "
            f"decision order identical {permuted_ok})",

@@ -16,13 +16,16 @@ from traitsim.core import (
     Action,
     ActionKind,
     ActionRecord,
+    AgentProfile,
+    ContentItem,
     Counters,
     ENGAGEMENT_KINDS,
+    OCEAN_VARIANTS,
     Order,
     Trait,
 )
 import traitsim
-from traitsim import engine
+from traitsim import engine, jsonl
 from traitsim.engine import (
     CONFIGURATIONS,
     SimulationConfig,
@@ -31,12 +34,13 @@ from traitsim.engine import (
     apply_action,
     apply_record,
     check_integrity,
-    content_to_dict,
+    content_line,
     init_population,
     load_run,
+    profile_line,
     recommend_feed,
     record_from_dict,
-    record_to_dict,
+    record_line,
     run_iteration,
     run_simulation,
     write_artifacts,
@@ -77,6 +81,52 @@ def add_post(world, author, iteration, topic="Music", text="t"):
 def add_reshare(world, author, iteration, parent):
     return world.add_content(author, iteration, parent.text, parent.topic,
                              parent)
+
+
+# The dicts a run line renders, as ``json.dumps(d, sort_keys=True)`` writes
+# them: the reference for ``record_line``, ``content_line`` and
+# ``profile_line``.
+
+
+def record_to_dict(record):
+    return {
+        "iteration": record.iteration,
+        "agent": record.agent,
+        "kind": record.action.kind.value,
+        "target": record.action.target,
+        "payload": record.action.payload,
+        "order": record.order.value,
+        "reason": record.reason_text,
+    }
+
+
+def content_to_dict(item):
+    return {
+        "content_id": item.content_id,
+        "author": item.author,
+        "iteration_created": item.iteration_created,
+        "parent": item.parent,
+        "root": item.root,
+        "topic": item.topic,
+        "text": item.text,
+        "counters": {
+            "reshares": item.counters.reshares,
+            "likes": item.counters.likes,
+            "dislikes": item.counters.dislikes,
+            "comments": item.counters.comments,
+        },
+        "cascade_reshares": item.cascade_reshares,
+        "comment_texts": [list(pair) for pair in item.comment_texts],
+    }
+
+
+def profile_to_dict(profile):
+    return {
+        "agent_id": profile.agent_id,
+        "trait": None if profile.trait is None else profile.trait.code,
+        "topic": profile.topic,
+        "following": sorted(profile.following),
+    }
 
 
 def _reference_recommend_feed(agent, world, strategy, k, rng,
@@ -860,14 +910,12 @@ class TestDeterminism:
     def test_same_seed_same_log(self, personas_small):
         cfg = config(iterations=6, master_seed=11)
         runs = [run_simulation(cfg, personas_small) for _ in range(2)]
-        logs = [[record_to_dict(r) for r in w.log] for w in runs]
-        assert logs[0] == logs[1]
+        assert runs[0].log == runs[1].log
 
     def test_different_seed_different_log(self, personas_small):
         a = run_simulation(config(iterations=6, master_seed=1), personas_small)
         b = run_simulation(config(iterations=6, master_seed=2), personas_small)
-        assert ([record_to_dict(r) for r in a.log]
-                != [record_to_dict(r) for r in b.log])
+        assert a.log != b.log
 
     def test_permuted_decision_order_is_identical(self, personas_small):
         cfg = config(iterations=6, master_seed=11)
@@ -876,8 +924,7 @@ class TestDeterminism:
         shuffled = Shuffled(StubBackend(), np.random.default_rng(99).shuffle)
         world = run_simulation(cfg, personas_small, shuffled)
 
-        assert ([record_to_dict(r) for r in world.log]
-                == [record_to_dict(r) for r in reference.log])
+        assert world.log == reference.log
 
     @settings(max_examples=150, deadline=None)
     @given(master_seed=st.one_of(st.integers(0, 2**32 - 1),
@@ -930,7 +977,7 @@ class TestDeterminism:
 class TestSerialization:
     def test_record_roundtrip(self):
         record = run_simulation(config(iterations=3), make_personas(2)).log[5]
-        assert record_from_dict(record_to_dict(record)) == record
+        assert record_from_dict(json.loads(record_line(record))) == record
 
     def test_artifacts_on_disk(self, personas_small, tmp_path):
         world = run_simulation(config(iterations=4, master_seed=3),
@@ -994,6 +1041,172 @@ class TestSerialization:
         add_reshare(world, "b", 2, original)
         with pytest.raises(AssertionError, match="reshare counter"):
             check_integrity(world)  # counter was never incremented
+
+
+class TestCheckIntegrity:
+    """``check_integrity`` holds on a store built by the log and fails when
+    any counter ``content.jsonl`` holds disagrees with it."""
+
+    @staticmethod
+    def world():
+        """Item 1 is a post, 2 a re-share of it and 3 a re-share of 2; each
+        has a like, a dislike or two comments."""
+        world = init_population(make_personas(3),
+                                config(configuration="IdentityOnly"))
+        a, b, c = (world.agents[f"p00{i}"] for i in range(3))
+        for agent, kind, target, payload in [
+                (a, ActionKind.POST, None, "hi"),
+                (b, ActionKind.RESHARE, 1, None),
+                (c, ActionKind.RESHARE, 2, None),
+                (b, ActionKind.LIKE, 1, None),
+                (c, ActionKind.DISLIKE, 2, None),
+                (b, ActionKind.COMMENT, 3, "one"),
+                (a, ActionKind.COMMENT, 3, "two")]:
+            apply_action(world, agent, Decision(kind, "r", target, payload), 1)
+        return world
+
+    @pytest.mark.parametrize("run", ["built", "FullModel",
+                                     "RandomRecommendation", "llm-path"])
+    def test_holds_on_a_store_the_log_built(self, run):
+        """Each of these runs comments; the stub gives a trait-less or
+        psychometric agent no comment."""
+        if run == "built":
+            world = self.world()
+        elif run == "llm-path":
+            world = llm_path_run(MemoryParams())[1]
+        else:
+            world = run_simulation(config(configuration=run, iterations=6),
+                                   make_personas(3))
+        assert any(item.comment_texts for item in world.content.values())
+        check_integrity(world)
+
+    def test_a_like_that_is_not_counted(self):
+        world = self.world()
+        world.content[1].counters.likes -= 1
+        with pytest.raises(AssertionError, match="like counter .* on 1"):
+            check_integrity(world)
+
+    def test_a_dislike_counted_twice(self):
+        world = self.world()
+        world.content[2].counters.dislikes += 1
+        with pytest.raises(AssertionError, match="dislike counter .* on 2"):
+            check_integrity(world)
+
+    def test_a_dropped_comment_text(self):
+        world = self.world()
+        world.content[3].comment_texts.pop()
+        with pytest.raises(AssertionError, match="comment texts .* on 3"):
+            check_integrity(world)
+
+    def test_comment_texts_out_of_order(self):
+        world = self.world()
+        world.content[3].comment_texts.reverse()
+        with pytest.raises(AssertionError, match="comment texts .* on 3"):
+            check_integrity(world)
+
+    def test_a_comment_without_its_text(self):
+        world = self.world()
+        world.content[2].counters.comments += 1
+        with pytest.raises(AssertionError, match="comment counter .* on 2"):
+            check_integrity(world)
+
+    def test_a_cascade_off_by_one(self):
+        world = self.world()
+        world.content[1].cascade_reshares += 1
+        with pytest.raises(AssertionError, match="cascade_reshares .* on 1"):
+            check_integrity(world)
+
+    def test_a_reshare_counted_at_the_parent_but_not_at_the_root(self):
+        world = self.world()
+        parent = world.content[3]
+        add_reshare(world, "p000", 2, parent)
+        parent.counters.reshares += 1
+        with pytest.raises(AssertionError, match="cascade_reshares .* on 1"):
+            check_integrity(world)
+
+    def test_a_reaction_to_unknown_content(self):
+        world = self.world()
+        world.log.append(ActionRecord(2, "p000", Action(ActionKind.LIKE, 9),
+                                      Order.FIRST))
+        with pytest.raises(AssertionError, match="unknown content 9"):
+            check_integrity(world)
+
+
+# Text that JSON must escape or that ``str.splitlines`` breaks at, beside
+# any code point, lone surrogates included.
+texts = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1c\x1f\x7f\x85\u2028\u2029\xe9\U0001f600'
+                    '\ud800\udfff\n\r\t'),
+    st.characters(exclude_categories=())))
+optional_texts = st.none() | texts
+counts = st.integers(0, 2**70)
+
+
+@st.composite
+def records(draw):
+    kind = draw(st.sampled_from(ActionKind))
+    order = (draw(st.sampled_from([Order.FIRST, Order.SECOND]))
+             if kind in ENGAGEMENT_KINDS else Order.NA)
+    return ActionRecord(
+        draw(st.integers(-1, 2**70)), draw(texts),
+        Action(kind, draw(st.none() | st.integers() | texts),
+               draw(optional_texts)),
+        order, draw(texts))
+
+
+@st.composite
+def content_items(draw):
+    content_id = draw(st.integers(1, 2**40))
+    parent = draw(st.none() | st.integers(1, 2**40))
+    return ContentItem(
+        content_id, draw(texts), draw(counts), draw(texts),
+        draw(optional_texts), parent,
+        None if parent is None else draw(st.integers(1, 2**40)),
+        Counters(*(draw(counts) for _ in range(4))),
+        draw(st.lists(st.tuples(texts, texts), max_size=6)), draw(counts))
+
+
+profiles = st.builds(
+    AgentProfile, texts, texts,
+    st.none() | st.sampled_from(Trait) | st.sampled_from(OCEAN_VARIANTS),
+    optional_texts, st.sets(texts, max_size=8))
+
+
+class TestLineRenderers:
+    """Each renderer writes the line ``json.dumps`` writes for the
+    reference dict, and ``read_jsonl`` reads it back on its fast path."""
+
+    CASES = [(record_line, record_to_dict, records()),
+             (content_line, content_to_dict, content_items()),
+             (profile_line, profile_to_dict, profiles)]
+
+    @pytest.mark.parametrize("render, reference, rows", CASES,
+                             ids=["record", "content", "profile"])
+    def test_same_line_as_json_dumps(self, render, reference, rows):
+        @settings(max_examples=150, deadline=None)
+        @given(rows)
+        def check(row):
+            line = render(row)
+            assert line == json.dumps(reference(row), sort_keys=True) + "\n"
+            assert line.splitlines() == [line[:-1]]
+            assert jsonl._raw_decode(line[:-1])[1] == len(line) - 1
+
+        check()
+
+    @pytest.mark.parametrize("target", [True, 1.0, b"7", ("a",)])
+    def test_an_undeclared_value_is_a_type_error(self, target):
+        record = ActionRecord(1, "a", Action(ActionKind.LIKE, target),
+                              Order.FIRST)
+        with pytest.raises(TypeError):
+            record_line(record)
+
+    def test_an_undeclared_field_type_is_a_type_error(self):
+        item = ContentItem(1, "a", 1, "t", None)
+        item.counters.likes = False
+        with pytest.raises(TypeError):
+            content_line(item)
+        with pytest.raises(TypeError):
+            profile_line(AgentProfile(5, ""))
 
 
 class TestGoldenDigests:
