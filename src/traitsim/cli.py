@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import io
 import json
 import sys
@@ -38,6 +37,7 @@ from .engine import (
     CONFIGURATIONS,
     SimulationConfig,
     check_integrity,
+    collector_paused,
     init_population,
     load_run,
     run_simulation,
@@ -289,22 +289,7 @@ def cmd_analyze(args) -> int:
     """Write the analysis of the run in ``args.run`` (and the chain-length
     comparison with ``args.compare``) into ``args.out``, or into the run.
     ``--out`` is checked and both runs are read before anything is written.
-
-    The cyclic garbage collector is paused for the whole command and left
-    as it was found. The loaded store is hundreds of thousands of tracked
-    objects, which every collection would walk again, and analyze makes no
-    reference cycles, so the collections would reclaim nothing; the store is
-    freed by reference counting when the command returns."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _analyze(args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _analyze(args) -> int:
+    """
     run_dir = Path(args.run)
     other = Path(args.compare) if args.compare else None
     same_run = other is not None and other.resolve() == run_dir.resolve()
@@ -512,10 +497,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit status: 0, or 1
+    after printing a ``CliError``. The command runs with the cyclic garbage
+    collector paused (``engine.collector_paused``), which is left as it was
+    found; the worlds it builds or loads are freed by reference counting
+    before that."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -32,16 +32,23 @@ writes for each row's dict without building it. It still writes
 ``content.jsonl`` for readers of the run directory, but ``load_run`` never
 reads it: it replays ``actions.jsonl`` through ``apply_record`` onto the
 agents of ``agents.jsonl``, so every record must replay cleanly.
+
+``run_simulation`` and ``load_run`` build a world, and run with the cyclic
+garbage collector paused (``collector_paused``): a world is hundreds of
+thousands of tracked objects and holds no reference cycle, so a collection
+would walk it and reclaim nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import operator
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from itertools import filterfalse, islice
 from pathlib import Path
@@ -224,11 +231,12 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     Reads the world and writes nothing to it. Content ids are chronological,
     so every walk below is newest first and stops as soon as it has what the
     feed needs: O(k + skipped) for both strategies, however long the run.
-    The forced re-shares come from a walk of each followee's
-    ``world.reshares_by_author`` list that stops after ``k`` ids the agent
-    has not re-shared (O(F·k + skipped) for F followees). When they fill the
-    feed nothing else is read. Otherwise the walks found every forced
-    re-share, and the remaining slots are filled as follows. The random
+    The forced re-shares come from each followee's
+    ``world.reshares_by_author`` list: its last ``k`` ids when the agent has
+    re-shared none of them, otherwise a walk that stops after ``k`` ids the
+    agent has not re-shared (O(F·k + skipped) for F followees). When they
+    fill the feed nothing else is read. Otherwise every forced re-share was
+    found, and the remaining slots are filled as follows. The random
     strategy excludes the agent's own content (``world.authored``), the
     forced re-shares and its re-shared ids, in O(excluded items + k) up to a
     log factor; sampled ranks map straight to the dense ids. The preference
@@ -240,13 +248,21 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     no more than a plentiful one.
     """
     me = agent.profile.agent_id
-    reshared = agent.reshared_ids.__contains__
+    mine = agent.reshared_ids
+    reshared = mine.__contains__
 
-    forced_ids = sorted(
-        (cid for author in agent.profile.following if author != me
-         for cid in islice(filterfalse(reshared, reversed(
-             world.reshares_by_author.get(author, ()))), k)),
-        reverse=True)[:k]
+    forced_ids = []
+    for author in agent.profile.following:
+        ids = world.reshares_by_author.get(author)
+        if author == me or not ids:
+            continue
+        newest = ids[-k:]
+        if mine.isdisjoint(newest):
+            forced_ids += newest
+        else:
+            forced_ids += islice(filterfalse(reshared, reversed(ids)), k)
+    forced_ids.sort(reverse=True)
+    del forced_ids[k:]
     forced = list(map(world.content.__getitem__, forced_ids))
     need = k - len(forced)
 
@@ -452,6 +468,32 @@ def agent_rng(master_seed: int, iteration: int, agent_index: int,
     return np.random.Generator(np.random.PCG64(_SeedWords(words[offset])))
 
 
+@contextmanager
+def collector_paused():
+    """Pause Python's cyclic garbage collector for the ``with`` block (or
+    each call of the function it decorates), and leave it as it was found:
+    on exit, also on an exception, it is enabled again only if it was
+    enabled on entry, so nested pauses and callers that disabled it are left
+    alone. The pause is process-wide, and this is the one place in
+    ``traitsim`` that pauses.
+
+    A world is hundreds of thousands of tracked objects (records, content
+    items, memory entries), and each full collection walks all of them
+    again, so the collector costs about a tenth of a simulation and more at
+    larger populations. Building, loading and analysing a world make no
+    reference cycles, so those collections would reclaim nothing: the pause
+    only defers reclaiming cycles, here an embedding program's own, to the
+    end of the block, and the world is freed by reference counting.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def run_iteration(world: WorldState, config: SimulationConfig,
                   backend) -> WorldState:
     """One snapshot-decide / serialized-apply cycle.
@@ -525,12 +567,16 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
     iterations (agent memories may hold the failed iteration's decay and
     observations) and can be written with ``write_artifacts``. The backend
     stays open; closing it is the caller's part.
+
+    Runs with the cyclic garbage collector paused (``collector_paused``)
+    and leaves it as it was found, also when it raises.
     """
     backend = backend or StubBackend()
-    world = initial_world if initial_world is not None else init_population(
-        personas, config)
-    for _ in range(config.iterations):
-        run_iteration(world, config, backend)
+    with collector_paused():
+        world = initial_world if initial_world is not None else (
+            init_population(personas, config))
+        for _ in range(config.iterations):
+            run_iteration(world, config, backend)
     return world
 
 
@@ -669,6 +715,7 @@ def write_manifest(world: WorldState, config: SimulationConfig, out_dir,
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+@collector_paused()
 def load_run(run_dir):
     """A run's action log, content store and agent traits; the inverse of
     ``write_artifacts``. The store is rebuilt by replaying ``actions.jsonl``
@@ -676,7 +723,9 @@ def load_run(run_dir):
     record that cannot be replayed, or out of the log's shape (one per agent
     per iteration, in ``agents.jsonl`` order, for as many iterations as the
     manifest's ``completed_iterations`` if it names them), is a malformed
-    line."""
+    line. Runs with the cyclic garbage collector paused
+    (``collector_paused``) and leaves it as it was found, also when it
+    raises."""
     run_dir = Path(run_dir)
     actions_path, _, agents_path = (run_dir / name for name in OUTPUTS)
     if not run_dir.is_dir():

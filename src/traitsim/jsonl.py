@@ -70,8 +70,15 @@ def read_jsonl(path, parse, finish=lambda: None) -> list:
     when its value ends at the end of the line, as every line ``write_jsonl``
     and ``engine.write_artifacts`` write does. Any other line (surrounding
     whitespace, extra data, a BOM, bad JSON) goes to ``json.loads``, so
-    values and errors are its own."""
-    lines = read_text(path).splitlines()
+    values and errors are its own.
+
+    Lines end only at a line feed (``read_text`` reads CR LF and a lone CR
+    as one), so a string may hold any character JSON allows raw in it, such
+    as U+0085, U+2028 or U+2029; a raw form feed or U+001E, which JSON does
+    not allow, is an error at its own line."""
+    lines = read_text(path).split("\n")
+    if not lines[-1]:
+        lines.pop()  # what follows the last line feed is no line
     rows, number = [], 0
     try:
         for number, line in enumerate(lines, start=1):

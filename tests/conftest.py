@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 from collections import Counter
@@ -20,6 +21,14 @@ def make_personas(n, prefix="p"):
 @pytest.fixture
 def personas_small():
     return make_personas(6)
+
+
+@pytest.fixture
+def collector():
+    """Leave the cyclic garbage collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 @contextmanager

@@ -828,14 +828,6 @@ class TestAnalyze:
             f"{json.dumps(value)}\n")
 
 
-@pytest.fixture
-def collector():
-    """Leave the cyclic garbage collector as the test found it."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
 class TestAnalyzeCollector:
     """``analyze`` runs with the cyclic garbage collector paused, which is
     sound only because it makes no reference cycles."""

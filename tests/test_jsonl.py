@@ -106,6 +106,62 @@ def test_string_rejects_other_json_types(value, nullable, message):
         string({}, "key", nullable)
 
 
+# Characters ``str.splitlines`` breaks at besides line feed and carriage
+# return: JSON allows the first three raw inside a string; the other five
+# are control characters, which it does not.
+LEGAL_SEPARATORS = "\x85\u2028\u2029"
+CONTROL_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e"
+SEPARATORS = LEGAL_SEPARATORS + CONTROL_SEPARATORS
+
+
+@pytest.mark.parametrize("char", LEGAL_SEPARATORS)
+def test_a_string_may_hold_a_unicode_line_separator(tmp_path, char):
+    """A persona, a platform record and a run line whose text holds the
+    character raw (as ``ensure_ascii=False`` writes it) read, and a
+    malformed line after them is cited at its own number."""
+    text = f"a{char}b"
+    personas = tmp_path / "personas.jsonl"
+    personas.write_text(json.dumps({"id": "p1", "identity_text": text},
+                                   ensure_ascii=False) + "\n")
+    assert read_personas(personas)[0]["identity_text"] == text
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps({"user": "u", "kind": "post",
+                                   "timestamp": 0, "text": text},
+                                  ensure_ascii=False) + "\n")
+    assert parse_records(records)[0].text == text
+
+    run = tmp_path / "run"
+    write_artifacts(run_simulation(SimulationConfig(iterations=2),
+                                   make_personas(2)), run)
+    actions = run / "actions.jsonl"
+    rows = [json.loads(line) for line in actions.read_text().splitlines()]
+    post = next(r for r in rows if r["kind"] == "post")
+    post["payload"] = text
+    actions.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                               for r in rows))
+    log, content, _ = load_run(run)
+    assert text in {record.action.payload for record in log}
+    assert text in {item.text for item in content.values()}
+
+    personas.write_text(personas.read_text() * 2 + "{oops\n")
+    with pytest.raises(ValueError, match=f"{personas} line 3: "
+                                         f"JSONDecodeError: Expecting"):
+        read_personas(personas)
+
+
+@pytest.mark.parametrize("char", CONTROL_SEPARATORS)
+def test_a_raw_control_character_is_malformed_at_its_own_line(tmp_path,
+                                                              char):
+    path = tmp_path / "personas.jsonl"
+    path.write_text('{"id": "p1", "identity_text": "a\u2028b"}\n'
+                    f'{{"id": "p2", "identity_text": "a{char}b"}}\n')
+    with pytest.raises(ValueError) as err:
+        read_personas(path)
+    assert str(err.value).startswith(
+        f"malformed record in {path} line 2: JSONDecodeError: Invalid "
+        f"control character")
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text()
     | st.integers() | st.integers(min_value=10 ** 20),
@@ -119,11 +175,11 @@ whitespace = st.text(" \t", min_size=1, max_size=3)
 @st.composite
 def jsonl_lines(draw):
     """One line as a file may hold it: a ``json.dumps`` value, possibly with
-    surrounding whitespace, extra data, a BOM or cut short, or a blank or
-    out-of-range line."""
+    surrounding whitespace, extra data, a BOM or cut short, a blank or
+    out-of-range line, or a string holding ``SEPARATORS`` raw."""
     line = json.dumps(draw(json_values))
     edit = draw(st.sampled_from(["none", "lead", "trail", "extra", "bom",
-                                 "cut", "blank", "digits"]))
+                                 "cut", "blank", "digits", "raw"]))
     if edit == "lead":
         return draw(whitespace) + line
     if edit == "trail":
@@ -138,6 +194,8 @@ def jsonl_lines(draw):
         return draw(st.sampled_from(["", " ", "\t "]))
     if edit == "digits":  # beyond the integer string conversion limit
         return "1" * 5000
+    if edit == "raw":  # a string holding separators and control characters
+        return '"' + draw(st.text(SEPARATORS + "a", max_size=6)) + '"'
     return line
 
 
@@ -145,7 +203,7 @@ def loads_per_line(path):
     """``read_jsonl(path, parse=identity)`` as ``json.loads`` per line:
     the rows and the error text."""
     rows = []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
+    for number, line in enumerate(path.read_text().split("\n"), start=1):
         if line.strip():
             try:
                 rows.append(json.loads(line))
