@@ -44,7 +44,7 @@ def action_probability_vector(log) -> dict:
     counts = {}
     for record in log:
         try:
-            i = CATEGORY[record.action.kind]
+            i = CATEGORY[record.kind]
         except KeyError:
             continue  # a follow has no column
         row = counts.get(record.agent)
@@ -389,7 +389,7 @@ def order_dynamics(log) -> dict:
 def content_mix(log) -> dict:
     """Per-iteration cumulative (pct original, pct re-shared) creations."""
     return _split_by_iteration(
-        log, lambda r: _CREATION_SIDE.get(r.action.kind), cumulative=True)
+        log, lambda r: _CREATION_SIDE.get(r.kind), cumulative=True)
 
 
 @dataclass

@@ -255,7 +255,9 @@ def cmd_simulate(args) -> int:
         world = run_simulation(sim_config, personas, backend,
                                initial_world=world)
     except TransportError as err:
-        failure = err  # ``world`` holds the completed iterations; write them
+        # ``world`` holds the completed iterations; write them. Only the
+        # message is kept: ``err``'s traceback holds this frame.
+        failure = str(err)
     finally:
         if hasattr(backend, "close"):
             backend.close()

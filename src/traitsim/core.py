@@ -1,8 +1,9 @@
 """Domain types shared by every module: traits, actions, content, records.
 
-Value types here are plain dataclasses/enums. Nothing in this module touches
-simulation state; the only mutable piece is ``Counters``, which the engine
-mutates during its serialized apply phase.
+One action is one ``ActionRecord`` and one stored item one ``ContentItem``,
+whose counters, comment texts and cascade count the engine changes in its
+serialized apply phase. ``check_shape`` is the one rule of what each kind of
+action carries, for a model's answer and a run file's record alike.
 """
 
 from __future__ import annotations
@@ -152,35 +153,31 @@ class Order(Enum):
     __hash__ = object.__hash__  # as for Trait
 
 
-@dataclass(slots=True)
-class Action:
-    """One platform action. Shape constraints:
+class ValidationError(ValueError):
+    """An action that breaks the decision protocol; ``rule`` names why."""
 
-    - POST requires ``payload`` text,
-    - RESHARE/LIKE/DISLIKE/COMMENT require an integer content-id ``target``,
-    - FOLLOW requires an agent-id ``target``,
-    - INACTIVE carries neither.
-    """
+    def __init__(self, rule: str, detail: str = ""):
+        super().__init__(f"{rule}: {detail}" if detail else rule)
+        self.rule = rule
 
-    kind: ActionKind
-    target: Optional[Union[int, str]] = None
-    payload: Optional[str] = None
 
-    def validate_shape(self) -> None:
-        k = self.kind
-        if k in ENGAGEMENT_KINDS:
-            if type(self.target) is not int:  # a bool is no content id
-                raise ValueError(f"{k.value} requires a content-id target")
-            if k is ActionKind.COMMENT and not self.payload:
-                raise ValueError("comment requires payload text")
-        elif k is ActionKind.POST:
-            if not self.payload:
-                raise ValueError("post requires payload text")
-        elif k is ActionKind.FOLLOW:
-            if not isinstance(self.target, str):
-                raise ValueError("follow requires an agent-id target")
-        elif self.target is not None or self.payload:  # INACTIVE
-            raise ValueError("inactive carries neither target nor payload")
+def check_shape(kind: ActionKind, target, payload) -> None:
+    """Check that an action of ``kind`` carries what the kind needs: an
+    integer content-id ``target`` for an engagement, an agent-id ``target``
+    for a follow, ``payload`` text for a post or a comment, and neither for
+    inactivity. Raises ``ValidationError`` naming the broken rule: ``missing
+    target``, ``missing payload`` or ``unexpected field``."""
+    if kind in ENGAGEMENT_KINDS and type(target) is not int:  # no bool
+        raise ValidationError("missing target",
+                              f"{kind.value} requires a content id")
+    if kind is ActionKind.FOLLOW and not (type(target) is str and target):
+        raise ValidationError("missing target", "follow requires an agent id")
+    if kind in (ActionKind.POST, ActionKind.COMMENT) and not (
+            type(payload) is str and payload):
+        raise ValidationError("missing payload", f"{kind.value} requires text")
+    if kind is ActionKind.INACTIVE and (target is not None or payload):
+        raise ValidationError("unexpected field",
+                              "inactive carries neither target nor payload")
 
 
 @dataclass(frozen=True)
@@ -219,21 +216,13 @@ class AgentProfile:
 
 
 @dataclass(slots=True)
-class Counters:
-    reshares: int = 0
-    likes: int = 0
-    dislikes: int = 0
-    comments: int = 0
-
-
-@dataclass(slots=True)
 class ContentItem:
     """An original post or a re-share node.
 
     ``parent is None`` iff the item is an original, in which case
-    ``root == content_id``. ``cascade_reshares`` is tracked on originals only
-    and counts every re-share event anywhere in the item's cascade;
-    ``counters.reshares`` counts direct children only.
+    ``root == content_id``. ``reshares`` counts direct children only;
+    ``cascade_reshares`` is tracked on originals only and counts every
+    re-share event anywhere in the item's cascade.
     """
 
     content_id: int
@@ -243,7 +232,10 @@ class ContentItem:
     topic: Optional[str]
     parent: Optional[int] = None
     root: Optional[int] = None
-    counters: Counters = field(default_factory=Counters)
+    reshares: int = 0
+    likes: int = 0
+    dislikes: int = 0
+    comments: int = 0
     comment_texts: list = field(default_factory=list)  # (agent_id, text) pairs
     cascade_reshares: int = 0
 
@@ -263,14 +255,19 @@ class ContentItem:
 
 @dataclass(slots=True)
 class ActionRecord:
+    """One logged action. Its order is checked here, its shape
+    (``check_shape``) where an answer or a run file is read."""
+
     iteration: int
     agent: str
-    action: Action
+    kind: ActionKind
+    target: Optional[Union[int, str]] = None
+    payload: Optional[str] = None
     order: Order = Order.NA
     reason_text: str = ""
 
     def __post_init__(self):
-        na = self.action.kind not in ENGAGEMENT_KINDS
+        na = self.kind not in ENGAGEMENT_KINDS
         if na != (self.order is Order.NA):
             raise ValueError("order is NotApplicable exactly for post/follow/inactive")
 

@@ -31,7 +31,8 @@ file line by line from ``record_line``, ``content_line`` and
 writes for each row's dict without building it. It still writes
 ``content.jsonl`` for readers of the run directory, but ``load_run`` never
 reads it: it replays ``actions.jsonl`` through ``apply_record`` onto the
-agents of ``agents.jsonl``, so every record must replay cleanly.
+agents of ``agents.jsonl``, so every record must pass ``core.check_shape``
+and replay cleanly.
 
 ``run_simulation`` and ``load_run`` build a world, and run with the cyclic
 garbage collector paused (``collector_paused``): a world is hundreds of
@@ -59,7 +60,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .core import (
-    Action,
     ActionKind,
     ActionRecord,
     AgentProfile,
@@ -68,6 +68,7 @@ from .core import (
     Order,
     Trait,
     ENGAGEMENT_KINDS,
+    check_shape,
 )
 from .jsonl import read_json, read_jsonl, string
 from .memory import (
@@ -128,13 +129,12 @@ class AgentState:
 class WorldState:
     """Agents, content store and action log of one run. Content enters only
     through ``add_content``, which records its author; the store's ids are
-    dense (``1 ... next_content_id - 1``) and chronological."""
+    dense (``1 ... len(content)``) and chronological."""
 
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState
     content: dict = field(default_factory=dict)  # content_id -> ContentItem
     log: list = field(default_factory=list)  # ActionRecord, append-only
     iteration: int = 0
-    next_content_id: int = 1
     authored: dict = field(default_factory=dict)  # author -> {id: None}, ascending
     reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
     # topic (None included) -> ascending ids: the preference feed's matches
@@ -149,12 +149,11 @@ class WorldState:
         """Store a new original, or a re-share of ``parent``, under the next
         content id and record its author and topic."""
         item = ContentItem(
-            content_id=self.next_content_id, author=author,
+            content_id=len(self.content) + 1, author=author,
             iteration_created=iteration, text=text, topic=topic,
             parent=None if parent is None else parent.content_id,
             root=None if parent is None else parent.root,
         )
-        self.next_content_id += 1
         self.content[item.content_id] = item
         self.authored.setdefault(author, {})[item.content_id] = None
         self.by_topic.setdefault(topic, []).append(item.content_id)
@@ -288,7 +287,7 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     if need == 0:
         return forced
     # The draw depends only on (pool size, take), so sample ranks in the
-    # dense id order 1 ... next_content_id - 1 minus the excluded ids,
+    # dense id order 1 ... len(world.content) minus the excluded ids,
     # without building the pool. The excluded ids are disjoint, because
     # ``apply_record`` rejects a re-share of one's own item.
     excluded = sorted((*world.authored.get(me, ()), *agent.reshared_ids,
@@ -314,9 +313,9 @@ def apply_action(world: WorldState, agent: AgentState, decision: Decision,
     if decision.choice in ENGAGEMENT_KINDS:  # first-order iff on an original
         order = (Order.FIRST if world.content[decision.target].parent is None
                  else Order.SECOND)
-    record = ActionRecord(iteration, agent.profile.agent_id, Action(
-        decision.choice, decision.target, decision.payload), order,
-        decision.reason)
+    record = ActionRecord(iteration, agent.profile.agent_id, decision.choice,
+                          decision.target, decision.payload, order,
+                          decision.reason)
     apply_record(world, agent, record)
     world.log.append(record)
 
@@ -325,15 +324,15 @@ def apply_record(world: WorldState, agent: AgentState,
                  record: ActionRecord) -> None:
     """Update the content store and the follow graph for ``agent``'s
     ``record``; one that ``apply_action`` cannot have logged is an error."""
-    profile, action, kind = agent.profile, record.action, record.action.kind
+    profile, kind = agent.profile, record.kind
 
     if kind is ActionKind.POST:
-        world.add_content(profile.agent_id, record.iteration, action.payload,
+        world.add_content(profile.agent_id, record.iteration, record.payload,
                           profile.topic)
     elif kind in ENGAGEMENT_KINDS:
-        target = world.content[action.target]
+        target = world.content[record.target]
         if (record.order is Order.FIRST) != (target.parent is None):
-            raise ValueError(f"{kind.value} of content {action.target} is "
+            raise ValueError(f"{kind.value} of content {record.target} is "
                              f"not {record.order.value}")
         if kind is ActionKind.RESHARE:
             if target.author == profile.agent_id:
@@ -345,19 +344,19 @@ def apply_record(world: WorldState, agent: AgentState,
             world.add_content(profile.agent_id, record.iteration, target.text,
                               target.topic, target)
             agent.reshared_ids.add(target.content_id)
-            target.counters.reshares += 1
+            target.reshares += 1
             world.content[target.root].cascade_reshares += 1
         elif kind is ActionKind.LIKE:
-            target.counters.likes += 1
+            target.likes += 1
         elif kind is ActionKind.DISLIKE:
-            target.counters.dislikes += 1
+            target.dislikes += 1
         else:
-            target.counters.comments += 1
-            target.comment_texts.append((profile.agent_id, action.payload))
+            target.comments += 1
+            target.comment_texts.append((profile.agent_id, record.payload))
     elif kind is ActionKind.FOLLOW:
-        if action.target not in world.agents:
-            raise ValueError(f"follow of unknown agent {action.target!r}")
-        profile.following.add(action.target)  # idempotent
+        if record.target not in world.agents:
+            raise ValueError(f"follow of unknown agent {record.target!r}")
+        profile.following.add(record.target)  # idempotent
     # INACTIVE: log only
 
 
@@ -545,7 +544,7 @@ def run_iteration(world: WorldState, config: SimulationConfig,
     for agent_id, decision in zip(order, decisions):
         agent = world.agents[agent_id]
         apply_action(world, agent, decision, iteration)
-        am_record(agent.memory.am, world.log[-1].action, iteration, params)
+        am_record(agent.memory.am, world.log[-1], params)
 
     if iteration % params.eval_period == 0:
         for agent_id in order:
@@ -601,18 +600,17 @@ def _member(members: dict, value, name: str):
 def record_from_dict(d: dict) -> ActionRecord:
     """The record whose ``record_line`` parses to ``d``; a missing key is a
     ``KeyError``, a wrongly typed agent or iteration a ``TypeError``, an
-    unknown kind or order or a misshaped action a ``ValueError``."""
+    unknown kind or order a ``ValueError``, and a misshaped action
+    ``check_shape``'s ``ValidationError``, as for a model's answer."""
     agent, iteration = string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
-    action = Action(_member(_KINDS, d["kind"], "kind"), d["target"],
-                    d["payload"])
-    action.validate_shape()
-    return ActionRecord(
-        iteration=iteration, agent=agent, action=action,
-        order=_member(_ORDERS, d["order"], "order"), reason_text=d["reason"],
-    )
+    kind = _member(_KINDS, d["kind"], "kind")
+    target, payload = d["target"], d["payload"]
+    check_shape(kind, target, payload)
+    return ActionRecord(iteration, agent, kind, target, payload,
+                        _member(_ORDERS, d["order"], "order"), d["reason"])
 
 
 # Each renderer returns the line ``json.dumps(row, sort_keys=True) + "\n"``
@@ -638,29 +636,27 @@ def _value(value) -> str:
 
 def record_line(record: ActionRecord) -> str:
     """The ``actions.jsonl`` line of ``record``."""
-    action = record.action
     return (f'{{"agent": {_quote(record.agent)}, '
             f'"iteration": {_value(record.iteration)}, '
-            f'"kind": {_KIND_JSON[action.kind]}, '
+            f'"kind": {_KIND_JSON[record.kind]}, '
             f'"order": {_ORDER_JSON[record.order]}, '
-            f'"payload": {_value(action.payload)}, '
+            f'"payload": {_value(record.payload)}, '
             f'"reason": {_quote(record.reason_text)}, '
-            f'"target": {_value(action.target)}}}\n')
+            f'"target": {_value(record.target)}}}\n')
 
 
 def content_line(item: ContentItem) -> str:
     """The ``content.jsonl`` line of ``item``."""
-    counters = item.counters
     comments = ", ".join([f"[{_quote(agent)}, {_quote(text)}]"
                           for agent, text in item.comment_texts])
     return (f'{{"author": {_quote(item.author)}, '
             f'"cascade_reshares": {_value(item.cascade_reshares)}, '
             f'"comment_texts": [{comments}], '
             f'"content_id": {_value(item.content_id)}, '
-            f'"counters": {{"comments": {_value(counters.comments)}, '
-            f'"dislikes": {_value(counters.dislikes)}, '
-            f'"likes": {_value(counters.likes)}, '
-            f'"reshares": {_value(counters.reshares)}}}, '
+            f'"counters": {{"comments": {_value(item.comments)}, '
+            f'"dislikes": {_value(item.dislikes)}, '
+            f'"likes": {_value(item.likes)}, '
+            f'"reshares": {_value(item.reshares)}}}, '
             f'"iteration_created": {_value(item.iteration_created)}, '
             f'"parent": {_value(item.parent)}, '
             f'"root": {_value(item.root)}, '
@@ -799,28 +795,28 @@ def check_integrity(world: WorldState) -> None:
             raise AssertionError(f"bad root for {item.content_id}")
     likes, dislikes, comments = Counter(), Counter(), {}
     for record in world.log:
-        kind, target = record.action.kind, record.action.target
+        kind, target = record.kind, record.target
         if kind is ActionKind.LIKE:
             likes[target] += 1
         elif kind is ActionKind.DISLIKE:
             dislikes[target] += 1
         elif kind is ActionKind.COMMENT:
             comments.setdefault(target, []).append(
-                (record.agent, record.action.payload))
+                (record.agent, record.payload))
     for target in likes.keys() | dislikes.keys() | comments.keys():
         if target not in world.content:
             raise AssertionError(f"the log reacts to unknown content {target}")
     for cid, item in world.content.items():
-        counters, texts = item.counters, comments.get(cid, [])
-        if counters.reshares != children[cid]:
+        texts = comments.get(cid, [])
+        if item.reshares != children[cid]:
             raise AssertionError(f"reshare counter mismatch on {cid}")
         if item.cascade_reshares != cascade[cid]:
             raise AssertionError(f"cascade_reshares mismatch on {cid}")
-        if counters.likes != likes[cid]:
+        if item.likes != likes[cid]:
             raise AssertionError(f"like counter mismatch on {cid}")
-        if counters.dislikes != dislikes[cid]:
+        if item.dislikes != dislikes[cid]:
             raise AssertionError(f"dislike counter mismatch on {cid}")
-        if counters.comments != len(texts):
+        if item.comments != len(texts):
             raise AssertionError(f"comment counter mismatch on {cid}")
         if item.comment_texts != texts:
             raise AssertionError(f"comment texts mismatch on {cid}")

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import Action, ActionKind, ContentItem
+from .core import ActionKind, ActionRecord, ContentItem
 
 
 @dataclass
@@ -105,7 +105,6 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
     entry by (score, last touched, seq) is evicted. ``now`` must not be
     below that of an earlier observe.
     """
-    c = content.counters
     cid = content.content_id
     stm = memory.stm
     old = stm.pop(cid, None)
@@ -114,9 +113,9 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
     else:
         seq = old.seq
     stm[cid] = _new_tuple(StmEntry, (
-        params.w_reshare * c.reshares + params.w_like * c.likes
-        - params.w_dislike * c.dislikes,
-        now, seq, cid, c.reshares, c.likes, c.dislikes, c.comments))
+        params.w_reshare * content.reshares + params.w_like * content.likes
+        - params.w_dislike * content.dislikes, now, seq, cid,
+        content.reshares, content.likes, content.dislikes, content.comments))
     while len(stm) > params.stm_capacity:
         del stm[min(stm.values()).content_id]
     return memory
@@ -160,17 +159,18 @@ def ltm_evaluate(memory: MemoryUnit,
     return memory
 
 
-def am_record(am: ActivityMemory, action: Action, now: int,
+def am_record(am: ActivityMemory, record: ActionRecord,
               params: MemoryParams = MemoryParams()) -> ActivityMemory:
-    """Append to the bounded FIFO and stamp last_performed for the kind.
+    """Append the record to the bounded FIFO and stamp last_performed for
+    its kind with its iteration.
 
     Inactive is tracked like any other kind, so passive agents can see how
     long they have remained passive.
     """
-    am.recent.append((now, action.kind, action.target))
+    am.recent.append((record.iteration, record.kind, record.target))
     while len(am.recent) > params.am_window:
         am.recent.popleft()
-    am.last_performed[action.kind] = now
+    am.last_performed[record.kind] = record.iteration
     return am
 
 

@@ -40,8 +40,8 @@ def build_network(log, content_store: dict, kinds) -> WeightedDigraph:
     is in ``kinds``, weight = frequency."""
     graph = WeightedDigraph()
     for record in log:
-        if record.action.kind in kinds:
-            target = content_store[record.action.target]
+        if record.kind in kinds:
+            target = content_store[record.target]
             graph.add_edge(record.agent, target.author)
     return graph
 

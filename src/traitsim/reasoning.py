@@ -18,7 +18,8 @@ which ``parse_response`` reads; it also accepts a JSON object with
 ``choice``/``reason``/``content`` keys. CONTENT carries the post text for
 "post", a content id for "reshare"/"like"/"dislike", ``<content id>:
 <text>`` for "comment", an agent id for "follow", and is empty for
-"inactive". A text that breaks a rule raises ``ValidationError`` from the
+"inactive"; ``core.check_shape`` holds a run file's records to the same
+rule. A text that breaks a rule raises ``ValidationError`` from the
 backend, and ``decide`` re-prompts on it as on a refused decision.
 
 Two backends are provided: an HTTP chat-completion client for local model
@@ -33,6 +34,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import select
@@ -52,7 +54,9 @@ from .core import (
     ActionKind,
     AgentProfile,
     PsychometricVariant,
+    ValidationError,
     archetype_table,
+    check_shape,
 )
 from .memory import MemoryUnit, am_summary
 
@@ -77,14 +81,6 @@ class TransportError(RuntimeError):
     def __init__(self, message: str, status: Optional[int] = None):
         super().__init__(message)
         self.status = status
-
-
-class ValidationError(ValueError):
-    """A decision response that violates the protocol; ``rule`` names why."""
-
-    def __init__(self, rule: str, detail: str = ""):
-        super().__init__(f"{rule}: {detail}" if detail else rule)
-        self.rule = rule
 
 
 @dataclass(frozen=True)
@@ -253,8 +249,9 @@ def _extract_fields(raw_text: str) -> dict:
 def parse_response(raw_text: str) -> Decision:
     """Read a backend's text answer into a ``Decision``.
 
-    Raises ValidationError naming the broken text rule: ``parse failure``,
-    ``unknown action kind``, ``missing payload`` or ``missing target``.
+    Raises ValidationError naming the broken text rule: ``parse failure`` or
+    ``unknown action kind`` here, then ``missing target`` or ``missing
+    payload`` from ``core.check_shape`` on the fields the text maps to.
     Whether the world allows the decision is ``validate_decision``'s part.
     """
     fields = _extract_fields(raw_text)
@@ -264,31 +261,19 @@ def parse_response(raw_text: str) -> Decision:
     kind = _CHOICE_ALIASES.get(choice_word)
     if kind is None:
         raise ValidationError("unknown action kind", fields["choice"])
-    reason = fields.get("reason", "").strip()
     content = fields.get("content", "").strip()
-
+    target = payload = None
     if kind is ActionKind.POST:
-        if not content:
-            raise ValidationError("missing payload", "post requires text")
-        return Decision(kind, reason, payload=content)
-    if kind in (ActionKind.RESHARE, ActionKind.LIKE, ActionKind.DISLIKE):
-        cid = _parse_content_id(content)
-        if cid is None:
-            raise ValidationError("missing target", f"{kind.value} requires a content id")
-        return Decision(kind, reason, target=cid)
-    if kind is ActionKind.COMMENT:
+        payload = content
+    elif kind is ActionKind.COMMENT:
         head, _, text = content.partition(":")
-        cid = _parse_content_id(head)
-        if cid is None:
-            raise ValidationError("missing target", "comment requires '<id>: <text>'")
-        if not text.strip():
-            raise ValidationError("missing payload", "comment requires text")
-        return Decision(kind, reason, target=cid, payload=text.strip())
-    if kind is ActionKind.FOLLOW:
-        if not content:
-            raise ValidationError("missing target", "follow requires an agent id")
-        return Decision(kind, reason, target=content)
-    return Decision(ActionKind.INACTIVE, reason)
+        target, payload = _parse_content_id(head), text.strip()
+    elif kind in ENGAGEMENT_KINDS:
+        target = _parse_content_id(content)
+    elif kind is ActionKind.FOLLOW:
+        target = content
+    check_shape(kind, target, payload)
+    return Decision(kind, fields.get("reason", "").strip(), target, payload)
 
 
 def _parse_content_id(text: str) -> Optional[int]:
@@ -463,8 +448,12 @@ class EndpointConfig:
     concurrency: int = 8  # completions in flight at once (LLMBackend.map)
 
     def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be above 0, got {self.timeout}")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # as a socket's
+            raise ValueError(f"timeout must be above 0 and at most "
+                             f"{threading.TIMEOUT_MAX:g}, got {self.timeout}")
+        if not math.isfinite(self.temperature):  # JSON has no NaN
+            raise ValueError(f"temperature must be finite, got "
+                             f"{self.temperature}")
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be at least 1, got "
                              f"{self.concurrency}")
@@ -520,7 +509,7 @@ class LLMBackend:
         If a call raises, the calls not yet started are cancelled and the
         running ones awaited; then the exception of the first failing item
         in ``items`` order is raised. No call is running when this returns
-        or raises.
+        or raises, and the exception leaves no reference cycle behind.
         """
         futures = [self._pool.submit(fn, item) for item in items]
         try:
@@ -531,7 +520,13 @@ class LLMBackend:
             wait(futures)
         # The pool starts calls in submission order, so every cancelled call
         # comes after the first failing one.
-        return [future.result() for future in futures]
+        error = next(filter(None, (f.exception() for f in futures)), None)
+        if error is None:
+            return [future.result() for future in futures]
+        try:
+            raise error
+        finally:  # the traceback holds this frame: break the cycle
+            del error, futures, future
 
     def close(self) -> None:
         """Stop the pool (cancelling queued calls, awaiting running ones)

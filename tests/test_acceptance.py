@@ -184,7 +184,7 @@ def test_ac4_propagation_shape(run980):
     # first iteration with any engagement is 100% first-order
     by_iteration = {}
     for r in world.log:
-        if r.action.kind in ENGAGEMENT_KINDS:
+        if r.kind in ENGAGEMENT_KINDS:
             by_iteration.setdefault(r.iteration, []).append(r.order)
     first_it = min(by_iteration)
     starts_first_order = all(o is Order.FIRST for o in by_iteration[first_it])

@@ -22,7 +22,6 @@ from traitsim.analytics import (
     trace_chains,
 )
 from traitsim.core import (
-    Action,
     ActionDistribution,
     ActionKind,
     ActionRecord,
@@ -33,7 +32,7 @@ from traitsim.core import (
 
 
 def rec(agent, kind, iteration=1, target=None, payload=None, order=Order.NA):
-    return ActionRecord(iteration, agent, Action(kind, target, payload), order)
+    return ActionRecord(iteration, agent, kind, target, payload, order)
 
 
 # The category of each action kind, written out here and not taken from
@@ -56,7 +55,7 @@ def _reference_action_probability_vector(agent_id, log):
     for record in log:
         if record.agent != agent_id:
             continue
-        category = _REFERENCE_CATEGORY.get(record.action.kind)
+        category = _REFERENCE_CATEGORY.get(record.kind)
         if category is not None:
             counts[category] += 1
     total = sum(counts.values())
@@ -85,7 +84,7 @@ class TestActionProbabilityVector:
     def test_reactions_pool_into_interact(self):
         log = [rec("a", k, target=1, order=Order.FIRST)
                for k in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT)]
-        log[-1].action.payload = "c"
+        log[-1].payload = "c"
         assert action_probability_vector(log)["a"].p_interact == 1.0
 
     def test_absent_agent_rejected(self):
@@ -546,7 +545,7 @@ def _reference_order_dynamics(log):
     max_iter = 0
     for record in log:
         max_iter = max(max_iter, record.iteration)
-        if record.action.kind not in ENGAGEMENT_KINDS:
+        if record.kind not in ENGAGEMENT_KINDS:
             continue
         if record.order is Order.FIRST:
             first[record.iteration] = first.get(record.iteration, 0) + 1
@@ -570,9 +569,9 @@ def _reference_content_mix(log):
     max_iter = 0
     for record in log:
         max_iter = max(max_iter, record.iteration)
-        if record.action.kind is ActionKind.POST:
+        if record.kind is ActionKind.POST:
             posts[record.iteration] = posts.get(record.iteration, 0) + 1
-        elif record.action.kind is ActionKind.RESHARE:
+        elif record.kind is ActionKind.RESHARE:
             reshares[record.iteration] = reshares.get(record.iteration, 0) + 1
     out = {}
     cum_p = cum_r = 0

@@ -256,6 +256,36 @@ class TestSimulate:
                               "be above 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("timeout", 1e300, "config"), ("timeout", float("inf"), "config"),
+        ("temperature", float("nan"), "config"),
+        ("temperature", "nan", "flag")],
+        ids=["timeout-1e300", "timeout-infinity", "temperature-nan",
+             "temperature-nan-flag"])
+    def test_setting_the_client_cannot_use_is_named(
+            self, tmp_path, capsys, personas_file, monkeypatch, key, value,
+            where):
+        """A timeout no socket takes, or a temperature no JSON request body
+        can carry, is refused before the run."""
+        monkeypatch.setattr(cli, "run_simulation", must_not_run)
+        backend = {"type": "llm", "endpoint": "http://localhost:1/v1",
+                   "model": "m"}
+        extra = []
+        if where == "config":
+            backend[key] = value  # json.dumps writes Infinity and NaN
+        else:
+            extra = [f"--{key}", value]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "backend": backend}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), *extra,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid 'backend.{key}': {key} must ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("eval_period", 0), ("promotion_quantile", 1.5),
         ("promotion_quantile", -0.1), ("am_window", -1), ("stm_capacity", -1),
@@ -390,7 +420,7 @@ class TestSimulate:
 
         def corrupting_run(*args, **kwargs):
             world = real_run(*args, **kwargs)
-            next(iter(world.content.values())).counters.reshares += 1
+            next(iter(world.content.values())).reshares += 1
             return world
 
         monkeypatch.setattr(cli, "run_simulation", corrupting_run)

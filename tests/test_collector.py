@@ -184,6 +184,25 @@ class TestNoCyclicGarbage:
         assert not [key for key in small + large + ground
                     if key[0].startswith("traitsim")]
 
+    def test_simulate_after_a_transport_error_holds_no_world(
+            self, tmp_path, collector, patched_sleep):
+        """A ``TransportError`` ends the run and is reported, and neither
+        ``LLMBackend.map`` nor ``cmd_simulate`` keeps it, or the future
+        that holds it, in a frame its traceback holds: no ``traitsim``
+        object is left in a cycle."""
+        codes = []
+        with chat_server(lambda *a: (500, "down")) as (url, _):
+            def failing(out):
+                codes.append(main([*simulate_argv(tmp_path, out),
+                                   "--backend", "llm", "--endpoint", url,
+                                   "--model", "m"]))
+
+            failing("warm")
+            garbage = garbage_after(lambda: failing("failed"))
+        assert codes == [1, 1]
+        assert (tmp_path / "failed" / "manifest.json").exists()
+        assert not [key for key in garbage if key[0].startswith("traitsim")]
+
 
 def collections_in_iterations(monkeypatch, call):
     """The generations of the collections that start inside an

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from traitsim.core import (
-    Action,
     ActionDistribution,
     ActionKind,
     ActionRecord,
@@ -16,7 +15,9 @@ from traitsim.core import (
     Order,
     Trait,
     TRAIT_PROMPTS,
+    ValidationError,
     archetype_table,
+    check_shape,
 )
 
 
@@ -90,30 +91,30 @@ class TestActionDistribution:
 
 class TestActionShape:
     def test_post_requires_payload(self):
-        with pytest.raises(ValueError):
-            Action(ActionKind.POST).validate_shape()
-        Action(ActionKind.POST, payload="hello").validate_shape()
+        with pytest.raises(ValidationError, match="missing payload"):
+            check_shape(ActionKind.POST, None, None)
+        check_shape(ActionKind.POST, None, "hello")
 
     def test_engagements_require_content_id(self):
         for kind in ENGAGEMENT_KINDS:
             for target in ("not-an-id", True):
-                with pytest.raises(ValueError):
-                    Action(kind, target=target, payload="x").validate_shape()
-        Action(ActionKind.LIKE, target=7).validate_shape()
+                with pytest.raises(ValidationError, match="missing target"):
+                    check_shape(kind, target, "x")
+        check_shape(ActionKind.LIKE, 7, None)
 
     def test_comment_requires_text(self):
-        with pytest.raises(ValueError):
-            Action(ActionKind.COMMENT, target=7).validate_shape()
+        with pytest.raises(ValidationError, match="missing payload"):
+            check_shape(ActionKind.COMMENT, 7, None)
 
     def test_follow_requires_agent_id(self):
-        with pytest.raises(ValueError):
-            Action(ActionKind.FOLLOW, target=7).validate_shape()
-        Action(ActionKind.FOLLOW, target="a1").validate_shape()
+        with pytest.raises(ValidationError, match="missing target"):
+            check_shape(ActionKind.FOLLOW, 7, None)
+        check_shape(ActionKind.FOLLOW, "a1", None)
 
     def test_inactive_carries_nothing(self):
-        with pytest.raises(ValueError):
-            Action(ActionKind.INACTIVE, target=1).validate_shape()
-        Action(ActionKind.INACTIVE).validate_shape()
+        with pytest.raises(ValidationError, match="unexpected field"):
+            check_shape(ActionKind.INACTIVE, 1, None)
+        check_shape(ActionKind.INACTIVE, None, None)
 
 
 class TestContentItem:
@@ -140,9 +141,9 @@ class TestActionRecord:
             good = Order.FIRST if engagement else Order.NA
             bad = Order.NA if engagement else Order.FIRST
             target = 1 if engagement else None
-            ActionRecord(1, "a", Action(kind, target=target), order=good)
+            ActionRecord(1, "a", kind, target=target, order=good)
             with pytest.raises(ValueError):
-                ActionRecord(1, "a", Action(kind, target=target), order=bad)
+                ActionRecord(1, "a", kind, target=target, order=bad)
 
 
 def test_action_category_mapping():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +14,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from traitsim.core import (
-    Action,
     ActionKind,
     ActionRecord,
     AgentProfile,
     ContentItem,
-    Counters,
     ENGAGEMENT_KINDS,
     OCEAN_VARIANTS,
     Order,
@@ -53,6 +52,7 @@ from traitsim.reasoning import (
     Decision,
     StubBackend,
     TransportError,
+    ValidationError,
     build_prompt,
     parse_response,
     permitted_actions,
@@ -92,9 +92,9 @@ def record_to_dict(record):
     return {
         "iteration": record.iteration,
         "agent": record.agent,
-        "kind": record.action.kind.value,
-        "target": record.action.target,
-        "payload": record.action.payload,
+        "kind": record.kind.value,
+        "target": record.target,
+        "payload": record.payload,
         "order": record.order.value,
         "reason": record.reason_text,
     }
@@ -110,10 +110,10 @@ def content_to_dict(item):
         "topic": item.topic,
         "text": item.text,
         "counters": {
-            "reshares": item.counters.reshares,
-            "likes": item.counters.likes,
-            "dislikes": item.counters.dislikes,
-            "comments": item.counters.comments,
+            "reshares": item.reshares,
+            "likes": item.likes,
+            "dislikes": item.dislikes,
+            "comments": item.comments,
         },
         "cascade_reshares": item.cascade_reshares,
         "comment_texts": [list(pair) for pair in item.comment_texts],
@@ -389,8 +389,8 @@ class TestRecommendFeedMatchesReference:
     @settings(max_examples=100, deadline=None)
     def test_feed_writes_nothing_shared(self, case):
         """A decision runs ``recommend_feed`` while other agents decide, so
-        it must leave the store, the id counter and the authorship record as
-        it found them."""
+        it must leave the store (whose size gives the next id) and the
+        authorship record as it found them."""
         world, agent, items, reshared, k, _, seed = case
         fill(world, items)
         agent.reshared_ids = reshared = reshareable(world, agent, reshared)
@@ -399,7 +399,6 @@ class TestRecommendFeedMatchesReference:
             recommend_feed(agent, world, strategy, k,
                            np.random.default_rng(seed))
         assert world.content == before.content
-        assert world.next_content_id == before.next_content_id
         assert world.authored == before.authored
         assert world.reshares_by_author == before.reshares_by_author
         assert world.by_topic == before.by_topic
@@ -624,7 +623,6 @@ class TestAddContent:
         second = add_reshare(world, "b", 2, first)
         third = add_post(world, "a", 2, topic=None)
         assert [first.content_id, second.content_id, third.content_id] == [1, 2, 3]
-        assert world.next_content_id == 4
         assert world.content == {1: first, 2: second, 3: third}
         assert (second.parent, second.root, second.text) == (1, 1, first.text)
         assert {a: list(ids) for a, ids in world.authored.items()} == {
@@ -632,6 +630,7 @@ class TestAddContent:
         assert world.reshares_by_author == {"b": [2]}
         assert world.by_topic == {"Music": [1, 2], None: [3]}
         assert world.by_topic == topic_index(world.content)
+        assert add_post(world, "b", 3).content_id == 4
 
     @pytest.mark.parametrize("configuration",
                              ["FullModel", "RandomRecommendation"])
@@ -690,7 +689,7 @@ class TestApplyAction:
         reshare = self.world.content[original.content_id + 1]
         assert reshare.parent == original.content_id
         assert reshare.root == original.content_id
-        assert original.counters.reshares == 1
+        assert original.reshares == 1
         assert original.cascade_reshares == 1
         assert original.content_id in self.agent.reshared_ids
         assert self.world.log[-1].order is Order.FIRST
@@ -702,8 +701,8 @@ class TestApplyAction:
                      Decision(ActionKind.RESHARE, "r", target=mid.content_id), 3)
         leaf = self.world.content[mid.content_id + 1]
         assert leaf.root == original.content_id
-        assert mid.counters.reshares == 1
-        assert original.counters.reshares == 0  # direct children only
+        assert mid.reshares == 1
+        assert original.reshares == 0  # direct children only
         assert original.cascade_reshares == 1
         assert self.world.log[-1].order is Order.SECOND
 
@@ -715,8 +714,7 @@ class TestApplyAction:
         apply_action(self.world, self.agent,
                      Decision(ActionKind.COMMENT, "r", target=item.content_id,
                               payload="neat"), 2)
-        assert (item.counters.likes, item.counters.dislikes,
-                item.counters.comments) == (1, 1, 1)
+        assert (item.likes, item.dislikes, item.comments) == (1, 1, 1)
         assert item.comment_texts == [("p000", "neat")]
 
     @staticmethod
@@ -752,7 +750,7 @@ class TestApplyAction:
         apply_action(self.world, self.agent, reshare, 2)
         with pytest.raises(ValueError, match="already re-shared"):
             apply_action(self.world, self.agent, reshare, 3)
-        assert original.counters.reshares == 1
+        assert original.reshares == 1
         assert len(self.world.content) == 2
 
     def test_reshare_of_own_item_rejected(self):
@@ -776,25 +774,26 @@ class TestApplyAction:
                 (ActionKind.RESHARE, original.content_id, Order.SECOND,
                  ValueError),
                 (ActionKind.FOLLOW, "ghost", Order.NA, ValueError)):
-            record = ActionRecord(2, "p000", Action(kind, target), order)
+            record = ActionRecord(2, "p000", kind, target, None, order)
             with pytest.raises(error):
                 apply_record(self.world, self.agent, record)
         assert len(self.world.content) == 1
-        assert original.counters == Counters()
+        assert (original.reshares, original.likes, original.dislikes,
+                original.comments) == (0, 0, 0, 0)
         assert not self.agent.reshared_ids
         assert not self.agent.profile.following
 
     def test_inactive_logs_only(self):
         apply_action(self.world, self.agent, Decision(ActionKind.INACTIVE, "r"), 1)
         assert not self.world.content
-        assert self.world.log[-1].action.kind is ActionKind.INACTIVE
+        assert self.world.log[-1].kind is ActionKind.INACTIVE
 
 
 class TestRunIteration:
     def test_iteration_one_is_posts_or_inactivity(self, personas_small):
         world = init_population(personas_small, config())
         run_iteration(world, config(), StubBackend())
-        kinds = {r.action.kind for r in world.log}
+        kinds = {r.kind for r in world.log}
         assert kinds <= {ActionKind.POST, ActionKind.INACTIVE}
 
     def test_stub_answers_go_through_the_world_check(self, personas_small,
@@ -816,7 +815,7 @@ class TestRunIteration:
 
         run_iteration(world, config(), RecordingStub())
         assert ENGAGEMENT_KINDS & set(drawn)
-        logged = [r.action.kind for r in world.log]
+        logged = [r.kind for r in world.log]
         assert len(logged) == len(world.agents)
         assert set(logged) <= {ActionKind.POST, ActionKind.INACTIVE}
 
@@ -850,7 +849,7 @@ class TestRunIteration:
         world = run_simulation(config(iterations=2), make_personas(2), backend)
         agents = len(world.agents)
         assert backend.calls == agents + agents * MAX_RETRIES
-        assert all(r.action.kind is ActionKind.INACTIVE
+        assert all(r.kind is ActionKind.INACTIVE
                    and r.reason_text == FALLBACK_REASON
                    for r in world.log if r.iteration == 2)
         write_artifacts(world, tmp_path)
@@ -893,7 +892,7 @@ class TestRunIteration:
         calls = []
 
         def checked(agent, seen, *args):
-            assert list(seen.content) == list(range(1, seen.next_content_id))
+            assert list(seen.content) == list(range(1, len(seen.content) + 1))
             assert all(item.iteration_created <= seen.iteration
                        for item in seen.content.values())
             calls.append(seen.iteration)
@@ -1043,6 +1042,53 @@ class TestSerialization:
             check_integrity(world)  # counter was never incremented
 
 
+# Each way an action can lack what its kind needs: (kind, the CONTENT of a
+# text answer, the target and payload of a run-file record that carries the
+# same fields, the rule both break).
+SHAPE_VIOLATIONS = [
+    ("post", "", None, None, "missing payload"),
+    ("post", "", None, "", "missing payload"),
+    ("reshare", "that one", None, None, "missing target"),
+    ("like", "that one", None, None, "missing target"),
+    ("dislike", "that one", None, None, "missing target"),
+    ("comment", "that one: nice", None, "nice", "missing target"),
+    ("comment", "3:", 3, "", "missing payload"),
+    ("comment", "3:", 3, None, "missing payload"),
+    ("follow", "", "", None, "missing target"),
+    ("follow", "", None, None, "missing target"),
+]
+
+
+@pytest.mark.parametrize("kind, content, target, payload, rule",
+                         SHAPE_VIOLATIONS)
+def test_text_and_run_file_break_the_same_shape_rule(
+        tmp_path, kind, content, target, payload, rule):
+    """A model's answer and a run file's record are held to one shape rule:
+    both raise ``ValidationError`` naming it, and ``load_run`` cites the
+    line."""
+    with pytest.raises(ValidationError) as text_error:
+        parse_response(f"CHOICE: {kind}\nREASON: r\nCONTENT: {content}")
+    order = ("first_order" if ActionKind(kind) in ENGAGEMENT_KINDS
+             else "not_applicable")
+    line = {"iteration": 1, "agent": "p000", "kind": kind, "target": target,
+            "payload": payload, "order": order, "reason": "r"}
+    with pytest.raises(ValidationError) as file_error:
+        record_from_dict(line)
+    assert text_error.value.rule == file_error.value.rule == rule
+
+    write_artifacts(run_simulation(config(iterations=2), make_personas(1)),
+                    tmp_path)
+    actions = tmp_path / "actions.jsonl"
+    lines = actions.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), "kind": kind,
+                           "target": target, "payload": payload,
+                           "order": order}) + "\n"
+    actions.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{actions} line 3: ValidationError: {rule}")):
+        load_run(tmp_path)
+
+
 class TestCheckIntegrity:
     """``check_integrity`` holds on a store built by the log and fails when
     any counter ``content.jsonl`` holds disagrees with it."""
@@ -1082,13 +1128,13 @@ class TestCheckIntegrity:
 
     def test_a_like_that_is_not_counted(self):
         world = self.world()
-        world.content[1].counters.likes -= 1
+        world.content[1].likes -= 1
         with pytest.raises(AssertionError, match="like counter .* on 1"):
             check_integrity(world)
 
     def test_a_dislike_counted_twice(self):
         world = self.world()
-        world.content[2].counters.dislikes += 1
+        world.content[2].dislikes += 1
         with pytest.raises(AssertionError, match="dislike counter .* on 2"):
             check_integrity(world)
 
@@ -1106,7 +1152,7 @@ class TestCheckIntegrity:
 
     def test_a_comment_without_its_text(self):
         world = self.world()
-        world.content[2].counters.comments += 1
+        world.content[2].comments += 1
         with pytest.raises(AssertionError, match="comment counter .* on 2"):
             check_integrity(world)
 
@@ -1120,13 +1166,13 @@ class TestCheckIntegrity:
         world = self.world()
         parent = world.content[3]
         add_reshare(world, "p000", 2, parent)
-        parent.counters.reshares += 1
+        parent.reshares += 1
         with pytest.raises(AssertionError, match="cascade_reshares .* on 1"):
             check_integrity(world)
 
     def test_a_reaction_to_unknown_content(self):
         world = self.world()
-        world.log.append(ActionRecord(2, "p000", Action(ActionKind.LIKE, 9),
+        world.log.append(ActionRecord(2, "p000", ActionKind.LIKE, 9, None,
                                       Order.FIRST))
         with pytest.raises(AssertionError, match="unknown content 9"):
             check_integrity(world)
@@ -1148,9 +1194,8 @@ def records(draw):
     order = (draw(st.sampled_from([Order.FIRST, Order.SECOND]))
              if kind in ENGAGEMENT_KINDS else Order.NA)
     return ActionRecord(
-        draw(st.integers(-1, 2**70)), draw(texts),
-        Action(kind, draw(st.none() | st.integers() | texts),
-               draw(optional_texts)),
+        draw(st.integers(-1, 2**70)), draw(texts), kind,
+        draw(st.none() | st.integers() | texts), draw(optional_texts),
         order, draw(texts))
 
 
@@ -1162,7 +1207,7 @@ def content_items(draw):
         content_id, draw(texts), draw(counts), draw(texts),
         draw(optional_texts), parent,
         None if parent is None else draw(st.integers(1, 2**40)),
-        Counters(*(draw(counts) for _ in range(4))),
+        *(draw(counts) for _ in range(4)),
         draw(st.lists(st.tuples(texts, texts), max_size=6)), draw(counts))
 
 
@@ -1195,14 +1240,14 @@ class TestLineRenderers:
 
     @pytest.mark.parametrize("target", [True, 1.0, b"7", ("a",)])
     def test_an_undeclared_value_is_a_type_error(self, target):
-        record = ActionRecord(1, "a", Action(ActionKind.LIKE, target),
+        record = ActionRecord(1, "a", ActionKind.LIKE, target, None,
                               Order.FIRST)
         with pytest.raises(TypeError):
             record_line(record)
 
     def test_an_undeclared_field_type_is_a_type_error(self):
         item = ContentItem(1, "a", 1, "t", None)
-        item.counters.likes = False
+        item.likes = False
         with pytest.raises(TypeError):
             content_line(item)
         with pytest.raises(TypeError):

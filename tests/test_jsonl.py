@@ -140,7 +140,7 @@ def test_a_string_may_hold_a_unicode_line_separator(tmp_path, char):
     actions.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
                                for r in rows))
     log, content, _ = load_run(run)
-    assert text in {record.action.payload for record in log}
+    assert text in {record.payload for record in log}
     assert text in {item.text for item in content.values()}
 
     personas.write_text(personas.read_text() * 2 + "{oops\n")

@@ -4,7 +4,8 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from traitsim.core import Action, ActionKind, ContentItem, Counters
+from traitsim.core import (ActionKind, ActionRecord, ContentItem,
+                           ENGAGEMENT_KINDS, Order)
 from traitsim.memory import (
     ActivityMemory,
     MemoryParams,
@@ -19,11 +20,17 @@ from traitsim.memory import (
 
 
 def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
-    item = ContentItem(cid, f"author{cid}", 1, f"text {cid}", "Music")
-    item.counters = Counters(reshares=reshares, likes=likes, dislikes=dislikes,
-                             comments=len(comments))
+    item = ContentItem(cid, f"author{cid}", 1, f"text {cid}", "Music",
+                       reshares=reshares, likes=likes, dislikes=dislikes,
+                       comments=len(comments))
     item.comment_texts = [("x", t) for t in comments]
     return item
+
+
+def record(kind, now, target=None, payload=None):
+    """Agent "a"'s record of a ``kind`` action in iteration ``now``."""
+    order = Order.FIRST if kind in ENGAGEMENT_KINDS else Order.NA
+    return ActionRecord(now, "a", kind, target, payload, order)
 
 
 class TestMemoryParams:
@@ -100,7 +107,7 @@ class TestShortTermMemory:
         memory = MemoryUnit()
         item = make_item(1, likes=2)
         stm_observe(memory, item, now=1)
-        item.counters.likes = 7
+        item.likes = 7
         item.comment_texts.append(("y", "great"))
         assert memory.stm[1].score == 2.0
 
@@ -108,7 +115,7 @@ class TestShortTermMemory:
         memory = MemoryUnit()
         item = make_item(1)
         stm_observe(memory, item, now=1)
-        item.counters.likes = 5
+        item.likes = 5
         stm_observe(memory, item, now=4)
         assert memory.stm[1].likes == 5
         assert memory.stm[1].last_touched == 4
@@ -167,7 +174,7 @@ class TestShortTermMemory:
         # with equal scores the oldest, 1, would go
         assert set(memory.stm) == {1, 3}
         assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
-        items[3].counters.likes = 9  # after the observe: not in the score
+        items[3].likes = 9  # after the observe: not in the score
         ltm_evaluate(memory, params=params)
         assert set(memory.ltm) == {1}
         assert memory.ltm[1] == 2.0
@@ -226,7 +233,7 @@ class TestLongTermMemory:
 class TestActivityMemory:
     def test_record_stamps_last_performed(self):
         am = ActivityMemory()
-        am_record(am, Action(ActionKind.POST, payload="x"), now=3)
+        am_record(am, record(ActionKind.POST, 3, payload="x"))
         assert am.last_performed[ActionKind.POST] == 3
         assert list(am.recent) == [(3, ActionKind.POST, None)]
 
@@ -234,7 +241,7 @@ class TestActivityMemory:
         params = MemoryParams(am_window=3)
         am = ActivityMemory()
         for it in range(1, 6):
-            am_record(am, Action(ActionKind.INACTIVE), now=it, params=params)
+            am_record(am, record(ActionKind.INACTIVE, it), params=params)
         assert [it for it, _, _ in am.recent] == [3, 4, 5]
 
     def test_summary_empty(self):
@@ -242,15 +249,15 @@ class TestActivityMemory:
 
     def test_summary_mentions_gaps_and_never(self):
         am = ActivityMemory()
-        am_record(am, Action(ActionKind.POST, payload="x"), now=2)
+        am_record(am, record(ActionKind.POST, 2, payload="x"))
         text = am_summary(am, now=7)
         assert "posted 5 iterations ago" in text
         assert "never re-shared" in text
 
     def test_summary_deterministic(self):
         am = ActivityMemory()
-        am_record(am, Action(ActionKind.LIKE, target=4), now=1)
-        am_record(am, Action(ActionKind.INACTIVE), now=2)
+        am_record(am, record(ActionKind.LIKE, 1, target=4))
+        am_record(am, record(ActionKind.INACTIVE, 2))
         assert am_summary(am, now=3) == am_summary(am, now=3)
 
 
@@ -266,11 +273,10 @@ class ReferenceMemory:
         self.ltm, self.recent, self.last = {}, deque(), {}
 
     def observe(self, item, now, p):
-        c = item.counters
         self.stm[item.content_id] = (
-            c.reshares, c.likes, c.dislikes, c.comments,
-            p.w_reshare * c.reshares + p.w_like * c.likes
-            - p.w_dislike * c.dislikes, now)
+            item.reshares, item.likes, item.dislikes, item.comments,
+            p.w_reshare * item.reshares + p.w_like * item.likes
+            - p.w_dislike * item.dislikes, now)
         while len(self.stm) > p.stm_capacity:
             del self.stm[min(self.stm, key=lambda cid: self.stm[cid][4:])]
 
@@ -335,8 +341,8 @@ class TestMatchesReference:
                 ltm_evaluate(memory, params)
                 ref.evaluate(params)
             else:
-                action = Action(list(ActionKind)[cid + comments])
-                am_record(memory.am, action, now, params)
+                action = record(list(ActionKind)[cid + comments], now)
+                am_record(memory.am, action, params)
                 ref.record(action, now, params)
             assert {cid: (e.reshares, e.likes, e.dislikes, e.comments,
                           e.score, e.last_touched)

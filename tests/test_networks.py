@@ -4,7 +4,6 @@ from traitsim.core import (
     CATEGORIES,
     CATEGORY,
     ENGAGEMENT_KINDS,
-    Action,
     ActionKind,
     ActionRecord,
     ContentItem,
@@ -24,7 +23,7 @@ def rec(agent, kind, target, iteration=2):
                                     ActionKind.DISLIKE, ActionKind.COMMENT) \
         else Order.NA
     payload = "c" if kind is ActionKind.COMMENT else None
-    return ActionRecord(iteration, agent, Action(kind, target, payload), order)
+    return ActionRecord(iteration, agent, kind, target, payload, order)
 
 
 def fixture_world():
@@ -60,9 +59,9 @@ class TestGraphConstruction:
         log, content = fixture_world()
         reshares = build_resharing_network(log, content)
         interactions = build_interaction_network(log, content)
-        n_reshares = sum(r.action.kind is ActionKind.RESHARE for r in log)
-        n_inter = sum(r.action.kind in (ActionKind.LIKE, ActionKind.DISLIKE,
-                                        ActionKind.COMMENT) for r in log)
+        n_reshares = sum(r.kind is ActionKind.RESHARE for r in log)
+        n_inter = sum(r.kind in (ActionKind.LIKE, ActionKind.DISLIKE,
+                                 ActionKind.COMMENT) for r in log)
         assert sum(reshares.edges.values()) == n_reshares
         assert sum(interactions.edges.values()) == n_inter
 

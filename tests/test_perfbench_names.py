@@ -3,13 +3,14 @@ others directly. A renamed or moved name fails here, in tier-1, not only in
 a benchmark run."""
 
 import ast
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from traitsim import cli, engine, reasoning
+from traitsim import cli, core, engine, reasoning
 from traitsim.cli import main
 from traitsim.memory import MemoryParams
 
@@ -120,3 +121,16 @@ def test_perfbench_calls_only_names_that_exist(filename):
     names = traitsim_names(filename)
     assert names
     assert sorted(name for name in names if not resolves(name)) == []
+
+
+@pytest.mark.parametrize("filename, cls, field", [
+    ("worker.py", core.ActionRecord, "reason_text"),  # of each logged record
+    ("tracer.py", reasoning.Decision, "reason"),  # of each decision
+])
+def test_perfbench_reads_only_fields_that_exist(filename, cls, field):
+    """perfbench also reads fields of the objects a run hands it, which
+    ``traitsim_names`` cannot see: a renamed or removed field fails here."""
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    assert field in {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)}
+    assert field in {f.name for f in dataclasses.fields(cls)}
