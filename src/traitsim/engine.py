@@ -8,14 +8,15 @@ phase reads is therefore the snapshot left by the previous iteration, with no
 filter: decisions never see same-iteration actions, so the decision phase is
 order-independent and the whole run is bit-reproducible from the master seed
 under the stub backend: every agent draws from its own RNG stream keyed by
-(master seed, iteration, agent index). ``agent_rng`` builds that generator in
-the state ``np.random.default_rng`` gives the same key, from seed words
-derived for a block of agent indices at once and memoised, so an iteration
-runs numpy's ``SeedSequence`` hashing once per block and stream rather than
-once per agent. A decision writes only its own agent's memory; the world
-changes only in the apply phase. That is what lets an ``LLMBackend`` compute
-an iteration's decisions concurrently, on its thread pool, with artifacts
-byte-identical at any concurrency.
+(master seed, iteration, agent index). ``agent_rng`` returns a
+``PCG64Stream``, whose draws are those of ``np.random.default_rng`` on the
+same key; its seed words are derived for a block of agent indices at once and
+memoised, so an iteration runs numpy's ``SeedSequence`` hashing once per block
+and stream rather than once per agent, and it derives its state at its first
+draw, so a stream nobody draws from costs one small object. A decision writes
+only its own agent's memory; the world changes only in the apply phase. That
+is what lets an ``LLMBackend`` compute an iteration's decisions concurrently,
+on its thread pool, with artifacts byte-identical at any concurrency.
 
 Re-shares propagate: a re-share is a new content node pointing at its parent
 and is itself recommendable, so followers (and everyone else through the
@@ -56,7 +57,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .core import (
@@ -213,7 +213,7 @@ def init_population(personas: Sequence[dict], config: SimulationConfig,
 
 
 def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
-                   rng: Optional[np.random.Generator]) -> list:
+                   rng: Optional[PCG64Stream]) -> list:
     """Build one agent's feed from the content pool: the chosen
     ``ContentItem``s of the store, in feed order.
 
@@ -435,36 +435,119 @@ def _seed_block(master_seed: int, iteration: int, stream: int,
     return words
 
 
-class _SeedWords(ISeedSequence):
-    """Hands ``PCG64`` one agent's row of ``_seed_block``."""
+# numpy's PCG64: a 128-bit LCG with this multiplier and the XSL-RR output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+class PCG64Stream:
+    """The draws of ``np.random.Generator(np.random.PCG64(seed words))`` for
+    the three calls traitsim makes, ``random()``, ``integers(high)`` and
+    ``choice(n, size, replace=False)``, in integer arithmetic.
+
+    It holds one row of a ``_seed_block`` and derives the 128-bit state only
+    at its first draw, so a stream nobody draws from costs one small object.
+    A 32-bit draw takes the low half of a 64-bit output and keeps the high
+    half for the next 32-bit draw, as numpy's PCG64 does; ``random()`` never
+    reads it. Bounded integers are Lemire's, as ``Generator.integers`` draws
+    them. What numpy would draw another way is refused by ``ValueError``.
+    """
+
+    __slots__ = ("_words", "_state", "_inc", "_half")
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self._words = words
+        self._state = None
+        self._half = None
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"seed words exist for PCG64's request (4, "
-                             f"uint64) only, not ({n_words}, {dtype})")
-        return self.words
+    def _next64(self) -> int:
+        state = self._state
+        if state is None:  # numpy's pcg64_set_seed(words[:2], words[2:])
+            w0, w1, w2, w3 = self._words.tolist()
+            self._inc = inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+            state = (inc + (w0 << 64 | w1)) * _PCG_MULT + inc
+        self._state = state = (state * _PCG_MULT + self._inc) & _MASK128
+        rot, x = state >> 122, (state >> 64 ^ state) & _MASK64
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        x = self._next64()
+        self._half = x >> 32
+        return x & _MASK32
+
+    def _bounded(self, r: int) -> int:
+        """Uniform on [0, r] for r < 2**32, by Lemire's method, as numpy
+        draws it: no draw for r = 0 and one 32-bit draw for r = 2**32 - 1."""
+        if r == 0:
+            return 0
+        if r == _MASK32:
+            return self._next32()
+        m = self._next32() * (r + 1)
+        if m & _MASK32 <= r:
+            threshold = (_MASK32 - r) % (r + 1)
+            while m & _MASK32 < threshold:
+                m = self._next32() * (r + 1)
+        return m >> 32
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def integers(self, high: int) -> int:
+        if not 0 < high <= 1 << 32:
+            raise ValueError(f"integers(high) draws for 0 < high <= 2**32, "
+                             f"not {high}")
+        return self._bounded(high - 1)
+
+    def choice(self, n: int, size: int, replace: bool = True) -> list:
+        """``size`` distinct indices below ``n``, as numpy orders them."""
+        if replace or not 0 <= size <= n <= 1 << 32:
+            raise ValueError(f"choice draws without replacement for 0 <= size"
+                             f" <= n <= 2**32, not ({n}, {size}, {replace})")
+        if n > 10000 and size > n // 50:
+            # The last ``size`` places of a Fisher-Yates shuffle of range(n)
+            # that stops there; ``moved`` holds the places it changed.
+            moved = {}
+            for i in range(n - 1, max(n - size, 1) - 1, -1):
+                j = self._bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            return [moved.get(i, i) for i in range(n - size, n)]
+        # Floyd's algorithm, then a shuffle of the picks.
+        picks, taken = [], set()
+        for j in range(n - size, n):
+            v = self._bounded(j)
+            if v in taken:
+                v = j
+            taken.add(v)
+            picks.append(v)
+        for i in range(size - 1, 0, -1):
+            j = self._bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 def agent_rng(master_seed: int, iteration: int, agent_index: int,
-              stream: int) -> np.random.Generator:
+              stream: int) -> PCG64Stream:
     """Independent per-(agent, iteration) stream; stream 0 feeds the random
     recommender (and is built only for it), stream 1 the decision backend.
 
-    The generator's state equals that of ``np.random.default_rng([master_seed,
-    iteration, agent_index, stream])``. Its seed words come from
-    ``_seed_block``, which runs numpy's ``SeedSequence`` algorithm for a block
-    of ``_SEED_BLOCK`` agent indices at once and keeps the last few blocks, so
-    an iteration derives them once per stream and block of agents, not once
-    per agent. The block is filled under a lock, so concurrent decision steps
-    do not derive it twice. The arguments are non-negative integers.
+    Its draws are those of ``np.random.default_rng([master_seed, iteration,
+    agent_index, stream])`` for the calls ``PCG64Stream`` offers. Its seed
+    words come from ``_seed_block``, which runs numpy's ``SeedSequence``
+    algorithm for a block of ``_SEED_BLOCK`` agent indices at once and keeps
+    the last few blocks, so an iteration derives them once per stream and
+    block of agents, not once per agent. The block is filled under a lock, so
+    concurrent decision steps do not derive it twice. The arguments are
+    non-negative integers.
     """
     block, offset = divmod(agent_index, _SEED_BLOCK)
     with _SEED_LOCK:
         words = _seed_block(master_seed, iteration, stream, block)
-    return np.random.Generator(np.random.PCG64(_SeedWords(words[offset])))
+    return PCG64Stream(words[offset])
 
 
 @contextmanager
@@ -599,9 +682,9 @@ def _member(members: dict, value, name: str):
 
 def record_from_dict(d: dict) -> ActionRecord:
     """The record whose ``record_line`` parses to ``d``; a missing key is a
-    ``KeyError``, a wrongly typed agent or iteration a ``TypeError``, an
-    unknown kind or order a ``ValueError``, and a misshaped action
-    ``check_shape``'s ``ValidationError``, as for a model's answer."""
+    ``KeyError``, a wrongly typed agent, iteration or reason a
+    ``TypeError``, an unknown kind or order a ``ValueError``, and a misshaped
+    action ``check_shape``'s ``ValidationError``, as for a model's answer."""
     agent, iteration = string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
@@ -610,7 +693,8 @@ def record_from_dict(d: dict) -> ActionRecord:
     target, payload = d["target"], d["payload"]
     check_shape(kind, target, payload)
     return ActionRecord(iteration, agent, kind, target, payload,
-                        _member(_ORDERS, d["order"], "order"), d["reason"])
+                        _member(_ORDERS, d["order"], "order"),
+                        string(d, "reason"))
 
 
 # Each renderer returns the line ``json.dumps(row, sort_keys=True) + "\n"``

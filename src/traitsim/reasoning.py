@@ -3,7 +3,10 @@
 Each iteration an agent receives a prompt with four sections (feedback on its
 own content, an activity summary, a recommended feed, and the permitted
 actions). Every backend answers ``complete(prompt, rng)`` with a
-``Decision``; ``decide`` checks each answer against the prompt
+``Decision``. ``rng`` is the agent's ``engine.PCG64Stream`` for the iteration,
+and offers the draws ``random()``, ``integers(high)`` and ``choice(n, size,
+replace=False)`` of numpy's ``Generator``; the stub samples from it, and
+``LLMBackend`` ignores it. ``decide`` checks each answer against the prompt
 (``validate_decision``: a permitted action, a feed target for an
 engagement, and a feed author for a follow), re-prompts up to
 ``MAX_RETRIES`` times, then falls back to inactivity.
@@ -44,7 +47,7 @@ from bisect import bisect_right
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Optional, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -59,6 +62,9 @@ from .core import (
     check_shape,
 )
 from .memory import MemoryUnit, am_summary
+
+if TYPE_CHECKING:  # engine imports this module
+    from .engine import PCG64Stream
 
 log = logging.getLogger(__name__)
 
@@ -300,7 +306,7 @@ def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
 
 
 def decide(prompt: DecisionPrompt, backend,
-           rng: Optional[np.random.Generator]) -> Decision:
+           rng: Optional[PCG64Stream]) -> Decision:
     """Return the first valid decision, re-prompting on protocol violations.
 
     Every answer, the stub's as well as a model's, goes through
@@ -344,7 +350,7 @@ def _choice_cdf(p) -> tuple:
     return tuple(out.tolist())
 
 
-def _draw(cdf: tuple, rng: np.random.Generator) -> int:
+def _draw(cdf: tuple, rng: PCG64Stream) -> int:
     """numpy's own inverse-CDF draw for ``choice`` with ``p``: the same index
     and the same generator state as ``rng.choice(len(p), p=p)``, without the
     checks ``choice`` makes on ``p``. ``bisect_right`` finds the index that
@@ -373,7 +379,7 @@ def _category_cdf(trait, has_feed: bool) -> Optional[tuple]:
 
 
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
-                rng: np.random.Generator, iteration: int = 0) -> Decision:
+                rng: PCG64Stream, iteration: int = 0) -> Decision:
     """Sample a decision from the agent's archetype row.
 
     An empty feed masks re-share and interact out of the row, which is then
@@ -416,10 +422,11 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
 
 class StubBackend:
     """Answers with the decision ``stub_decide`` samples for the prompt's
-    agent, from the generator ``decide`` hands it."""
+    agent, from the stream ``decide`` hands it: it calls only ``random()``
+    and ``integers(high)``, so a numpy ``Generator`` draws the same."""
 
     def complete(self, prompt: DecisionPrompt,
-                 rng: np.random.Generator) -> Decision:
+                 rng: PCG64Stream) -> Decision:
         return stub_decide(prompt.agent, prompt.feed_section, rng,
                            prompt.iteration)
 

@@ -642,6 +642,7 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record(None, order={"first": 1}),
          "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
+        ("actions.jsonl", edit_first_record(None, reason=5), "edited"),
         ("actions.jsonl", edit_first_record(None, agent="ghost"), "edited"),
         ("actions.jsonl", edit_first_record(
             None, kind="follow", target="ghost", payload=None,
@@ -666,7 +667,8 @@ class TestAnalyze:
             "actions-like-bool-target", "actions-post-null-payload",
             "actions-unknown-kind", "actions-list-kind",
             "actions-object-order",
-            "actions-missing-reason", "replay-unknown-agent",
+            "actions-missing-reason", "actions-int-reason",
+            "replay-unknown-agent",
             "replay-follow-unknown-agent",
             "replay-contradicted-order", "agents-list-topic",
             "actions-last-line-dropped", "actions-lines-swapped",
@@ -1239,3 +1241,25 @@ def test_no_command_imports_requests():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("configuration",
+                         ["FullModel", "RandomRecommendation"])
+def test_simulate_never_imports_numpy_random(tmp_path, configuration):
+    """``simulate`` draws from ``engine.PCG64Stream`` and loads no part of
+    ``numpy.random``, under the preference and the random feed."""
+    personas = tmp_path / "personas.jsonl"
+    personas.write_text("".join(json.dumps(p) + "\n"
+                                for p in make_personas(2)))
+    src = str(Path(traitsim.__file__).parents[1])
+    code = ("import sys, traitsim.cli; "
+            "code = traitsim.cli.main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--personas", str(personas),
+         "--iterations", "2", "--configuration", configuration,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 False"

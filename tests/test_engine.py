@@ -905,6 +905,40 @@ class TestRunIteration:
                                      for item in world.content.values())
 
 
+def lemire_edge(want) -> int:
+    """A bound whose Lemire draw on ``want``'s next 32-bit output lands on
+    the rejection threshold, 2**32 mod bound (accepted), or one below it
+    (rejected and drawn again); 7 when that output allows neither. For a
+    bound ``2**32 - d`` with ``d < 2**31`` the threshold is ``d``, and an
+    output ``x`` leaves ``-x * d mod 2**32``."""
+    x = int(copy.deepcopy(want).integers(2**32))
+    zeros = ((x + 1) & -(x + 1)).bit_length() - 1
+    if zeros >= 2:
+        return 2**32 - (2**32 >> zeros)  # leaves d
+    if x % 2 == 0 and pow(x + 1, -1, 2**32) < 2**31:
+        return 2**32 - pow(x + 1, -1, 2**32)  # leaves d - 1
+    return 7
+
+
+def choices(n):
+    return st.tuples(st.just("choice"), st.just(n), st.one_of(
+        st.just(0), st.just(n), st.integers(0, n // 50),
+        st.integers(n // 50, n)))
+
+
+# Draw calls for ``agent_rng``'s stream: ``choice`` on both of numpy's
+# branches (Floyd's algorithm, and a tail shuffle for n > 10000 and size >
+# n // 50), ``integers`` at 32-bit bounds with rare and frequent rejections.
+DRAWS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("integers"),
+              st.sampled_from([1, 2, 7, 2**31 + 5, 2**32])),
+    st.tuples(st.just("lemire edge")),
+    st.integers(0, 60).flatmap(choices),
+    st.integers(10001, 10400).flatmap(choices),
+)
+
+
 class TestDeterminism:
     def test_same_seed_same_log(self, personas_small):
         cfg = config(iterations=6, master_seed=11)
@@ -934,21 +968,35 @@ class TestDeterminism:
                st.integers(0, 3 * engine._SEED_BLOCK),
                st.builds(lambda block, side: block * engine._SEED_BLOCK - side,
                          st.integers(1, 2**40), st.sampled_from([0, 1]))),
-           stream=st.sampled_from([0, 1]))
-    @example(master_seed=0, iteration=1, agent_index=0, stream=0)
+           stream=st.sampled_from([0, 1]),
+           draws=st.lists(DRAWS, max_size=5))
+    @example(master_seed=0, iteration=1, agent_index=0, stream=0,
+             draws=[("random",), ("integers", 7), ("choice", 30, 5)])
     @example(master_seed=7, iteration=25, agent_index=engine._SEED_BLOCK - 1,
-             stream=1)
+             stream=1, draws=[("integers", 2), ("random",), ("integers", 2)])
     @example(master_seed=7, iteration=25, agent_index=engine._SEED_BLOCK,
-             stream=1)
-    @example(master_seed=2**32, iteration=3, agent_index=2**32 - 1, stream=0)
-    @example(master_seed=2**64, iteration=3, agent_index=2**32, stream=1)
+             stream=1, draws=[("choice", 10001, 10001), ("integers", 1)])
+    @example(master_seed=2**32, iteration=3, agent_index=2**32 - 1, stream=0,
+             draws=[("integers", 2**31 + 5), ("choice", 12000, 0),
+                    ("lemire edge",)])
+    @example(master_seed=2**64, iteration=3, agent_index=2**32, stream=1,
+             draws=[("choice", 10400, 300), ("integers", 2**32)])
     def test_agent_rng_is_default_rng(self, master_seed, iteration,
-                                      agent_index, stream):
+                                      agent_index, stream, draws):
+        """Every draw, and the state each leaves, is that of
+        ``default_rng(key)``: the last two draws follow the sequence."""
         key = [master_seed, iteration, agent_index, stream]
         got, want = agent_rng(*key), np.random.default_rng(key)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert (got.integers(2**63, size=3).tolist()
-                == want.integers(2**63, size=3).tolist())
+        for kind, *args in draws + [("integers", 2**32), ("random",)]:
+            if kind == "random":
+                assert got.random() == want.random()
+            elif kind == "choice":
+                n, size = args
+                assert (got.choice(n, size=size, replace=False)
+                        == want.choice(n, size=size, replace=False).tolist())
+            else:
+                high = args[0] if args else lemire_edge(want)
+                assert got.integers(high) == want.integers(high)
 
     @pytest.mark.parametrize("position", range(4))
     def test_agent_rng_rejects_a_negative_key_word(self, position):
@@ -957,20 +1005,31 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="non-negative"):
             agent_rng(*key)
 
-    def test_agent_rng_seed_words_answer_pcg64_only(self):
-        seed_seq = agent_rng(5, 2, 1, 1).bit_generator.seed_seq
-        assert seed_seq.generate_state(4, np.uint64).dtype == np.uint64
-        for request in ((4, np.uint32), (8, np.uint64)):
-            with pytest.raises(ValueError, match="PCG64"):
-                seed_seq.generate_state(*request)
+    @pytest.mark.parametrize("call", [
+        lambda rng: rng.integers(0),
+        lambda rng: rng.integers(-3),
+        lambda rng: rng.integers(2**32 + 1),
+        lambda rng: rng.choice(5, size=2),
+        lambda rng: rng.choice(5, size=2, replace=True),
+        lambda rng: rng.choice(5, size=-1, replace=False),
+        lambda rng: rng.choice(5, size=6, replace=False),
+        lambda rng: rng.choice(2**32 + 1, size=1, replace=False),
+    ], ids=["integers-0", "integers-negative", "integers-above-2**32",
+            "choice-replacing-by-default", "choice-replacing",
+            "choice-negative-size", "choice-size-above-n",
+            "choice-n-above-2**32"])
+    def test_agent_rng_refuses_what_it_cannot_draw_exactly(self, call):
+        with pytest.raises(ValueError):
+            call(agent_rng(5, 2, 1, 1))
 
     def test_agent_rng_streams_are_independent(self):
-        a = agent_rng(0, 1, 0, 0).random(4)
-        b = agent_rng(0, 1, 0, 1).random(4)
-        c = agent_rng(0, 1, 1, 0).random(4)
-        assert not np.allclose(a, b)
-        assert not np.allclose(a, c)
-        assert np.allclose(a, agent_rng(0, 1, 0, 0).random(4))
+        def draws(*key):
+            rng = agent_rng(*key)
+            return [rng.random() for _ in range(4)]
+
+        a, b, c = draws(0, 1, 0, 0), draws(0, 1, 0, 1), draws(0, 1, 1, 0)
+        assert a != b and a != c
+        assert a == draws(0, 1, 0, 0)
 
 
 class TestSerialization:
