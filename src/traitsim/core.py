@@ -1,5 +1,8 @@
 """Domain types shared by every module: traits, actions, content, records.
 
+Each ``Trait`` has a prompt in ``TRAIT_PROMPTS`` and an archetypal action
+distribution in ``ARCHETYPES``; both tables are constants of this module.
+
 One action is one ``ActionRecord`` and one stored item one ``ContentItem``,
 whose counters, comment texts and cascade count the engine changes in its
 serialized apply phase. ``check_shape`` is the one rule of what each kind of
@@ -10,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from importlib import resources
 from typing import Optional, Union
 
 SUM_TOLERANCE = 1e-9
@@ -206,6 +207,20 @@ class ActionDistribution:
         return (self.p_post, self.p_reshare, self.p_interact, self.p_inactive)
 
 
+# Each trait's archetypal action distribution, the behaviour its prompt in
+# ``TRAIT_PROMPTS`` asks for: the stub backend draws from it and grounding
+# assigns the nearest one.
+ARCHETYPES = {
+    Trait.SO: ActionDistribution(0.0, 0.0, 0.0, 1.0),
+    Trait.OS: ActionDistribution(0.0, 0.15, 0.0, 0.85),
+    Trait.OE: ActionDistribution(0.0, 0.0, 0.761, 0.239),
+    Trait.BP: ActionDistribution(0.5176, 0.4658, 0.0166, 0.0),
+    Trait.CA: ActionDistribution(0.016, 0.7696, 0.2143, 0.0001),
+    Trait.PC: ActionDistribution(1.0, 0.0, 0.0, 0.0),
+    Trait.IE: ActionDistribution(0.02, 0.05, 0.8667, 0.0633),
+}
+
+
 @dataclass
 class AgentProfile:
     agent_id: str
@@ -270,21 +285,3 @@ class ActionRecord:
         na = self.kind not in ENGAGEMENT_KINDS
         if na != (self.order is Order.NA):
             raise ValueError("order is NotApplicable exactly for post/follow/inactive")
-
-
-@lru_cache(maxsize=1)
-def archetype_table() -> dict:
-    """Canonical trait -> ActionDistribution table, loaded from the plain-text
-    asset so recalibration requires no code change."""
-    table = {}
-    text = resources.files("traitsim.assets").joinpath("archetypes.txt").read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, *values = line.split()
-        table[Trait[name]] = ActionDistribution(*(float(v) for v in values))
-    if set(table) != set(Trait):
-        missing = sorted(t.name for t in set(Trait) - set(table))
-        raise ValueError(f"archetype asset missing rows for {missing}")
-    return table

@@ -48,7 +48,7 @@ import gc
 import hashlib
 import json
 import operator
-import threading
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -107,8 +107,8 @@ class SimulationConfig:
             raise ValueError(f"unknown configuration {self.configuration!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.feed_size < 1:
-            raise ValueError("feed size must be >= 1")
+        if not 1 <= self.feed_size <= sys.maxsize:
+            raise ValueError(f"feed size must be in [1, {sys.maxsize}]")
         if self.master_seed < 0:
             raise ValueError("master seed must be >= 0")
 
@@ -369,7 +369,6 @@ _MASK32 = 0xFFFFFFFF
 # Agent indices per derivation. It divides 2**32, so the indices of one block
 # differ only in their lowest uint32 word.
 _SEED_BLOCK = 1024
-_SEED_LOCK = threading.Lock()
 
 
 def _uint32_words(n: int) -> list:
@@ -540,13 +539,13 @@ def agent_rng(master_seed: int, iteration: int, agent_index: int,
     words come from ``_seed_block``, which runs numpy's ``SeedSequence``
     algorithm for a block of ``_SEED_BLOCK`` agent indices at once and keeps
     the last few blocks, so an iteration derives them once per stream and
-    block of agents, not once per agent. The block is filled under a lock, so
-    concurrent decision steps do not derive it twice. The arguments are
-    non-negative integers.
+    block of agents, not once per agent. Concurrent decision steps need no
+    lock: ``lru_cache`` is thread-safe, and two steps that miss on the same
+    block each derive the same words. The arguments are non-negative
+    integers.
     """
     block, offset = divmod(agent_index, _SEED_BLOCK)
-    with _SEED_LOCK:
-        words = _seed_block(master_seed, iteration, stream, block)
+    words = _seed_block(master_seed, iteration, stream, block)
     return PCG64Stream(words[offset])
 
 

@@ -17,13 +17,13 @@ from datetime import datetime, timezone
 from typing import Optional, Sequence
 
 from .core import (
+    ARCHETYPES,
     ActionDistribution,
     ActionKind,
     CATEGORIES,
     CATEGORY,
     ENGAGEMENT_KINDS,
     Trait,
-    archetype_table,
 )
 from .jsonl import read_jsonl, string
 from .networks import WeightedDigraph
@@ -175,7 +175,7 @@ def assign_trait(vector: ActionDistribution,
                  archetypes: Optional[dict] = None) -> TraitAssignment:
     """Nearest archetype by Euclidean distance; ties break in Trait enum
     order (SO < OS < OE < BP < CA < PC < IE)."""
-    archetypes = archetypes or archetype_table()
+    archetypes = archetypes or ARCHETYPES
     v = vector.as_tuple()
     best_trait, best_distance = None, None
     for trait in Trait:  # enum order is the documented tie-break

@@ -53,12 +53,12 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .core import (
+    ARCHETYPES,
     ENGAGEMENT_KINDS,
     ActionKind,
     AgentProfile,
     PsychometricVariant,
     ValidationError,
-    archetype_table,
     check_shape,
 )
 from .memory import MemoryUnit, am_summary
@@ -339,7 +339,7 @@ def surrogate_distribution(trait) -> tuple:
         if (trait.factor, trait.level) in (("E", "Low"), ("N", "High")):
             return PSYCHOMETRIC_WITHDRAWN_SURROGATE
         return PSYCHOMETRIC_SURROGATE
-    return archetype_table()[trait].as_tuple()
+    return ARCHETYPES[trait].as_tuple()
 
 
 def _choice_cdf(p) -> tuple:

@@ -23,11 +23,11 @@ from traitsim.analytics import (
     trace_chains,
 )
 from traitsim.core import (
+    ARCHETYPES,
     ContentItem,
     ENGAGEMENT_KINDS,
     Order,
     Trait,
-    archetype_table,
 )
 from traitsim.engine import (
     SimulationConfig,
@@ -98,7 +98,7 @@ def test_ac1_stub_calibration(run98):
     vectors = vectors_by_agent(world)
     iterations = 25
     worst = 0.0
-    for trait, row in archetype_table().items():
+    for trait, row in ARCHETYPES.items():
         members = [v.as_tuple() for a, v in vectors.items()
                    if trait_of(a) is trait]
         mean = np.mean(members, axis=0)
@@ -299,7 +299,7 @@ def test_ac6_empirical_grounding(tmp_path):
     and the hand-computed 10-user fixture end to end."""
     self_recovery = all(
         assign_trait(row).assigned is trait and assign_trait(row).distance < 1e-12
-        for trait, row in archetype_table().items())
+        for trait, row in ARCHETYPES.items())
 
     graph = WeightedDigraph()
     for i in range(4999):  # star: 5000 nodes, hub has max degree

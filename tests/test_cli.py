@@ -319,6 +319,24 @@ class TestSimulate:
         assert err == "error: master seed must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_feed_size_above_maxsize_is_rejected_before_the_run(
+            self, tmp_path, capsys, personas_file, where):
+        # islice, which fills a feed, takes no stop above sys.maxsize
+        size = sys.maxsize + 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "feed_size": size}))
+        args = (["--config", str(cfg)] if where == "config"
+                else ["--personas", str(personas_file), "--feed-size",
+                      str(size)])
+        out = tmp_path / "x"
+        assert main(["simulate", *args, "--iterations", "3",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: feed size must be in [1, {sys.maxsize}]\n"
+        assert not out.exists()
+
     def test_every_simulation_option_is_a_config_key(self):
         assert (set(SimulationConfig.__dataclass_fields__)
                 <= set(cli._CONFIG_KEYS))

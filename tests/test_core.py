@@ -1,9 +1,11 @@
-from importlib import resources
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from traitsim.core import (
+    ARCHETYPES,
     ActionDistribution,
     ActionKind,
     ActionRecord,
@@ -16,43 +18,39 @@ from traitsim.core import (
     Trait,
     TRAIT_PROMPTS,
     ValidationError,
-    archetype_table,
     check_shape,
 )
 
 
 class TestArchetypeTable:
     def test_covers_all_seven_traits(self):
-        table = archetype_table()
-        assert set(table) == set(Trait)
+        assert set(ARCHETYPES) == set(Trait)
 
     def test_rows_are_valid_distributions(self):
-        for row in archetype_table().values():
+        for row in ARCHETYPES.values():
             assert abs(sum(row.as_tuple()) - 1.0) <= 1e-9
             assert all(0.0 <= p <= 1.0 for p in row.as_tuple())
 
     def test_balanced_participant_anchor(self):
-        row = archetype_table()[Trait.BP]
+        row = ARCHETYPES[Trait.BP]
         assert row.p_post == pytest.approx(0.5176)
         assert row.p_reshare == pytest.approx(0.4658)
 
     def test_content_amplifier_anchor(self):
-        row = archetype_table()[Trait.CA]
+        row = ARCHETYPES[Trait.CA]
         assert row.p_reshare == pytest.approx(0.7696)
         assert row.p_interact == pytest.approx(0.2143)
 
     def test_interaction_heavy_anchors(self):
-        table = archetype_table()
-        assert table[Trait.OE].p_interact == pytest.approx(0.761)
-        assert table[Trait.IE].p_interact == pytest.approx(0.8667)
+        assert ARCHETYPES[Trait.OE].p_interact == pytest.approx(0.761)
+        assert ARCHETYPES[Trait.IE].p_interact == pytest.approx(0.8667)
 
     def test_extreme_archetypes(self):
-        table = archetype_table()
-        assert table[Trait.SO].p_inactive >= 0.99
-        assert table[Trait.PC].p_post >= 0.99
+        assert ARCHETYPES[Trait.SO].p_inactive >= 0.99
+        assert ARCHETYPES[Trait.PC].p_post >= 0.99
         # sharer archetypes never post
-        assert table[Trait.OS].p_post == 0.0
-        assert table[Trait.OS].p_reshare > 0.0
+        assert ARCHETYPES[Trait.OS].p_post == 0.0
+        assert ARCHETYPES[Trait.OS].p_reshare > 0.0
 
 
 class TestTraitPrompts:
@@ -158,7 +156,8 @@ def test_action_category_mapping():
 
 class TestBehaviourSpace:
     """The behavioural space is defined once, in ``core``; these fail when a
-    copy of it (a kind, a column, a field or the asset's header) drifts."""
+    copy of it (a kind, a column, a field or the README's archetype table)
+    drifts."""
 
     def test_every_kind_but_follow_has_a_column(self):
         assert set(CATEGORY) == set(ActionKind) - {ActionKind.FOLLOW}
@@ -168,13 +167,17 @@ class TestBehaviourSpace:
         assert list(ActionDistribution.__dataclass_fields__) == [
             f"p_{c}" for c in CATEGORIES]
 
-    def test_archetype_asset_names_the_columns(self):
-        text = resources.files("traitsim.assets").joinpath(
-            "archetypes.txt").read_text()
-        header = [line for line in text.splitlines()
-                  if line.startswith("# Columns:")]
-        assert header == ["# Columns: trait " + " ".join(
-            f"p_{c}" for c in CATEGORIES)]
+    def test_readme_archetype_rows_are_the_constant(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        rows = re.findall(r"^\| (\w\w) — ([^|]+) \|(.+)\|$", readme, re.M)
+        assert sorted(code for code, _, _ in rows) == sorted(
+            trait.name for trait in Trait)
+        for code, label, values in rows:
+            trait = Trait[code]
+            assert label == trait.value
+            assert tuple(float(v) for v in values.split("|")) == (
+                ARCHETYPES[trait].as_tuple())
 
 
 class TestFromCounts:

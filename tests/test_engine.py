@@ -1441,8 +1441,7 @@ class TestHashSeedIndependence:
     under two string-hash seeds, so no set of strings orders anything an LLM
     backend reads or the log holds. The enums hash by identity, which the
     hash seed does not change; their safety rests on no output iterating a
-    set of enums (the one place that did, `archetype_table`'s error
-    message, sorts the names)."""
+    set of enums."""
 
     CODE = ("import sys; from test_engine import llm_path_run, write_artifacts; "
             "from traitsim.memory import MemoryParams; "

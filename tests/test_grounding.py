@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traitsim import grounding
-from traitsim.core import ActionDistribution, Trait, archetype_table
+from traitsim.core import ARCHETYPES, ActionDistribution, Trait
 from traitsim.grounding import (
     PLACEHOLDER_IDENTITY,
     PlatformRecord,
@@ -283,7 +283,7 @@ class TestEmpiricalVector:
 
 class TestAssignTrait:
     def test_exact_archetypes_recover_themselves(self):
-        for trait, row in archetype_table().items():
+        for trait, row in ARCHETYPES.items():
             assignment = assign_trait(row)
             assert assignment.assigned is trait
             assert assignment.distance == pytest.approx(0.0)

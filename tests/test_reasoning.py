@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traitsim.core import (
+    ARCHETYPES,
     ActionKind,
     AgentProfile,
     OCEAN_VARIANTS,
     Trait,
     TRAIT_PROMPTS,
-    archetype_table,
 )
 from traitsim.engine import SimulationConfig, run_simulation
 from traitsim.memory import MemoryUnit
@@ -256,7 +256,7 @@ class TestStub:
         ca = agent(Trait.CA)
         kinds = [stub_decide(ca, FEED, rng, 4).choice for _ in range(10_000)]
         rate = sum(k is ActionKind.RESHARE for k in kinds) / len(kinds)
-        assert rate == pytest.approx(archetype_table()[Trait.CA].p_reshare,
+        assert rate == pytest.approx(ARCHETYPES[Trait.CA].p_reshare,
                                      abs=0.02)
 
     def test_empty_feed_masks_to_post_or_inactive(self):
@@ -269,7 +269,7 @@ class TestStub:
         # law-of-large-numbers check against the renormalized IE row
         rng = np.random.default_rng(4)
         ie = agent(Trait.IE)
-        row = archetype_table()[Trait.IE]
+        row = ARCHETYPES[Trait.IE]
         expected_post = row.p_post / (row.p_post + row.p_inactive)
         n = 100_000
         posts = sum(stub_decide(ie, (), rng, 4).choice is ActionKind.POST
