@@ -311,18 +311,20 @@ def project_onto_centroids(vectors: dict, centroids: Sequence[ActionDistribution
 class Chain:
     root: int
     topic: Optional[str]
-    nodes: list  # (position, agent_id, trait_label)
-    length: int
+    agents: tuple  # the authors along the path, root first
+
+    @property
+    def length(self) -> int:
+        return len(self.agents)
 
 
-def trace_chains(content_store: dict, traits: Optional[dict] = None) -> list:
+def trace_chains(content_store: dict) -> list:
     """Emit one chain per root-to-leaf re-share path.
 
     Leaves are re-shares with no child re-share; originals that were never
     re-shared emit nothing. Length counts the posting plus re-sharing events
     on the path, so every chain has length >= 2.
     """
-    traits = traits or {}
     children = {}
     for item in content_store.values():
         if item.parent is not None:
@@ -341,13 +343,10 @@ def trace_chains(content_store: dict, traits: Optional[dict] = None) -> list:
             seen.add(node.content_id)
             path.append(node)
             node = content_store[node.parent] if node.parent is not None else None
-        path.reverse()
-        root = path[0]
-        nodes = [(pos, it.author, traits.get(it.author))
-                 for pos, it in enumerate(path)]
-        chains.append(Chain(root=root.content_id, topic=root.topic,
-                            nodes=nodes, length=len(nodes)))
-    chains.sort(key=lambda c: (c.root, [n[1] for n in c.nodes]))
+        root = path[-1]
+        chains.append(Chain(root.content_id, root.topic,
+                            tuple(it.author for it in reversed(path))))
+    chains.sort(key=lambda c: (c.root, c.agents))
     return chains
 
 

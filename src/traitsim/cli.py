@@ -307,7 +307,7 @@ def cmd_analyze(args) -> int:
     summary = [f"run: {run_dir}", f"actions: {len(log)}",
                f"content items: {len(content)}"]
 
-    chains = (trace_chains(content, traits)
+    chains = (trace_chains(content)
               if which in ("all", "rq2") or other is not None else None)
     if which in ("all", "rq1"):
         vectors = action_probability_vector(log)
@@ -339,7 +339,7 @@ def cmd_analyze(args) -> int:
         _write_csv(out / "chains.csv",
                    ["root", "topic", "length", "path_agents"],
                    [[c.root, c.topic, c.length,
-                     "|".join(agent for _, agent, _ in c.nodes)]
+                     "|".join(c.agents)]
                     for c in chains])
         table = chain_length_table(chains)
         _write_csv(out / "chain_table.csv",
@@ -373,7 +373,7 @@ def cmd_analyze(args) -> int:
                        ["agent", "trait", "in_degree", "out_degree"],
                        [[a, traits.get(a), cin.get(a, 0.0), cout.get(a, 0.0)]
                         for a in sorted(traits)])
-            for trait, (median, q1, q3, count) in sorted(
+            for trait, (median, count) in sorted(
                     centrality_by_trait(cout, traits).items(),
                     key=lambda kv: str(kv[0])):
                 summary.append(f"{name} out-degree {trait}: "

@@ -4,9 +4,9 @@ Each ``Trait`` has a prompt in ``TRAIT_PROMPTS`` and an archetypal action
 distribution in ``ARCHETYPES``; both tables are constants of this module.
 
 One action is one ``ActionRecord`` and one stored item one ``ContentItem``,
-whose counters, comment texts and cascade count the engine changes in its
-serialized apply phase. ``check_shape`` is the one rule of what each kind of
-action carries, for a model's answer and a run file's record alike.
+whose counters the engine changes in its serialized apply phase.
+``check_shape`` is the one rule of what each kind of action carries, for a
+model's answer and a run file's record alike.
 """
 
 from __future__ import annotations
@@ -235,9 +235,7 @@ class ContentItem:
     """An original post or a re-share node.
 
     ``parent is None`` iff the item is an original, in which case
-    ``root == content_id``. ``reshares`` counts direct children only;
-    ``cascade_reshares`` is tracked on originals only and counts every
-    re-share event anywhere in the item's cascade.
+    ``root == content_id``. ``reshares`` counts direct children only.
     """
 
     content_id: int
@@ -251,8 +249,6 @@ class ContentItem:
     likes: int = 0
     dislikes: int = 0
     comments: int = 0
-    comment_texts: list = field(default_factory=list)  # (agent_id, text) pairs
-    cascade_reshares: int = 0
 
     def __post_init__(self):
         if self.parent is None:

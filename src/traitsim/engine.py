@@ -26,14 +26,15 @@ The log is the run. ``apply_action`` turns a decision into an
 ``ActionRecord`` and hands it to ``apply_record``, the one function that
 changes the content store and the follow graph; the store is therefore a
 function of the log and the agents' topics, and ``check_integrity`` checks
-every counter of the store against the log. ``write_artifacts`` streams each
-file line by line from ``record_line``, ``content_line`` and
+every item and counter of the store against the log. ``write_artifacts``
+streams each file line by line from ``record_line``, ``content_line`` and
 ``profile_line``, which write the bytes ``json.dumps(row, sort_keys=True)``
 writes for each row's dict without building it. It still writes
-``content.jsonl`` for readers of the run directory, but ``load_run`` never
-reads it: it replays ``actions.jsonl`` through ``apply_record`` onto the
-agents of ``agents.jsonl``, so every record must pass ``core.check_shape``
-and replay cleanly.
+``content.jsonl``, deriving the comment texts and cascades the store does
+not keep, for readers of the run directory, but ``load_run`` never reads it:
+it replays ``actions.jsonl`` through ``apply_record`` onto the agents of
+``agents.jsonl``, so every record must pass ``core.check_shape`` and replay
+cleanly.
 
 ``run_simulation`` and ``load_run`` build a world, and run with the cyclic
 garbage collector paused (``collector_paused``): a world is hundreds of
@@ -52,7 +53,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import filterfalse, islice
+from itertools import filterfalse, islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -345,14 +346,12 @@ def apply_record(world: WorldState, agent: AgentState,
                               target.topic, target)
             agent.reshared_ids.add(target.content_id)
             target.reshares += 1
-            world.content[target.root].cascade_reshares += 1
         elif kind is ActionKind.LIKE:
             target.likes += 1
         elif kind is ActionKind.DISLIKE:
             target.dislikes += 1
         else:
             target.comments += 1
-            target.comment_texts.append((profile.agent_id, record.payload))
     elif kind is ActionKind.FOLLOW:
         if record.target not in world.agents:
             raise ValueError(f"follow of unknown agent {record.target!r}")
@@ -728,12 +727,14 @@ def record_line(record: ActionRecord) -> str:
             f'"target": {_value(record.target)}}}\n')
 
 
-def content_line(item: ContentItem) -> str:
-    """The ``content.jsonl`` line of ``item``."""
+def content_line(item: ContentItem, comment_texts,
+                 cascade_reshares: int) -> str:
+    """The ``content.jsonl`` line of ``item``, with its comments'
+    ``(agent, text)`` pairs and the count of re-share nodes in its cascade."""
     comments = ", ".join([f"[{_quote(agent)}, {_quote(text)}]"
-                          for agent, text in item.comment_texts])
+                          for agent, text in comment_texts])
     return (f'{{"author": {_quote(item.author)}, '
-            f'"cascade_reshares": {_value(item.cascade_reshares)}, '
+            f'"cascade_reshares": {_value(cascade_reshares)}, '
             f'"comment_texts": [{comments}], '
             f'"content_id": {_value(item.content_id)}, '
             f'"counters": {{"comments": {_value(item.comments)}, '
@@ -760,12 +761,23 @@ def profile_line(profile: AgentProfile) -> str:
 def write_artifacts(world: WorldState, out_dir) -> None:
     """Write the run's ``OUTPUTS`` into ``out_dir``, one line at a time.
     The store's ids are dense and chronological, so its values are in
-    ascending id order."""
+    ascending id order. Each item's comment texts are the log's comments on
+    it, in log order, and its cascade the re-share nodes with it as root."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # A local: reading an Enum member off its class costs 0.1 µs.
+    comments, comment = {}, ActionKind.COMMENT
+    for record in world.log:
+        if record.kind is comment:
+            comments.setdefault(record.target, []).append(
+                (record.agent, record.payload))
+    cascade = Counter(item.root for item in world.content.values()
+                      if item.parent is not None)
     lines = (
         map(record_line, world.log),
-        map(content_line, world.content.values()),
+        map(content_line, world.content.values(),
+            map(comments.get, world.content, repeat(())),
+            map(cascade.get, world.content, repeat(0))),
         (profile_line(world.agents[agent_id].profile)
          for agent_id in world.agent_order()),
     )
@@ -862,21 +874,20 @@ def load_run(run_dir):
 
 def check_integrity(world: WorldState) -> None:
     """Assert content-store invariants: parents and roots resolve and roots
-    are originals; each item's reshare counter equals its child count and
-    its ``cascade_reshares`` the re-share nodes under it; and its likes,
-    dislikes, comments and comment texts are those ``world.log`` records
-    for it, in order."""
-    children, cascade = Counter(), Counter()
+    are originals; each item's reshare counter equals its child count, and
+    its likes, dislikes and comments are those ``world.log`` records for it;
+    and the items are those the log's posts and re-shares create, in order,
+    each with the record's author, iteration and target as parent."""
+    children = Counter()
     for item in world.content.values():
         if item.parent is not None:
             if item.parent not in world.content:
                 raise AssertionError(f"dangling parent for {item.content_id}")
             children[item.parent] += 1
-            cascade[item.root] += 1
         root = world.content.get(item.root)
         if root is None or root.parent is not None:
             raise AssertionError(f"bad root for {item.content_id}")
-    likes, dislikes, comments = Counter(), Counter(), {}
+    likes, dislikes, comments, created = Counter(), Counter(), Counter(), []
     for record in world.log:
         kind, target = record.kind, record.target
         if kind is ActionKind.LIKE:
@@ -884,22 +895,27 @@ def check_integrity(world: WorldState) -> None:
         elif kind is ActionKind.DISLIKE:
             dislikes[target] += 1
         elif kind is ActionKind.COMMENT:
-            comments.setdefault(target, []).append(
-                (record.agent, record.payload))
+            comments[target] += 1
+        elif kind is ActionKind.POST or kind is ActionKind.RESHARE:
+            created.append(record)
     for target in likes.keys() | dislikes.keys() | comments.keys():
         if target not in world.content:
             raise AssertionError(f"the log reacts to unknown content {target}")
     for cid, item in world.content.items():
-        texts = comments.get(cid, [])
         if item.reshares != children[cid]:
             raise AssertionError(f"reshare counter mismatch on {cid}")
-        if item.cascade_reshares != cascade[cid]:
-            raise AssertionError(f"cascade_reshares mismatch on {cid}")
         if item.likes != likes[cid]:
             raise AssertionError(f"like counter mismatch on {cid}")
         if item.dislikes != dislikes[cid]:
             raise AssertionError(f"dislike counter mismatch on {cid}")
-        if item.comments != len(texts):
+        if item.comments != comments[cid]:
             raise AssertionError(f"comment counter mismatch on {cid}")
-        if item.comment_texts != texts:
-            raise AssertionError(f"comment texts mismatch on {cid}")
+    for item, record in zip(world.content.values(), created):
+        if ((item.author, item.iteration_created, item.parent)
+                != (record.agent, record.iteration, record.target)):
+            raise AssertionError(
+                f"item {item.content_id} is not the log's {record.kind.value} "
+                f"by {record.agent} in iteration {record.iteration}")
+    if len(created) != len(world.content):
+        raise AssertionError(f"the log creates {len(created)} items, the "
+                             f"store holds {len(world.content)}")

@@ -171,15 +171,13 @@ class TraitAssignment:
     distance: float
 
 
-def assign_trait(vector: ActionDistribution,
-                 archetypes: Optional[dict] = None) -> TraitAssignment:
-    """Nearest archetype by Euclidean distance; ties break in Trait enum
-    order (SO < OS < OE < BP < CA < PC < IE)."""
-    archetypes = archetypes or ARCHETYPES
+def assign_trait(vector: ActionDistribution) -> TraitAssignment:
+    """Nearest archetype in ``ARCHETYPES`` by Euclidean distance; ties break
+    in Trait enum order (SO < OS < OE < BP < CA < PC < IE)."""
     v = vector.as_tuple()
     best_trait, best_distance = None, None
     for trait in Trait:  # enum order is the documented tie-break
-        row = archetypes[trait].as_tuple()
+        row = ARCHETYPES[trait].as_tuple()
         distance = math.sqrt(sum((a - b) ** 2 for a, b in zip(v, row)))
         if best_distance is None or distance < best_distance - 1e-12:
             best_trait, best_distance = trait, distance

@@ -5,7 +5,8 @@ Every input file (personas, platform records, follows, a config file, a
 run's ``agents.jsonl``, ``actions.jsonl`` and ``manifest.json``) is opened by
 ``read_text``, and the line-delimited ones are read by ``read_jsonl``, their
 string fields checked by ``string``. A missing or unreadable file, or a line
-that does not parse, is a ``ValueError`` naming the file (and the line).
+that does not parse (nesting past the recursion limit included), is a
+``ValueError`` naming the file (and the line).
 ``write_jsonl`` writes ``ground``'s personas; a run's files are rendered
 line by line in ``engine``.
 """
@@ -47,12 +48,18 @@ def malformed(path, number, err) -> ValueError:
 
 def read_json(path, what: str):
     """The JSON document in the file at ``path`` (``read_text``); text that
-    is not JSON is a ``ValueError`` citing the ``what`` file and the line."""
+    is not JSON is a ``ValueError`` citing the ``what`` file and the line,
+    and a number of too many digits or nesting past the recursion limit,
+    for which the decoder gives no position, one citing the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed {what} {path} line {err.lineno}: "
                          f"JSONDecodeError: {err.msg}") from None
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"malformed {what} {path}: "
+                         f"{type(err).__name__}: {err}") from None
 
 
 # ``json.loads`` without its wrappers: the value at the start of a string
@@ -64,7 +71,8 @@ def read_jsonl(path, parse, finish=lambda: None) -> list:
     """``parse(json.loads(line))`` for each non-blank line of the file at
     ``path`` (``read_text``), then ``finish()``. Bad JSON, or a KeyError,
     TypeError or ValueError from ``parse`` or ``finish``, is ``malformed``
-    at its line (the last line for ``finish``).
+    at its line (the last line for ``finish``), as is a line nested past
+    the recursion limit.
 
     A line is decoded by ``json.JSONDecoder().raw_decode`` and used as is
     when its value ends at the end of the line, as every line ``write_jsonl``
@@ -91,7 +99,7 @@ def read_jsonl(path, parse, finish=lambda: None) -> list:
                     value = json.loads(line)
                 rows.append(parse(value))
         finish()
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
         raise malformed(path, number, err) from err
     return rows
 

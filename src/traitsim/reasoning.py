@@ -236,7 +236,7 @@ def _extract_fields(raw_text: str) -> dict:
     if stripped.startswith("{"):
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             obj = None
         if isinstance(obj, dict):
             return {str(k).lower(): ("" if v is None else str(v)) for k, v in obj.items()}
@@ -256,9 +256,12 @@ def parse_response(raw_text: str) -> Decision:
     """Read a backend's text answer into a ``Decision``.
 
     Raises ValidationError naming the broken text rule: ``parse failure`` or
-    ``unknown action kind`` here, then ``missing target`` or ``missing
-    payload`` from ``core.check_shape`` on the fields the text maps to.
-    Whether the world allows the decision is ``validate_decision``'s part.
+    ``unknown action kind`` here (or ``dangling content reference`` for an
+    id of more digits than ``int`` converts), then ``missing target`` or
+    ``missing payload`` from ``core.check_shape`` on the fields the text
+    maps to. Whether the world allows the decision is ``validate_decision``'s
+    part. A JSON answer that does not decode, even past a decoder limit, is
+    read as lines of text.
     """
     fields = _extract_fields(raw_text)
     if "choice" not in fields:
@@ -284,7 +287,13 @@ def parse_response(raw_text: str) -> Decision:
 
 def _parse_content_id(text: str) -> Optional[int]:
     m = re.search(r"-?\d+", text)
-    return int(m.group()) if m else None
+    if m is None:
+        return None
+    try:
+        return int(m.group())
+    except ValueError:  # more digits than int() converts
+        detail = f"a content id of {len(m.group())} digits"
+        raise ValidationError("dangling content reference", detail) from None
 
 
 def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
@@ -579,7 +588,8 @@ class LLMBackend:
             if status == 200:
                 try:
                     return json.loads(data)["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as err:
+                except (ValueError, RecursionError, KeyError, IndexError,
+                        TypeError) as err:
                     raise TransportError(
                         f"malformed completion response: {err}") from err
             failure = (f"backend returned HTTP {status}: "

@@ -148,7 +148,7 @@ def test_ac3_chain_tracing_oracle():
     forests, and the canonical A->B->C example classifies correctly."""
     rng = random.Random(123)
     agree = all(
-        sorted(tuple(int(author[1:]) for _, author, _ in c.nodes)
+        sorted(tuple(int(author[1:]) for author in c.agents)
                for c in trace_chains(forest)) == brute_force_chains(forest)
         for forest in (random_forest(rng) for _ in range(200))
     )
@@ -161,7 +161,7 @@ def test_ac3_chain_tracing_oracle():
     }
     chains = trace_chains(store)
     example_ok = (len(chains) == 1 and chains[0].length == 3
-                  and [n[1] for n in chains[0].nodes] == ["A", "B", "C"])
+                  and chains[0].agents == ("A", "B", "C"))
 
     report(f"[AC3] chain tracing vs brute-force oracle (200 forests, "
            f"example length {chains[0].length})", agree and example_ok)

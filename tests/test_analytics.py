@@ -491,7 +491,7 @@ class TestTraceChains:
         chains = trace_chains(store(a, reshare(2, "B", a)))
         assert len(chains) == 1
         assert chains[0].length == 2
-        assert [n[1] for n in chains[0].nodes] == ["A", "B"]
+        assert chains[0].agents == ("A", "B")
 
     def test_two_hop_path(self):
         a = original(1, "A")
@@ -499,8 +499,7 @@ class TestTraceChains:
         chains = trace_chains(store(a, b, reshare(3, "C", b, it=3)))
         assert len(chains) == 1
         assert chains[0].length == 3
-        assert [n[1] for n in chains[0].nodes] == ["A", "B", "C"]
-        assert chains[0].nodes[0][0] == 0  # positions start at the root
+        assert chains[0].agents == ("A", "B", "C")  # the root first
 
     def test_branching_yields_one_chain_per_leaf(self):
         a = original(1, "A")
@@ -512,12 +511,6 @@ class TestTraceChains:
 
     def test_unreshared_original_emits_nothing(self):
         assert trace_chains(store(original(1, "A"))) == []
-
-    def test_trait_labels_attached(self):
-        a = original(1, "A")
-        chains = trace_chains(store(a, reshare(2, "B", a)),
-                              traits={"A": "PC", "B": "CA"})
-        assert [n[2] for n in chains[0].nodes] == ["PC", "CA"]
 
     def test_cycle_detected(self):
         a = ContentItem(1, "A", 1, "t", "Music", parent=2, root=1)
@@ -532,7 +525,7 @@ class TestTraceChains:
         rng = random.Random(7)
         for _ in range(50):
             content = random_forest(rng)
-            got = sorted(tuple(int(author[1:]) for _, author, _ in c.nodes)
+            got = sorted(tuple(int(author[1:]) for author in c.agents)
                          for c in trace_chains(content))
             assert got == brute_force_chains(content)
 
@@ -633,7 +626,8 @@ class TestTemporalDynamics:
 
 class TestChainTables:
     def chains(self, lengths, topic="Music"):
-        return [Chain(root=i, topic=topic, nodes=[], length=l)
+        return [Chain(root=i, topic=topic,
+                      agents=tuple(f"a{n}" for n in range(l)))
                 for i, l in enumerate(lengths)]
 
     def test_counts_percentages_mean_max(self):

@@ -516,6 +516,27 @@ class TestSimulate:
             out=out, file=out)
         assert out.is_symlink() and not out.exists()
 
+    def test_answer_past_a_decoder_limit_is_reprompted(self, tmp_path,
+                                                       personas_file):
+        """A model answer whose content id has more digits than ``int``
+        converts is re-prompted; the run completes and is written."""
+        def answer(system, user, attempt):
+            if attempt == 0:
+                return "CHOICE: like\nREASON: x\nCONTENT: " + "9" * 5000
+            return "CHOICE: inactive\nREASON: ok\nCONTENT:"
+
+        out = tmp_path / "run"
+        with chat_server(answer) as (url, seen):
+            assert main(["simulate", "--personas", str(personas_file),
+                         "--iterations", "1", "--backend", "llm",
+                         "--endpoint", url, "--model", "m",
+                         "--out", str(out)]) == 0
+        records = [json.loads(line) for line in
+                   (out / "actions.jsonl").read_text().splitlines()]
+        assert len(seen) == 2 * len(records) == 2 * 4 * 7
+        assert {(r["kind"], r["reason"]) for r in records} == {
+            ("inactive", "ok")}
+
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):
         assert main(["simulate", "--personas", str(personas_file),
@@ -1238,6 +1259,47 @@ class TestGroundToSimulate:
         assert "clustering skipped: 4 agents" in (run / "summary.txt").read_text()
 
 
+DEEP = "[" * 100_000  # nested past the recursion limit
+
+
+@pytest.mark.parametrize("name", ["personas", "config", "actions",
+                                  "manifest", "records"])
+def test_input_nested_too_deep_is_malformed(tmp_path, personas_file, capsys,
+                                            name):
+    """A line or a document nested past the recursion limit is a malformed
+    input, named on one error line (with the line, for a line-delimited
+    file), and not a traceback."""
+    good = {"personas": json.dumps(make_personas(1)[0]),
+            "records": json.dumps({"user": "u", "kind": "post",
+                                   "timestamp": 0, "text": "x"})}
+    if name in ("actions", "manifest"):
+        run = simulate(tmp_path, personas_file)
+        path = run / ("actions.jsonl" if name == "actions" else
+                      "manifest.json")
+        argv = ["analyze", "--run", str(run)]
+    else:
+        path = tmp_path / f"{name}.json"
+        argv = {"personas": ["simulate", "--personas", str(path)],
+                "config": ["simulate", "--personas", str(personas_file),
+                           "--config", str(path)],
+                "records": ["ground", "--records", str(path),
+                            "--no-identity-inference"],
+                }[name] + ["--out", str(tmp_path / "x")]
+    if name == "config" or name == "manifest":
+        path.write_text(DEEP)
+        cited = f"malformed {name} {path}: RecursionError: "
+    else:
+        lines = (path.read_text().splitlines() if name == "actions"
+                 else [good[name]] * 3)
+        lines[2] = DEEP
+        path.write_text("\n".join(lines) + "\n")
+        cited = f"malformed record in {path} line 3: RecursionError: "
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cited}") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
 class TestDemoData:
     def test_shipped_personas_are_loadable(self, tmp_path):
         demo = Path(__file__).resolve().parent.parent / "data" / "personas_demo.jsonl"
@@ -1281,3 +1343,16 @@ def test_simulate_never_imports_numpy_random(tmp_path, configuration):
          "--out", str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_grounding_and_networks_never_import_numpy():
+    """Neither ``grounding`` nor the ``networks`` it builds its graph with
+    loads numpy."""
+    src = str(Path(traitsim.__file__).parents[1])
+    code = ("import sys, traitsim.grounding, traitsim.networks; "
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"

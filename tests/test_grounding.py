@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,8 +299,9 @@ class TestAssignTrait:
         archetypes = {t: ActionDistribution(0, 1, 0, 0) for t in Trait}
         archetypes[Trait.SO] = ActionDistribution(0, 0, 0, 1)
         archetypes[Trait.PC] = ActionDistribution(1, 0, 0, 0)
-        assignment = assign_trait(ActionDistribution(0.5, 0.0, 0.0, 0.5),
-                                  archetypes=archetypes)
+        with mock.patch.dict(grounding.ARCHETYPES, archetypes):
+            assignment = assign_trait(
+                ActionDistribution(0.5, 0.0, 0.0, 0.5))
         assert assignment.assigned is Trait.SO
 
 

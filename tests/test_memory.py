@@ -20,11 +20,9 @@ from traitsim.memory import (
 
 
 def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
-    item = ContentItem(cid, f"author{cid}", 1, f"text {cid}", "Music",
+    return ContentItem(cid, f"author{cid}", 1, f"text {cid}", "Music",
                        reshares=reshares, likes=likes, dislikes=dislikes,
                        comments=len(comments))
-    item.comment_texts = [("x", t) for t in comments]
-    return item
 
 
 def record(kind, now, target=None, payload=None):
@@ -108,7 +106,7 @@ class TestShortTermMemory:
         item = make_item(1, likes=2)
         stm_observe(memory, item, now=1)
         item.likes = 7
-        item.comment_texts.append(("y", "great"))
+        item.comments += 1
         assert memory.stm[1].score == 2.0
 
     def test_reobserve_refreshes_counters_and_recency(self):

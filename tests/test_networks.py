@@ -115,10 +115,10 @@ class TestCentralityByTrait:
         centrality = {"a1": 0.4, "a2": 0.2}
         profiles = {"a1": "CA", "a2": "CA", "a3": "CA", "b1": "SO"}
         stats = centrality_by_trait(centrality, profiles)
-        median, q1, q3, n = stats["CA"]
+        median, n = stats["CA"]
         assert n == 3
         assert median == pytest.approx(0.2)  # a3 counted as zero-degree
-        assert stats["SO"] == (0.0, 0.0, 0.0, 1)
+        assert stats["SO"] == (0.0, 1)
 
     def test_missing_profile_is_an_error(self):
         with pytest.raises(KeyError):

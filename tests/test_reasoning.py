@@ -234,6 +234,26 @@ class TestDecide:
         assert d.reason == FALLBACK_REASON
         assert backend.calls == MAX_RETRIES == 3
 
+    @pytest.mark.parametrize("raw, rule", [
+        ("CHOICE: like\nREASON: x\nCONTENT: " + "9" * 5000,
+         "dangling content reference"),
+        (json.dumps({"choice": "like", "reason": "x", "content": "9" * 5000}),
+         "dangling content reference"),
+        ('{"choice": "like", "reason": "x", "content": ' + "9" * 5000 + "}",
+         "parse failure"),
+        ('{"choice": "like", "content": ' + "[" * 100_000, "parse failure"),
+    ], ids=["text-id-digits", "json-id-digits", "json-number-digits",
+            "json-nested-too-deep"])
+    def test_answer_past_a_decoder_limit_is_reprompted(self, raw, rule,
+                                                       caplog):
+        """A content id of more digits than ``int`` converts, or JSON nested
+        past the recursion limit, is a protocol violation, not a crash."""
+        backend = _ScriptedBackend(
+            [raw, "CHOICE: like\nREASON: ok\nCONTENT: 3"])
+        d = decide(prompt_for(), backend, rng())
+        assert (d.choice, d.target, backend.calls) == (ActionKind.LIKE, 3, 2)
+        assert f"): {rule}" in caplog.text
+
     def test_transport_errors_propagate(self):
         class Boom:
             def complete(self, prompt, rng):
@@ -710,6 +730,13 @@ class TestTransportRetries:
                                                   backoffs):
         _Handler.script["body"] = b"<html>not json</html>"
         with pytest.raises(TransportError, match="malformed"):
+            LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
+        assert len(_Handler.requests_seen) == 1 and backoffs == []
+
+    def test_body_nested_too_deep_is_malformed(self, http_endpoint, backoffs):
+        _Handler.script["body"] = b"[" * 100_000
+        with pytest.raises(TransportError, match="malformed completion "
+                                                 "response: maximum recursion"):
             LLMBackend(EndpointConfig(http_endpoint, "m")).chat("s", "u")
         assert len(_Handler.requests_seen) == 1 and backoffs == []
 
