@@ -19,6 +19,10 @@ vectors are count ratios, so agents share them) and expanded to every row;
 sums that reach the output still run over every row in index order. Restart
 batches and silhouette row chunks each hold about ``SILHOUETTE_CHUNK``
 distance entries, so memory stays linear in the number of agents.
+
+Only the clustering uses numpy, and its functions import it where they run:
+``cli`` imports this module for every command, and a ``simulate`` then loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .core import ActionDistribution, ActionKind, CATEGORIES, CATEGORY, Order
 
@@ -79,6 +81,8 @@ def _sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     see the sign of the difference, to its transpose with A and B swapped)
     without its (len(A), len(B), dims) temporary.
     """
+    import numpy as np
+
     out = np.zeros((len(A), len(B)))
     for a, b in zip(A.T, B.T):
         d = np.subtract.outer(a, b)
@@ -94,6 +98,8 @@ KMEANS_RESTARTS = 50  # seeded k-means runs per k; the lowest inertia wins
 def _distinct_rows(X: np.ndarray):
     """The distinct rows of X and, for each row of X, the index of its
     distinct row."""
+    import numpy as np
+
     Xu, inv = np.unique(X, axis=0, return_inverse=True)
     return Xu, inv.reshape(-1)
 
@@ -109,6 +115,8 @@ def _kmeans_pp(X: np.ndarray, Xu: np.ndarray, inv: np.ndarray, k: int,
     indices from the (restarts, n) CDFs, or is given ``cdf=None`` when some
     restart's d2 sums to 0; seeding stops with None if it returns None.
     """
+    import numpy as np
+
     idx = np.empty((len(first), k), dtype=np.intp)
     idx[:, 0] = first
     d2u = np.full((len(first), len(Xu)), np.inf)
@@ -143,6 +151,8 @@ def _lloyd(X: np.ndarray, Xu: np.ndarray, inv: np.ndarray, C: np.ndarray,
     """Lloyd iterations from each restart's (k, dims) seeds in C; a restart
     stops once no center moves by ``tol`` or more. Returns centers, labels
     and inertia per restart."""
+    import numpy as np
+
     R, k, dims = C.shape
     n = len(X)
     weights = np.tile(X.ravel(), R)
@@ -174,6 +184,8 @@ def _kmeans(X: np.ndarray, k: int, rng: np.random.Generator):
     that many single k-means++ restarts run one after another on ``rng``
     (the module docstring gives the draw order and the fallback): centers
     (restarts, k, dims), labels (restarts, n) and inertia (restarts,)."""
+    import numpy as np
+
     n, dims = X.shape
     Xu, inv = _distinct_rows(X)
     state = rng.bit_generator.state
@@ -210,6 +222,8 @@ def silhouette_score(X: np.ndarray, labels: np.ndarray) -> float:
     index order: the score is bit-identical to summing ``D[i, labels == j]``
     for every point i.
     """
+    import numpy as np
+
     present, position = np.unique(labels, return_inverse=True)
     if len(present) < 2:
         return 0.0
@@ -252,6 +266,8 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int,
     (see the module docstring for the draw order and the fallback when a
     k-means++ d2 sums to 0). The restart of lowest inertia, the first of
     equal ones, is scored by one ``silhouette_score`` call per k."""
+    import numpy as np
+
     if k_min < 1:
         raise ValueError(f"k_min must be >= 1, got {k_min}")
     if k_min > k_max:
@@ -285,6 +301,8 @@ def cluster_agents(vectors: dict, k_min: int, k_max: int,
 
 
 def _centroid_distribution(center: np.ndarray) -> ActionDistribution:
+    import numpy as np
+
     c = np.clip(center, 0.0, 1.0)
     total = c.sum()
     c = c / total if total > 0 else np.array([0.0, 0.0, 0.0, 1.0])
@@ -293,6 +311,8 @@ def _centroid_distribution(center: np.ndarray) -> ActionDistribution:
 
 def project_onto_centroids(vectors: dict, centroids: Sequence[ActionDistribution]) -> dict:
     """Nearest-centroid (Euclidean) assignment; ties go to the lowest index."""
+    import numpy as np
+
     if not centroids:
         raise ValueError("empty centroid list")
     C = np.array([c.as_tuple() for c in centroids])

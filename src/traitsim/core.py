@@ -154,6 +154,9 @@ class Order(Enum):
     __hash__ = object.__hash__  # as for Trait
 
 
+_NA = Order.NA  # a global: reading an Enum member off its class costs 0.1 µs
+
+
 class ValidationError(ValueError):
     """An action that breaks the decision protocol; ``rule`` names why."""
 
@@ -279,5 +282,5 @@ class ActionRecord:
 
     def __post_init__(self):
         na = self.kind not in ENGAGEMENT_KINDS
-        if na != (self.order is Order.NA):
+        if na != (self.order is _NA):
             raise ValueError("order is NotApplicable exactly for post/follow/inactive")

@@ -10,10 +10,12 @@ order-independent and the whole run is bit-reproducible from the master seed
 under the stub backend: every agent draws from its own RNG stream keyed by
 (master seed, iteration, agent index). ``agent_rng`` returns a
 ``PCG64Stream``, whose draws are those of ``np.random.default_rng`` on the
-same key; its seed words are derived for a block of agent indices at once and
-memoised, so an iteration runs numpy's ``SeedSequence`` hashing once per block
-and stream rather than once per agent, and it derives its state at its first
-draw, so a stream nobody draws from costs one small object. A decision writes
+same key, computed without numpy: the module does not import it. Its seed
+words are derived for a block of agent indices at once and memoised, so an
+iteration runs numpy's ``SeedSequence`` hashing, in Python integers with one
+lane per agent index, once per block and stream rather than once per agent;
+and it derives its state at its first draw, so a stream nobody draws from
+costs one small object. A decision writes
 only its own agent's memory; the world changes only in the apply phase. That
 is what lets an ``LLMBackend`` compute an iteration's decisions concurrently,
 on its thread pool, with artifacts byte-identical at any concurrency.
@@ -49,6 +51,7 @@ import gc
 import hashlib
 import json
 import operator
+import struct
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -56,8 +59,6 @@ from dataclasses import asdict, dataclass, field
 from itertools import filterfalse, islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import __version__
 from .core import (
@@ -307,13 +308,22 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     return forced + sampled
 
 
+# Globals for the per-record path: reading an Enum member off its class costs
+# about 0.1 µs, a global about a tenth of that.
+_POST, _RESHARE = ActionKind.POST, ActionKind.RESHARE
+_LIKE, _DISLIKE, _COMMENT = (ActionKind.LIKE, ActionKind.DISLIKE,
+                             ActionKind.COMMENT)
+_FOLLOW = ActionKind.FOLLOW
+_NA, _FIRST, _SECOND = Order.NA, Order.FIRST, Order.SECOND
+
+
 def apply_action(world: WorldState, agent: AgentState, decision: Decision,
                  iteration: int) -> None:
     """Apply one validated decision to the world (serialized phase)."""
-    order = Order.NA
+    order = _NA
     if decision.choice in ENGAGEMENT_KINDS:  # first-order iff on an original
-        order = (Order.FIRST if world.content[decision.target].parent is None
-                 else Order.SECOND)
+        order = (_FIRST if world.content[decision.target].parent is None
+                 else _SECOND)
     record = ActionRecord(iteration, agent.profile.agent_id, decision.choice,
                           decision.target, decision.payload, order,
                           decision.reason)
@@ -327,15 +337,15 @@ def apply_record(world: WorldState, agent: AgentState,
     ``record``; one that ``apply_action`` cannot have logged is an error."""
     profile, kind = agent.profile, record.kind
 
-    if kind is ActionKind.POST:
+    if kind is _POST:
         world.add_content(profile.agent_id, record.iteration, record.payload,
                           profile.topic)
     elif kind in ENGAGEMENT_KINDS:
         target = world.content[record.target]
-        if (record.order is Order.FIRST) != (target.parent is None):
+        if (record.order is _FIRST) != (target.parent is None):
             raise ValueError(f"{kind.value} of content {record.target} is "
                              f"not {record.order.value}")
-        if kind is ActionKind.RESHARE:
+        if kind is _RESHARE:
             if target.author == profile.agent_id:
                 raise ValueError(f"{profile.agent_id} re-shares its own "
                                  f"content {target.content_id}")
@@ -346,13 +356,13 @@ def apply_record(world: WorldState, agent: AgentState,
                               target.topic, target)
             agent.reshared_ids.add(target.content_id)
             target.reshares += 1
-        elif kind is ActionKind.LIKE:
+        elif kind is _LIKE:
             target.likes += 1
-        elif kind is ActionKind.DISLIKE:
+        elif kind is _DISLIKE:
             target.dislikes += 1
         else:
             target.comments += 1
-    elif kind is ActionKind.FOLLOW:
+    elif kind is _FOLLOW:
         if record.target not in world.agents:
             raise ValueError(f"follow of unknown agent {record.target!r}")
         profile.following.add(record.target)  # idempotent
@@ -365,9 +375,19 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+_MIX_NEG_R = -_MIX_MULT_R & _MASK32
 # Agent indices per derivation. It divides 2**32, so the indices of one block
-# differ only in their lowest uint32 word.
-_SEED_BLOCK = 1024
+# differ only in their lowest uint32 word. A block is derived whole, and the
+# packed derivation below costs about 1-1.3 µs per index at any block size
+# (numpy's vectorised one cost about 0.3 µs), so a population pays for the
+# unused rest of its last block: at 256 that waste stays small.
+_SEED_BLOCK = 256
+# A packed word is one int with a 64-bit lane per agent index of a block:
+# bits 64j to 64j + 63 hold the uint32 word of index j, in their low half.
+_LANES = sum(1 << 64 * j for j in range(_SEED_BLOCK))  # 1 in every lane
+_LOW32 = _MASK32 * _LANES  # the low half of every lane
+_LANE_INDEX = sum(j << 64 * j for j in range(_SEED_BLOCK))  # j in lane j
+_ROW_WORDS = struct.Struct(f"<{_SEED_BLOCK}Q")
 
 
 def _uint32_words(n: int) -> list:
@@ -384,29 +404,34 @@ def _uint32_words(n: int) -> list:
 
 @functools.lru_cache(maxsize=4)
 def _seed_block(master_seed: int, iteration: int, stream: int,
-                block: int) -> np.ndarray:
-    """Row ``j`` of this read-only (``_SEED_BLOCK``, 4) uint64 array equals
+                block: int) -> tuple:
+    """Row ``j`` of this tuple is the tuple of four ints that
     ``SeedSequence([master_seed, iteration, block * _SEED_BLOCK + j,
-    stream]).generate_state(4, np.uint64)``: numpy's algorithm, run on uint32
-    arrays with one column per agent index."""
+    stream]).generate_state(4, np.uint64)`` holds: numpy's algorithm, run
+    on packed words. Each multiplier is a scalar below 2**32, so a lane's
+    product fits its 64 bits, and every step masks each lane to its low 32
+    bits, as uint32 arithmetic wraps."""
     head = _uint32_words(master_seed) + _uint32_words(iteration)
     low, *high = _uint32_words(block * _SEED_BLOCK)
-    entropy = np.repeat(np.array(head + [low] + high + _uint32_words(stream),
-                                 np.uint32)[:, None], _SEED_BLOCK, axis=1)
-    entropy[len(head)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+    entropy = [word * _LANES
+               for word in head + [low] + high + _uint32_words(stream)]
+    entropy[len(head)] += _LANE_INDEX
 
     hash_const = _INIT_A
 
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ hash_const
+        value ^= hash_const * _LANES
         hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
+        value = value * hash_const & _LOW32
+        return value ^ value >> 16 & _LOW32
 
     def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> 16
+        # L*x - R*y as L*x + (2**32 - R)*y. Each product is masked first, so
+        # their sum stays below 2**33 and carries into no other lane.
+        result = ((_MIX_MULT_L * x & _LOW32)
+                  + (_MIX_NEG_R * y & _LOW32)) & _LOW32
+        return result ^ result >> 16 & _LOW32
 
     # Every key has at least _POOL_SIZE words: one per integer.
     pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
@@ -419,18 +444,18 @@ def _seed_block(master_seed: int, iteration: int, stream: int,
             pool[dst] = mix(pool[dst], hashmix(word))
 
     hash_const = _INIT_B
-    state = np.empty((_SEED_BLOCK, 2 * _POOL_SIZE), np.uint32)
+    state = []
     for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ hash_const
+        value = pool[i % _POOL_SIZE] ^ hash_const * _LANES
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, i] = value ^ value >> 16
-    # Read as little-endian uint64 pairs, as numpy does; no copy on a
-    # little-endian host.
-    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64,
-                                                             copy=False)
-    words.flags.writeable = False
-    return words
+        value = value * hash_const & _LOW32
+        state.append(value ^ value >> 16 & _LOW32)
+    # Seed word k of a row is the uint32 pair (2k, 2k + 1), low word first,
+    # as numpy reads the state as little-endian uint64s.
+    columns = [_ROW_WORDS.unpack(int.to_bytes(
+        state[k] | state[k + 1] << 32, _ROW_WORDS.size, "little"))
+        for k in range(0, 2 * _POOL_SIZE, 2)]
+    return tuple(zip(*columns))
 
 
 # numpy's PCG64: a 128-bit LCG with this multiplier and the XSL-RR output.
@@ -444,8 +469,9 @@ class PCG64Stream:
     the three calls traitsim makes, ``random()``, ``integers(high)`` and
     ``choice(n, size, replace=False)``, in integer arithmetic.
 
-    It holds one row of a ``_seed_block`` and derives the 128-bit state only
-    at its first draw, so a stream nobody draws from costs one small object.
+    It holds one row of a ``_seed_block``, a tuple of four 64-bit seed
+    words, and derives the 128-bit state only at its first draw, so a stream
+    nobody draws from costs one small object.
     A 32-bit draw takes the low half of a 64-bit output and keeps the high
     half for the next 32-bit draw, as numpy's PCG64 does; ``random()`` never
     reads it. Bounded integers are Lemire's, as ``Generator.integers`` draws
@@ -454,7 +480,7 @@ class PCG64Stream:
 
     __slots__ = ("_words", "_state", "_inc", "_half")
 
-    def __init__(self, words: np.ndarray):
+    def __init__(self, words: tuple):
         self._words = words
         self._state = None
         self._half = None
@@ -462,7 +488,7 @@ class PCG64Stream:
     def _next64(self) -> int:
         state = self._state
         if state is None:  # numpy's pcg64_set_seed(words[:2], words[2:])
-            w0, w1, w2, w3 = self._words.tolist()
+            w0, w1, w2, w3 = self._words
             self._inc = inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
             state = (inc + (w0 << 64 | w1)) * _PCG_MULT + inc
         self._state = state = (state * _PCG_MULT + self._inc) & _MASK128
@@ -536,16 +562,16 @@ def agent_rng(master_seed: int, iteration: int, agent_index: int,
     Its draws are those of ``np.random.default_rng([master_seed, iteration,
     agent_index, stream])`` for the calls ``PCG64Stream`` offers. Its seed
     words come from ``_seed_block``, which runs numpy's ``SeedSequence``
-    algorithm for a block of ``_SEED_BLOCK`` agent indices at once and keeps
-    the last few blocks, so an iteration derives them once per stream and
-    block of agents, not once per agent. Concurrent decision steps need no
-    lock: ``lru_cache`` is thread-safe, and two steps that miss on the same
-    block each derive the same words. The arguments are non-negative
-    integers.
+    algorithm in Python integers for a block of ``_SEED_BLOCK`` agent indices
+    at once and keeps the last four blocks, so an iteration derives them once
+    per stream and block of agents, not once per agent. Concurrent decision
+    steps need no lock: ``lru_cache`` is thread-safe, and two steps that miss
+    on the same block each derive the same words. The arguments are
+    non-negative integers.
     """
     block, offset = divmod(agent_index, _SEED_BLOCK)
-    words = _seed_block(master_seed, iteration, stream, block)
-    return PCG64Stream(words[offset])
+    return PCG64Stream(_seed_block(master_seed, iteration, stream,
+                                   block)[offset])
 
 
 @contextmanager
@@ -877,7 +903,9 @@ def check_integrity(world: WorldState) -> None:
     are originals; each item's reshare counter equals its child count, and
     its likes, dislikes and comments are those ``world.log`` records for it;
     and the items are those the log's posts and re-shares create, in order,
-    each with the record's author, iteration and target as parent."""
+    each with the record's author, iteration and target as parent: a post
+    with the record's payload as text and its author's topic, a re-share
+    with its parent's text and topic."""
     children = Counter()
     for item in world.content.values():
         if item.parent is not None:
@@ -890,13 +918,13 @@ def check_integrity(world: WorldState) -> None:
     likes, dislikes, comments, created = Counter(), Counter(), Counter(), []
     for record in world.log:
         kind, target = record.kind, record.target
-        if kind is ActionKind.LIKE:
+        if kind is _LIKE:
             likes[target] += 1
-        elif kind is ActionKind.DISLIKE:
+        elif kind is _DISLIKE:
             dislikes[target] += 1
-        elif kind is ActionKind.COMMENT:
+        elif kind is _COMMENT:
             comments[target] += 1
-        elif kind is ActionKind.POST or kind is ActionKind.RESHARE:
+        elif kind is _POST or kind is _RESHARE:
             created.append(record)
     for target in likes.keys() | dislikes.keys() | comments.keys():
         if target not in world.content:
@@ -916,6 +944,16 @@ def check_integrity(world: WorldState) -> None:
             raise AssertionError(
                 f"item {item.content_id} is not the log's {record.kind.value} "
                 f"by {record.agent} in iteration {record.iteration}")
+        if item.parent is None:
+            text = record.payload
+            topic = world.agents[item.author].profile.topic
+        else:
+            parent = world.content[item.parent]
+            text, topic = parent.text, parent.topic
+        if item.text != text:
+            raise AssertionError(f"text mismatch on {item.content_id}")
+        if item.topic != topic:
+            raise AssertionError(f"topic mismatch on {item.content_id}")
     if len(created) != len(world.content):
         raise AssertionError(f"the log creates {len(created)} items, the "
                              f"store holds {len(world.content)}")

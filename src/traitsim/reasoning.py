@@ -34,7 +34,6 @@ from the master seed.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
@@ -47,10 +46,9 @@ from bisect import bisect_right
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import TYPE_CHECKING, Collection, Optional, Sequence
 from urllib.parse import urlsplit
-
-import numpy as np
 
 from .core import (
     ARCHETYPES,
@@ -63,8 +61,10 @@ from .core import (
 )
 from .memory import MemoryUnit, am_summary
 
-if TYPE_CHECKING:  # engine imports this module
-    from .engine import PCG64Stream
+if TYPE_CHECKING:
+    import http.client  # imported where used: it loads ssl and email
+
+    from .engine import PCG64Stream  # engine imports this module
 
 log = logging.getLogger(__name__)
 
@@ -353,10 +353,10 @@ def surrogate_distribution(trait) -> tuple:
 
 def _choice_cdf(p) -> tuple:
     """The cumulative distribution that ``Generator.choice(len(p), p=p)``
-    builds and searches, as a tuple of the same float64 values."""
-    out = np.cumsum(p, dtype=float)
-    out /= out[-1]
-    return tuple(out.tolist())
+    builds and searches, as a tuple of the same float64 values: the running
+    sums, added left to right as ``np.cumsum`` adds, over the last."""
+    out = list(accumulate(map(float, p)))
+    return tuple([value / out[-1] for value in out])
 
 
 def _draw(cdf: tuple, rng: PCG64Stream) -> int:
@@ -378,13 +378,17 @@ def _category_cdf(trait, has_feed: bool) -> Optional[tuple]:
     """The CDF ``stub_decide`` draws a category from, or ``None`` when no
     category is feasible: the trait's row, with re-share and interact masked
     out for an empty feed, renormalized."""
-    row = np.asarray(surrogate_distribution(trait), dtype=float)
+    post, reshare, interact, inactive = map(float,
+                                            surrogate_distribution(trait))
     if not has_feed:
-        row = row * np.array([1.0, 0.0, 0.0, 1.0])
-    total = row.sum()
+        reshare = interact = 0.0
+    # Added left to right, as numpy sums four floats; the builtin ``sum``
+    # compensates float sums from Python 3.12 on.
+    total = post + reshare + interact + inactive
     if total <= 0:
         return None
-    return _choice_cdf(row / total)
+    return _choice_cdf([post / total, reshare / total, interact / total,
+                        inactive / total])
 
 
 def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
@@ -482,10 +486,14 @@ class LLMBackend:
     The backend owns a pool of ``endpoint.concurrency`` worker threads for its
     whole life; ``map`` runs work on it, and each thread keeps one keep-alive
     ``http.client`` connection to the endpoint's host, reused across calls.
-    ``close`` stops the pool and closes the connections.
+    ``close`` stops the pool and closes the connections. ``http.client``,
+    which loads ``ssl`` and ``email``, is imported only by this class, so a
+    stub run never loads it.
     """
 
     def __init__(self, endpoint: EndpointConfig):
+        import http.client
+
         self.endpoint = endpoint
         url = urlsplit(endpoint.endpoint)
         self._connection_class = (http.client.HTTPSConnection
@@ -561,6 +569,8 @@ class LLMBackend:
         status, a malformed body, or the last retryable failure raises
         ``TransportError`` (with the HTTP status, if there was one).
         """
+        import http.client
+
         body = {
             "model": self.endpoint.model,
             "messages": [

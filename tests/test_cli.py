@@ -1345,6 +1345,34 @@ def test_simulate_never_imports_numpy_random(tmp_path, configuration):
     assert result.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("configuration",
+                         ["FullModel", "RandomRecommendation"])
+def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
+        tmp_path, configuration):
+    """Importing ``cli`` and a stub ``simulate`` through ``cli.main`` load no
+    numpy (only ``analyze``'s clustering imports it) and no ``http.client``
+    (only ``LLMBackend`` imports it)."""
+    personas = tmp_path / "personas.jsonl"
+    personas.write_text("".join(json.dumps(p) + "\n"
+                                for p in make_personas(2)))
+    src = str(Path(traitsim.__file__).parents[1])
+    code = ("import sys, traitsim.cli; "
+            "loaded = lambda: sorted({'numpy', 'http.client'} "
+            "& set(sys.modules)); "
+            "print(loaded()); "
+            "code = traitsim.cli.main(sys.argv[1:]); "
+            "print(code, loaded())")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--personas", str(personas),
+         "--iterations", "2", "--configuration", configuration,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
 def test_grounding_and_networks_never_import_numpy():
     """Neither ``grounding`` nor the ``networks`` it builds its graph with
     loads numpy."""

@@ -214,7 +214,7 @@ class TestStubOnAThreadPool:
                                                     configuration):
         """Unlike ``LLMBackend``, the stub draws from its generator, so a
         generator seeded wrongly on a pool thread changes the output. The
-        1,050 agents span two blocks of ``agent_rng``'s seed words."""
+        1,050 agents span five blocks of ``agent_rng``'s seed words."""
         personas = make_personas(150)
         cfg = SimulationConfig(configuration=configuration, iterations=3,
                                master_seed=4099)

@@ -1018,6 +1018,53 @@ class TestDeterminism:
                 high = args[0] if args else lemire_edge(want)
                 assert got.integers(high) == want.integers(high)
 
+    @settings(max_examples=40, deadline=None)
+    @given(master_seed=st.one_of(st.integers(0, 2**32 - 1),
+                                 st.integers(2**32, 2**96)),
+           iteration=st.one_of(st.integers(0, 2**32 - 1),
+                               st.integers(2**32, 2**70)),
+           stream=st.sampled_from([0, 1]),
+           block=st.one_of(st.integers(0, 8),
+                           st.integers(2**32 // engine._SEED_BLOCK - 2,
+                                       2**40)))
+    @example(master_seed=0, iteration=0, stream=0, block=0)
+    @example(master_seed=2**64 - 1, iteration=2**32, stream=1,
+             block=2**32 // engine._SEED_BLOCK - 1)
+    @example(master_seed=5, iteration=25, stream=0,
+             block=2**32 // engine._SEED_BLOCK)
+    def test_seed_block_rows_are_seed_sequence_states(self, master_seed,
+                                                      iteration, stream,
+                                                      block):
+        """Row ``j`` holds the seed words numpy derives for agent index
+        ``block * _SEED_BLOCK + j``, as a tuple of four ints, also where a
+        key word takes two or more uint32 words."""
+        rows = engine._seed_block.__wrapped__(master_seed, iteration, stream,
+                                              block)
+        assert type(rows) is tuple and len(rows) == engine._SEED_BLOCK
+        first = block * engine._SEED_BLOCK
+        for j, row in enumerate(rows):
+            want = np.random.SeedSequence(
+                [master_seed, iteration, first + j, stream]).generate_state(
+                    4, np.uint64)
+            assert type(row) is tuple
+            assert all(type(word) is int for word in row)
+            assert row == tuple(want.tolist())
+
+    def test_seed_blocks_are_derived_once_per_block_stream_and_iteration(
+            self):
+        """Under the random feed, 980 agents draw from both streams; each
+        block of seed words is derived once, so the four-block cache does
+        not thrash as the agents alternate between the streams."""
+        iterations = 2
+        engine._seed_block.cache_clear()
+        world = run_simulation(
+            config(configuration="RandomRecommendation",
+                   iterations=iterations), make_personas(140))
+        assert len(world.agents) == 980
+        blocks = -(-980 // engine._SEED_BLOCK)
+        assert (engine._seed_block.cache_info().misses
+                == blocks * 2 * iterations)
+
     @pytest.mark.parametrize("position", range(4))
     def test_agent_rng_rejects_a_negative_key_word(self, position):
         key = [5, 2, 1, 1]
@@ -1246,6 +1293,20 @@ class TestCheckIntegrity:
         add_post(world, "p000", 1)
         with pytest.raises(AssertionError,
                            match="the log creates 3 items, the store holds 4"):
+            check_integrity(world)
+
+    @pytest.mark.parametrize("content_id, name, value", [
+        (1, "text", "tampered"), (1, "topic", "Nowhere"),
+        (3, "text", "tampered"), (3, "topic", "Nowhere")],
+        ids=["post-text", "post-topic", "reshare-text", "reshare-topic"])
+    def test_an_item_whose_text_or_topic_is_not_the_logs(self, content_id,
+                                                         name, value):
+        """A post's text is its record's payload and its topic its author's;
+        a re-share's text and topic are its parent's."""
+        world = self.world()
+        setattr(world.content[content_id], name, value)
+        with pytest.raises(AssertionError,
+                           match=f"{name} mismatch on {content_id}"):
             check_integrity(world)
 
     def test_a_reaction_to_unknown_content(self):
