@@ -12,14 +12,13 @@ Config files are JSON; every key can be overridden from the command line.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 from urllib.parse import urlsplit
 
 from .analytics import (
@@ -66,6 +65,9 @@ from .networks import (
     degree_centrality,
 )
 from .reasoning import EndpointConfig, LLMBackend, StubBackend, TransportError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class CliError(Exception):
@@ -460,6 +462,8 @@ def _add_endpoint_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # imported where used: a library run parses no arguments
+
     parser = argparse.ArgumentParser(prog="traitsim")
     sub = parser.add_subparsers(dest="command", required=True)
 

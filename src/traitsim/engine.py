@@ -655,7 +655,8 @@ def run_iteration(world: WorldState, config: SimulationConfig,
 
     if iteration % params.eval_period == 0:
         for agent_id in order:
-            ltm_evaluate(world.agents[agent_id].memory, params)
+            ltm_evaluate(world.agents[agent_id].memory,
+                         world.authored.get(agent_id, ()), params)
     world.iteration = iteration
     return world
 

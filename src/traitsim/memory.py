@@ -1,11 +1,11 @@
 """Per-agent three-part memory.
 
 Short-term memory (STM) is a capacity-bounded buffer of recently encountered
-content with a recency decay; long-term memory (LTM) receives the
-top-engagement STM entries at periodic evaluations; activity memory (AM) is a
-bounded FIFO over the agent's own recent actions plus per-kind "last done"
-timestamps, rendered into a deterministic textual summary for the decision
-prompt.
+content with a recency decay; long-term memory (LTM) receives the agent's
+own items among the top-engagement STM entries at periodic evaluations;
+activity memory (AM) is a bounded FIFO over the agent's own recent actions
+plus per-kind "last done" timestamps, rendered into a deterministic textual
+summary for the decision prompt.
 
 An item's engagement score, which decides both STM eviction and LTM
 promotion, is
@@ -25,7 +25,10 @@ lowest ``seq``: the order in which the ids entered the buffer, which a
 refresh keeps. An ``StmEntry`` leads with those three fields, so ``min``
 compares entries as tuples.
 
-All three components start empty. LTM never evicts within a run.
+All three components start empty. LTM never evicts within a run. It keeps
+only the agent's own items: the prompt's feedback section, its one reader,
+looks up only those, and a run's other promotions would grow with its length
+while no output reads them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .core import ActionKind, ActionRecord, ContentItem
 
@@ -85,7 +88,7 @@ class ActivityMemory:
 @dataclass
 class MemoryUnit:
     stm: dict = field(default_factory=dict)  # id -> StmEntry, touch order
-    ltm: dict = field(default_factory=dict)  # content_id -> engagement score
+    ltm: dict = field(default_factory=dict)  # own content_id -> engagement score
     am: ActivityMemory = field(default_factory=ActivityMemory)
     seq: int = 0  # the last StmEntry.seq handed out
 
@@ -137,15 +140,17 @@ def stm_decay(memory: MemoryUnit, now: int,
     return memory
 
 
-def ltm_evaluate(memory: MemoryUnit,
+def ltm_evaluate(memory: MemoryUnit, own: Collection[int],
                  params: MemoryParams = MemoryParams()) -> MemoryUnit:
-    """Copy the top-q quantile of STM entries (by the engagement score stored
-    when each was observed) into LTM, which maps each promoted content id to
-    the score of its latest promotion.
+    """Copy the entries of ``own`` (the agent's content ids) among the
+    top-q quantile of STM entries, by the engagement score stored when each
+    was observed, into LTM, which maps each promoted content id to the score
+    of its latest promotion.
 
-    At least one entry is promoted when the STM is non-empty; entries tied
-    with the quantile cutoff are all promoted. Originals stay in STM until
-    they decay.
+    The cutoff is taken over every STM entry, own or not: at least one entry
+    is in the quantile when the STM is non-empty, and entries tied with the
+    cutoff all are. Only own entries are stored, as the prompt reads no
+    other. Originals stay in STM until they decay.
     """
     stm = memory.stm
     if not stm:
@@ -154,7 +159,7 @@ def ltm_evaluate(memory: MemoryUnit,
     cutoff = scores[max(1, math.ceil(params.promotion_quantile
                                      * len(scores))) - 1]
     for entry in stm.values():
-        if entry.score >= cutoff:
+        if entry.score >= cutoff and entry.content_id in own:
             memory.ltm[entry.content_id] = entry.score
     return memory
 

@@ -43,7 +43,6 @@ import select
 import threading
 import time
 from bisect import bisect_right
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -62,7 +61,7 @@ from .core import (
 from .memory import MemoryUnit, am_summary
 
 if TYPE_CHECKING:
-    import http.client  # imported where used: it loads ssl and email
+    import http.client  # imported where used, as is concurrent.futures
 
     from .engine import PCG64Stream  # engine imports this module
 
@@ -487,12 +486,13 @@ class LLMBackend:
     whole life; ``map`` runs work on it, and each thread keeps one keep-alive
     ``http.client`` connection to the endpoint's host, reused across calls.
     ``close`` stops the pool and closes the connections. ``http.client``,
-    which loads ``ssl`` and ``email``, is imported only by this class, so a
-    stub run never loads it.
+    which loads ``ssl`` and ``email``, and ``concurrent.futures`` are
+    imported only by this class, so a stub run loads neither.
     """
 
     def __init__(self, endpoint: EndpointConfig):
         import http.client
+        from concurrent.futures import ThreadPoolExecutor
 
         self.endpoint = endpoint
         url = urlsplit(endpoint.endpoint)
@@ -535,6 +535,8 @@ class LLMBackend:
         in ``items`` order is raised. No call is running when this returns
         or raises, and the exception leaves no reference cycle behind.
         """
+        from concurrent.futures import FIRST_EXCEPTION, wait
+
         futures = [self._pool.submit(fn, item) for item in items]
         try:
             wait(futures, return_when=FIRST_EXCEPTION)

@@ -1415,9 +1415,11 @@ class TestGoldenDigests:
     }
 
     # Every agent's final STM, LTM and AM after the FullModel run, recorded
-    # before STM entries carried their eviction key. Stub artifacts cannot
-    # see memory, so this is the stub path's one whole-run memory check.
-    MEMORY = "2497fddd8a72168a60e784b3e75eab837086bc18c62582156e8af13665c71328"
+    # before STM entries carried their eviction key, with each LTM then
+    # filtered to the agent's own ids, the only ones it now keeps. Stub
+    # artifacts cannot see memory, so this is the stub path's one whole-run
+    # memory check.
+    MEMORY = "0a2b629202b75a06fd016c5a16d259a695200fc68c8e5c88f9f5528b34c01d57"
 
     @staticmethod
     def run(configuration):
@@ -1454,6 +1456,14 @@ class TestGoldenDigests:
                        for kind, it in memory.am.last_performed.items()),
             ]).encode() + b"\n")
         assert digest.hexdigest() == self.MEMORY
+
+    def test_ltm_keeps_only_own_items(self):
+        world = self.run("FullModel")
+        ltms = {agent_id: world.agents[agent_id].memory.ltm
+                for agent_id in world.agent_order()}
+        assert any(ltms.values())
+        for agent_id, ltm in ltms.items():
+            assert ltm.keys() <= world.authored.get(agent_id, {}).keys()
 
 
 class PromptHashBackend:

@@ -173,7 +173,7 @@ class TestShortTermMemory:
         assert set(memory.stm) == {1, 3}
         assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
         items[3].likes = 9  # after the observe: not in the score
-        ltm_evaluate(memory, params=params)
+        ltm_evaluate(memory, items, params=params)
         assert set(memory.ltm) == {1}
         assert memory.ltm[1] == 2.0
 
@@ -183,37 +183,58 @@ class TestLongTermMemory:
         memory = MemoryUnit()
         for cid in range(10):
             memory.stm[cid] = entry(cid, score=float(cid))
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, range(10))
         assert set(memory.ltm) == {9}
         assert memory.ltm[9] == pytest.approx(9.0)
 
     def test_at_least_one_promoted(self):
         memory = MemoryUnit()
         memory.stm[1] = entry(1)
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, {1})
         assert set(memory.ltm) == {1}
 
     def test_cutoff_ties_all_promoted(self):
         memory = MemoryUnit()
         for cid in range(10):
             memory.stm[cid] = entry(cid, score=7.0)
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, range(10))
         assert set(memory.ltm) == set(range(10))
 
     def test_empty_stm_is_a_noop(self):
         memory = MemoryUnit()
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, {1})
         assert not memory.ltm
 
     def test_never_evicts_and_updates_scores(self):
         memory = MemoryUnit()
         memory.stm[1] = entry(1, score=3.0)
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, {1, 2})
         del memory.stm[1]
         memory.stm[2] = entry(2, score=8.0)
         memory.stm[1] = entry(1, score=9.0)
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, {1, 2})
         assert 1 in memory.ltm and memory.ltm[1] == 9.0
+
+    def test_a_foreign_entry_counts_toward_the_cutoff_but_is_not_kept(self):
+        memory = MemoryUnit()
+        for cid in range(10):
+            memory.stm[cid] = entry(cid, score=float(cid))
+        ltm_evaluate(memory, {8})
+        assert not memory.ltm  # 9 alone is in the top tenth, and not own
+        ltm_evaluate(memory, {8, 9})
+        assert memory.ltm == {9: 9.0}
+
+    @given(st.lists(st.integers(0, 100), min_size=1, max_size=40), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_ltm_is_the_all_own_ltm_restricted_to_own(self, likes_list, data):
+        own = data.draw(st.sets(st.sampled_from(range(len(likes_list)))))
+        every, mine = MemoryUnit(), MemoryUnit()
+        for cid, likes in enumerate(likes_list):
+            every.stm[cid] = mine.stm[cid] = entry(cid, score=float(likes))
+        ltm_evaluate(every, range(len(likes_list)))
+        ltm_evaluate(mine, own)
+        assert mine.ltm == {cid: score for cid, score in every.ltm.items()
+                            if cid in own}
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=40))
     @settings(max_examples=50, deadline=None)
@@ -221,7 +242,7 @@ class TestLongTermMemory:
         memory = MemoryUnit()
         for cid, likes in enumerate(likes_list):
             memory.stm[cid] = entry(cid, score=float(likes))
-        ltm_evaluate(memory)
+        ltm_evaluate(memory, range(len(likes_list)))
         promoted = {likes_list[cid] for cid in memory.ltm}
         rest = [likes_list[cid] for cid in memory.stm if cid not in memory.ltm]
         assert memory.ltm
@@ -263,7 +284,8 @@ class ReferenceMemory:
     """STM, LTM and AM as the code stated them before entries led with their
     eviction key: the STM dict keeps insertion order (a refresh keeps an
     id's slot), eviction takes the first entry with the least (score, last
-    touched) in that order, decay is a full pass and promotion a sort."""
+    touched) in that order, decay is a full pass and promotion a sort that
+    stores only the ids in ``own``."""
 
     def __init__(self):
         # id -> (reshares, likes, dislikes, comments, score, last touched)
@@ -283,7 +305,7 @@ class ReferenceMemory:
                     if now - e[5] > p.decay_horizon]:
             del self.stm[cid]
 
-    def evaluate(self, p):
+    def evaluate(self, own, p):
         ranked = sorted(self.stm.items(), key=lambda kv: kv[1][4],
                         reverse=True)
         if ranked:
@@ -291,7 +313,8 @@ class ReferenceMemory:
             for cid, e in ranked:
                 if e[4] < ranked[take - 1][1][4]:
                     break
-                self.ltm[cid] = e[4]
+                if cid in own:
+                    self.ltm[cid] = e[4]
 
     def record(self, action, now, p):
         self.recent.append((now, action.kind, action.target))
@@ -309,6 +332,7 @@ OPERATIONS = st.lists(st.tuples(
     st.sampled_from(("observe",) * 6 + ("tick", "decay", "evaluate", "record")),
     st.integers(0, 4), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1),
     st.integers(0, 2)), min_size=10, max_size=120)
+OBSERVED = range(5)  # every id an operation observes counts as own
 
 
 class TestMatchesReference:
@@ -336,8 +360,8 @@ class TestMatchesReference:
                 stm_decay(memory, now, params)
                 ref.decay(now, params)
             elif op == "evaluate":
-                ltm_evaluate(memory, params)
-                ref.evaluate(params)
+                ltm_evaluate(memory, OBSERVED, params)
+                ref.evaluate(OBSERVED, params)
             else:
                 action = record(list(ActionKind)[cid + comments], now)
                 am_record(memory.am, action, params)
