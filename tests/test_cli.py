@@ -1325,15 +1325,35 @@ def test_no_command_imports_requests():
 
 @pytest.mark.parametrize("configuration",
                          ["FullModel", "RandomRecommendation"])
+def test_simulate_never_imports_numpy_random(tmp_path, configuration):
+    """``simulate`` draws from ``engine.PCG64Stream`` and loads no part of
+    ``numpy.random``, under the preference and the random feed."""
+    personas = tmp_path / "personas.jsonl"
+    personas.write_text("".join(json.dumps(p) + "\n"
+                                for p in make_personas(2)))
+    src = str(Path(traitsim.__file__).parents[1])
+    code = ("import sys, traitsim.cli; "
+            "code = traitsim.cli.main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--personas", str(personas),
+         "--iterations", "2", "--configuration", configuration,
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("configuration",
+                         ["FullModel", "RandomRecommendation"])
 def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
         tmp_path, configuration):
     """Importing ``cli`` and a stub ``run_simulation`` load no numpy (only
     ``analyze``'s clustering imports it), no ``http.client`` and no
     ``concurrent.futures`` (only ``LLMBackend`` imports them) and no
     ``argparse`` (only ``cli.build_parser`` imports it); a stub ``simulate``
-    through ``cli.main`` then loads none but ``argparse``. A process without
-    numpy has no ``numpy.random``: ``simulate`` draws from
-    ``engine.PCG64Stream``."""
+    through ``cli.main`` then loads none but ``argparse``."""
     personas = tmp_path / "personas.jsonl"
     personas.write_text("".join(json.dumps(p) + "\n"
                                 for p in make_personas(2)))
