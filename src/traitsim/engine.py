@@ -125,13 +125,19 @@ class AgentState:
     memory: MemoryUnit = field(default_factory=MemoryUnit)
     index: int = 0  # stable position in the sorted agent-id order
     reshared_ids: set = field(default_factory=set)
+    inbox: list = field(default_factory=list)  # followees' re-shares, ascending
 
 
 @dataclass
 class WorldState:
     """Agents, content store and action log of one run. Content enters only
     through ``add_content``, which records its author; the store's ids are
-    dense (``1 ... len(content)``) and chronological."""
+    dense (``1 ... len(content)``) and chronological. A follow edge enters
+    only through ``follow``. The two keep every agent's ``inbox``, the
+    ascending ids of the re-shares its followees authored: a re-share costs
+    one list append per follower of its author, and a feed finds its forced
+    re-shares in O(k + skipped) however many agents it follows, reading no
+    followee's list."""
 
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState
     content: dict = field(default_factory=dict)  # content_id -> ContentItem
@@ -141,6 +147,7 @@ class WorldState:
     reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
     # topic (None included) -> ascending ids: the preference feed's matches
     by_topic: dict = field(default_factory=dict)
+    followers: dict = field(default_factory=dict)  # followee -> [follower ids]
 
     def agent_order(self) -> list:
         return sorted(self.agents)
@@ -162,7 +169,25 @@ class WorldState:
         if parent is not None:
             self.reshares_by_author.setdefault(author, []).append(
                 item.content_id)
+            for follower in self.followers.get(author, ()):
+                self.agents[follower].inbox.append(item.content_id)
         return item
+
+    def follow(self, follower: str, followee: str) -> None:
+        """Add the edge ``follower -> followee`` and merge the followee's
+        re-shares into the follower's inbox; a repeated edge changes
+        nothing. A self-edge is kept in ``following`` but feeds nothing: an
+        agent's own items never enter its feed."""
+        agent = self.agents[follower]
+        if followee in agent.profile.following:
+            return
+        agent.profile.following.add(followee)
+        if followee != follower:
+            self.followers.setdefault(followee, []).append(follower)
+            ids = self.reshares_by_author.get(followee)
+            if ids:  # two ascending runs, which sort merges in linear time
+                agent.inbox += ids
+                agent.inbox.sort()
 
 
 def _trait_variants(persona: dict, configuration: str) -> list:
@@ -210,7 +235,7 @@ def init_population(personas: Sequence[dict], config: SimulationConfig,
             if follower not in world.agents or followee not in world.agents:
                 raise ValueError(f"follow edge references unknown agent: "
                                  f"{follower!r} -> {followee!r}")
-            world.agents[follower].profile.following.add(followee)
+            world.follow(follower, followee)
     return world
 
 
@@ -232,11 +257,11 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     Reads the world and writes nothing to it. Content ids are chronological,
     so every walk below is newest first and stops as soon as it has what the
     feed needs: O(k + skipped) for both strategies, however long the run.
-    The forced re-shares come from each followee's
-    ``world.reshares_by_author`` list: its last ``k`` ids when the agent has
-    re-shared none of them, otherwise a walk that stops after ``k`` ids the
-    agent has not re-shared (O(F·k + skipped) for F followees). When they
-    fill the feed nothing else is read. Otherwise every forced re-share was
+    The forced re-shares are the first ``k`` ids the agent has not
+    re-shared in a newest-first walk of its ``inbox``, which
+    ``WorldState.add_content`` and ``WorldState.follow`` keep: O(k +
+    skipped) however many agents it follows. When they fill the feed
+    nothing else is read. Otherwise every forced re-share was
     found, and the remaining slots are filled as follows. The random
     strategy excludes the agent's own content (``world.authored``), the
     forced re-shares and its re-shared ids, in O(excluded items + k) up to a
@@ -249,22 +274,12 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     no more than a plentiful one.
     """
     me = agent.profile.agent_id
-    mine = agent.reshared_ids
-    reshared = mine.__contains__
+    reshared = agent.reshared_ids.__contains__
 
-    forced_ids = []
-    for author in agent.profile.following:
-        ids = world.reshares_by_author.get(author)
-        if author == me or not ids:
-            continue
-        newest = ids[-k:]
-        if mine.isdisjoint(newest):
-            forced_ids += newest
-        else:
-            forced_ids += islice(filterfalse(reshared, reversed(ids)), k)
-    forced_ids.sort(reverse=True)
-    del forced_ids[k:]
-    forced = list(map(world.content.__getitem__, forced_ids))
+    inbox = agent.inbox  # empty without a re-sharing followee: no walk
+    forced_ids = (list(islice(filterfalse(reshared, reversed(inbox)), k))
+                  if inbox else [])
+    forced =list(map(world.content.__getitem__, forced_ids))
     need = k - len(forced)
 
     if strategy == "preference":
@@ -365,7 +380,7 @@ def apply_record(world: WorldState, agent: AgentState,
     elif kind is _FOLLOW:
         if record.target not in world.agents:
             raise ValueError(f"follow of unknown agent {record.target!r}")
-        profile.following.add(record.target)  # idempotent
+        world.follow(profile.agent_id, record.target)
     # INACTIVE: log only
 
 
@@ -906,7 +921,11 @@ def check_integrity(world: WorldState) -> None:
     and the items are those the log's posts and re-shares create, in order,
     each with the record's author, iteration and target as parent: a post
     with the record's payload as text and its author's topic, a re-share
-    with its parent's text and topic."""
+    with its parent's text and topic. The feed's indexes hold what they are
+    rebuilt to from their sources: ``authored``, ``reshares_by_author`` and
+    ``by_topic`` from the store, ``followers`` and every agent's ``inbox``
+    from the agents' ``following`` sets (self-edges left out) and
+    ``reshares_by_author``."""
     children = Counter()
     for item in world.content.values():
         if item.parent is not None:
@@ -958,3 +977,29 @@ def check_integrity(world: WorldState) -> None:
     if len(created) != len(world.content):
         raise AssertionError(f"the log creates {len(created)} items, the "
                              f"store holds {len(world.content)}")
+    authored, reshares, by_topic = {}, {}, {}
+    for cid, item in world.content.items():
+        authored.setdefault(item.author, []).append(cid)
+        by_topic.setdefault(item.topic, []).append(cid)
+        if item.parent is not None:
+            reshares.setdefault(item.author, []).append(cid)
+    for name, index, rebuilt in (
+            ("authored", {author: list(ids) for author, ids
+                          in world.authored.items()}, authored),
+            ("reshares_by_author", world.reshares_by_author, reshares),
+            ("by_topic", world.by_topic, by_topic)):
+        if index != rebuilt:
+            raise AssertionError(f"the {name} index disagrees with the store")
+    followers = {}
+    for agent_id, agent in world.agents.items():
+        inbox = []
+        for followee in agent.profile.following - {agent_id}:
+            followers.setdefault(followee, []).append(agent_id)
+            inbox += reshares.get(followee, ())
+        if agent.inbox != sorted(inbox):
+            raise AssertionError(f"the inbox of {agent_id} disagrees with "
+                                 f"its followees' re-shares")
+    if ({followee: sorted(ids) for followee, ids in world.followers.items()}
+            != {followee: sorted(ids) for followee, ids in followers.items()}):
+        raise AssertionError("the followers index disagrees with the follow "
+                             "graph")

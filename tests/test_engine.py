@@ -306,7 +306,7 @@ class TestRecommendFeed:
         assert own.content_id not in {e.content_id for e in feed}
 
     def test_followee_reshares_force_included(self):
-        self.agent.profile.following.add("p001")
+        self.world.follow("p000", "p001")
         original = add_post(self.world, "p002", 1, topic="Healthcare")
         reshare = add_reshare(self.world, "p001", 2, original)
         for i in range(5):
@@ -361,7 +361,8 @@ def chronological_worlds(draw):
         st.sampled_from(TOPICS + (None,)), st.one_of(st.none(), st.integers(0))),
         max_size=40))
     agent = world.agents[authors[0]]
-    agent.profile.following = set(draw(st.lists(st.sampled_from(authors))))
+    for followee in draw(st.lists(st.sampled_from(authors))):
+        world.follow(authors[0], followee)
     return (world, agent, items,
             draw(st.lists(st.integers(1, len(items) + 2), max_size=6)),
             draw(st.integers(1, 8)), draw(st.sampled_from(["preference", "random"])),
@@ -418,7 +419,78 @@ class TestRecommendFeedMatchesReference:
         assert world.authored == before.authored
         assert world.reshares_by_author == before.reshares_by_author
         assert world.by_topic == before.by_topic
+        assert world.followers == before.followers
+        assert ([a.inbox for a in world.agents.values()]
+                == [a.inbox for a in before.agents.values()])
         assert agent.reshared_ids == reshared
+
+
+def rebuilt_inbox(world, agent_id):
+    """An agent's inbox rebuilt from its ``following`` set: the ascending
+    ids of the re-shares authored by its followees other than itself."""
+    following = world.agents[agent_id].profile.following - {agent_id}
+    return sorted(cid for followee in following
+                  for cid in world.reshares_by_author.get(followee, ()))
+
+
+@st.composite
+def follows_and_reshares(draw):
+    """Follow edges for ``init_population`` over 4 agents, then posts,
+    re-shares and FOLLOW records in any order, repeated and self-follows
+    included, plus the recommender arguments. A re-share's target is
+    drawn as an index into the items the agent may re-share."""
+    agents = st.integers(0, 3)
+    edges = draw(st.lists(st.tuples(agents, agents), max_size=8))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just(ActionKind.POST), agents, st.none()),
+        st.tuples(st.just(ActionKind.RESHARE), agents, st.integers(0, 99)),
+        st.tuples(st.just(ActionKind.FOLLOW), agents, agents)), max_size=30))
+    return edges, steps, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestInbox:
+    @given(follows_and_reshares())
+    @settings(max_examples=150, deadline=None)
+    def test_every_inbox_is_its_rebuild_after_every_step(self, case):
+        """Edges enter through ``init_population`` and FOLLOW records,
+        re-shares through RESHARE records, in any order; after each step
+        every inbox is its rebuild, the store passes ``check_integrity``
+        and every agent's feed, under both strategies, is the reference's."""
+        edges, steps, k, seed = case
+        ids = [f"p00{i}" for i in range(4)]
+        world = init_population(
+            make_personas(4), config(configuration="IdentityOnly"),
+            follow_edges=[(ids[a], ids[b]) for a, b in edges])
+
+        def check():
+            check_integrity(world)
+            for agent_id, agent in world.agents.items():
+                assert agent.inbox == rebuilt_inbox(world, agent_id)
+                for strategy in ("preference", "random"):
+                    rng, ref_rng = (np.random.default_rng(seed)
+                                    for _ in range(2))
+                    feed = recommend_feed(agent, world, strategy, k, rng)
+                    assert [e.content_id for e in feed] == (
+                        _reference_recommend_feed(agent, world, strategy, k,
+                                                  ref_rng))
+
+        check()
+        for iteration, (kind, a, target) in enumerate(steps, 1):
+            agent = world.agents[ids[a]]
+            if kind is ActionKind.RESHARE:
+                allowed = [cid for cid, item in world.content.items()
+                           if item.author != ids[a]
+                           and cid not in agent.reshared_ids]
+                if not allowed:
+                    continue
+                target = allowed[target % len(allowed)]
+            elif kind is ActionKind.FOLLOW:
+                target = ids[target]
+            apply_action(world, agent, Decision(
+                kind, "r", target, "t" if kind is ActionKind.POST else None),
+                iteration)
+            world.iteration = iteration
+            check()
 
 
 def topic_index(content):
@@ -430,8 +502,9 @@ def topic_index(content):
 
 
 class CountingStore(dict):
-    """A content store that counts the items read through it; a walk over
-    its values, forward or reversed, counts each item it yields."""
+    """A content store (or another of the world's dicts) that counts the
+    entries read through it; a walk over its values, forward or reversed,
+    counts each one it yields."""
 
     reads = 0
 
@@ -479,7 +552,7 @@ class TestRecommendFeedCost:
         world = init_population(make_personas(3),
                                 config(configuration="IdentityOnly"))
         agent = world.agents["p000"]
-        agent.profile.following = {"p001"}
+        world.follow("p000", "p001")
         for iteration in range(1, 10_001):
             original = add_post(world, "p002", iteration)
             add_reshare(world, "p001", iteration, original)
@@ -495,6 +568,34 @@ class TestRecommendFeedCost:
             agent, world, strategy, 5, ref_rng) == [newest[1], *newest[3:7]]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert all(item is world.content[item.content_id] for item in feed)
+
+    @pytest.mark.parametrize("strategy", ["preference", "random"])
+    def test_forced_reshares_read_no_followee_list(self, strategy):
+        """1,000 followees, each with re-shares: the feed walks the agent's
+        inbox, reads no followee's ``reshares_by_author`` list and reads
+        only the k items it returns."""
+        personas = make_personas(1_002)
+        followees = [p["id"] for p in personas[1:1_001]]
+        world = init_population(personas, config(configuration="IdentityOnly"),
+                                follow_edges=[("p000", f) for f in followees])
+        agent = world.agents["p000"]
+        for iteration in range(1, 4):
+            for followee in followees:
+                original = add_post(world, "p1001", iteration)
+                add_reshare(world, followee, iteration, original)
+        world.iteration = 3
+        newest = agent.inbox[::-1]
+        assert len(newest) == 3_000
+        agent.reshared_ids = {newest[0], newest[2]}
+        world.content = CountingStore(world.content)
+        world.reshares_by_author = CountingStore(world.reshares_by_author)
+        rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
+        feed = recommend_feed(agent, world, strategy, 5, rng)
+        assert world.reshares_by_author.reads == 0
+        assert world.content.reads <= 5
+        assert [item.content_id for item in feed] == _reference_recommend_feed(
+            agent, world, strategy, 5, ref_rng) == [newest[1], *newest[3:7]]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_scarce_topic_reads_k_plus_skipped_items(self):
         world = init_population(make_personas(3),
@@ -1224,14 +1325,18 @@ class TestCheckIntegrity:
     @staticmethod
     def world():
         """Item 1 is a post, 2 a re-share of it and 3 a re-share of 2; each
-        has a like, a dislike or two comments."""
+        has a like, a dislike or two comments. p000 follows p001 before its
+        re-share, p002 follows it after, and p001 follows itself."""
         world = init_population(make_personas(3),
                                 config(configuration="IdentityOnly"))
         a, b, c = (world.agents[f"p00{i}"] for i in range(3))
         for agent, kind, target, payload in [
+                (a, ActionKind.FOLLOW, "p001", None),
                 (a, ActionKind.POST, None, "hi"),
                 (b, ActionKind.RESHARE, 1, None),
                 (c, ActionKind.RESHARE, 2, None),
+                (c, ActionKind.FOLLOW, "p001", None),
+                (b, ActionKind.FOLLOW, "p001", None),
                 (b, ActionKind.LIKE, 1, None),
                 (c, ActionKind.DISLIKE, 2, None),
                 (b, ActionKind.COMMENT, 3, "one"),
@@ -1307,6 +1412,39 @@ class TestCheckIntegrity:
         setattr(world.content[content_id], name, value)
         with pytest.raises(AssertionError,
                            match=f"{name} mismatch on {content_id}"):
+            check_integrity(world)
+
+    @pytest.mark.parametrize("name, tamper", [
+        ("authored", lambda world: world.authored["p001"].pop(2)),
+        ("reshares_by_author",
+         lambda world: world.reshares_by_author["p002"].clear()),
+        ("by_topic", lambda world: world.by_topic.setdefault(
+            "Nowhere", []).append(world.by_topic["Healthcare"].pop()))],
+        ids=["authored", "reshares_by_author", "by_topic"])
+    def test_a_store_index_that_is_not_the_stores(self, name, tamper):
+        world = self.world()
+        tamper(world)
+        with pytest.raises(AssertionError,
+                           match=f"the {name} index disagrees with the store"):
+            check_integrity(world)
+
+    def test_an_edge_added_outside_follow(self):
+        """p000 has re-shared nothing, so only the followers index shows
+        the edge."""
+        world = self.world()
+        world.agents["p002"].profile.following.add("p000")
+        with pytest.raises(AssertionError, match="the followers index "
+                           "disagrees with the follow graph"):
+            check_integrity(world)
+
+    @pytest.mark.parametrize("agent_id", ["p000", "p002"])
+    def test_an_inbox_missing_a_followees_reshare(self, agent_id):
+        """p000's inbox got item 2 when p001 re-shared it, p002's when it
+        followed p001."""
+        world = self.world()
+        world.agents[agent_id].inbox.remove(2)
+        with pytest.raises(AssertionError, match=f"the inbox of {agent_id} "
+                           "disagrees with its followees' re-shares"):
             check_integrity(world)
 
     def test_a_reaction_to_unknown_content(self):
