@@ -370,18 +370,25 @@ def trace_chains(content_store: dict) -> list:
     return chains
 
 
-def _split_by_iteration(log, side, cumulative: bool) -> dict:
-    """Per-iteration (pct side 0, pct side 1) over the records that
-    ``side(record)`` puts on side 0 or 1 (``None`` leaves a record out),
-    counted in each iteration alone or, if ``cumulative``, in it and every
-    earlier one. Iterations with nothing counted map to None."""
+def _split_by_iteration(log, sides: dict, by_order: bool,
+                        cumulative: bool) -> dict:
+    """Per-iteration (pct side 0, pct side 1) over the records whose order
+    (``by_order``) or else kind ``sides`` puts on side 0 or 1 (a member it
+    lacks leaves a record out), counted in each iteration alone or, if
+    ``cumulative``, in it and every earlier one. Iterations 1 ... the
+    highest in ``log`` are keyed, in any order of the log; those with
+    nothing counted map to None. The loop reads the record's fields and the
+    running highest iteration inline, calling no Python function per
+    record."""
     counts = {}
     max_iter = 0
     for record in log:
-        max_iter = max(max_iter, record.iteration)
-        i = side(record)
+        it = record.iteration
+        if it > max_iter:
+            max_iter = it
+        i = sides.get(record.order if by_order else record.kind)
         if i is not None:
-            counts.setdefault(record.iteration, [0, 0])[i] += 1
+            counts.setdefault(it, [0, 0])[i] += 1
     out = {}
     a = b = 0
     for it in range(1, max_iter + 1):
@@ -401,14 +408,14 @@ _CREATION_SIDE = {ActionKind.POST: 0, ActionKind.RESHARE: 1}
 def order_dynamics(log) -> dict:
     """Per-iteration (pct first-order, pct second-order) over engagements;
     iterations with no engagements map to None."""
-    return _split_by_iteration(log, lambda r: _ORDER_SIDE.get(r.order),
+    return _split_by_iteration(log, _ORDER_SIDE, by_order=True,
                                cumulative=False)
 
 
 def content_mix(log) -> dict:
     """Per-iteration cumulative (pct original, pct re-shared) creations."""
-    return _split_by_iteration(
-        log, lambda r: _CREATION_SIDE.get(r.kind), cumulative=True)
+    return _split_by_iteration(log, _CREATION_SIDE, by_order=False,
+                               cumulative=True)
 
 
 @dataclass

@@ -56,7 +56,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from itertools import filterfalse, islice, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -271,36 +271,49 @@ def recommend_feed(agent: AgentState, world: WorldState, strategy: str, k: int,
     walk of the store's ids; both skip own (``world.authored``), re-shared
     and forced ids before reading the item, so the walk reads only eligible
     items. A scarce topic, or a topicless world (a ``ground`` bundle), costs
-    no more than a plentiful one.
+    no more than a plentiful one. Every walk is a plain loop that tests the
+    ids inline and stops at ``k`` items: a call makes no Python function
+    call per item, however many items it skips.
     """
     me = agent.profile.agent_id
-    reshared = agent.reshared_ids.__contains__
+    reshared, content = agent.reshared_ids, world.content
 
+    forced_ids, forced = [], []
     inbox = agent.inbox  # empty without a re-sharing followee: no walk
-    forced_ids = (list(islice(filterfalse(reshared, reversed(inbox)), k))
-                  if inbox else [])
-    forced =list(map(world.content.__getitem__, forced_ids))
-    need = k - len(forced)
+    if inbox:
+        for cid in reversed(inbox):
+            if cid not in reshared:
+                forced_ids.append(cid)
+                forced.append(content[cid])
+                if len(forced) == k:
+                    break
 
     if strategy == "preference":
         # The newest eligible topic matches rank first; the newest eligible
         # items of other topics fill what they leave, and no older item can
         # enter the feed.
+        if len(forced) == k:
+            return forced
         own, topic = world.authored.get(me, ()), agent.profile.topic
-
-        def skip(cid):
-            return cid in own or reshared(cid) or cid in forced_ids
-
-        feed = forced + [world.content[cid] for cid in islice(filterfalse(
-            skip, reversed(world.by_topic.get(topic, ()))), need)]
-        if len(feed) < k:
-            eligible = map(world.content.__getitem__,
-                           filterfalse(skip, reversed(world.content)))
-            feed += islice((item for item in eligible if item.topic != topic),
-                           k - len(feed))
+        feed = forced
+        for cid in reversed(world.by_topic.get(topic, ())):
+            if cid in own or cid in reshared or cid in forced_ids:
+                continue
+            feed.append(content[cid])
+            if len(feed) == k:
+                return feed
+        for cid in reversed(content):
+            if cid in own or cid in reshared or cid in forced_ids:
+                continue
+            item = content[cid]
+            if item.topic != topic:
+                feed.append(item)
+                if len(feed) == k:
+                    break
         return feed
     if strategy != "random":
         raise ValueError(f"unknown recommender strategy {strategy!r}")
+    need = k - len(forced)
     if need == 0:
         return forced
     # The draw depends only on (pool size, take), so sample ranks in the
@@ -747,7 +760,8 @@ _ORDER_JSON = {order: _quote(order.value) for order in Order}
 
 def _value(value) -> str:
     """A string, an integer or None as ``json.dumps`` writes it; any other
-    value, a bool or a float included, is a ``TypeError``."""
+    value, a bool or a float included, is a ``TypeError``. ``record_line``
+    and ``content_line`` call it only for a field not of its usual type."""
     cls = type(value)
     if cls is str:
         return _quote(value)
@@ -759,35 +773,63 @@ def _value(value) -> str:
 
 
 def record_line(record: ActionRecord) -> str:
-    """The ``actions.jsonl`` line of ``record``."""
+    """The ``actions.jsonl`` line of ``record``. A field of its usual type
+    (an int iteration, a str or None payload, an int, str or None target) is
+    written inline; ``_value`` writes or refuses a value of any other type,
+    so a line of usual fields calls no Python function."""
+    it, payload, target = record.iteration, record.payload, record.target
+    payload = ("null" if payload is None else _quote(payload)
+               if type(payload) is str else _value(payload))
+    target = ("null" if target is None else target if type(target) is int
+              else _quote(target) if type(target) is str else _value(target))
     return (f'{{"agent": {_quote(record.agent)}, '
-            f'"iteration": {_value(record.iteration)}, '
+            f'"iteration": {it if type(it) is int else _value(it)}, '
             f'"kind": {_KIND_JSON[record.kind]}, '
             f'"order": {_ORDER_JSON[record.order]}, '
-            f'"payload": {_value(record.payload)}, '
+            f'"payload": {payload}, '
             f'"reason": {_quote(record.reason_text)}, '
-            f'"target": {_value(record.target)}}}\n')
+            f'"target": {target}}}\n')
 
 
 def content_line(item: ContentItem, comment_texts,
                  cascade_reshares: int) -> str:
     """The ``content.jsonl`` line of ``item``, with its comments'
-    ``(agent, text)`` pairs and the count of re-share nodes in its cascade."""
-    comments = ", ".join([f"[{_quote(agent)}, {_quote(text)}]"
-                          for agent, text in comment_texts])
+    ``(agent, text)`` pairs and the count of re-share nodes in its cascade.
+    As in ``record_line``, a field of its usual type (an int id, iteration,
+    counter or cascade count, an int or None parent and root, a str or None
+    topic) is written inline and ``_value`` writes or refuses any other, so
+    the line of an uncommented item calls no Python function."""
+    texts = ", ".join([f"[{_quote(agent)}, {_quote(text)}]"
+                       for agent, text in comment_texts]
+                      ) if comment_texts else ""
+    cid, it, cascade = (item.content_id, item.iteration_created,
+                        cascade_reshares)
+    comments, dislikes = item.comments, item.dislikes
+    likes, reshares = item.likes, item.reshares
+    parent, root, topic = item.parent, item.root, item.topic
+    parent = ("null" if parent is None else parent if type(parent) is int
+              else _value(parent))
+    root = ("null" if root is None else root if type(root) is int
+            else _value(root))
+    topic = ("null" if topic is None else _quote(topic) if type(topic) is str
+             else _value(topic))
     return (f'{{"author": {_quote(item.author)}, '
-            f'"cascade_reshares": {_value(cascade_reshares)}, '
-            f'"comment_texts": [{comments}], '
-            f'"content_id": {_value(item.content_id)}, '
-            f'"counters": {{"comments": {_value(item.comments)}, '
-            f'"dislikes": {_value(item.dislikes)}, '
-            f'"likes": {_value(item.likes)}, '
-            f'"reshares": {_value(item.reshares)}}}, '
-            f'"iteration_created": {_value(item.iteration_created)}, '
-            f'"parent": {_value(item.parent)}, '
-            f'"root": {_value(item.root)}, '
+            f'"cascade_reshares": '
+            f'{cascade if type(cascade) is int else _value(cascade)}, '
+            f'"comment_texts": [{texts}], '
+            f'"content_id": {cid if type(cid) is int else _value(cid)}, '
+            f'"counters": {{"comments": '
+            f'{comments if type(comments) is int else _value(comments)}, '
+            f'"dislikes": '
+            f'{dislikes if type(dislikes) is int else _value(dislikes)}, '
+            f'"likes": {likes if type(likes) is int else _value(likes)}, '
+            f'"reshares": '
+            f'{reshares if type(reshares) is int else _value(reshares)}}}, '
+            f'"iteration_created": {it if type(it) is int else _value(it)}, '
+            f'"parent": {parent}, '
+            f'"root": {root}, '
             f'"text": {_quote(item.text)}, '
-            f'"topic": {_value(item.topic)}}}\n')
+            f'"topic": {topic}}}\n')
 
 
 def profile_line(profile: AgentProfile) -> str:
@@ -807,10 +849,9 @@ def write_artifacts(world: WorldState, out_dir) -> None:
     it, in log order, and its cascade the re-share nodes with it as root."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # A local: reading an Enum member off its class costs 0.1 µs.
-    comments, comment = {}, ActionKind.COMMENT
+    comments = {}
     for record in world.log:
-        if record.kind is comment:
+        if record.kind is _COMMENT:
             comments.setdefault(record.target, []).append(
                 (record.agent, record.payload))
     cascade = Counter(item.root for item in world.content.values()

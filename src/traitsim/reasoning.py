@@ -175,7 +175,7 @@ class DecisionPrompt:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """A backend's answer: what every ``complete`` returns."""
 
@@ -303,14 +303,23 @@ def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
     target is not in the feed, or ``unknown follow target`` for a follow
     whose target is not the author of a feed item.
     """
-    if decision.choice not in prompt.actions_section:
-        raise ValidationError("action not permitted", decision.choice.value)
-    if decision.choice in ENGAGEMENT_KINDS and decision.target not in {
-            e.content_id for e in prompt.feed_section}:
-        raise ValidationError("dangling content reference", str(decision.target))
-    if decision.choice is ActionKind.FOLLOW and decision.target not in {
-            e.author for e in prompt.feed_section}:
-        raise ValidationError("unknown follow target", str(decision.target))
+    choice, target = decision.choice, decision.target
+    if choice not in prompt.actions_section:
+        raise ValidationError("action not permitted", choice.value)
+    # A feed is a handful of items: a loop finds the target without building
+    # a set, and calls no Python function.
+    if choice in ENGAGEMENT_KINDS:
+        for entry in prompt.feed_section:
+            if entry.content_id == target:
+                break
+        else:
+            raise ValidationError("dangling content reference", str(target))
+    elif choice is ActionKind.FOLLOW:
+        for entry in prompt.feed_section:
+            if entry.author == target:
+                break
+        else:
+            raise ValidationError("unknown follow target", str(target))
 
 
 def decide(prompt: DecisionPrompt, backend,
@@ -358,17 +367,6 @@ def _choice_cdf(p) -> tuple:
     return tuple([value / out[-1] for value in out])
 
 
-def _draw(cdf: tuple, rng: PCG64Stream) -> int:
-    """numpy's own inverse-CDF draw for ``choice`` with ``p``: the same index
-    and the same generator state as ``rng.choice(len(p), p=p)``, without the
-    checks ``choice`` makes on ``p``. ``bisect_right`` finds the index that
-    ``searchsorted(side="right")`` does, without building an array. The stub
-    needs none of the checks: every archetype row passes
-    ``ActionDistribution.__post_init__`` (components in [0, 1] that sum to 1)
-    and the surrogates and ``INTERACT_SPLIT`` are constants."""
-    return bisect_right(cdf, rng.random())
-
-
 _INTERACT_CDF = _choice_cdf(INTERACT_SPLIT)
 
 
@@ -401,12 +399,20 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
     uniformly over the feed.
 
     The category CDF depends only on the trait and on whether the feed is
-    empty, so ``_category_cdf`` builds it once per pair and caches it.
+    empty, so ``_category_cdf`` builds it once per pair and caches it. Each
+    draw, the category's and the interact split's, is numpy's own
+    inverse-CDF draw for ``choice`` with ``p``: ``bisect_right(cdf,
+    rng.random())`` gives the same index and leaves the same generator
+    state as ``rng.choice(len(p), p=p)``, as ``searchsorted(side="right")``
+    finds the index, without building an array or making the checks
+    ``choice`` makes on ``p``. The stub needs none of them: every archetype
+    row passes ``ActionDistribution.__post_init__`` (components in [0, 1]
+    that sum to 1) and the surrogates and ``INTERACT_SPLIT`` are constants.
     """
     cdf = _category_cdf(agent.trait, bool(feed))
     if cdf is None:
         return Decision(ActionKind.INACTIVE, "stub: no feasible active category")
-    category = _draw(cdf, rng)
+    category = bisect_right(cdf, rng.random())
 
     if category == 0:
         text = f"Update {iteration} from {agent.agent_id} on {agent.topic or 'life'}"
@@ -415,12 +421,12 @@ def stub_decide(agent: AgentProfile, feed: Sequence[FeedEntry],
         return Decision(ActionKind.INACTIVE, "stub: archetype inactivity")
 
     matching = [e for e in feed if e.topic == agent.topic]
-    pool = matching if matching else list(feed)
+    pool = matching if matching else feed
     target = pool[rng.integers(len(pool))]
     if category == 1:
         return Decision(ActionKind.RESHARE, "stub: archetype re-share",
                         target=target.content_id)
-    sub = _draw(_INTERACT_CDF, rng)
+    sub = bisect_right(_INTERACT_CDF, rng.random())
     if sub == 0:
         return Decision(ActionKind.LIKE, "stub: archetype reaction",
                         target=target.content_id)

@@ -608,6 +608,27 @@ class TestTemporalDynamics:
         assert order_dynamics([]) == {}
         assert content_mix([]) == {}
 
+    def test_a_log_out_of_iteration_order(self):
+        """The highest iteration, not the last record's, ends the keys, and
+        each record counts in its own iteration wherever it stands."""
+        log = [rec("a", ActionKind.LIKE, 5, target=1, order=Order.FIRST),
+               rec("b", ActionKind.POST, 2, payload="x"),
+               rec("c", ActionKind.RESHARE, 7, target=1, order=Order.SECOND),
+               rec("d", ActionKind.POST, 1, payload="y"),
+               rec("e", ActionKind.COMMENT, 5, target=2, payload="z",
+                   order=Order.SECOND),
+               rec("f", ActionKind.INACTIVE, 3)]
+        dynamics, mix = order_dynamics(log), content_mix(log)
+        assert dynamics == _reference_order_dynamics(log)
+        assert mix == _reference_content_mix(log)
+        assert dynamics == {1: None, 2: None, 3: None, 4: None,
+                            5: (50.0, 50.0), 6: None, 7: (0.0, 100.0)}
+        assert mix == {**dict.fromkeys(range(1, 7), (100.0, 0.0)),
+                       7: (200 / 3, 100 / 3)}
+        ordered = sorted(log, key=lambda r: r.iteration)
+        assert (order_dynamics(ordered), content_mix(ordered)) == (dynamics,
+                                                                   mix)
+
     @given(st.lists(st.tuples(st.integers(1, 12),
                               st.sampled_from(list(ActionKind)),
                               st.sampled_from([Order.FIRST, Order.SECOND])),

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,24 @@ def topic_index(content):
     return index
 
 
+def python_calls(fn, *args):
+    """The number of Python function calls (``sys.setprofile``'s ``call``
+    events, ``fn``'s own included) that ``fn(*args)`` makes, and its
+    result. Calls into C functions are not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
 class CountingStore(dict):
     """A content store (or another of the world's dicts) that counts the
     entries read through it; a walk over its values, forward or reversed,
@@ -685,6 +704,33 @@ class TestRecommendFeedCost:
         assert _reference_recommend_feed(agent, world, "random", 5,
                                          ref_rng) == []
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+    def test_skipped_items_make_no_python_calls(self):
+        """A preference feed that skips 10,000 of the agent's own items
+        makes as many Python function calls as one that skips none: its
+        walks test own, re-shared and forced ids inline."""
+        calls = []
+        for own_items in (0, 10_000):
+            world = init_population(make_personas(3),
+                                    config(configuration="IdentityOnly"))
+            agent = world.agents["p000"]  # topic Healthcare
+            world.follow("p000", "p001")
+            original = add_post(world, "p002", 1)
+            add_reshare(world, "p001", 1, original)  # forced
+            for topic in ("Healthcare", "Music", "Healthcare", "Music"):
+                add_post(world, "p002", 1, topic=topic)
+            agent.reshared_ids = {add_post(world, "p001", 1).content_id}
+            for i in range(own_items):
+                add_post(world, "p000", 2, topic=("Healthcare", "Music")[i % 2])
+            world.iteration = 2
+            count, feed = python_calls(recommend_feed, agent, world,
+                                       "preference", 5, None)
+            assert [item.content_id for item in feed] == (
+                _reference_recommend_feed(agent, world, "preference", 5,
+                                          None)) == [2, 5, 3, 6, 4]
+            calls.append(count)
+        assert calls[0] == calls[1], calls
 
 
 class TestOwnContentWalk:
@@ -1532,6 +1578,68 @@ class TestLineRenderers:
             content_line(item, [], 0)
         with pytest.raises(TypeError):
             profile_line(AgentProfile(5, ""))
+
+    # Every field a renderer writes inline, and a value of another type
+    # than its usual one that ``json.dumps`` writes: a str for an int
+    # field, an int for a str one (a target is usually either).
+    INLINE_FIELDS = [
+        ("record", "iteration", texts), ("record", "payload", st.integers()),
+        ("record", "target", st.integers() | texts),
+        *(("content", name, texts) for name in (
+            "comments", "dislikes", "likes", "reshares", "content_id",
+            "iteration_created", "parent", "root", "cascade_reshares")),
+        ("content", "topic", st.integers())]
+    ROWS = {"record": (records(), record_line, record_to_dict),
+            "content": (content_items(), lambda row: content_line(*row),
+                        lambda row: content_to_dict(*row))}
+
+    @staticmethod
+    def with_field(row, name, value):
+        """A copy of a record, or of an (item, comment texts, cascade) row,
+        whose field ``name`` holds ``value``."""
+        if name == "cascade_reshares":
+            return (*row[:2], value)
+        is_item = isinstance(row, tuple)
+        copied = copy.copy(row[0] if is_item else row)
+        setattr(copied, name, value)
+        return (copied, *row[1:]) if is_item else copied
+
+    @pytest.mark.parametrize("kind, name, other", INLINE_FIELDS,
+                             ids=[f"{k}-{n}" for k, n, _ in INLINE_FIELDS])
+    def test_another_type_in_an_inline_field(self, kind, name, other):
+        """A bool, a float or bytes is a ``TypeError``; a str or int where
+        the field usually holds the other type is written as
+        ``json.dumps`` writes it."""
+        rows, render, reference = self.ROWS[kind]
+
+        @settings(max_examples=40, deadline=None)
+        @given(rows, st.booleans() | st.floats() | st.binary(), other)
+        def check(row, undeclared, value):
+            with pytest.raises(TypeError):
+                render(self.with_field(row, name, undeclared))
+            row = self.with_field(row, name, value)
+            assert render(row) == json.dumps(reference(row),
+                                             sort_keys=True) + "\n"
+
+        check()
+
+    def test_usual_fields_make_no_python_calls(self):
+        """Rendering N rows whose fields hold their usual int, str or None
+        values makes N Python calls, the renderers' own: no field goes
+        through ``_value``."""
+        log = [ActionRecord(i, "a", kind, target, payload, order, "r")
+                    for i, (kind, target, payload, order) in enumerate([
+                        (ActionKind.POST, None, "text", Order.NA),
+                        (ActionKind.LIKE, 3, None, Order.FIRST),
+                        (ActionKind.COMMENT, 4, "c", Order.SECOND),
+                        (ActionKind.FOLLOW, "b", None, Order.NA),
+                        (ActionKind.INACTIVE, None, None, Order.NA)] * 20)]
+        items = [ContentItem(i, "a", 1, "t", ("Music", None)[i % 2],
+                             *((None, None), (1, 1))[i % 2], 2, 3, 4, 5)
+                 for i in range(1, 101)]
+        assert python_calls(list, map(record_line, log))[0] == 100
+        assert python_calls(list, map(content_line, items, repeat(()),
+                                      repeat(7)))[0] == 100
 
 
 class TestGoldenDigests:
