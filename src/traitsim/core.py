@@ -165,23 +165,44 @@ class ValidationError(ValueError):
         self.rule = rule
 
 
+# What each kind carries: the type its target must have (None: no target),
+# and whether it carries payload text.
+_SHAPES = {ActionKind.POST: (None, True), ActionKind.RESHARE: (int, False),
+           ActionKind.LIKE: (int, False), ActionKind.DISLIKE: (int, False),
+           ActionKind.COMMENT: (int, True), ActionKind.FOLLOW: (str, False),
+           ActionKind.INACTIVE: (None, False)}
+
+
 def check_shape(kind: ActionKind, target, payload) -> None:
-    """Check that an action of ``kind`` carries what the kind needs: an
-    integer content-id ``target`` for an engagement, an agent-id ``target``
-    for a follow, ``payload`` text for a post or a comment, and neither for
-    inactivity. Raises ``ValidationError`` naming the broken rule: ``missing
-    target``, ``missing payload`` or ``unexpected field``."""
-    if kind in ENGAGEMENT_KINDS and type(target) is not int:  # no bool
+    """Check that an action of ``kind`` carries what the kind needs and
+    nothing else: an integer content-id ``target`` for an engagement, an
+    agent-id ``target`` for a follow, ``payload`` text for a post or a
+    comment. Raises ``ValidationError`` naming the broken rule: ``unknown
+    action kind`` for a ``kind`` that is no ``ActionKind``, ``missing
+    target``, ``missing payload``, or ``unexpected field`` for a target on a
+    post or an inactivity or a payload on any other kind. It is the one
+    shape check: ``reasoning.validate_decision`` applies it to every
+    backend's answer, and ``engine.record_from_dict`` to every run-file
+    record."""
+    shape = _SHAPES.get(kind)
+    if shape is None:
+        raise ValidationError("unknown action kind", repr(kind))
+    target_type, carries_text = shape
+    if target_type is not None and (type(target) is not target_type  # no bool
+                                    or target == ""):
+        needs = "a content id" if target_type is int else "an agent id"
         raise ValidationError("missing target",
-                              f"{kind.value} requires a content id")
-    if kind is ActionKind.FOLLOW and not (type(target) is str and target):
-        raise ValidationError("missing target", "follow requires an agent id")
-    if kind in (ActionKind.POST, ActionKind.COMMENT) and not (
-            type(payload) is str and payload):
-        raise ValidationError("missing payload", f"{kind.value} requires text")
-    if kind is ActionKind.INACTIVE and (target is not None or payload):
+                              f"{kind.value} requires {needs}")
+    if carries_text:
+        if not (type(payload) is str and payload):
+            raise ValidationError("missing payload",
+                                  f"{kind.value} requires text")
+    elif payload is not None:
         raise ValidationError("unexpected field",
-                              "inactive carries neither target nor payload")
+                              f"{kind.value} carries no payload")
+    if target_type is None and target is not None:
+        raise ValidationError("unexpected field",
+                              f"{kind.value} carries no target")
 
 
 @dataclass(frozen=True)

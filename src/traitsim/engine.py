@@ -135,16 +135,16 @@ class WorldState:
     dense (``1 ... len(content)``) and chronological. A follow edge enters
     only through ``follow``. The two keep every agent's ``inbox``, the
     ascending ids of the re-shares its followees authored: a re-share costs
-    one list append per follower of its author, and a feed finds its forced
-    re-shares in O(k + skipped) however many agents it follows, reading no
-    followee's list."""
+    one list append per follower of its author, a follow walks the
+    followee's ``authored`` ids once, and a feed finds its forced re-shares
+    in O(k + skipped) however many agents it follows, reading no followee's
+    list."""
 
     agents: dict = field(default_factory=dict)  # agent_id -> AgentState
     content: dict = field(default_factory=dict)  # content_id -> ContentItem
     log: list = field(default_factory=list)  # ActionRecord, append-only
     iteration: int = 0
     authored: dict = field(default_factory=dict)  # author -> {id: None}, ascending
-    reshares_by_author: dict = field(default_factory=dict)  # author -> ascending ids
     # topic (None included) -> ascending ids: the preference feed's matches
     by_topic: dict = field(default_factory=dict)
     followers: dict = field(default_factory=dict)  # followee -> [follower ids]
@@ -167,24 +167,24 @@ class WorldState:
         self.authored.setdefault(author, {})[item.content_id] = None
         self.by_topic.setdefault(topic, []).append(item.content_id)
         if parent is not None:
-            self.reshares_by_author.setdefault(author, []).append(
-                item.content_id)
             for follower in self.followers.get(author, ()):
                 self.agents[follower].inbox.append(item.content_id)
         return item
 
     def follow(self, follower: str, followee: str) -> None:
         """Add the edge ``follower -> followee`` and merge the followee's
-        re-shares into the follower's inbox; a repeated edge changes
-        nothing. A self-edge is kept in ``following`` but feeds nothing: an
-        agent's own items never enter its feed."""
+        re-shares, the items in its ``authored`` entry that have a parent,
+        into the follower's inbox; a repeated edge changes nothing. A
+        self-edge is kept in ``following`` but feeds nothing: an agent's own
+        items never enter its feed."""
         agent = self.agents[follower]
         if followee in agent.profile.following:
             return
         agent.profile.following.add(followee)
         if followee != follower:
             self.followers.setdefault(followee, []).append(follower)
-            ids = self.reshares_by_author.get(followee)
+            ids = [cid for cid in self.authored.get(followee, ())
+                   if self.content[cid].parent is not None]
             if ids:  # two ascending runs, which sort merges in linear time
                 agent.inbox += ids
                 agent.inbox.sort()
@@ -963,10 +963,11 @@ def check_integrity(world: WorldState) -> None:
     each with the record's author, iteration and target as parent: a post
     with the record's payload as text and its author's topic, a re-share
     with its parent's text and topic. The feed's indexes hold what they are
-    rebuilt to from their sources: ``authored``, ``reshares_by_author`` and
-    ``by_topic`` from the store, ``followers`` and every agent's ``inbox``
-    from the agents' ``following`` sets (self-edges left out) and
-    ``reshares_by_author``."""
+    rebuilt to from their sources: ``authored`` and ``by_topic`` from the
+    store, ``followers`` and every agent's ``inbox`` from the agents'
+    ``following`` sets (self-edges left out) and the store's re-shares by
+    author, and every agent's ``reshared_ids`` from the parents of its
+    re-shares."""
     children = Counter()
     for item in world.content.values():
         if item.parent is not None:
@@ -1027,7 +1028,6 @@ def check_integrity(world: WorldState) -> None:
     for name, index, rebuilt in (
             ("authored", {author: list(ids) for author, ids
                           in world.authored.items()}, authored),
-            ("reshares_by_author", world.reshares_by_author, reshares),
             ("by_topic", world.by_topic, by_topic)):
         if index != rebuilt:
             raise AssertionError(f"the {name} index disagrees with the store")
@@ -1040,6 +1040,10 @@ def check_integrity(world: WorldState) -> None:
         if agent.inbox != sorted(inbox):
             raise AssertionError(f"the inbox of {agent_id} disagrees with "
                                  f"its followees' re-shares")
+        if agent.reshared_ids != {world.content[cid].parent
+                                  for cid in reshares.get(agent_id, ())}:
+            raise AssertionError(f"the reshared_ids of {agent_id} disagree "
+                                 f"with its re-shares")
     if ({followee: sorted(ids) for followee, ids in world.followers.items()}
             != {followee: sorted(ids) for followee, ids in followers.items()}):
         raise AssertionError("the followers index disagrees with the follow "

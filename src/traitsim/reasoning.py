@@ -6,9 +6,11 @@ actions). Every backend answers ``complete(prompt, rng)`` with a
 ``Decision``. ``rng`` is the agent's ``engine.PCG64Stream`` for the iteration,
 and offers the draws ``random()``, ``integers(high)`` and ``choice(n, size,
 replace=False)`` of numpy's ``Generator``; the stub samples from it, and
-``LLMBackend`` ignores it. ``decide`` checks each answer against the prompt
-(``validate_decision``: a permitted action, a feed target for an
-engagement, and a feed author for a follow), re-prompts up to
+``LLMBackend`` ignores it. ``decide`` checks each answer, whichever
+backend gave it, with ``validate_decision``: first its shape
+(``core.check_shape``, which holds a run file's records to the same rule),
+then against the prompt (a permitted action, a feed target for an
+engagement, and a feed author for a follow). It re-prompts up to
 ``MAX_RETRIES`` times, then falls back to inactivity.
 
 A model answers in text, a labeled three-field triplet::
@@ -21,8 +23,7 @@ which ``parse_response`` reads; it also accepts a JSON object with
 ``choice``/``reason``/``content`` keys. CONTENT carries the post text for
 "post", a content id for "reshare"/"like"/"dislike", ``<content id>:
 <text>`` for "comment", an agent id for "follow", and is empty for
-"inactive"; ``core.check_shape`` holds a run file's records to the same
-rule. A text that breaks a rule raises ``ValidationError`` from the
+"inactive". A text that cannot be read raises ``ValidationError`` from the
 backend, and ``decide`` re-prompts on it as on a refused decision.
 
 Two backends are provided: an HTTP chat-completion client for local model
@@ -255,12 +256,11 @@ def parse_response(raw_text: str) -> Decision:
     """Read a backend's text answer into a ``Decision``.
 
     Raises ValidationError naming the broken text rule: ``parse failure`` or
-    ``unknown action kind`` here (or ``dangling content reference`` for an
-    id of more digits than ``int`` converts), then ``missing target`` or
-    ``missing payload`` from ``core.check_shape`` on the fields the text
-    maps to. Whether the world allows the decision is ``validate_decision``'s
-    part. A JSON answer that does not decode, even past a decoder limit, is
-    read as lines of text.
+    ``unknown action kind`` (or ``dangling content reference`` for an id of
+    more digits than ``int`` converts). Whether the fields the text maps to
+    have their kind's shape, and whether the world allows the decision, is
+    ``validate_decision``'s part. A JSON answer that does not decode, even
+    past a decoder limit, is read as lines of text.
     """
     fields = _extract_fields(raw_text)
     if "choice" not in fields:
@@ -280,7 +280,6 @@ def parse_response(raw_text: str) -> Decision:
         target = _parse_content_id(content)
     elif kind is ActionKind.FOLLOW:
         target = content
-    check_shape(kind, target, payload)
     return Decision(kind, fields.get("reason", "").strip(), target, payload)
 
 
@@ -296,14 +295,17 @@ def _parse_content_id(text: str) -> Optional[int]:
 
 
 def validate_decision(decision: Decision, prompt: DecisionPrompt) -> None:
-    """Check a decision against the world its prompt showed.
+    """Check a decision's shape, then against the world its prompt showed.
 
-    Raises ValidationError naming the broken world rule: ``action not
-    permitted``, then ``dangling content reference`` for an engagement whose
-    target is not in the feed, or ``unknown follow target`` for a follow
-    whose target is not the author of a feed item.
+    Raises ValidationError naming the broken rule: ``missing target``,
+    ``missing payload`` or ``unexpected field`` from ``core.check_shape``,
+    which every backend's answer meets here; then ``action not permitted``,
+    ``dangling content reference`` for an engagement whose target is not in
+    the feed, or ``unknown follow target`` for a follow whose target is not
+    the author of a feed item.
     """
     choice, target = decision.choice, decision.target
+    check_shape(choice, target, decision.payload)
     if choice not in prompt.actions_section:
         raise ValidationError("action not permitted", choice.value)
     # A feed is a handful of items: a loop finds the target without building

@@ -676,6 +676,7 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record("like", target="x"), "edited"),
         ("actions.jsonl", edit_first_record("like", target=True), "edited"),
         ("actions.jsonl", edit_first_record("post", payload=None), "edited"),
+        ("actions.jsonl", edit_first_record("like", payload="x"), "edited"),
         ("actions.jsonl", edit_first_record(None, kind="shout"), "edited"),
         ("actions.jsonl", edit_first_record(None, kind=["post"]), "edited"),
         ("actions.jsonl", edit_first_record(None, order={"first": 1}),
@@ -704,6 +705,7 @@ class TestAnalyze:
             "actions-int-agent", "actions-str-iteration",
             "actions-bool-iteration", "actions-like-str-target",
             "actions-like-bool-target", "actions-post-null-payload",
+            "actions-like-with-payload",
             "actions-unknown-kind", "actions-list-kind",
             "actions-object-order",
             "actions-missing-reason", "actions-int-reason",
@@ -1323,37 +1325,15 @@ def test_no_command_imports_requests():
     assert result.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("configuration",
-                         ["FullModel", "RandomRecommendation"])
-def test_simulate_never_imports_numpy_random(tmp_path, configuration):
-    """``simulate`` draws from ``engine.PCG64Stream`` and loads no part of
-    ``numpy.random``, under the preference and the random feed."""
-    personas = tmp_path / "personas.jsonl"
-    personas.write_text("".join(json.dumps(p) + "\n"
-                                for p in make_personas(2)))
-    src = str(Path(traitsim.__file__).parents[1])
-    code = ("import sys, traitsim.cli; "
-            "code = traitsim.cli.main(sys.argv[1:]); "
-            "print(code, 'numpy.random' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--personas", str(personas),
-         "--iterations", "2", "--configuration", configuration,
-         "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "0 False"
-
-
-@pytest.mark.parametrize("configuration",
-                         ["FullModel", "RandomRecommendation"])
-def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
-        tmp_path, configuration):
-    """Importing ``cli`` and a stub ``run_simulation`` load no numpy (only
-    ``analyze``'s clustering imports it), no ``http.client`` and no
-    ``concurrent.futures`` (only ``LLMBackend`` imports them) and no
-    ``argparse`` (only ``cli.build_parser`` imports it); a stub ``simulate``
-    through ``cli.main`` then loads none but ``argparse``."""
+@pytest.fixture(scope="module", params=["FullModel", "RandomRecommendation"])
+def stub_simulate_output(request, tmp_path_factory):
+    """The stdout lines of one subprocess per configuration, which both
+    tests below read. It prints which of numpy, ``http.client``,
+    ``concurrent.futures`` and ``argparse`` are loaded after importing
+    ``cli``, then after a stub ``run_simulation``, then with the exit code
+    of a stub ``simulate`` through ``cli.main``; last, that exit code and
+    whether ``numpy.random`` is loaded."""
+    configuration, tmp_path = request.param, tmp_path_factory.mktemp("sim")
     personas = tmp_path / "personas.jsonl"
     personas.write_text("".join(json.dumps(p) + "\n"
                                 for p in make_personas(2)))
@@ -1369,7 +1349,8 @@ def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
             "pathlib.Path(sys.argv[2]).read_text().splitlines()]); "
             "print(loaded()); "
             "code = traitsim.cli.main(sys.argv[3:]); "
-            "print(code, loaded())")
+            "print(code, loaded()); "
+            "print(code, 'numpy.random' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
@@ -1377,8 +1358,24 @@ def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
          "simulate", "--personas", str(personas), "--iterations", "2",
          "--configuration", configuration, "--out", str(tmp_path / "run")],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    lines = result.stdout.splitlines()
-    assert (lines[:2], lines[-1]) == (["[]", "[]"], "0 ['argparse']")
+    return result.stdout.splitlines()
+
+
+def test_simulate_never_imports_numpy_random(stub_simulate_output):
+    """``simulate`` draws from ``engine.PCG64Stream`` and loads no part of
+    ``numpy.random``, under the preference and the random feed."""
+    assert stub_simulate_output[-1] == "0 False"
+
+
+def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
+        stub_simulate_output):
+    """Importing ``cli`` and a stub ``run_simulation`` load no numpy (only
+    ``analyze``'s clustering imports it), no ``http.client`` and no
+    ``concurrent.futures`` (only ``LLMBackend`` imports them) and no
+    ``argparse`` (only ``cli.build_parser`` imports it); a stub ``simulate``
+    through ``cli.main`` then loads none but ``argparse``."""
+    lines = stub_simulate_output
+    assert (lines[:2], lines[-2]) == (["[]", "[]"], "0 ['argparse']")
 
 
 def test_grounding_and_networks_never_import_numpy():

@@ -109,6 +109,18 @@ class TestActionShape:
             check_shape(ActionKind.FOLLOW, 7, None)
         check_shape(ActionKind.FOLLOW, "a1", None)
 
+    @pytest.mark.parametrize("kind, target, payload", [
+        (ActionKind.POST, 7, "hello"), (ActionKind.RESHARE, 7, "x"),
+        (ActionKind.LIKE, 7, ""), (ActionKind.DISLIKE, 7, "x"),
+        (ActionKind.FOLLOW, "a1", "x"), (ActionKind.INACTIVE, None, "")])
+    def test_a_field_the_kind_does_not_carry(self, kind, target, payload):
+        with pytest.raises(ValidationError, match="unexpected field"):
+            check_shape(kind, target, payload)
+
+    def test_a_kind_that_is_no_action_kind(self):
+        with pytest.raises(ValidationError, match="unknown action kind"):
+            check_shape("like", 7, None)
+
     def test_inactive_carries_nothing(self):
         with pytest.raises(ValidationError, match="unexpected field"):
             check_shape(ActionKind.INACTIVE, 1, None)

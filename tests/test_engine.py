@@ -46,7 +46,7 @@ from traitsim.engine import (
     write_artifacts,
 )
 from traitsim.cli import main
-from traitsim.memory import MemoryParams, am_summary, stm_observe
+from traitsim.memory import MemoryParams, MemoryUnit, am_summary, stm_observe
 from traitsim.reasoning import (
     FALLBACK_REASON,
     MAX_RETRIES,
@@ -57,6 +57,7 @@ from traitsim.reasoning import (
     build_prompt,
     parse_response,
     permitted_actions,
+    validate_decision,
 )
 
 from conftest import TOPICS, Shuffled, make_personas
@@ -418,7 +419,6 @@ class TestRecommendFeedMatchesReference:
                            np.random.default_rng(seed))
         assert world.content == before.content
         assert world.authored == before.authored
-        assert world.reshares_by_author == before.reshares_by_author
         assert world.by_topic == before.by_topic
         assert world.followers == before.followers
         assert ([a.inbox for a in world.agents.values()]
@@ -430,8 +430,8 @@ def rebuilt_inbox(world, agent_id):
     """An agent's inbox rebuilt from its ``following`` set: the ascending
     ids of the re-shares authored by its followees other than itself."""
     following = world.agents[agent_id].profile.following - {agent_id}
-    return sorted(cid for followee in following
-                  for cid in world.reshares_by_author.get(followee, ()))
+    return sorted(cid for cid, item in world.content.items()
+                  if item.author in following and item.parent is not None)
 
 
 @st.composite
@@ -522,21 +522,29 @@ def python_calls(fn, *args):
 
 class CountingStore(dict):
     """A content store (or another of the world's dicts) that counts the
-    entries read through it; a walk over its values, forward or reversed,
-    counts each one it yields."""
+    entries read through it and records their keys; a walk over its
+    values, forward or reversed, counts each one it yields."""
 
     reads = 0
 
-    def __getitem__(self, cid):
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.keys_read = set()
+
+    def _read(self, key):
         self.reads += 1
+        self.keys_read.add(key)
+
+    def __getitem__(self, cid):
+        self._read(cid)
         return super().__getitem__(cid)
 
     def __contains__(self, cid):
-        self.reads += 1
+        self._read(cid)
         return super().__contains__(cid)
 
     def get(self, cid, default=None):
-        self.reads += 1
+        self._read(cid)
         return super().get(cid, default)
 
     def values(self):
@@ -576,7 +584,7 @@ class TestRecommendFeedCost:
             original = add_post(world, "p002", iteration)
             add_reshare(world, "p001", iteration, original)
         world.iteration = 10_000
-        newest = world.reshares_by_author["p001"][::-1]
+        newest = list(world.authored["p001"])[::-1]  # all re-shares
         agent.reshared_ids = {newest[0], newest[2]}
         world.content = CountingStore(world.content)
         rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
@@ -591,8 +599,8 @@ class TestRecommendFeedCost:
     @pytest.mark.parametrize("strategy", ["preference", "random"])
     def test_forced_reshares_read_no_followee_list(self, strategy):
         """1,000 followees, each with re-shares: the feed walks the agent's
-        inbox, reads no followee's ``reshares_by_author`` list and reads
-        only the k items it returns."""
+        inbox, reads no followee's ``authored`` entry (only the agent's own)
+        and reads only the k items it returns."""
         personas = make_personas(1_002)
         followees = [p["id"] for p in personas[1:1_001]]
         world = init_population(personas, config(configuration="IdentityOnly"),
@@ -607,10 +615,10 @@ class TestRecommendFeedCost:
         assert len(newest) == 3_000
         agent.reshared_ids = {newest[0], newest[2]}
         world.content = CountingStore(world.content)
-        world.reshares_by_author = CountingStore(world.reshares_by_author)
+        world.authored = CountingStore(world.authored)
         rng, ref_rng = (np.random.default_rng(1) for _ in range(2))
         feed = recommend_feed(agent, world, strategy, 5, rng)
-        assert world.reshares_by_author.reads == 0
+        assert world.authored.keys_read <= {"p000"}
         assert world.content.reads <= 5
         assert [item.content_id for item in feed] == _reference_recommend_feed(
             agent, world, strategy, 5, ref_rng) == [newest[1], *newest[3:7]]
@@ -790,7 +798,6 @@ class TestAddContent:
         assert (second.parent, second.root, second.text) == (1, 1, first.text)
         assert {a: list(ids) for a, ids in world.authored.items()} == {
             "a": [1, 3], "b": [2]}
-        assert world.reshares_by_author == {"b": [2]}
         assert world.by_topic == {"Music": [1, 2], None: [3]}
         assert world.by_topic == topic_index(world.content)
         assert add_post(world, "b", 3).content_id == 4
@@ -805,14 +812,11 @@ class TestAddContent:
         edges = [(a, order[(i + 1) % len(order)]) for i, a in enumerate(order)]
         world = run_simulation(cfg, personas, initial_world=init_population(
             personas, cfg, follow_edges=edges))
-        authored, reshares = {}, {}
+        authored = {}
         for cid, item in world.content.items():
             authored.setdefault(item.author, []).append(cid)
-            if item.is_reshare:
-                reshares.setdefault(item.author, []).append(cid)
-        assert any(reshares.values())
+        assert any(item.is_reshare for item in world.content.values())
         assert {a: list(ids) for a, ids in world.authored.items()} == authored
-        assert world.reshares_by_author == reshares
         assert world.by_topic == topic_index(world.content)
         # load_run's replay rebuilds the index through add_content as well
         write_artifacts(world, tmp_path)
@@ -1022,6 +1026,42 @@ class TestRunIteration:
         write_artifacts(world, tmp_path)
         assert all(json.loads(line)["following"] == [] for line in
                    (tmp_path / "agents.jsonl").read_text().splitlines())
+
+    @pytest.mark.parametrize("misshape", [
+        lambda cid: Decision(ActionKind.LIKE, "r", float(cid)),
+        lambda cid: Decision(ActionKind.LIKE, "r", cid == 1),
+        lambda cid: Decision(ActionKind.POST, "r", cid, "hi")],
+        ids=["float-target", "bool-target", "post-with-target"])
+    def test_a_misshaped_answer_never_reaches_the_log(self, tmp_path,
+                                                      misshape):
+        """A backend that answers ``Decision`` objects, not text, is held to
+        ``check_shape`` as a model is: ``7.0 == 7`` and ``True == 1`` match a
+        feed id, but each such answer is re-prompted, then falls back to
+        inactivity, and the run's files are written whole."""
+        class MisshapedBackend:
+            calls = 0
+            saw_item_1 = False
+
+            def complete(self, prompt, rng):
+                self.calls += 1
+                if not prompt.feed_section:
+                    return Decision(ActionKind.POST, "r", payload="hi")
+                ids = [entry.content_id for entry in prompt.feed_section]
+                self.saw_item_1 |= 1 in ids
+                return misshape(1 if 1 in ids else ids[0])
+
+        backend = MisshapedBackend()
+        world = run_simulation(config(iterations=2, feed_size=100),
+                               make_personas(2), backend)
+        agents = len(world.agents)
+        assert backend.saw_item_1
+        assert backend.calls == agents + agents * MAX_RETRIES
+        assert all(r.kind is ActionKind.INACTIVE
+                   and r.reason_text == FALLBACK_REASON
+                   for r in world.log if r.iteration == 2)
+        write_artifacts(world, tmp_path)
+        assert len((tmp_path / "actions.jsonl").read_text().splitlines()) == (
+            2 * agents)
 
     def test_transport_error_leaves_completed_iterations_in_world(
             self, personas_small):
@@ -1339,10 +1379,13 @@ SHAPE_VIOLATIONS = [
 def test_text_and_run_file_break_the_same_shape_rule(
         tmp_path, kind, content, target, payload, rule):
     """A model's answer and a run file's record are held to one shape rule:
-    both raise ``ValidationError`` naming it, and ``load_run`` cites the
-    line."""
+    ``validate_decision`` and ``record_from_dict`` raise ``ValidationError``
+    naming it, and ``load_run`` cites the line."""
+    decision = parse_response(f"CHOICE: {kind}\nREASON: r\nCONTENT: {content}")
+    prompt = build_prompt(AgentProfile("p000", "id", None, None), MemoryUnit(),
+                          (), 2)
     with pytest.raises(ValidationError) as text_error:
-        parse_response(f"CHOICE: {kind}\nREASON: r\nCONTENT: {content}")
+        validate_decision(decision, prompt)
     order = ("first_order" if ActionKind(kind) in ENGAGEMENT_KINDS
              else "not_applicable")
     line = {"iteration": 1, "agent": "p000", "kind": kind, "target": target,
@@ -1462,11 +1505,9 @@ class TestCheckIntegrity:
 
     @pytest.mark.parametrize("name, tamper", [
         ("authored", lambda world: world.authored["p001"].pop(2)),
-        ("reshares_by_author",
-         lambda world: world.reshares_by_author["p002"].clear()),
         ("by_topic", lambda world: world.by_topic.setdefault(
             "Nowhere", []).append(world.by_topic["Healthcare"].pop()))],
-        ids=["authored", "reshares_by_author", "by_topic"])
+        ids=["authored", "by_topic"])
     def test_a_store_index_that_is_not_the_stores(self, name, tamper):
         world = self.world()
         tamper(world)
@@ -1491,6 +1532,17 @@ class TestCheckIntegrity:
         world.agents[agent_id].inbox.remove(2)
         with pytest.raises(AssertionError, match=f"the inbox of {agent_id} "
                            "disagrees with its followees' re-shares"):
+            check_integrity(world)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda ids: ids.remove(1), lambda ids: ids.add(99)],
+        ids=["missing", "bogus"])
+    def test_reshared_ids_that_are_not_the_reshares_parents(self, tamper):
+        """p001 re-shared item 1 in the built world."""
+        world = self.world()
+        tamper(world.agents["p001"].reshared_ids)
+        with pytest.raises(AssertionError, match="the reshared_ids of p001 "
+                           "disagree with its re-shares"):
             check_integrity(world)
 
     def test_a_reaction_to_unknown_content(self):

@@ -122,9 +122,9 @@ def accepted(raw):
     return decision
 
 
-# The rules ``parse_response`` owns; ``validate_decision`` owns the rest.
-TEXT_RULES = ("parse failure", "unknown action kind", "missing payload",
-              "missing target")
+# The rules ``parse_response`` owns; ``validate_decision`` owns the rest,
+# the shape rules of ``core.check_shape`` included.
+TEXT_RULES = ("parse failure", "unknown action kind")
 
 
 class TestValidateDecision:
@@ -175,8 +175,8 @@ class TestValidateDecision:
         assert err.value.rule == rule
 
     def test_text_rule_reported_before_world_rule(self, caplog):
-        # A target-less reshare where no reshare is permitted: the text
-        # rule is the one reported.
+        # A target-less reshare where no reshare is permitted: the shape
+        # rule, checked first, is the one reported.
         raw = "CHOICE: reshare\nREASON: x\nCONTENT:"
         prompt = prompt_for(iteration=1, feed=())
         assert ActionKind.RESHARE not in prompt.actions_section
