@@ -22,8 +22,15 @@ entries ``stm_decay`` drops are a prefix of it; decay reads those entries
 and the first fresh one, O(1) when nothing is stale. Eviction removes the
 entry with the lowest score, then the least recently touched, then the
 lowest ``seq``: the order in which the ids entered the buffer, which a
-refresh keeps. An ``StmEntry`` leads with those three fields, so ``min``
-compares entries as tuples.
+refresh keeps.
+
+An STM entry is a plain tuple ``(score, last_touched, seq, content_id,
+reshares, likes, dislikes, comments)``, and the position constants below
+(``SCORE`` through ``COMMENTS``) are the one statement of that order. It
+leads with the eviction key, so ``min`` compares entries as tuples. It is
+not a named tuple: a tuple display is built in C, and the interpreter's
+specialised tuple indexing serves only exact tuples, so a named tuple's
+construction and field reads cost the hottest call of a run more.
 
 All three components start empty. LTM never evicts within a run. It keeps
 only the agent's own items: the prompt's feedback section, its one reader,
@@ -36,7 +43,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, NamedTuple
+from typing import Collection
 
 from .core import ActionKind, ActionRecord, ContentItem
 
@@ -68,15 +75,11 @@ class MemoryParams:
                                  f"{getattr(self, name)}")
 
 
-class StmEntry(NamedTuple):
-    score: float  # engagement score, fixed when the entry is observed
-    last_touched: int
-    seq: int  # when the id entered the buffer; a refresh keeps it
-    content_id: int
-    reshares: int = 0
-    likes: int = 0
-    dislikes: int = 0
-    comments: int = 0
+# Positions in an STM entry. ``score`` is the engagement score, fixed when
+# the entry is observed; ``seq`` is when the id entered the buffer, and a
+# refresh keeps it; the four counters are the item's at that observe.
+(SCORE, LAST_TOUCHED, SEQ, CONTENT_ID,
+ RESHARES, LIKES, DISLIKES, COMMENTS) = range(8)
 
 
 @dataclass
@@ -87,15 +90,10 @@ class ActivityMemory:
 
 @dataclass
 class MemoryUnit:
-    stm: dict = field(default_factory=dict)  # id -> StmEntry, touch order
+    stm: dict = field(default_factory=dict)  # id -> entry tuple, touch order
     ltm: dict = field(default_factory=dict)  # own content_id -> engagement score
     am: ActivityMemory = field(default_factory=ActivityMemory)
-    seq: int = 0  # the last StmEntry.seq handed out
-
-
-# ``StmEntry(...)`` runs a Python-level ``__new__``; this builds the same
-# tuple in C.
-_new_tuple = tuple.__new__
+    seq: int = 0  # the last entry seq handed out
 
 
 def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
@@ -114,13 +112,13 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
     if old is None:
         memory.seq = seq = memory.seq + 1
     else:
-        seq = old.seq
-    stm[cid] = _new_tuple(StmEntry, (
+        seq = old[SEQ]
+    stm[cid] = (
         params.w_reshare * content.reshares + params.w_like * content.likes
         - params.w_dislike * content.dislikes, now, seq, cid,
-        content.reshares, content.likes, content.dislikes, content.comments))
+        content.reshares, content.likes, content.dislikes, content.comments)
     while len(stm) > params.stm_capacity:
-        del stm[min(stm.values()).content_id]
+        del stm[min(stm.values())[CONTENT_ID]]
     return memory
 
 
@@ -132,7 +130,7 @@ def stm_decay(memory: MemoryUnit, now: int,
     oldest = now - params.decay_horizon
     stale = []
     for cid, entry in stm.items():
-        if entry.last_touched >= oldest:
+        if entry[LAST_TOUCHED] >= oldest:
             break
         stale.append(cid)
     for cid in stale:
@@ -155,12 +153,12 @@ def ltm_evaluate(memory: MemoryUnit, own: Collection[int],
     stm = memory.stm
     if not stm:
         return memory
-    scores = sorted([entry.score for entry in stm.values()], reverse=True)
+    scores = sorted([entry[SCORE] for entry in stm.values()], reverse=True)
     cutoff = scores[max(1, math.ceil(params.promotion_quantile
                                      * len(scores))) - 1]
     for entry in stm.values():
-        if entry.score >= cutoff and entry.content_id in own:
-            memory.ltm[entry.content_id] = entry.score
+        if entry[SCORE] >= cutoff and entry[CONTENT_ID] in own:
+            memory.ltm[entry[CONTENT_ID]] = entry[SCORE]
     return memory
 
 

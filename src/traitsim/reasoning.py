@@ -59,7 +59,7 @@ from .core import (
     ValidationError,
     check_shape,
 )
-from .memory import MemoryUnit, am_summary
+from .memory import COMMENTS, DISLIKES, LIKES, RESHARES, MemoryUnit, am_summary
 
 if TYPE_CHECKING:
     import http.client  # imported where used, as is concurrent.futures
@@ -140,9 +140,9 @@ class DecisionPrompt:
         for cid in self.authored:
             if (entry := stm.get(cid)) is not None:
                 lines.append(
-                    f"Your content [{cid}]: {entry.reshares} re-shares, "
-                    f"{entry.likes} likes, {entry.dislikes} dislikes, "
-                    f"{entry.comments} comments.")
+                    f"Your content [{cid}]: {entry[RESHARES]} re-shares, "
+                    f"{entry[LIKES]} likes, {entry[DISLIKES]} dislikes, "
+                    f"{entry[COMMENTS]} comments.")
             elif (score := ltm.get(cid)) is not None:
                 ltm_lines.append(f"Your content [{cid}] had lasting impact "
                                  f"(engagement score {score:g}).")
@@ -522,16 +522,21 @@ class LLMBackend:
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection. One whose idle socket is readable was
         closed by the server (or got bytes it did not ask for), so it is
-        closed here and reopens on the next request."""
+        closed here and reopens on the next request. Readiness is asked of
+        ``select.poll``: ``select.select`` refuses a descriptor numbered
+        ``FD_SETSIZE`` (1024) or higher, and a ``selectors`` selector makes
+        four system calls, each releasing the interpreter lock."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = self._local.connection = self._connection_class(
                 *self._address, timeout=self.endpoint.timeout)
             with self._connections_lock:
                 self._connections.append(connection)
-        elif (connection.sock is not None
-              and select.select([connection.sock], [], [], 0)[0]):
-            connection.close()
+        elif connection.sock is not None:
+            idle = select.poll()
+            idle.register(connection.sock, select.POLLIN)
+            if idle.poll(0):
+                connection.close()
         return connection
 
     def map(self, fn, items) -> list:

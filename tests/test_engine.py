@@ -46,7 +46,20 @@ from traitsim.engine import (
     write_artifacts,
 )
 from traitsim.cli import main
-from traitsim.memory import MemoryParams, MemoryUnit, am_summary, stm_observe
+from traitsim.memory import (
+    COMMENTS,
+    CONTENT_ID,
+    DISLIKES,
+    LAST_TOUCHED,
+    LIKES,
+    RESHARES,
+    SCORE,
+    SEQ,
+    MemoryParams,
+    MemoryUnit,
+    am_summary,
+    stm_observe,
+)
 from traitsim.reasoning import (
     FALLBACK_REASON,
     MAX_RETRIES,
@@ -1744,8 +1757,8 @@ class TestGoldenDigests:
             memory = world.agents[agent_id].memory
             digest.update(json.dumps([
                 agent_id,
-                sorted((e.content_id, e.reshares, e.likes, e.dislikes,
-                        e.comments, e.score, e.last_touched)
+                sorted((e[CONTENT_ID], e[RESHARES], e[LIKES], e[DISLIKES],
+                        e[COMMENTS], e[SCORE], e[LAST_TOUCHED])
                        for e in memory.stm.values()),
                 sorted(memory.ltm.items()),
                 [(it, kind.value, target)
@@ -1754,6 +1767,36 @@ class TestGoldenDigests:
                        for kind, it in memory.am.last_performed.items()),
             ]).encode() + b"\n")
         assert digest.hexdigest() == self.MEMORY
+
+    def test_stm_entries_are_plain_tuples_in_the_stated_order(self):
+        assert (SCORE, LAST_TOUCHED, SEQ, CONTENT_ID, RESHARES, LIKES,
+                DISLIKES, COMMENTS) == tuple(range(8))
+        world = self.run("FullModel")
+        params = MemoryParams()  # the run's: ``run`` sets none
+        entries = 0
+        for agent_id in world.agent_order():
+            memory = world.agents[agent_id].memory
+            seqs = []
+            for cid, e in memory.stm.items():
+                entries += 1
+                assert type(e) is tuple and len(e) == 8
+                item = world.content[cid]
+                assert e[CONTENT_ID] == cid
+                assert e[SCORE] == (params.w_reshare * e[RESHARES]
+                                    + params.w_like * e[LIKES]
+                                    - params.w_dislike * e[DISLIKES])
+                # counters only grow, so a snapshot is at most today's
+                assert e[RESHARES] <= item.reshares
+                assert e[LIKES] <= item.likes
+                assert e[DISLIKES] <= item.dislikes
+                assert e[COMMENTS] <= item.comments
+                assert 1 <= e[LAST_TOUCHED] <= world.iteration
+                seqs.append(e[SEQ])
+            touched = [e[LAST_TOUCHED] for e in memory.stm.values()]
+            assert touched == sorted(touched)
+            assert len(set(seqs)) == len(seqs)
+            assert all(1 <= seq <= memory.seq for seq in seqs)
+        assert entries
 
     def test_ltm_keeps_only_own_items(self):
         world = self.run("FullModel")
@@ -1899,9 +1942,9 @@ def _eager_prompt_text(profile, memory, feed, iteration, authored):
     for cid in sorted(memory.stm.keys() & authored):
         entry = memory.stm[cid]
         feedback_lines.append(
-            f"Your content [{cid}]: {entry.reshares} re-shares, "
-            f"{entry.likes} likes, {entry.dislikes} dislikes, "
-            f"{entry.comments} comments.")
+            f"Your content [{cid}]: {entry[RESHARES]} re-shares, "
+            f"{entry[LIKES]} likes, {entry[DISLIKES]} dislikes, "
+            f"{entry[COMMENTS]} comments.")
     for cid, score in sorted(memory.ltm.items()):
         if cid in authored and not memory.stm.get(cid):
             feedback_lines.append(

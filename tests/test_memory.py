@@ -7,10 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 from traitsim.core import (ActionKind, ActionRecord, ContentItem,
                            ENGAGEMENT_KINDS, Order)
 from traitsim.memory import (
+    COMMENTS,
+    CONTENT_ID,
+    DISLIKES,
+    LAST_TOUCHED,
+    LIKES,
+    RESHARES,
+    SCORE,
     ActivityMemory,
     MemoryParams,
     MemoryUnit,
-    StmEntry,
     am_record,
     am_summary,
     ltm_evaluate,
@@ -55,8 +61,7 @@ def entry(cid, score=0.0, last_touched=0):
     """An STM entry as a test puts it into the buffer by hand: ``seq`` is the
     content id, so ids inserted in ascending order keep the buffer's
     entry order."""
-    return StmEntry(score=score, last_touched=last_touched, seq=cid,
-                    content_id=cid)
+    return (score, last_touched, cid, cid, 0, 0, 0, 0)
 
 
 class TestEngagementScore:
@@ -66,18 +71,18 @@ class TestEngagementScore:
         memory = MemoryUnit()
         stm_observe(memory, make_item(1, reshares=3, likes=2, dislikes=1),
                     now=1)
-        assert memory.stm[1].score == pytest.approx(2 * 3 + 2 - 1)
+        assert memory.stm[1][SCORE] == pytest.approx(2 * 3 + 2 - 1)
 
     def test_comments_do_not_enter_the_score(self):
         memory = MemoryUnit()
         stm_observe(memory, make_item(1, comments=["a", "b", "c", "d"]), now=1)
-        assert memory.stm[1].comments == 4
-        assert memory.stm[1].score == 0.0
+        assert memory.stm[1][COMMENTS] == 4
+        assert memory.stm[1][SCORE] == 0.0
         memory = MemoryUnit()
         stm_observe(memory, make_item(1, likes=1, comments=["awful", "great"]),
                     now=1)
-        assert memory.stm[1].comments == 2
-        assert memory.stm[1].score == 1.0
+        assert memory.stm[1][COMMENTS] == 2
+        assert memory.stm[1][SCORE] == 1.0
 
     def test_stm_entries_have_no_instance_dict(self):
         memory = MemoryUnit()
@@ -89,7 +94,7 @@ class TestEngagementScore:
         params = MemoryParams(w_reshare=5.0, w_like=0.5, w_dislike=0.25)
         stm_observe(memory, make_item(1, reshares=1, likes=1, dislikes=2),
                     now=1, params=params)
-        assert memory.stm[1].score == pytest.approx(5.0)
+        assert memory.stm[1][SCORE] == pytest.approx(5.0)
 
 
 class TestShortTermMemory:
@@ -97,9 +102,9 @@ class TestShortTermMemory:
         memory = MemoryUnit()
         stm_observe(memory, make_item(1, reshares=1, likes=2), now=3)
         entry = memory.stm[1]
-        assert entry.likes == 2
-        assert entry.score == pytest.approx(2 * 1 + 2)
-        assert entry.last_touched == 3
+        assert entry[LIKES] == 2
+        assert entry[SCORE] == pytest.approx(2 * 1 + 2)
+        assert entry[LAST_TOUCHED] == 3
 
     def test_score_is_fixed_when_observed(self):
         memory = MemoryUnit()
@@ -107,7 +112,7 @@ class TestShortTermMemory:
         stm_observe(memory, item, now=1)
         item.likes = 7
         item.comments += 1
-        assert memory.stm[1].score == 2.0
+        assert memory.stm[1][SCORE] == 2.0
 
     def test_reobserve_refreshes_counters_and_recency(self):
         memory = MemoryUnit()
@@ -115,8 +120,8 @@ class TestShortTermMemory:
         stm_observe(memory, item, now=1)
         item.likes = 5
         stm_observe(memory, item, now=4)
-        assert memory.stm[1].likes == 5
-        assert memory.stm[1].last_touched == 4
+        assert memory.stm[1][LIKES] == 5
+        assert memory.stm[1][LAST_TOUCHED] == 4
         assert len(memory.stm) == 1
 
     def test_capacity_evicts_lowest_score(self):
@@ -160,7 +165,7 @@ class TestShortTermMemory:
             stm_observe(memory, make_item(cid, likes=likes), now=1, params=params)
         assert len(memory.stm) <= params.stm_capacity
         # a max-likes entry always survives eviction
-        assert max(e.likes for e in memory.stm.values()) == max(likes_list)
+        assert max(e[LIKES] for e in memory.stm.values()) == max(likes_list)
 
     def test_stored_score_decides_eviction_and_ltm(self):
         params = MemoryParams(stm_capacity=2)
@@ -171,7 +176,7 @@ class TestShortTermMemory:
             stm_observe(memory, item, now=cid, params=params)
         # with equal scores the oldest, 1, would go
         assert set(memory.stm) == {1, 3}
-        assert (memory.stm[1].score, memory.stm[3].score) == (2.0, 1.0)
+        assert (memory.stm[1][SCORE], memory.stm[3][SCORE]) == (2.0, 1.0)
         items[3].likes = 9  # after the observe: not in the score
         ltm_evaluate(memory, items, params=params)
         assert set(memory.ltm) == {1}
@@ -366,11 +371,11 @@ class TestMatchesReference:
                 action = record(list(ActionKind)[cid + comments], now)
                 am_record(memory.am, action, params)
                 ref.record(action, now, params)
-            assert {cid: (e.reshares, e.likes, e.dislikes, e.comments,
-                          e.score, e.last_touched)
+            assert {cid: (e[RESHARES], e[LIKES], e[DISLIKES], e[COMMENTS],
+                          e[SCORE], e[LAST_TOUCHED])
                     for cid, e in memory.stm.items()} == ref.stm
-            assert all(cid == e.content_id for cid, e in memory.stm.items())
-            touched = [e.last_touched for e in memory.stm.values()]
+            assert all(cid == e[CONTENT_ID] for cid, e in memory.stm.items())
+            touched = [e[LAST_TOUCHED] for e in memory.stm.values()]
             assert touched == sorted(touched)  # the dict is in touch order
             assert memory.ltm == ref.ltm
             assert list(memory.am.recent) == list(ref.recent)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import re
 import socket
 import threading
@@ -41,7 +42,7 @@ from traitsim.reasoning import (
     validate_decision,
 )
 
-from conftest import pool_threads
+from conftest import chat_server, pool_threads
 
 
 def agent(trait=Trait.BP, topic="Music", agent_id="a1"):
@@ -759,6 +760,29 @@ class TestTransportRetries:
         finally:
             backend.close()
         assert backoffs == []
+
+    def test_a_connection_numbered_past_fd_setsize_is_reused(self):
+        """The idle check works on a socket numbered 1024 or higher, where
+        ``select.select`` raises ``ValueError``."""
+        resource = pytest.importorskip("resource")
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the soft descriptor limit is below 1100")
+        held = [os.open(os.devnull, os.O_RDONLY)]
+        with chat_server(lambda *_: ANSWER) as (url, seen):
+            backend = LLMBackend(EndpointConfig(url, "m"))
+            try:
+                # os.dup takes the lowest free number, so once it hands out
+                # 1023 every lower number is taken
+                while held[-1] < 1023:
+                    held.append(os.dup(held[0]))
+                assert backend.chat("s", "u") == ANSWER
+                assert backend._local.connection.sock.fileno() >= 1024
+                assert backend.chat("s", "u") == ANSWER
+            finally:
+                backend.close()
+                for fd in held:
+                    os.close(fd)
+        assert len(seen) == 2
 
 
 class TestBackendPool:
