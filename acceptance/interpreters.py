@@ -13,9 +13,9 @@ the ones that test class pins, which this script reads from its source.
 
 With ``--compare``, each interpreter then times a warm stub
 ``run_simulation`` at the benchmark's pref-pipeline shape (70 personas x 7
-traits, 25 iterations), in ``--rounds`` alternating pairs of fresh processes:
-this checkout's ``src/`` against ``OTHER/src``. Each process reports its
-fastest of three runs after one untimed run.
+traits, 25 iterations), in ``--rounds`` pairs of fresh processes: this
+checkout's ``src/`` against ``OTHER/src``, the two taking turns to run first.
+Each process reports its fastest of three runs after one untimed run.
 
 The report is one JSON object on stdout. The exit code is 1 if any digest
 differs. No interpreter needs numpy.
@@ -151,9 +151,12 @@ def main(argv=None) -> int:
         report["checked"][version] = "equal" if same else got
         equal &= same
         if args.compare:
-            pairs = [(run_child(python, ROOT / "src", "time"),
-                      run_child(python, args.compare, "time"))
-                     for _ in range(args.rounds)]
+            pairs, trees = [], (ROOT / "src", args.compare)
+            for round_ in range(args.rounds):
+                step = -1 if round_ % 2 else 1  # odd rounds: OTHER/src first
+                times = [run_child(python, src, "time")
+                         for src in trees[::step]]
+                pairs.append(tuple(times[::step]))
             report.setdefault("run_simulation_s", {})[version] = {
                 "this": [this for this, _ in pairs],
                 "other": [other for _, other in pairs],

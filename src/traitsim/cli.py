@@ -7,7 +7,8 @@ optional second run for the Mann-Whitney chain-length comparison. ``ground``
 runs the empirical pipeline from platform records to an engine-ready
 population bundle.
 
-Config files are JSON; every key can be overridden from the command line.
+Config files are JSON. Each ``simulate`` flag sets the config key its
+``dest`` names; the other keys come only from ``--config``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, get_type_hints
 from urllib.parse import urlsplit
@@ -96,7 +97,7 @@ def _keys(settings, **extra) -> dict:
 # flags (each flag's ``dest`` is its key) are these keys.
 _CONFIG_KEYS = _keys(SimulationConfig, personas=_STRING, follows=_STRING,
                      backend=_OBJECT)
-_BACKEND_KEYS = _keys(EndpointConfig, type=_STRING)
+_BACKEND_KEYS = _keys(EndpointConfig)
 _MEMORY_KEYS = _keys(MemoryParams)
 
 
@@ -123,9 +124,6 @@ def load_config(path: Path) -> dict:
     _check_section(raw, _CONFIG_KEYS, "", path)
     _check_section(raw.get("backend", {}), _BACKEND_KEYS, "backend.", path)
     _check_section(raw.get("memory", {}), _MEMORY_KEYS, "memory.", path)
-    if raw.get("backend", {}).get("type", "stub") not in ("stub", "llm"):
-        raise ValueError(f"config key 'backend.type' in {path} must be "
-                         f"\"stub\" or \"llm\"")
     return raw
 
 
@@ -171,22 +169,23 @@ def _overlay(section: dict, args, keys) -> dict:
     return {**section, **given}
 
 
-def _endpoint_config(backend_cfg: dict) -> EndpointConfig:
-    """The llm backend's checked settings; no connection is made."""
+def _endpoint_config(backend_cfg: dict) -> EndpointConfig | None:
+    """The checked model endpoint that ``backend_cfg`` describes, or None
+    when it gives no setting: the stub decides and ``ground`` writes
+    placeholder identities. No connection is made."""
+    if not backend_cfg:
+        return None
     if not backend_cfg.get("endpoint") or not backend_cfg.get("model"):
         raise CliError("llm backend requires 'endpoint' and 'model'")
     try:
         _check_endpoint_url(backend_cfg["endpoint"])
-        return EndpointConfig(**{key: value for key, value
-                                 in backend_cfg.items() if key != "type"})
+        return EndpointConfig(**backend_cfg)
     except ValueError as err:  # each message starts with the setting's name
         raise CliError(f"invalid 'backend.{str(err).split()[0]}': {err}")
 
 
-def _make_backend(backend_cfg: dict):
-    if backend_cfg.get("type", "stub") == "stub":
-        return StubBackend()
-    return LLMBackend(_endpoint_config(backend_cfg))
+def _make_backend(endpoint: EndpointConfig | None):
+    return StubBackend() if endpoint is None else LLMBackend(endpoint)
 
 
 def _out_dir(out: str) -> Path:
@@ -222,7 +221,8 @@ def cmd_simulate(args) -> int:
     except ValueError as err:
         raise CliError(str(err))
     cfg = _overlay(cfg, args, _CONFIG_KEYS)
-    backend_cfg = _overlay(cfg.get("backend", {}), args, _BACKEND_KEYS)
+    endpoint = _endpoint_config(
+        _overlay(cfg.get("backend", {}), args, _BACKEND_KEYS))
 
     if "personas" not in cfg:
         raise CliError("no personas file given (config key 'personas' or "
@@ -251,7 +251,7 @@ def cmd_simulate(args) -> int:
         raise CliError(f"cannot build the population: {err}")
 
     out = _out_dir(args.out)
-    backend = _make_backend(backend_cfg)
+    backend = _make_backend(endpoint)
     failure = None
     try:
         world = run_simulation(sim_config, personas, backend,
@@ -269,7 +269,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"content store failed its integrity check, no "
                        f"artifacts written: {err}")
     write_artifacts(world, out)
-    write_manifest(world, sim_config, out, backend_cfg,
+    write_manifest(world, sim_config, out,
+                   asdict(endpoint) if endpoint else {},
                    [path for path in (personas_path, follows_path) if path])
     if failure is not None:
         raise CliError(f"backend transport error in iteration "
@@ -400,11 +401,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    if not args.no_identity_inference and not (args.endpoint and args.model):
-        raise CliError("identity inference requires --endpoint and --model "
-                       "(or pass --no-identity-inference)")
-    endpoint = None if args.no_identity_inference else _endpoint_config(
-        _overlay({}, args, _BACKEND_KEYS))
+    endpoint = _endpoint_config(_overlay({}, args, _BACKEND_KEYS))
     out = _out_dir(args.out)
     records_path = Path(args.records)
     try:
@@ -446,8 +443,10 @@ def cmd_ground(args) -> int:
     _write_csv(out / "follows.csv", ["follower", "followee"], bundle.follows)
     _write_csv(out / "ego_edges.csv", ["src", "dst", "weight"],
                [[s, d, w] for (s, d), w in sorted(bundle.ego.edges.items())])
+    source = ("placeholder identities" if endpoint is None else
+              f"identities inferred by {endpoint.model} at {args.endpoint}")
     print(f"ground bundle written to {out}: {len(bundle.posts)} users, "
-          f"{len(bundle.follows)} follow edges")
+          f"{len(bundle.follows)} follow edges, {source}")
     return 0
 
 
@@ -472,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--personas", help="personas jsonl file")
     sim.add_argument("--follows", help="follower,followee csv file")
     sim.add_argument("--configuration", choices=CONFIGURATIONS)
-    sim.add_argument("--backend", choices=("stub", "llm"), dest="type")
     _add_endpoint_flags(sim)
     sim.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     sim.add_argument("--iterations", type=int)
@@ -496,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--follows")
     grd.add_argument("--cap", type=int, default=1000)
     _add_endpoint_flags(grd)
-    grd.add_argument("--no-identity-inference", action="store_true")
     grd.add_argument("--out", required=True)
     grd.set_defaults(func=cmd_ground)
     return parser

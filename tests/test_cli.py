@@ -204,8 +204,6 @@ class TestSimulate:
                      {"backend": {"temperature": "hot"}}, id="temperature-str"),
         pytest.param("backend.model", {"backend": {"model": 7}},
                      id="model-int"),
-        pytest.param("backend.type", {"backend": {"type": "gpt"}},
-                     id="type-unknown"),
         pytest.param("backend.concurrency", {"backend": {"concurrency": True}},
                      id="concurrency-bool"),
         pytest.param("backend.concurrency", {"backend": {"concurrency": "4"}},
@@ -222,11 +220,36 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"'{key}'" in err and str(cfg) in err
 
+    def test_backend_type_is_an_unknown_key(self, tmp_path, capsys,
+                                            personas_file):
+        # the backend follows from the endpoint settings; no switch names it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "backend": {"type": "stub"}}))
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: unknown config key(s) in {cfg}: "
+                       f"backend.type\n")
+        assert not out.exists()
+
+    def test_every_flag_sets_the_config_key_of_its_dest(self):
+        """The other keys are set from ``--config`` only."""
+        import argparse
+
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest
+                 for action in commands.choices["simulate"]._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        assert dests - {"config", "out"} <= (set(cli._CONFIG_KEYS)
+                                             | set(cli._BACKEND_KEYS))
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     def test_concurrency_below_one_is_named(self, tmp_path, capsys,
                                             personas_file, where):
-        backend = {"type": "llm", "endpoint": "http://localhost:1/v1",
-                   "model": "m"}
+        backend = {"endpoint": "http://localhost:1/v1", "model": "m"}
         cfg = tmp_path / "cfg.json"
         extra = []
         if where == "config":
@@ -247,7 +270,7 @@ class TestSimulate:
                                              personas_file, timeout):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"personas": str(personas_file), "backend": {
-            "type": "llm", "endpoint": "http://localhost:1/v1", "model": "m",
+            "endpoint": "http://localhost:1/v1", "model": "m",
             "timeout": timeout}}))
         out = tmp_path / "x"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
@@ -268,8 +291,7 @@ class TestSimulate:
         """A timeout no socket takes, or a temperature no JSON request body
         can carry, is refused before the run."""
         monkeypatch.setattr(cli, "run_simulation", must_not_run)
-        backend = {"type": "llm", "endpoint": "http://localhost:1/v1",
-                   "model": "m"}
+        backend = {"endpoint": "http://localhost:1/v1", "model": "m"}
         extra = []
         if where == "config":
             backend[key] = value  # json.dumps writes Infinity and NaN
@@ -485,7 +507,7 @@ class TestSimulate:
             self, tmp_path, capsys, personas_file, url):
         out = tmp_path / "x"
         assert main(["simulate", "--personas", str(personas_file),
-                     "--backend", "llm", "--endpoint", url, "--model", "m",
+                     "--endpoint", url, "--model", "m",
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid 'backend.endpoint': endpoint "
@@ -528,7 +550,7 @@ class TestSimulate:
         out = tmp_path / "run"
         with chat_server(answer) as (url, seen):
             assert main(["simulate", "--personas", str(personas_file),
-                         "--iterations", "1", "--backend", "llm",
+                         "--iterations", "1",
                          "--endpoint", url, "--model", "m",
                          "--out", str(out)]) == 0
         records = [json.loads(line) for line in
@@ -537,11 +559,42 @@ class TestSimulate:
         assert {(r["kind"], r["reason"]) for r in records} == {
             ("inactive", "ok")}
 
+    def test_endpoint_and_model_alone_select_the_model(self, tmp_path,
+                                                       personas_file):
+        out = tmp_path / "run"
+        with chat_server(lambda *a: "CHOICE: inactive\nREASON: served\n"
+                                    "CONTENT:") as (url, seen):
+            assert main(["simulate", "--personas", str(personas_file),
+                         "--iterations", "1", "--endpoint", url,
+                         "--model", "m", "--out", str(out)]) == 0
+        reasons = [json.loads(line)["reason"] for line in
+                   (out / "actions.jsonl").read_text().splitlines()]
+        assert reasons == ["served"] * len(seen) == ["served"] * 4 * 7
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["backend"] == asdict(EndpointConfig(url,
+                                                                      "m"))
+
     def test_llm_backend_requires_endpoint(self, tmp_path, personas_file,
                                            capsys):
-        assert main(["simulate", "--personas", str(personas_file),
-                     "--backend", "llm", "--out", str(tmp_path / "x")]) == 1
-        assert "endpoint" in capsys.readouterr().err
+        """Any one endpoint setting selects the model, which then needs
+        both the endpoint and the model; nothing is written without them."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"personas": str(personas_file),
+                                   "backend": {"timeout": 5}}))
+        out = tmp_path / "x"
+        for argv in (["simulate", "--personas", str(personas_file),
+                      "--temperature", "0.2"],
+                     ["simulate", "--personas", str(personas_file),
+                      "--concurrency", "4"],
+                     ["simulate", "--config", str(cfg)],
+                     ["simulate", "--personas", str(personas_file),
+                      "--endpoint", "http://localhost:1/v1"],
+                     ["ground", "--records", str(ground_records(tmp_path)),
+                      "--model", "m"]):
+            assert main([*argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                "error: llm backend requires 'endpoint' and 'model'\n")
+            assert not out.exists()
 
 
 NOT_A_DIRECTORY = "error: --out {out}: {file} exists and is not a directory\n"
@@ -995,7 +1048,7 @@ class TestGround:
         records = ground_records(tmp_path)
         out = tmp_path / "bundle"
         assert main(["ground", "--records", str(records),
-                     "--no-identity-inference", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         rows = read_csv(out / "assignments.csv")
         by_user = {r[0]: r for r in rows[1:]}
         assert by_user["hub"][5] == "PC"  # posts every day
@@ -1014,8 +1067,7 @@ class TestGround:
         follows.write_text("follower,followee\nsharer,hub\nstranger,hub\n")
         out = tmp_path / "bundle"
         assert main(["ground", "--records", str(records),
-                     "--follows", str(follows), "--no-identity-inference",
-                     "--out", str(out)]) == 0
+                     "--follows", str(follows), "--out", str(out)]) == 0
         rows = read_csv(out / "follows.csv")
         assert rows == [["follower", "followee"], ["sharer", "hub"]]
 
@@ -1024,7 +1076,7 @@ class TestGround:
         follows = tmp_path / "follows.csv"
         follows.write_text("follower,followee\nsharer\n")
         assert main(["ground", "--records", str(records),
-                     "--follows", str(follows), "--no-identity-inference",
+                     "--follows", str(follows),
                      "--out", str(tmp_path / "x")]) == 1
         assert (f"malformed record in {follows} line 2: ValueError: expected "
                 f"follower,followee, got ['sharer']"
@@ -1037,7 +1089,6 @@ class TestGround:
                            "text": "x"})
         records.write_text("\n".join([good] * 11 + ["{oops"]) + "\n")
         assert main(["ground", "--records", str(records),
-                     "--no-identity-inference",
                      "--out", str(tmp_path / "x")]) == 1
         assert "line 12" in capsys.readouterr().err
 
@@ -1045,14 +1096,12 @@ class TestGround:
         records = tmp_path / "records.jsonl"
         records.write_text("\n")
         assert main(["ground", "--records", str(records),
-                     "--no-identity-inference",
                      "--out", str(tmp_path / "x")]) == 1
         assert "empty" in capsys.readouterr().err
 
     def test_cap_below_one_is_an_error(self, tmp_path, capsys):
         records = ground_records(tmp_path)
         assert main(["ground", "--records", str(records), "--cap", "0",
-                     "--no-identity-inference",
                      "--out", str(tmp_path / "x")]) == 1
         assert "cap must be >= 1" in capsys.readouterr().err
 
@@ -1069,8 +1118,8 @@ class TestGround:
         assert not out.exists()
 
     @pytest.mark.parametrize("out, flags, error", [
-        ("file", ["--no-identity-inference"], NOT_A_DIRECTORY),
-        ("file/bundle", ["--no-identity-inference"], NOT_A_DIRECTORY),
+        ("file", [], NOT_A_DIRECTORY),
+        ("file/bundle", [], NOT_A_DIRECTORY),
         ("bundle", ["--endpoint", "not-a-url", "--model", "m"],
          "error: invalid 'backend.endpoint': endpoint must be an http")],
         ids=["out-is-a-file", "out-under-a-file", "malformed-endpoint"])
@@ -1088,16 +1137,39 @@ class TestGround:
         assert blocking_file.read_text() == "kept\n"
         assert not (tmp_path / "bundle").exists()
 
-    def test_identity_inference_needs_endpoint(self, tmp_path, capsys):
+    # The bundle of ``ground_records`` and a three-edge follows file with
+    # placeholder identities, byte for byte.
+    PLACEHOLDER_BUNDLE = {
+        "assignments.csv":
+            "05dea5621c35d80897bc1fedb4d38b5ec489e7a99c7f1fa39500eef9361cc085",
+        "personas.jsonl":
+            "4662e20e2ed44b000f1bc0c5096ea2d331b2efcb6fe1e544c485561cb6eb3b0f",
+        "follows.csv":
+            "95d3db54a2c8b37f14408be6a8a4b90c7d08c00943e5310647317e07576fbfae",
+        "ego_edges.csv":
+            "ca2f18e3fe5fe7046222638d1d195e0bc6a57be227ca06ed443225a4755c2298",
+    }
+
+    def test_no_endpoint_settings_write_placeholder_identities(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "LLMBackend", must_not_run)
         records = ground_records(tmp_path)
-        assert main(["ground", "--records", str(records),
-                     "--out", str(tmp_path / "x")]) == 1
-        assert "identity inference" in capsys.readouterr().err
+        follows = tmp_path / "follows.csv"
+        follows.write_text("follower,followee\nsharer,hub\nreactor,hub\n"
+                           "reactor,sharer\n")
+        out = tmp_path / "bundle"
+        assert main(["ground", "--records", str(records), "--follows",
+                     str(follows), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"ground bundle written to {out}: 4 users, 3 follow edges, "
+            f"placeholder identities\n")
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in self.PLACEHOLDER_BUNDLE} == self.PLACEHOLDER_BUNDLE
 
     @pytest.mark.parametrize("flags, temperature", [
         ((), EndpointConfig.temperature), (("--temperature", "0.2"), 0.2)])
     def test_identity_backend_takes_endpoint_defaults(
-            self, tmp_path, monkeypatch, flags, temperature):
+            self, tmp_path, monkeypatch, capsys, flags, temperature):
         endpoints = []
 
         def infer(posts, backend):
@@ -1113,6 +1185,8 @@ class TestGround:
             e == EndpointConfig("http://localhost:1/v1", "m",
                                 temperature=temperature)
             for e in endpoints)
+        assert capsys.readouterr().out.endswith(
+            "identities inferred by m at http://localhost:1/v1\n")
 
     def test_endpoint_settings_build_one_endpoint_config(
             self, tmp_path, monkeypatch, personas_file):
@@ -1139,9 +1213,9 @@ class TestGround:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"personas": str(personas_file),
                                    "iterations": 1,
-                                   "backend": {"type": "llm", **settings}}))
+                                   "backend": settings}))
         assert main(["simulate", "--personas", str(personas_file),
-                     "--iterations", "1", "--backend", "llm", *flags,
+                     "--iterations", "1", *flags,
                      "--out", str(tmp_path / "by-flags")]) == 0
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "by-config")]) == 0
@@ -1229,8 +1303,7 @@ class TestGroundToSimulate:
                            "reactor,sharer\n")
         bundle = tmp_path / "bundle"
         assert main(["ground", "--records", str(records),
-                     "--follows", str(follows), "--no-identity-inference",
-                     "--out", str(bundle)]) == 0
+                     "--follows", str(follows), "--out", str(bundle)]) == 0
         run = tmp_path / "run"
         assert main(["simulate", "--personas", str(bundle / "personas.jsonl"),
                      "--follows", str(bundle / "follows.csv"),
@@ -1284,8 +1357,7 @@ def test_input_nested_too_deep_is_malformed(tmp_path, personas_file, capsys,
         argv = {"personas": ["simulate", "--personas", str(path)],
                 "config": ["simulate", "--personas", str(personas_file),
                            "--config", str(path)],
-                "records": ["ground", "--records", str(path),
-                            "--no-identity-inference"],
+                "records": ["ground", "--records", str(path)],
                 }[name] + ["--out", str(tmp_path / "x")]
     if name == "config" or name == "manifest":
         path.write_text(DEEP)

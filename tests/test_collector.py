@@ -117,7 +117,7 @@ def simulate_argv(tmp_path, out="run", personas=4):
 
 def ground_argv(tmp_path, out="bundle"):
     return ["ground", "--records", str(records_file(tmp_path)),
-            "--no-identity-inference", "--out", str(tmp_path / out)]
+            "--out", str(tmp_path / out)]
 
 
 @pytest.fixture
@@ -194,7 +194,7 @@ class TestNoCyclicGarbage:
         with chat_server(lambda *a: (500, "down")) as (url, _):
             def failing(out):
                 codes.append(main([*simulate_argv(tmp_path, out),
-                                   "--backend", "llm", "--endpoint", url,
+                                   "--endpoint", url,
                                    "--model", "m"]))
 
             failing("warm")
@@ -325,8 +325,7 @@ class TestLeftAsFound:
             seen = paused_inside(monkeypatch, traitsim.cli, "init_population")
         else:
             argv = ground_argv(tmp_path)
-            bad = ["ground", "--records", missing, "--no-identity-inference",
-                   "--out", missing]
+            bad = ["ground", "--records", missing, "--out", missing]
             seen = paused_inside(monkeypatch, traitsim.cli, "ground")
         assert main(argv) == 0
         assert gc.isenabled() is start

@@ -254,7 +254,7 @@ class TestCliClosesTheBackend:
 
         with chat_server(answer) as (url, seen):
             code = main(["simulate", "--personas", str(personas),
-                         "--iterations", "2", "--backend", "llm",
+                         "--iterations", "2",
                          "--endpoint", url, "--model", "m",
                          "--concurrency", "4", "--out", str(tmp_path / "run")])
         assert code == (1 if refuse else 0)

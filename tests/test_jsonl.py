@@ -52,7 +52,7 @@ def well_formed_input(tmp_path, reader):
     world = run_simulation(config, make_personas(2))
     write_artifacts(world, run)
     if reader == "manifest":
-        write_manifest(world, config, run, {"type": "stub"}, [])
+        write_manifest(world, config, run, {}, [])
         return run / "manifest.json", lambda: load_run(run)
     return run / f"{reader}.jsonl", lambda: load_run(run)
 

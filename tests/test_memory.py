@@ -84,11 +84,6 @@ class TestEngagementScore:
         assert memory.stm[1][COMMENTS] == 2
         assert memory.stm[1][SCORE] == 1.0
 
-    def test_stm_entries_have_no_instance_dict(self):
-        memory = MemoryUnit()
-        stm_observe(memory, make_item(1), now=1)
-        assert not hasattr(memory.stm[1], "__dict__")
-
     def test_custom_weights(self):
         memory = MemoryUnit()
         params = MemoryParams(w_reshare=5.0, w_like=0.5, w_dislike=0.25)
