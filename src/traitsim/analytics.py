@@ -155,17 +155,18 @@ def _lloyd(X: np.ndarray, Xu: np.ndarray, inv: np.ndarray, C: np.ndarray,
 
     R, k, dims = C.shape
     n = len(X)
-    weights = np.tile(X.ravel(), R)
+    columns = [np.tile(X[:, d], R) for d in range(dims)]
     active = np.arange(R)
     for _ in range(max_iter):
         A = len(active)
-        cluster = _nearest(C[active], Xu, inv) + np.arange(A)[:, None] * k
-        counts = np.bincount(cluster.ravel(), minlength=A * k).reshape(A, k, 1)
-        # one bincount for every (restart, cluster, coordinate) bin; it adds
-        # each bin's rows in index order, as mean() does
-        bins = (cluster[:, :, None] * dims + np.arange(dims)).ravel()
-        sums = np.bincount(bins, weights=weights[:A * n * dims],
-                           minlength=A * k * dims).reshape(A, k, dims)
+        cluster = (_nearest(C[active], Xu, inv)
+                   + np.arange(A)[:, None] * k).ravel()
+        counts = np.bincount(cluster, minlength=A * k).reshape(A, k, 1)
+        # per coordinate, one bincount over the (restart, cluster) bins; it
+        # adds each bin's rows in index order, as mean() does
+        sums = np.stack([np.bincount(cluster, weights=column[:A * n],
+                                     minlength=A * k) for column in columns],
+                        axis=1).reshape(A, k, dims)
         old = C[active]
         new = np.where(counts > 0, sums / np.maximum(counts, 1), old)
         shift = np.abs(new - old).max(axis=(1, 2))

@@ -157,18 +157,24 @@ class WorldState:
                     parent: Optional[ContentItem] = None) -> ContentItem:
         """Store a new original, or a re-share of ``parent``, under the next
         content id and record its author and topic."""
-        item = ContentItem(
-            content_id=len(self.content) + 1, author=author,
-            iteration_created=iteration, text=text, topic=topic,
-            parent=None if parent is None else parent.content_id,
-            root=None if parent is None else parent.root,
-        )
-        self.content[item.content_id] = item
-        self.authored.setdefault(author, {})[item.content_id] = None
-        self.by_topic.setdefault(topic, []).append(item.content_id)
-        if parent is not None:
+        cid = len(self.content) + 1
+        if parent is None:
+            item = ContentItem(cid, author, iteration, text, topic)
+        else:
+            item = ContentItem(cid, author, iteration, text, topic,
+                               parent.content_id, parent.root)
             for follower in self.followers.get(author, ()):
-                self.agents[follower].inbox.append(item.content_id)
+                self.agents[follower].inbox.append(cid)
+        self.content[cid] = item
+        # ``setdefault`` would build an empty dict or list on every call.
+        if (own := self.authored.get(author)) is None:
+            self.authored[author] = {cid: None}
+        else:
+            own[cid] = None
+        if (ids := self.by_topic.get(topic)) is None:
+            self.by_topic[topic] = [cid]
+        else:
+            ids.append(cid)
         return item
 
     def follow(self, follower: str, followee: str) -> None:
@@ -653,38 +659,39 @@ def run_iteration(world: WorldState, config: SimulationConfig,
     order = world.agent_order()
     params, seed = config.memory, config.master_seed
     strategy, k = config.recommender_strategy, config.feed_size
+    random_feed = strategy == "random"
     oldest = iteration - params.decay_horizon  # own items before it are stale
+    # The decision phase adds no agent or item: these dicts stay the world's.
+    agents, content, authored = world.agents, world.content, world.authored
 
     def decision_step(agent_id: str) -> Decision:
-        agent = world.agents[agent_id]
-        memory = agent.memory
+        agent = agents[agent_id]
+        memory, index = agent.memory, agent.index
         stm_decay(memory, iteration, params)
-        feed_rng = (agent_rng(seed, iteration, agent.index, 0)
-                    if strategy == "random" else None)
+        feed_rng = agent_rng(seed, iteration, index, 0) if random_feed else None
         feed = recommend_feed(agent, world, strategy, k, feed_rng)
         for item in feed:
             stm_observe(memory, item, iteration, params)
-        own = world.authored.get(agent_id, ())
+        own = authored.get(agent_id, ())
         for cid in reversed(own):  # newest first, up to the first stale item
-            item = world.content[cid]
+            item = content[cid]
             if item.iteration_created < oldest:
                 break
             stm_observe(memory, item, iteration, params)
         prompt = build_prompt(agent.profile, memory, feed, iteration, own)
-        return decide(prompt, backend,
-                      agent_rng(seed, iteration, agent.index, 1))
+        return decide(prompt, backend, agent_rng(seed, iteration, index, 1))
 
     decisions = list(getattr(backend, "map", map)(decision_step, order))
 
     for agent_id, decision in zip(order, decisions):
-        agent = world.agents[agent_id]
+        agent = agents[agent_id]
         apply_action(world, agent, decision, iteration)
         am_record(agent.memory.am, world.log[-1], params)
 
     if iteration % params.eval_period == 0:
         for agent_id in order:
-            ltm_evaluate(world.agents[agent_id].memory,
-                         world.authored.get(agent_id, ()), params)
+            ltm_evaluate(agents[agent_id].memory, authored.get(agent_id, ()),
+                         params)
     world.iteration = iteration
     return world
 

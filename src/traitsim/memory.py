@@ -113,10 +113,12 @@ def stm_observe(memory: MemoryUnit, content: ContentItem, now: int,
         memory.seq = seq = memory.seq + 1
     else:
         seq = old[SEQ]
+    reshares, likes = content.reshares, content.likes
+    dislikes = content.dislikes
     stm[cid] = (
-        params.w_reshare * content.reshares + params.w_like * content.likes
-        - params.w_dislike * content.dislikes, now, seq, cid,
-        content.reshares, content.likes, content.dislikes, content.comments)
+        params.w_reshare * reshares + params.w_like * likes
+        - params.w_dislike * dislikes, now, seq, cid,
+        reshares, likes, dislikes, content.comments)
     while len(stm) > params.stm_capacity:
         del stm[min(stm.values())[CONTENT_ID]]
     return memory

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import itertools
 import json
 import os
@@ -7,6 +9,7 @@ import threading
 import time
 from bisect import bisect_right
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +87,33 @@ class TestPermittedActions:
         run_simulation(SimulationConfig(configuration="IdentityOnly",
                                         iterations=6), personas, Recording())
         assert offered == {ActionKind.POST, ActionKind.INACTIVE}
+
+    def test_same_answer_is_the_same_tuple(self):
+        # built once, at import, and not per call
+        assert permitted_actions(FEED, 5) is permitted_actions(FEED[:1], 9)
+        assert permitted_actions((), 5) is permitted_actions(FEED, 1)
+
+
+class TestDecisionPathConstants:
+    """The decision path reads enum members from module globals: reading one
+    off its class costs several times a global's read."""
+
+    ENUMS = {"ActionKind", "Order", "Trait"}
+
+    @pytest.mark.parametrize("module", ["reasoning", "memory", "engine"])
+    def test_no_function_reads_an_enum_member(self, module):
+        path = Path(importlib.import_module(f"traitsim.{module}").__file__)
+        reads = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                reads.update(
+                    (f"{read.value.id}.{read.attr}", read.lineno)
+                    for read in ast.walk(node)
+                    if isinstance(read, ast.Attribute)
+                    and isinstance(read.value, ast.Name)
+                    and read.value.id in self.ENUMS)
+        assert not reads, f"{path.name} reads in a function body: {sorted(reads)}"
 
 
 class TestBuildPrompt:
