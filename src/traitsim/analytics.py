@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import ActionDistribution, ActionKind, CATEGORIES, CATEGORY, Order
+from .core import (ActionDistribution, ActionKind, CATEGORIES, CATEGORY,
+                   ENGAGEMENT_KINDS)
 
 
 def action_probability_vector(log) -> dict:
@@ -371,25 +372,14 @@ def trace_chains(content_store: dict) -> list:
     return chains
 
 
-def _split_by_iteration(log, sides: dict, by_order: bool,
-                        cumulative: bool) -> dict:
-    """Per-iteration (pct side 0, pct side 1) over the records whose order
-    (``by_order``) or else kind ``sides`` puts on side 0 or 1 (a member it
-    lacks leaves a record out), counted in each iteration alone or, if
-    ``cumulative``, in it and every earlier one. Iterations 1 ... the
-    highest in ``log`` are keyed, in any order of the log; those with
-    nothing counted map to None. The loop reads the record's fields and the
-    running highest iteration inline, calling no Python function per
-    record."""
-    counts = {}
-    max_iter = 0
-    for record in log:
-        it = record.iteration
-        if it > max_iter:
-            max_iter = it
-        i = sides.get(record.order if by_order else record.kind)
-        if i is not None:
-            counts.setdefault(it, [0, 0])[i] += 1
+def _percentages(counts: dict, max_iter: int, cumulative: bool) -> dict:
+    """Per-iteration (pct side 0, pct side 1) of ``counts``, iteration ->
+    [records on side 0, on side 1], counted in each iteration alone or, if
+    ``cumulative``, in it and every earlier one. Iterations 1 ...
+    ``max_iter``, the highest in the log, are keyed; those with nothing
+    counted map to None. Its callers count in one loop over the log that
+    reads the record's fields and the running highest iteration inline,
+    calling no Python function per record, in any order of the log."""
     out = {}
     a = b = 0
     for it in range(1, max_iter + 1):
@@ -401,22 +391,38 @@ def _split_by_iteration(log, sides: dict, by_order: bool,
     return out
 
 
-# Only engagements have an order (``ActionRecord`` enforces it).
-_ORDER_SIDE = {Order.FIRST: 0, Order.SECOND: 1}
 _CREATION_SIDE = {ActionKind.POST: 0, ActionKind.RESHARE: 1}
 
 
-def order_dynamics(log) -> dict:
+def order_dynamics(log, content_store: dict) -> dict:
     """Per-iteration (pct first-order, pct second-order) over engagements;
-    iterations with no engagements map to None."""
-    return _split_by_iteration(log, _ORDER_SIDE, by_order=True,
-                               cumulative=False)
+    iterations with no engagements map to None. An engagement is
+    first-order iff its target in ``content_store`` is an original."""
+    counts = {}
+    max_iter = 0
+    for record in log:
+        it = record.iteration
+        if it > max_iter:
+            max_iter = it
+        if record.kind in ENGAGEMENT_KINDS:
+            # side 1 (True) iff the target is a re-share
+            counts.setdefault(it, [0, 0])[
+                content_store[record.target].parent is not None] += 1
+    return _percentages(counts, max_iter, cumulative=False)
 
 
 def content_mix(log) -> dict:
     """Per-iteration cumulative (pct original, pct re-shared) creations."""
-    return _split_by_iteration(log, _CREATION_SIDE, by_order=False,
-                               cumulative=True)
+    counts = {}
+    max_iter = 0
+    for record in log:
+        it = record.iteration
+        if it > max_iter:
+            max_iter = it
+        i = _CREATION_SIDE.get(record.kind)
+        if i is not None:
+            counts.setdefault(it, [0, 0])[i] += 1
+    return _percentages(counts, max_iter, cumulative=True)
 
 
 @dataclass

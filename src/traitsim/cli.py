@@ -352,7 +352,8 @@ def cmd_analyze(args) -> int:
         _write_csv(out / "order_dynamics.csv",
                    ["iteration", "pct_first_order", "pct_second_order"],
                    [[it, *(f"{v:.2f}" for v in pair)] if pair else [it, "", ""]
-                    for it, pair in sorted(order_dynamics(log).items())])
+                    for it, pair
+                    in sorted(order_dynamics(log, content).items())])
         _write_csv(out / "content_mix.csv",
                    ["iteration", "pct_original", "pct_reshared"],
                    [[it, *(f"{v:.2f}" for v in pair)] if pair else [it, "", ""]

@@ -146,17 +146,6 @@ CATEGORY = {ActionKind.POST: 0, ActionKind.RESHARE: 1, ActionKind.LIKE: 2,
             ActionKind.INACTIVE: 3}
 
 
-class Order(Enum):
-    FIRST = "first_order"
-    SECOND = "second_order"
-    NA = "not_applicable"
-
-    __hash__ = object.__hash__  # as for Trait
-
-
-_NA = Order.NA  # a global: reading an Enum member off its class costs 0.1 µs
-
-
 class ValidationError(ValueError):
     """An action that breaks the decision protocol; ``rule`` names why."""
 
@@ -290,18 +279,13 @@ class ContentItem:
 
 @dataclass(slots=True)
 class ActionRecord:
-    """One logged action. Its order is checked here, its shape
-    (``check_shape``) where an answer or a run file is read."""
+    """One logged action. Its shape is checked (``check_shape``) where an
+    answer or a run file is read. An engagement's order is its target's:
+    first-order on an original, second-order on a re-share."""
 
     iteration: int
     agent: str
     kind: ActionKind
     target: Optional[Union[int, str]] = None
     payload: Optional[str] = None
-    order: Order = Order.NA
     reason_text: str = ""
-
-    def __post_init__(self):
-        na = self.kind not in ENGAGEMENT_KINDS
-        if na != (self.order is _NA):
-            raise ValueError("order is NotApplicable exactly for post/follow/inactive")

@@ -67,7 +67,6 @@ from .core import (
     AgentProfile,
     ContentItem,
     OCEAN_VARIANTS,
-    Order,
     Trait,
     ENGAGEMENT_KINDS,
     check_shape,
@@ -88,7 +87,7 @@ from .reasoning import (
     decide,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUTS = ("actions.jsonl", "content.jsonl", "agents.jsonl")  # write_artifacts
 MANIFEST = "manifest.json"  # write_manifest, beside them
 
@@ -348,19 +347,13 @@ _POST, _RESHARE = ActionKind.POST, ActionKind.RESHARE
 _LIKE, _DISLIKE, _COMMENT = (ActionKind.LIKE, ActionKind.DISLIKE,
                              ActionKind.COMMENT)
 _FOLLOW = ActionKind.FOLLOW
-_NA, _FIRST, _SECOND = Order.NA, Order.FIRST, Order.SECOND
 
 
 def apply_action(world: WorldState, agent: AgentState, decision: Decision,
                  iteration: int) -> None:
     """Apply one validated decision to the world (serialized phase)."""
-    order = _NA
-    if decision.choice in ENGAGEMENT_KINDS:  # first-order iff on an original
-        order = (_FIRST if world.content[decision.target].parent is None
-                 else _SECOND)
     record = ActionRecord(iteration, agent.profile.agent_id, decision.choice,
-                          decision.target, decision.payload, order,
-                          decision.reason)
+                          decision.target, decision.payload, decision.reason)
     apply_record(world, agent, record)
     world.log.append(record)
 
@@ -376,9 +369,6 @@ def apply_record(world: WorldState, agent: AgentState,
                           profile.topic)
     elif kind in ENGAGEMENT_KINDS:
         target = world.content[record.target]
-        if (record.order is _FIRST) != (target.parent is None):
-            raise ValueError(f"{kind.value} of content {record.target} is "
-                             f"not {record.order.value}")
         if kind is _RESHARE:
             if target.author == profile.agent_id:
                 raise ValueError(f"{profile.agent_id} re-shares its own "
@@ -723,37 +713,30 @@ def run_simulation(config: SimulationConfig, personas: Sequence[dict],
 
 
 # ---------------------------------------------------------------------------
-# The run directory (schema_version = 1): write_artifacts, write_manifest
+# The run directory (schema_version = 2): write_artifacts, write_manifest
 # and load_run
 
 
 _KINDS = {kind.value: kind for kind in ActionKind}
-_ORDERS = {order.value: order for order in Order}
-
-
-def _member(members: dict, value, name: str):
-    """The enum member whose value is ``value``; any other value, hashable
-    or not, is a ``ValueError``."""
-    try:
-        return members[value]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown {name} {json.dumps(value)}") from None
 
 
 def record_from_dict(d: dict) -> ActionRecord:
     """The record whose ``record_line`` parses to ``d``; a missing key is a
     ``KeyError``, a wrongly typed agent, iteration or reason a
-    ``TypeError``, an unknown kind or order a ``ValueError``, and a misshaped
+    ``TypeError``, an unknown kind a ``ValueError``, and a misshaped
     action ``check_shape``'s ``ValidationError``, as for a model's answer."""
     agent, iteration = string(d, "agent"), d["iteration"]
     if type(iteration) is not int:  # a JSON true/false is not
         raise TypeError(f"iteration must be an integer, got "
                         f"{json.dumps(iteration)}")
-    kind = _member(_KINDS, d["kind"], "kind")
+    kind = d["kind"]
+    try:
+        kind = _KINDS[kind]
+    except (KeyError, TypeError):  # a value unhashable or not a kind's
+        raise ValueError(f"unknown kind {json.dumps(kind)}") from None
     target, payload = d["target"], d["payload"]
     check_shape(kind, target, payload)
     return ActionRecord(iteration, agent, kind, target, payload,
-                        _member(_ORDERS, d["order"], "order"),
                         string(d, "reason"))
 
 
@@ -762,7 +745,6 @@ def record_from_dict(d: dict) -> ActionRecord:
 # JSON encoder per row: the keys are literal text in sorted order.
 _quote = json.encoder.encode_basestring_ascii  # json.dumps' ensure_ascii
 _KIND_JSON = {kind: _quote(kind.value) for kind in ActionKind}
-_ORDER_JSON = {order: _quote(order.value) for order in Order}
 
 
 def _value(value) -> str:
@@ -792,7 +774,6 @@ def record_line(record: ActionRecord) -> str:
     return (f'{{"agent": {_quote(record.agent)}, '
             f'"iteration": {it if type(it) is int else _value(it)}, '
             f'"kind": {_KIND_JSON[record.kind]}, '
-            f'"order": {_ORDER_JSON[record.order]}, '
             f'"payload": {payload}, '
             f'"reason": {_quote(record.reason_text)}, '
             f'"target": {target}}}\n')
@@ -964,17 +945,18 @@ def load_run(run_dir):
 
 def check_integrity(world: WorldState) -> None:
     """Assert content-store invariants: parents and roots resolve and roots
-    are originals; each item's reshare counter equals its child count, and
-    its likes, dislikes and comments are those ``world.log`` records for it;
-    and the items are those the log's posts and re-shares create, in order,
-    each with the record's author, iteration and target as parent: a post
-    with the record's payload as text and its author's topic, a re-share
-    with its parent's text and topic. The feed's indexes hold what they are
-    rebuilt to from their sources: ``authored`` and ``by_topic`` from the
-    store, ``followers`` and every agent's ``inbox`` from the agents'
-    ``following`` sets (self-edges left out) and the store's re-shares by
-    author, and every agent's ``reshared_ids`` from the parents of its
-    re-shares."""
+    are originals; every record in ``world.log`` is an agent's, and each
+    follow it records is in the follow graph; each item's reshare counter
+    equals its child count, and its likes, dislikes and comments are those
+    the log records for it; and the items are those the log's posts and
+    re-shares create, in order, each with the record's author, iteration
+    and target as parent: a post with the record's payload as text and its
+    author's topic, a re-share with its parent's text and topic. The feed's
+    indexes hold what they are rebuilt to from their sources: ``authored``
+    and ``by_topic`` from the store, ``followers`` and every agent's
+    ``inbox`` from the agents' ``following`` sets (self-edges left out) and
+    the store's re-shares by author, and every agent's ``reshared_ids`` from
+    the parents of its re-shares."""
     children = Counter()
     for item in world.content.values():
         if item.parent is not None:
@@ -985,8 +967,12 @@ def check_integrity(world: WorldState) -> None:
         if root is None or root.parent is not None:
             raise AssertionError(f"bad root for {item.content_id}")
     likes, dislikes, comments, created = Counter(), Counter(), Counter(), []
+    agents = world.agents
     for record in world.log:
         kind, target = record.kind, record.target
+        if record.agent not in agents:
+            raise AssertionError(f"the log holds a record by unknown agent "
+                                 f"{record.agent!r}")
         if kind is _LIKE:
             likes[target] += 1
         elif kind is _DISLIKE:
@@ -995,6 +981,10 @@ def check_integrity(world: WorldState) -> None:
             comments[target] += 1
         elif kind is _POST or kind is _RESHARE:
             created.append(record)
+        elif (kind is _FOLLOW and target
+              not in agents[record.agent].profile.following):
+            raise AssertionError(f"the follow of {target!r} by "
+                                 f"{record.agent} is not in the follow graph")
     for target in likes.keys() | dislikes.keys() | comments.keys():
         if target not in world.content:
             raise AssertionError(f"the log reacts to unknown content {target}")

@@ -27,12 +27,13 @@ from traitsim.core import (
     ActionRecord,
     ContentItem,
     ENGAGEMENT_KINDS,
-    Order,
 )
 
+from test_engine import python_calls
 
-def rec(agent, kind, iteration=1, target=None, payload=None, order=Order.NA):
-    return ActionRecord(iteration, agent, kind, target, payload, order)
+
+def rec(agent, kind, iteration=1, target=None, payload=None):
+    return ActionRecord(iteration, agent, kind, target, payload)
 
 
 # The category of each action kind, written out here and not taken from
@@ -72,7 +73,7 @@ class TestActionProbabilityVector:
 
     def test_mixed_counts(self):
         log = ([rec("a", ActionKind.POST, payload="x")] * 13
-               + [rec("a", ActionKind.RESHARE, target=1, order=Order.FIRST)] * 12)
+               + [rec("a", ActionKind.RESHARE, target=1)] * 12)
         v = action_probability_vector(log)["a"]
         assert v.as_tuple() == pytest.approx((0.52, 0.48, 0.0, 0.0))
 
@@ -82,7 +83,7 @@ class TestActionProbabilityVector:
         assert action_probability_vector(log)["a"].p_post == 1.0
 
     def test_reactions_pool_into_interact(self):
-        log = [rec("a", k, target=1, order=Order.FIRST)
+        log = [rec("a", k, target=1)
                for k in (ActionKind.LIKE, ActionKind.DISLIKE, ActionKind.COMMENT)]
         log[-1].payload = "c"
         assert action_probability_vector(log)["a"].p_interact == 1.0
@@ -106,7 +107,7 @@ class TestActionProbabilityVector:
                  ActionKind.FOLLOW: dict(target="b"),
                  ActionKind.INACTIVE: {}}
         log = [rec(agent, kind, **shape.get(kind, dict(
-                   target=1, payload="c", order=Order.FIRST)))
+                   target=1, payload="c")))
                for agent, kind in choices]
         expected = {}
         for agent in sorted({agent for agent, _ in choices}):
@@ -530,9 +531,10 @@ class TestTraceChains:
             assert got == brute_force_chains(content)
 
 
-def _reference_order_dynamics(log):
-    """``order_dynamics`` before it shared a per-iteration split with
-    ``content_mix``."""
+def _reference_order_dynamics(log, content_store):
+    """First- and second-order engagement counts per iteration, as
+    percentages; an engagement is first-order iff its target is its own
+    root."""
     first = {}
     second = {}
     max_iter = 0
@@ -540,7 +542,7 @@ def _reference_order_dynamics(log):
         max_iter = max(max_iter, record.iteration)
         if record.kind not in ENGAGEMENT_KINDS:
             continue
-        if record.order is Order.FIRST:
+        if content_store[record.target].root == record.target:
             first[record.iteration] = first.get(record.iteration, 0) + 1
         else:
             second[record.iteration] = second.get(record.iteration, 0) + 1
@@ -577,17 +579,27 @@ def _reference_content_mix(log):
     return out
 
 
+def _dynamics_store():
+    """1 and 4 are originals, 2 re-shares 1, 3 re-shares the re-share 2,
+    and 5 re-shares 4."""
+    first, second = original(1, "A"), original(4, "D")
+    middle = reshare(2, "B", first)
+    return store(first, middle, reshare(3, "C", middle), second,
+                 reshare(5, "E", second))
+
+
 class TestTemporalDynamics:
     def test_order_dynamics_percentages(self):
         log = [
-            rec("a", ActionKind.LIKE, 2, target=1, order=Order.FIRST),
-            rec("b", ActionKind.LIKE, 2, target=1, order=Order.FIRST),
-            rec("c", ActionKind.RESHARE, 2, target=2, order=Order.SECOND),
+            rec("a", ActionKind.LIKE, 2, target=1),
+            rec("b", ActionKind.LIKE, 2, target=4),
+            rec("c", ActionKind.RESHARE, 2, target=3),
             rec("a", ActionKind.POST, 3, payload="x"),
-            rec("b", ActionKind.COMMENT, 4, target=2, payload="y",
-                order=Order.SECOND),
+            rec("b", ActionKind.COMMENT, 4, target=2, payload="y"),
+            rec("d", ActionKind.FOLLOW, 4, target="a"),
         ]
-        dynamics = order_dynamics(log)
+        dynamics = order_dynamics(log, _dynamics_store())
+        assert dynamics[1] is None
         assert dynamics[2] == pytest.approx((200 / 3, 100 / 3))
         assert dynamics[3] is None
         assert dynamics[4] == (0.0, 100.0)
@@ -596,7 +608,7 @@ class TestTemporalDynamics:
         log = [
             rec("a", ActionKind.POST, 1, payload="x"),
             rec("b", ActionKind.POST, 1, payload="y"),
-            rec("c", ActionKind.RESHARE, 2, target=1, order=Order.FIRST),
+            rec("c", ActionKind.RESHARE, 2, target=1),
             rec("d", ActionKind.INACTIVE, 3),
         ]
         mix = content_mix(log)
@@ -605,44 +617,73 @@ class TestTemporalDynamics:
         assert mix[3] == mix[2]  # nothing new created
 
     def test_empty_log(self):
-        assert order_dynamics([]) == {}
+        assert order_dynamics([], {}) == {}
         assert content_mix([]) == {}
 
     def test_a_log_out_of_iteration_order(self):
         """The highest iteration, not the last record's, ends the keys, and
         each record counts in its own iteration wherever it stands."""
-        log = [rec("a", ActionKind.LIKE, 5, target=1, order=Order.FIRST),
+        log = [rec("a", ActionKind.LIKE, 5, target=1),
                rec("b", ActionKind.POST, 2, payload="x"),
-               rec("c", ActionKind.RESHARE, 7, target=1, order=Order.SECOND),
+               rec("c", ActionKind.RESHARE, 7, target=5),
                rec("d", ActionKind.POST, 1, payload="y"),
-               rec("e", ActionKind.COMMENT, 5, target=2, payload="z",
-                   order=Order.SECOND),
+               rec("e", ActionKind.COMMENT, 5, target=2, payload="z"),
                rec("f", ActionKind.INACTIVE, 3)]
-        dynamics, mix = order_dynamics(log), content_mix(log)
-        assert dynamics == _reference_order_dynamics(log)
+        content = _dynamics_store()
+        dynamics, mix = order_dynamics(log, content), content_mix(log)
+        assert dynamics == _reference_order_dynamics(log, content)
         assert mix == _reference_content_mix(log)
         assert dynamics == {1: None, 2: None, 3: None, 4: None,
                             5: (50.0, 50.0), 6: None, 7: (0.0, 100.0)}
         assert mix == {**dict.fromkeys(range(1, 7), (100.0, 0.0)),
                        7: (200 / 3, 100 / 3)}
         ordered = sorted(log, key=lambda r: r.iteration)
-        assert (order_dynamics(ordered), content_mix(ordered)) == (dynamics,
-                                                                   mix)
+        assert (order_dynamics(ordered, content),
+                content_mix(ordered)) == (dynamics, mix)
 
     @given(st.lists(st.tuples(st.integers(1, 12),
                               st.sampled_from(list(ActionKind)),
-                              st.sampled_from([Order.FIRST, Order.SECOND])),
+                              st.integers(1, 5)),
                     max_size=80))
     @settings(max_examples=200, deadline=None)
     def test_same_as_reference(self, choices):
+        """Targets are drawn from the store's originals, its re-shares and
+        its re-share of a re-share."""
         shape = {ActionKind.POST: dict(payload="x"),
                  ActionKind.FOLLOW: dict(target="b"),
                  ActionKind.INACTIVE: {}}
         log = [rec("a", kind, it, **shape.get(kind, dict(
-                   target=1, payload="c", order=order)))
-               for it, kind, order in choices]
-        assert order_dynamics(log) == _reference_order_dynamics(log)
+                   target=target, payload="c")))
+               for it, kind, target in choices]
+        content = _dynamics_store()
+        assert (order_dynamics(log, content)
+                == _reference_order_dynamics(log, content))
         assert content_mix(log) == _reference_content_mix(log)
+
+    def test_no_python_call_per_record(self):
+        """Each record's side and iteration are read inline: 10 and 1,000
+        records cost the same Python calls."""
+        log = [rec("a", ActionKind.LIKE, 1, target=1),
+               rec("b", ActionKind.RESHARE, 2, target=3),
+               rec("c", ActionKind.POST, 2, payload="x"),
+               rec("d", ActionKind.FOLLOW, 3, target="a"),
+               rec("e", ActionKind.INACTIVE, 3)]
+        content = _dynamics_store()
+        for count in (lambda log: order_dynamics(log, content), content_mix):
+            assert (python_calls(count, log * 2)[0]
+                    == python_calls(count, log * 200)[0])
+
+    def test_a_random_store(self):
+        """Over random forests, each engagement's order is its target's."""
+        rng = random.Random(11)
+        for _ in range(50):
+            content = random_forest(rng)
+            kinds = sorted(ENGAGEMENT_KINDS, key=lambda kind: kind.value)
+            log = [rec("a", rng.choice(kinds), rng.randint(1, 6),
+                       target=rng.randint(1, len(content)))
+                   for _ in range(rng.randint(0, 40))]
+            assert (order_dynamics(log, content)
+                    == _reference_order_dynamics(log, content))
 
 
 class TestChainTables:

@@ -71,8 +71,7 @@ def reshare_twice(text):
     first = next(r for r in records if r["kind"] == "reshare")
     later = next(r for r in records if r["agent"] == first["agent"]
                  and r["iteration"] > first["iteration"])
-    later.update(kind="reshare", target=first["target"], payload=None,
-                 order=first["order"])
+    later.update(kind="reshare", target=first["target"], payload=None)
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
@@ -86,7 +85,7 @@ def reshare_own_post(text):
                     if r["kind"] == "post")
     later = next(r for r in records if r["agent"] == first["agent"]
                  and r["iteration"] > first["iteration"])
-    later.update(kind="reshare", target=n, payload=None, order="first_order")
+    later.update(kind="reshare", target=n, payload=None)
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
@@ -102,7 +101,7 @@ class TestSimulate:
                      "manifest.json"):
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema_version"] == 1
+        assert manifest["schema_version"] == 2
         assert manifest["master_seed"] == 5
         assert manifest["config"]["iterations"] == 8
         assert manifest["completed_iterations"] == 8
@@ -702,8 +701,7 @@ class TestAnalyze:
         followee = next(a for a in agents if a != follower)
         for r in records:
             if r["agent"] == follower:
-                r.update(kind="follow", target=followee, payload=None,
-                         order="not_applicable")
+                r.update(kind="follow", target=followee, payload=None)
         (run / "actions.jsonl").write_text(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
         assert main(["analyze", "--run", str(run)]) == 0
@@ -715,9 +713,6 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name, corrupt, line", [
         ("actions.jsonl", lambda text: text[:-20], "last"),
-        ("actions.jsonl",
-         lambda text: text.replace('"not_applicable"', '"sideways"', 1),
-         "first-na"),
         ("actions.jsonl", edit_first_record("like", target=10 ** 6), "edited"),
         ("actions.jsonl", reshare_twice, "edited"),
         ("agents.jsonl", lambda text: text + "{oops\n", "last"),
@@ -732,17 +727,11 @@ class TestAnalyze:
         ("actions.jsonl", edit_first_record("like", payload="x"), "edited"),
         ("actions.jsonl", edit_first_record(None, kind="shout"), "edited"),
         ("actions.jsonl", edit_first_record(None, kind=["post"]), "edited"),
-        ("actions.jsonl", edit_first_record(None, order={"first": 1}),
-         "edited"),
         ("actions.jsonl", drop_first_key("reason"), 1),
         ("actions.jsonl", edit_first_record(None, reason=5), "edited"),
         ("actions.jsonl", edit_first_record(None, agent="ghost"), "edited"),
         ("actions.jsonl", edit_first_record(
-            None, kind="follow", target="ghost", payload=None,
-            order="not_applicable"), "edited"),
-        ("actions.jsonl",
-         lambda text: text.replace('"first_order"', '"second_order"', 1),
-         "edited"),
+            None, kind="follow", target="ghost", payload=None), "edited"),
         ("agents.jsonl", edit_first_record(None, topic=["m"]), 1),
         ("actions.jsonl", lambda text: text.rsplit("\n", 2)[0] + "\n",
          "last"),
@@ -752,7 +741,7 @@ class TestAnalyze:
         ("agents.jsonl", edit_first_record(None, agent_id=["p000"]), 1),
         ("agents.jsonl", lambda text: text + text.splitlines(True)[0], "last"),
         ("actions.jsonl", reshare_own_post, "edited"),
-    ], ids=["actions-truncated", "actions-bad-order",
+    ], ids=["actions-truncated",
             "replay-unknown-content", "replay-second-reshare",
             "agents-broken-json", "agents-missing-key",
             "actions-int-agent", "actions-str-iteration",
@@ -760,11 +749,10 @@ class TestAnalyze:
             "actions-like-bool-target", "actions-post-null-payload",
             "actions-like-with-payload",
             "actions-unknown-kind", "actions-list-kind",
-            "actions-object-order",
             "actions-missing-reason", "actions-int-reason",
             "replay-unknown-agent",
             "replay-follow-unknown-agent",
-            "replay-contradicted-order", "agents-list-topic",
+            "agents-list-topic",
             "actions-last-line-dropped", "actions-lines-swapped",
             "actions-iteration-skipped", "agents-list-trait",
             "agents-list-agent-id", "agents-repeated-agent-id",
@@ -776,8 +764,6 @@ class TestAnalyze:
         lines = corrupt(text).splitlines()
         if line == "last":
             line = len(lines)
-        elif line == "first-na":
-            line = next(n for n, l in enumerate(lines, 1) if "sideways" in l)
         elif line == "edited":
             line = next(n for n, (old, new) in enumerate(
                 zip(text.splitlines(), lines), 1) if old != new)
@@ -878,12 +864,15 @@ class TestAnalyze:
 
     def test_incompatible_schema_version(self, tmp_path, personas_file,
                                          capsys):
+        """Version 1 logs stored each engagement's order; no path reads
+        them."""
         run = simulate(tmp_path, personas_file)
         manifest = json.loads((run / "manifest.json").read_text())
-        manifest["schema_version"] = 99
-        (run / "manifest.json").write_text(json.dumps(manifest))
-        assert main(["analyze", "--run", str(run)]) == 1
-        assert "schema_version" in capsys.readouterr().err
+        for version in (1, 99):
+            manifest["schema_version"] = version
+            (run / "manifest.json").write_text(json.dumps(manifest))
+            assert main(["analyze", "--run", str(run)]) == 1
+            assert "schema_version" in capsys.readouterr().err
 
     @pytest.mark.parametrize("out", ["file", "file/analysis"])
     def test_out_that_cannot_be_a_directory_fails_before_the_load(
@@ -1384,28 +1373,27 @@ class TestDemoData:
         assert len(agents) == 14 * 7
 
 
-def test_no_command_imports_requests():
-    """The cli and everything it imports load without ``requests`` or
-    ``urllib3``, which would add about 0.15 s to every command."""
-    src = str(Path(traitsim.__file__).parents[1])
-    code = ("import sys, traitsim.cli; "
-            "print(sorted({'requests', 'urllib3'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+@pytest.fixture(scope="module")
+def stub_simulate_runs(tmp_path_factory):
+    """The stdout lines of one subprocess per configuration, started at the
+    first call for it: ``stub_simulate_runs(configuration)``. It prints
+    which of numpy, ``http.client``, ``concurrent.futures``, ``argparse``,
+    ``requests`` and ``urllib3`` are loaded after importing ``cli``, then
+    after a stub ``run_simulation``, then with the exit code of a stub
+    ``simulate`` through ``cli.main``; last, that exit code and whether
+    ``numpy.random`` is loaded."""
+    outputs = {}
+
+    def output(configuration):
+        if configuration not in outputs:
+            outputs[configuration] = _stub_simulate(
+                configuration, tmp_path_factory.mktemp("sim"))
+        return outputs[configuration]
+
+    return output
 
 
-@pytest.fixture(scope="module", params=["FullModel", "RandomRecommendation"])
-def stub_simulate_output(request, tmp_path_factory):
-    """The stdout lines of one subprocess per configuration, which both
-    tests below read. It prints which of numpy, ``http.client``,
-    ``concurrent.futures`` and ``argparse`` are loaded after importing
-    ``cli``, then after a stub ``run_simulation``, then with the exit code
-    of a stub ``simulate`` through ``cli.main``; last, that exit code and
-    whether ``numpy.random`` is loaded."""
-    configuration, tmp_path = request.param, tmp_path_factory.mktemp("sim")
+def _stub_simulate(configuration, tmp_path):
     personas = tmp_path / "personas.jsonl"
     personas.write_text("".join(json.dumps(p) + "\n"
                                 for p in make_personas(2)))
@@ -1413,7 +1401,8 @@ def stub_simulate_output(request, tmp_path_factory):
     code = ("import json, pathlib, sys, traitsim.cli; "
             "from traitsim import engine; "
             "loaded = lambda: sorted({'numpy', 'http.client', "
-            "'concurrent.futures', 'argparse'} & set(sys.modules)); "
+            "'concurrent.futures', 'argparse', 'requests', 'urllib3'} "
+            "& set(sys.modules)); "
             "print(loaded()); "
             "engine.run_simulation(engine.SimulationConfig("
             "configuration=sys.argv[1], iterations=2), "
@@ -1433,6 +1422,17 @@ def stub_simulate_output(request, tmp_path_factory):
     return result.stdout.splitlines()
 
 
+@pytest.fixture(params=["FullModel", "RandomRecommendation"])
+def stub_simulate_output(request, stub_simulate_runs):
+    return stub_simulate_runs(request.param)
+
+
+def test_no_command_imports_requests(stub_simulate_runs):
+    """The cli and everything it imports load without ``requests`` or
+    ``urllib3``, which would add about 0.15 s to every command."""
+    assert stub_simulate_runs("FullModel")[0] == "[]"
+
+
 def test_simulate_never_imports_numpy_random(stub_simulate_output):
     """``simulate`` draws from ``engine.PCG64Stream`` and loads no part of
     ``numpy.random``, under the preference and the random feed."""
@@ -1450,14 +1450,9 @@ def test_cli_and_a_stub_simulate_load_neither_numpy_nor_http_client(
     assert (lines[:2], lines[-2]) == (["[]", "[]"], "0 ['argparse']")
 
 
-def test_grounding_and_networks_never_import_numpy():
+def test_grounding_and_networks_never_import_numpy(stub_simulate_runs):
     """Neither ``grounding`` nor the ``networks`` it builds its graph with
-    loads numpy."""
-    src = str(Path(traitsim.__file__).parents[1])
-    code = ("import sys, traitsim.grounding, traitsim.networks; "
-            "print('numpy' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    loads numpy: ``cli`` imports both, and importing it loads no numpy."""
+    assert cli.ground.__module__ == "traitsim.grounding"
+    assert cli.degree_centrality.__module__ == "traitsim.networks"
+    assert "numpy" not in stub_simulate_runs("FullModel")[0]

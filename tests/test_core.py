@@ -8,13 +8,11 @@ from traitsim.core import (
     ARCHETYPES,
     ActionDistribution,
     ActionKind,
-    ActionRecord,
     CATEGORIES,
     CATEGORY,
     ContentItem,
     ENGAGEMENT_KINDS,
     OCEAN_VARIANTS,
-    Order,
     Trait,
     TRAIT_PROMPTS,
     ValidationError,
@@ -142,18 +140,6 @@ class TestContentItem:
             ContentItem(2, "a", 1, "t", "Music", parent=1)
         item = ContentItem(2, "a", 1, "t", "Music", parent=1, root=1)
         assert item.is_reshare
-
-
-class TestActionRecord:
-    def test_order_applicable_exactly_for_engagements(self):
-        for kind in ActionKind:
-            engagement = kind in ENGAGEMENT_KINDS
-            good = Order.FIRST if engagement else Order.NA
-            bad = Order.NA if engagement else Order.FIRST
-            target = 1 if engagement else None
-            ActionRecord(1, "a", kind, target=target, order=good)
-            with pytest.raises(ValueError):
-                ActionRecord(1, "a", kind, target=target, order=bad)
 
 
 def test_action_category_mapping():

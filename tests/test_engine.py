@@ -21,11 +21,11 @@ from traitsim.core import (
     ContentItem,
     ENGAGEMENT_KINDS,
     OCEAN_VARIANTS,
-    Order,
     Trait,
 )
 import traitsim
 from traitsim import engine, jsonl
+from traitsim.analytics import order_dynamics
 from traitsim.engine import (
     CONFIGURATIONS,
     SimulationConfig,
@@ -110,7 +110,6 @@ def record_to_dict(record):
         "kind": record.kind.value,
         "target": record.target,
         "payload": record.payload,
-        "order": record.order.value,
         "reason": record.reason_text,
     }
 
@@ -860,7 +859,8 @@ class TestApplyAction:
         item = self.world.content[1]
         assert (item.author, item.parent, item.root) == ("p000", None, 1)
         assert item.topic == self.agent.profile.topic
-        assert self.world.log[-1].order is Order.NA
+        assert self.world.log == [ActionRecord(1, "p000", ActionKind.POST,
+                                               None, "hello", "r")]
 
     def test_reshare_creates_node_and_counts(self, tmp_path):
         original = add_post(self.world, "p001", 1)
@@ -873,7 +873,8 @@ class TestApplyAction:
         assert written_row(self.world, original.content_id,
                            tmp_path)["cascade_reshares"] == 1
         assert original.content_id in self.agent.reshared_ids
-        assert self.world.log[-1].order is Order.FIRST
+        assert order_dynamics(self.world.log, self.world.content) == {
+            1: None, 2: (100.0, 0.0)}
 
     def test_reshare_of_reshare_keeps_root_and_credits_cascade(self,
                                                                 tmp_path):
@@ -887,7 +888,8 @@ class TestApplyAction:
         assert original.reshares == 0  # direct children only
         assert written_row(self.world, original.content_id,
                            tmp_path)["cascade_reshares"] == 2  # mid and leaf
-        assert self.world.log[-1].order is Order.SECOND
+        assert order_dynamics(self.world.log, self.world.content)[3] == (
+            0.0, 100.0)
 
     def test_reactions_update_counters(self, tmp_path):
         item = add_post(self.world, "p001", 1)
@@ -911,7 +913,9 @@ class TestApplyAction:
         for kind in sorted(ENGAGEMENT_KINDS, key=lambda k: k.value):
             decision = self.engage(kind, original)
             apply_action(self.world, self.agent, decision, 2)
-            assert self.world.log[-1].order is Order.FIRST
+            assert self.world.log[-1].target == original.content_id
+            assert order_dynamics(self.world.log[-1:], self.world.content)[
+                2] == (100.0, 0.0)
 
     def test_engagement_on_reshare_is_second_order(self):
         original = add_post(self.world, "p001", 1)
@@ -919,7 +923,9 @@ class TestApplyAction:
         for kind in sorted(ENGAGEMENT_KINDS, key=lambda k: k.value):
             decision = self.engage(kind, reshare)
             apply_action(self.world, self.agent, decision, 3)
-            assert self.world.log[-1].order is Order.SECOND
+            assert self.world.log[-1].target == reshare.content_id
+            assert order_dynamics(self.world.log[-1:], self.world.content)[
+                3] == (0.0, 100.0)
 
     def test_follow_is_idempotent(self):
         for _ in range(2):
@@ -952,13 +958,10 @@ class TestApplyAction:
 
     def test_unreplayable_record_changes_nothing(self):
         original = add_post(self.world, "p001", 1)
-        for kind, target, order, error in (
-                (ActionKind.LIKE, original.content_id + 1, Order.FIRST,
-                 KeyError),
-                (ActionKind.RESHARE, original.content_id, Order.SECOND,
-                 ValueError),
-                (ActionKind.FOLLOW, "ghost", Order.NA, ValueError)):
-            record = ActionRecord(2, "p000", kind, target, None, order)
+        for kind, target, error in (
+                (ActionKind.LIKE, original.content_id + 1, KeyError),
+                (ActionKind.FOLLOW, "ghost", ValueError)):
+            record = ActionRecord(2, "p000", kind, target)
             with pytest.raises(error):
                 apply_record(self.world, self.agent, record)
         assert len(self.world.content) == 1
@@ -1399,10 +1402,8 @@ def test_text_and_run_file_break_the_same_shape_rule(
                           (), 2)
     with pytest.raises(ValidationError) as text_error:
         validate_decision(decision, prompt)
-    order = ("first_order" if ActionKind(kind) in ENGAGEMENT_KINDS
-             else "not_applicable")
     line = {"iteration": 1, "agent": "p000", "kind": kind, "target": target,
-            "payload": payload, "order": order, "reason": "r"}
+            "payload": payload, "reason": "r"}
     with pytest.raises(ValidationError) as file_error:
         record_from_dict(line)
     assert text_error.value.rule == file_error.value.rule == rule
@@ -1412,8 +1413,7 @@ def test_text_and_run_file_break_the_same_shape_rule(
     actions = tmp_path / "actions.jsonl"
     lines = actions.read_text().splitlines(keepends=True)
     lines[2] = json.dumps({**json.loads(lines[2]), "kind": kind,
-                           "target": target, "payload": payload,
-                           "order": order}) + "\n"
+                           "target": target, "payload": payload}) + "\n"
     actions.write_text("".join(lines))
     with pytest.raises(ValueError, match=re.escape(
             f"{actions} line 3: ValidationError: {rule}")):
@@ -1560,9 +1560,24 @@ class TestCheckIntegrity:
 
     def test_a_reaction_to_unknown_content(self):
         world = self.world()
-        world.log.append(ActionRecord(2, "p000", ActionKind.LIKE, 9, None,
-                                      Order.FIRST))
+        world.log.append(ActionRecord(2, "p000", ActionKind.LIKE, 9))
         with pytest.raises(AssertionError, match="unknown content 9"):
+            check_integrity(world)
+
+    def test_a_follow_the_graph_lacks(self):
+        """``agents.jsonl`` would then disagree with ``actions.jsonl``."""
+        world = self.world()
+        world.log.append(ActionRecord(2, "p002", ActionKind.FOLLOW, "p000"))
+        with pytest.raises(AssertionError, match="the follow of 'p000' by "
+                           "p002 is not in the follow graph"):
+            check_integrity(world)
+
+    def test_a_record_by_no_agent(self):
+        """``load_run`` would refuse the run."""
+        world = self.world()
+        world.log.append(ActionRecord(2, "ghost", ActionKind.INACTIVE))
+        with pytest.raises(AssertionError, match="the log holds a record by "
+                           "unknown agent 'ghost'"):
             check_integrity(world)
 
 
@@ -1578,13 +1593,11 @@ counts = st.integers(0, 2**70)
 
 @st.composite
 def records(draw):
-    kind = draw(st.sampled_from(ActionKind))
-    order = (draw(st.sampled_from([Order.FIRST, Order.SECOND]))
-             if kind in ENGAGEMENT_KINDS else Order.NA)
     return ActionRecord(
-        draw(st.integers(-1, 2**70)), draw(texts), kind,
+        draw(st.integers(-1, 2**70)), draw(texts),
+        draw(st.sampled_from(ActionKind)),
         draw(st.none() | st.integers() | texts), draw(optional_texts),
-        order, draw(texts))
+        draw(texts))
 
 
 @st.composite
@@ -1631,8 +1644,7 @@ class TestLineRenderers:
 
     @pytest.mark.parametrize("target", [True, 1.0, b"7", ("a",)])
     def test_an_undeclared_value_is_a_type_error(self, target):
-        record = ActionRecord(1, "a", ActionKind.LIKE, target, None,
-                              Order.FIRST)
+        record = ActionRecord(1, "a", ActionKind.LIKE, target)
         with pytest.raises(TypeError):
             record_line(record)
 
@@ -1692,13 +1704,13 @@ class TestLineRenderers:
         """Rendering N rows whose fields hold their usual int, str or None
         values makes N Python calls, the renderers' own: no field goes
         through ``_value``."""
-        log = [ActionRecord(i, "a", kind, target, payload, order, "r")
-                    for i, (kind, target, payload, order) in enumerate([
-                        (ActionKind.POST, None, "text", Order.NA),
-                        (ActionKind.LIKE, 3, None, Order.FIRST),
-                        (ActionKind.COMMENT, 4, "c", Order.SECOND),
-                        (ActionKind.FOLLOW, "b", None, Order.NA),
-                        (ActionKind.INACTIVE, None, None, Order.NA)] * 20)]
+        log = [ActionRecord(i, "a", kind, target, payload, "r")
+                    for i, (kind, target, payload) in enumerate([
+                        (ActionKind.POST, None, "text"),
+                        (ActionKind.LIKE, 3, None),
+                        (ActionKind.COMMENT, 4, "c"),
+                        (ActionKind.FOLLOW, "b", None),
+                        (ActionKind.INACTIVE, None, None)] * 20)]
         items = [ContentItem(i, "a", 1, "t", ("Music", None)[i % 2],
                              *((None, None), (1, 1))[i % 2], 2, 3, 4, 5)
                  for i in range(1, 101)]
@@ -1710,16 +1722,18 @@ class TestLineRenderers:
 class TestGoldenDigests:
     """Artifact digests of two seeded runs with a follow graph, recorded from
     the full-scan recommender. Any change to what the engine writes for a
-    given seed, the feed order or the random draws included, fails here."""
+    given seed, the feed order or the random draws included, fails here.
+    The ``actions.jsonl`` digests are of the recorded lines re-dumped
+    without the ``order`` field that schema version 1 wrote."""
 
     GOLDEN = {
         "FullModel": {
-            "actions.jsonl": "28b01489d2dd9ac8ba42864f8d319146f167c8caee1030ee2a9b7269059e767c",
+            "actions.jsonl": "5299fdaafe2d3c0bf989b2c37018d94bf7c668aaed50179ec21e135381f02ea4",
             "content.jsonl": "15b7a2844ee4c1cdaa463570927a4d2e92697a187fb476f4d19508b412b9574c",
             "agents.jsonl": "456de018b83316cfef6dede5699cc02b812a2b12b73cdd755a4d7c71917d37ab",
         },
         "RandomRecommendation": {
-            "actions.jsonl": "c50238ecd88079913fd0fde49a6d05f2bbdacf41079e59fb4085d37a245b4cd5",
+            "actions.jsonl": "1276951689d90cb37fdd275cf8ee401fea7f0065d09125aa566af02f3dc6f6f2",
             "content.jsonl": "8bb1e811f9c961a9aa7131e354cab5b67683cae7ae5547ddd6b46112793ad4a5",
             "agents.jsonl": "456de018b83316cfef6dede5699cc02b812a2b12b73cdd755a4d7c71917d37ab",
         },
@@ -1851,11 +1865,13 @@ class TestLLMPathGoldenDigests:
     moved into ``WorldState.add_content``. The stub never reads the
     feedback or activity sections, so only a run like this one pins what
     the agents' memories hold: observing an agent's own content oldest
-    first instead of newest first changes these digests."""
+    first instead of newest first changes these digests. As in
+    ``TestGoldenDigests``, the ``actions.jsonl`` digest is of the recorded
+    lines without their ``order`` field."""
 
     PROMPTS = "ab38ab06f4fa96f075437bba6a4728c7985e39946090a323397d82538493bcfe"
     GOLDEN = {
-        "actions.jsonl": "04e21b9139e253f1e8ff7c72adcf0f1b94cfad9a64f49d35cb62a4d90e719a34",
+        "actions.jsonl": "23310c936fb38f3bfedacbfb3940822ec6769df78ecdb34b0481bd85c2a9966f",
         "content.jsonl": "ca550bc06ca4de5733959f93c4e1c0f266dc69b1470678e74da63b5de8e302c4",
         "agents.jsonl": "ced45621fe62b858867da3f23729fe6e25038b1379e163fce6ea56fe26184142",
     }

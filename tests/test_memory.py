@@ -4,8 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from traitsim.core import (ActionKind, ActionRecord, ContentItem,
-                           ENGAGEMENT_KINDS, Order)
+from traitsim.core import ActionKind, ActionRecord, ContentItem
 from traitsim.memory import (
     COMMENTS,
     CONTENT_ID,
@@ -33,8 +32,7 @@ def make_item(cid, reshares=0, likes=0, dislikes=0, comments=()):
 
 def record(kind, now, target=None, payload=None):
     """Agent "a"'s record of a ``kind`` action in iteration ``now``."""
-    order = Order.FIRST if kind in ENGAGEMENT_KINDS else Order.NA
-    return ActionRecord(now, "a", kind, target, payload, order)
+    return ActionRecord(now, "a", kind, target, payload)
 
 
 class TestMemoryParams:

@@ -7,7 +7,6 @@ from traitsim.core import (
     ActionKind,
     ActionRecord,
     ContentItem,
-    Order,
 )
 from traitsim.networks import (
     WeightedDigraph,
@@ -19,11 +18,8 @@ from traitsim.networks import (
 
 
 def rec(agent, kind, target, iteration=2):
-    order = Order.FIRST if kind in (ActionKind.RESHARE, ActionKind.LIKE,
-                                    ActionKind.DISLIKE, ActionKind.COMMENT) \
-        else Order.NA
     payload = "c" if kind is ActionKind.COMMENT else None
-    return ActionRecord(iteration, agent, kind, target, payload, order)
+    return ActionRecord(iteration, agent, kind, target, payload)
 
 
 def fixture_world():

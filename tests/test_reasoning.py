@@ -98,7 +98,7 @@ class TestDecisionPathConstants:
     """The decision path reads enum members from module globals: reading one
     off its class costs several times a global's read."""
 
-    ENUMS = {"ActionKind", "Order", "Trait"}
+    ENUMS = {"ActionKind", "Trait"}
 
     @pytest.mark.parametrize("module", ["reasoning", "memory", "engine"])
     def test_no_function_reads_an_enum_member(self, module):
